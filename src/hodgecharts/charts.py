@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SampleInconsistent, SeparationFailure
-from .cones import KIndexMap, RelationData, k_index_map, relation_data
+from .cones import KIndexMap, RelationData, _relation_data, k_index_map
 from .filtrations import IndexSet, NilpotentCone, index_set
 from .linalg import RationalMatrix, hnf_rows, integer_kernel, vec
 
@@ -114,7 +114,7 @@ def build_atlas(cone: NilpotentCone, jobs: int = 1) -> MonomialAtlas:
     table: dict[IndexSet, RelationData] = {}
     charts = []
     for k in km.image:
-        data = relation_data(cone, k)
+        data = _relation_data(k, *km.splits[k])
         table[k] = data
         charts.append(MonomialMap(k, _int_rows(data.basis), cone.k))
     return MonomialAtlas(km, tuple(charts), table)

@@ -2,23 +2,29 @@
 integer bases.
 
 For an index set I the relation space S_I collects the coefficient vectors a
-with sum a_i N_i in W_{-1}(ad N_I).  Each subspace S of Q^k determines a
-unique support subset K carrying complementary nonnegative witnesses in S and
-S^perp; the witnesses are produced by one exact Farkas alternative per
-coordinate.  All feasibility questions are settled by an exact rational
-simplex with Bland's rule, so there are no tolerance parameters anywhere in
-this module.
+with sum a_i N_i in W_{-1}(ad N_I).  On gl(V) the weight filtration of ad N is
+the one induced from W = W(N) on V, and it restricts to the isometry algebra
+because an sl2-triple through N can be chosen there (Cattani-Kaplan-Schmid,
+Degeneration of Hodge structures, Ann. Math. 123, 1986).  So S_I is computed
+on V alone: a lies in S_I exactly when sum a_i N_i maps every W_l(N_I) into
+W_{l-1}(N_I).
+
+Each subspace S of Q^k determines a unique support subset K carrying
+complementary nonnegative witnesses in S and S^perp; the witnesses are
+produced by one exact Farkas alternative per coordinate.  All feasibility
+questions are settled by an exact rational simplex with Bland's rule, so there
+are no tolerance parameters anywhere in this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ConeTooLarge, InvalidSplit
-from .filtrations import IndexSet, NilpotentCone, adjoint_filtration, index_set
-from .linalg import Q, RationalMatrix, Subspace, kernel, vec
+from .filtrations import IndexSet, NilpotentCone, index_set, weight_filtration
+from .linalg import Q, RationalMatrix, Subspace, dot, kernel, vec
 
 MAX_GENERATORS = 12
 
@@ -27,24 +33,42 @@ def relation_space(cone: NilpotentCone, index) -> Subspace:
     """S_I = {a in Q^k : sum a_i N_i lies in W_{-1}(ad N_I)}.
 
     For I empty this is the space of linear relations among the generators.
+    Otherwise, with W = W(N_I) on V, a lies in S_I exactly when
+    sum a_i N_i . W_l <= W_{l-1} for every level l (Cattani-Kaplan-Schmid:
+    W(ad N) is induced from W(N)).  Each w in a basis of W_l modulo W_{l-1}
+    and each basis row p of W_{l-1}^perp give one linear condition
+    sum a_i p.(N_i w) = 0.
     """
     index = index_set(index)
     if not index:
         flat_cols = [n.flatten() for n in cone.generators]
         rows = tuple(zip(*flat_cols))
         return kernel(RationalMatrix.from_rows(rows, cols=cone.k))
-    adj = adjoint_filtration(cone, index)
-    ctx = adj.context
-    coord_cols = []
-    for n in cone.generators:
-        coords = ctx.to_coords(n)
-        if coords is None:  # pragma: no cover - cone validation guarantees this
-            raise AssertionError("generator outside the isometry algebra")
-        coord_cols.append(coords)
-    level = adj.filtration.step(-1)
-    comp = level.orthogonal_complement()
-    m = RationalMatrix.from_rows(tuple(zip(*coord_cols)), cols=cone.k)
-    return kernel(comp.basis @ m) if comp.dim else Subspace.full(cone.k)
+    w = weight_filtration(cone.n_of(index), cone.weight)
+    rows = []
+    perp_below = Subspace.full(cone.dim)  # W_{low-1} = 0
+    pivots_below: set[int] = set()
+    for level in w.levels():
+        step = w.step(level)
+        pivots = {_pivot(v) for v in step.basis.entries}
+        # Pivots of W_{l-1} are pivots of W_l, and the rows of W_l with the
+        # other pivots span W_l modulo W_{l-1}; the rows of W_{l-1} already
+        # met the stronger condition one level down.
+        for v in step.basis.entries:
+            if _pivot(v) in pivots_below:
+                continue
+            images = [n.mul_vec(v) for n in cone.generators]
+            for p in perp_below.basis.entries:
+                row = tuple(dot(p, y) for y in images)
+                if any(row):
+                    rows.append(row)
+        perp_below = step.orthogonal_complement()
+        pivots_below = pivots
+    return kernel(RationalMatrix.from_rows(rows, cols=cone.k))
+
+
+def _pivot(row) -> int:
+    return next(i for i, x in enumerate(row) if x)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +205,14 @@ def positive_basis(s: Subspace, support) -> RationalMatrix:
     split = farkas_split(s)
     if support != split.support:
         raise InvalidSplit(f"support {support} does not match the split {split.support}")
+    return _positive_basis(s, split)
+
+
+def _positive_basis(s: Subspace, split: FarkasSplit) -> RationalMatrix:
+    """positive_basis for the support of an already computed farkas_split(s)."""
     from .linalg import lattice_basis, solve
 
+    support = split.support
     perp = s.orthogonal_complement()
     k = s.ambient_dim
     off = [i for i in range(k) if (i + 1) not in support]
@@ -223,18 +253,28 @@ class RelationData:
 def relation_data(cone: NilpotentCone, index) -> RelationData:
     index = index_set(index)
     s = relation_space(cone, index)
-    split = farkas_split(s)
-    basis = positive_basis(s, split.support)
+    return _relation_data(index, s, farkas_split(s))
+
+
+def _relation_data(index: IndexSet, s: Subspace, split: FarkasSplit) -> RelationData:
+    basis = _positive_basis(s, split)
     return RelationData(index, s, split.support, basis, split.witness, split.cowitness)
 
 
 @dataclass(frozen=True)
 class KIndexMap:
-    """The full table I -> K_I, its image, and the stratum partition."""
+    """The full table I -> K_I, its image, and the stratum partition.
+
+    splits holds S_K and its Farkas split for every K in the image, so that
+    the atlas reuses them instead of solving the same LPs again.
+    """
 
     table: dict[IndexSet, IndexSet]
     image: tuple[IndexSet, ...]
     strata: dict[IndexSet, tuple[IndexSet, ...]]
+    splits: dict[IndexSet, tuple[Subspace, FarkasSplit]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def k_index_map(
@@ -248,21 +288,23 @@ def k_index_map(
         for mask in range(1 << cone.k)
     ]
 
-    def split_of(index: IndexSet) -> IndexSet:
-        return farkas_split(relation_space(cone, index)).support
+    def split_of(index: IndexSet) -> tuple[Subspace, FarkasSplit]:
+        s = relation_space(cone, index)
+        return s, farkas_split(s)
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        cone.lie_algebra()  # prime the shared cache before fanning out
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            supports = list(pool.map(split_of, subsets))
+            results = dict(zip(subsets, pool.map(split_of, subsets)))
     else:
-        supports = [split_of(i) for i in subsets]
-    table: dict[IndexSet, IndexSet] = dict(zip(subsets, supports))
+        results = {i: split_of(i) for i in subsets}
+    table: dict[IndexSet, IndexSet] = {
+        index: split.support for index, (_, split) in results.items()
+    }
     image = tuple(sorted(set(table.values()), key=lambda t: (len(t), t)))
     strata = {
         k: tuple(sorted((i for i in table if table[i] == k), key=lambda t: (len(t), t)))
         for k in image
     }
-    return KIndexMap(table, image, strata)
+    return KIndexMap(table, image, strata, {k: results[k] for k in image})

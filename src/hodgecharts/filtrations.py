@@ -71,16 +71,20 @@ class WeightFiltration:
 
 def nilpotency_index(n: RationalMatrix) -> int:
     """Smallest d with N^d = 0; raises NotNilpotent if there is none."""
+    return len(_powers(n)) - 1
+
+
+def _powers(n: RationalMatrix) -> list[RationalMatrix]:
+    """[I, N, ..., N^d] with N^d the first zero power; raises NotNilpotent if
+    N^dim is not zero."""
     if n.rows != n.cols:
         raise ValueError("nilpotency of a non-square matrix")
-    power = RationalMatrix.identity(n.rows)
-    for d in range(n.rows + 1):
-        if power.is_zero():
-            return d
-        power = power @ n
-    if not power.is_zero():
-        raise NotNilpotent("matrix is not nilpotent")
-    return n.rows + 1
+    powers = [RationalMatrix.identity(n.rows)]
+    while not powers[-1].is_zero():
+        if len(powers) > n.rows:
+            raise NotNilpotent("matrix is not nilpotent")
+        powers.append(powers[-1] @ n)
+    return powers
 
 
 def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
@@ -90,24 +94,35 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
     ker(N^{i+1}) cap im(N^{i-l}), i >= 0, with nonpositive powers read as the
     identity.
     """
-    d = nilpotency_index(n)
+    powers = _powers(n)
+    d = len(powers) - 1
     dim = n.rows
     if d == 0:  # zero-dimensional space
         return WeightFiltration(center, 0, {center: Subspace.full(0)})
-    powers = [RationalMatrix.identity(dim)]
-    for _ in range(d):
-        powers.append(powers[-1] @ n)
-    kernels = [kernel(powers[i]) for i in range(d + 1)]
-    images = [image(powers[i]) for i in range(d + 1)]
+    kernels = {i: kernel(powers[i]) for i in range(1, d + 1)}
+    images = {j: image(powers[j]) for j in range(1, d)}
+    # ker N^{i+1} cap im N^j, shared by the levels that use it.  im N^0 is the
+    # whole space, im N^j = 0 for j >= d, and im N^j <= ker N^{i+1} once
+    # i + 1 + j >= d.
+    pieces: dict[tuple[int, int], Subspace] = {}
     steps: dict[int, Subspace] = {}
     for l in range(-(d - 1), d):
-        w = Subspace.zero(dim)
+        rows = []
         for i in range(d):
             j = max(0, i - l)
-            if j > d:
+            if j >= d:
                 continue
-            w = w.sum(kernels[i + 1].intersect(images[j]))
-        steps[center + l] = w
+            piece = pieces.get((i, j))
+            if piece is None:
+                if j == 0:
+                    piece = kernels[i + 1]
+                elif i + 1 + j >= d:
+                    piece = images[j]
+                else:
+                    piece = kernels[i + 1].intersect(images[j])
+                pieces[(i, j)] = piece
+            rows.extend(piece.basis.entries)
+        steps[center + l] = Subspace.from_vectors(dim, rows)
     if d == 1:
         steps[center] = Subspace.full(dim)
     return WeightFiltration(center, dim, steps)

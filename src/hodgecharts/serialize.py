@@ -55,16 +55,29 @@ def matrix_from_json(data, what: str = "matrix") -> RationalMatrix:
         raise SchemaError(f"bad {what}: {exc}") from exc
 
 
+def _int_from_json(x, what: str) -> int:
+    """An integer JSON literal, or a string holding one."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise SchemaError(f"{what} must be an integer, not {x!r}")
+    try:
+        return int(x)
+    except ValueError as exc:
+        raise SchemaError(f"{what} must be an integer, not {x!r}") from exc
+
+
 def cone_from_json(data) -> NilpotentCone:
     if not isinstance(data, dict):
         raise SchemaError("cone must be an object")
     try:
-        dim = int(data["dim"])
-        weight = int(data["weight"])
+        dim = _int_from_json(data["dim"], "dim")
+        weight = _int_from_json(data["weight"], "weight")
         form = matrix_from_json(data["form"], "form")
-        gens = [matrix_from_json(g, "generator") for g in data["generators"]]
+        gen_data = data["generators"]
     except KeyError as exc:
         raise SchemaError(f"cone is missing field {exc}") from exc
+    if not isinstance(gen_data, list):
+        raise SchemaError("generators must be an array of matrices")
+    gens = [matrix_from_json(g, "generator") for g in gen_data]
     symmetry = data.get("symmetry")
     expected = "symmetric" if weight % 2 == 0 else "alternating"
     if symmetry is not None and symmetry != expected:

@@ -1,15 +1,17 @@
 """Independent brute-force oracles used by the test-suite.
 
 These deliberately avoid the code paths they check: feasibility questions go
-through Fourier-Motzkin elimination instead of the simplex, and weight
-filtrations are verified against the two defining properties directly.
+through Fourier-Motzkin elimination instead of the simplex, weight
+filtrations are verified against the two defining properties directly, and
+relation spaces are recomputed from W(ad N_I) on the isometry algebra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from hodgecharts.linalg import RationalMatrix, Subspace, solve
+from hodgecharts.filtrations import NilpotentCone, adjoint_filtration, index_set
+from hodgecharts.linalg import RationalMatrix, Subspace, kernel, solve
 
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin feasibility for systems  sum c_i x_i + d >= 0.
@@ -201,3 +203,19 @@ def random_nilpotent(rng, dim: int) -> RationalMatrix:
         g_inv_cols.append(solve(g, ident.col(j)))
     g_inv = RationalMatrix.from_rows(tuple(zip(*g_inv_cols)), cols=dim)
     return g @ n @ g_inv
+
+
+# ---------------------------------------------------------------------------
+# Relation spaces from the adjoint filtration.
+
+
+def adjoint_relation_space(cone: NilpotentCone, index) -> Subspace:
+    """S_I = {a : sum a_i N_i in W_{-1}(ad N_I)} for nonempty I, read off the
+    weight filtration of ad N_I on the isometry algebra in its own basis."""
+    adj = adjoint_filtration(cone, index_set(index))
+    ctx = adj.context
+    coord_cols = [ctx.to_coords(n) for n in cone.generators]
+    assert all(c is not None for c in coord_cols), "generator outside the isometry algebra"
+    comp = adj.filtration.step(-1).orthogonal_complement()
+    m = RationalMatrix.from_rows(tuple(zip(*coord_cols)), cols=cone.k)
+    return kernel(comp.basis @ m) if comp.dim else Subspace.full(cone.k)

@@ -183,6 +183,20 @@ def test_exit_code_schema(tmp_path):
     assert main(["charts", "--input", str(noncommuting)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("dim", "x"), ("dim", [4]), ("weight", "one"), ("weight", 1.5), ("generators", 5)],
+)
+def test_exit_code_schema_bad_cone_field(tmp_path, capsys, field, value):
+    data = json.loads((FIXTURES / "genus2_cone.json").read_text())
+    data[field] = value
+    bad = tmp_path / "bad_field.json"
+    bad.write_text(json.dumps(data))
+    assert main(["charts", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_exit_code_size_cap(tmp_path, monkeypatch):
     import hodgecharts.cones as cones_mod
 

@@ -12,6 +12,7 @@ from hodgecharts.cones import (
     relation_space,
 )
 from hodgecharts.errors import ConeTooLarge, InvalidSplit
+from hodgecharts.filtrations import NilpotentCone
 from hodgecharts.gallery import (
     equal_pair_cone,
     genus2_cone,
@@ -20,7 +21,7 @@ from hodgecharts.gallery import (
 )
 from hodgecharts.linalg import RationalMatrix, Subspace
 
-from .oracles import farkas_branch_infeasible, split_supports
+from .oracles import adjoint_relation_space, farkas_branch_infeasible, split_supports
 
 SEED = 4814
 
@@ -216,3 +217,102 @@ def test_relation_data_bundle():
     assert data.support == (2,)
     assert [[int(x) for x in r] for r in data.basis.entries] == [[1, 0, 1]]
     assert data.space.contains_vector(data.witness)
+
+
+def _sp_form(g):
+    return RationalMatrix.from_rows(
+        [[-1 if j == i + g else 1 if i == j + g else 0 for j in range(2 * g)] for i in range(2 * g)]
+    )
+
+
+def _block(g, s, lower=False):
+    """[[0, S], [0, 0]], or [[0, 0], [S, 0]] when lower."""
+    rows = [[0] * (2 * g) for _ in range(2 * g)]
+    for i in range(g):
+        for j in range(g):
+            if lower:
+                rows[g + i][j] = s[i][j]
+            else:
+                rows[i][g + j] = s[i][j]
+    return RationalMatrix.from_rows(rows)
+
+
+def _random_sym(rng, g, lo=-2, hi=2):
+    upper = [[rng.randint(lo, hi) for _ in range(g)] for _ in range(g)]
+    return [[upper[min(i, j)][max(i, j)] for j in range(g)] for i in range(g)]
+
+
+def _random_abelian_cone(rng, g, k):
+    """k generators [[0, A A^T], [0, 0]] of sp(2g), conjugated by a random
+    isometry [[I, 0], [C, I]] [[I, B], [0, I]] so that no entry pattern is
+    special."""
+    blocks = []
+    while len(blocks) < k:
+        a = [[rng.randint(-1, 1) for _ in range(2)] for _ in range(g)]
+        s = [[sum(x * y for x, y in zip(a[i], a[j])) for j in range(g)] for i in range(g)]
+        if any(any(row) for row in s):
+            blocks.append(s)
+    one = RationalMatrix.identity(2 * g)
+    b, c = _random_sym(rng, g, -1, 1), _random_sym(rng, g, -1, 1)
+    iso = (one + _block(g, c, lower=True)) @ (one + _block(g, b))
+    inv = (one - _block(g, b)) @ (one - _block(g, c, lower=True))
+    gens = [iso @ _block(g, s) @ inv for s in blocks]
+    return NilpotentCone(2 * g, 1, _sp_form(g), gens)
+
+
+def _random_k3_cone(rng, b, k):
+    """Weight-2 cone on <e> + L + <f> with Q(e, f) = 1 and Q|_L = diag(1, -1,
+    ..., -1): N_lambda sends f to lambda and v in L to -Q(lambda, v) e, so
+    N_lambda^2 = 0 exactly when lambda is isotropic."""
+    n = b + 2
+    q_l = [1] + [-1] * (b - 1)
+    form = [[0] * n for _ in range(n)]
+    form[0][n - 1] = form[n - 1][0] = 1
+    for i in range(b):
+        form[1 + i][1 + i] = q_l[i]
+    gens = []
+    while len(gens) < k:
+        lam = [rng.randint(-1, 1) for _ in range(b)]
+        if not any(lam):
+            continue
+        m = [[0] * n for _ in range(n)]
+        for i, x in enumerate(lam):
+            m[1 + i][n - 1] = x
+            m[0][1 + i] = -q_l[i] * x
+        gens.append(RationalMatrix.from_rows(m))
+    return NilpotentCone(n, 2, RationalMatrix.from_rows(form), gens)
+
+
+def _oracle_cones():
+    from hodgecharts.gallery import (
+        standard_triple_block_cone,
+        weight2_inert_orbit,
+        weight2_jordan3_cone,
+        weight2_twoblock_cone,
+    )
+
+    yield from (
+        genus2_cone(),
+        rank1_cone(),
+        single_cone(),
+        equal_pair_cone(),
+        standard_triple_block_cone(),
+        weight2_jordan3_cone(),
+        weight2_twoblock_cone(),
+        weight2_inert_orbit().cone,
+    )
+    rng = random.Random(SEED + 2)
+    for g, k in ((2, 3), (2, 4), (3, 3)):
+        yield _random_abelian_cone(rng, g, k)
+    for b, k in ((2, 3), (3, 3), (3, 3), (4, 3)):
+        yield _random_k3_cone(rng, b, k)
+
+
+def test_relation_space_matches_adjoint_oracle():
+    """The V-side criterion agrees with W_{-1}(ad N_I) on every index set."""
+    for cone in _oracle_cones():
+        for mask in range(1, 1 << cone.k):
+            index = tuple(i + 1 for i in range(cone.k) if mask >> i & 1)
+            assert relation_space(cone, index) == adjoint_relation_space(cone, index), (
+                cone.dim, cone.weight, index,
+            )
