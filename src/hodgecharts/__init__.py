@@ -1,158 +1,114 @@
 """Exact weight-filtration / monomial-chart machinery for degenerating period
-maps, with a floating-point Hodge-metric engine and appendix verifiers."""
+maps, with a floating-point Hodge-metric engine and appendix verifiers.
 
-from .charts import (
-    BinomialRelationSet,
-    MonomialAtlas,
-    MonomialMap,
-    binomial_relations,
-    build_atlas,
-    decoupled_fiber_check,
-    fiber_tangency,
-    separation_check,
-)
-from .cones import (
-    FarkasAlternative,
-    FarkasSplit,
-    RelationData,
-    farkas_alternative,
-    farkas_split,
-    k_index_map,
-    positive_basis,
-    relation_data,
-    relation_space,
-)
-from .filtrations import (
-    NilpotentCone,
-    WeightFiltration,
-    adjoint_filtration,
-    graded_pieces,
-    induced_map,
-    polarization_form,
-    primitive_subspace,
-    rwfp_consequence_check,
-    weight_filtration,
-)
-from .linalg import (
-    RationalMatrix,
-    Subspace,
-    image,
-    kernel,
-    lattice_basis,
-    rank,
-    restrict_map,
-    solve,
-)
-from .metrics import (
-    ExpansionFit,
-    FlagPoint,
-    OrbitSpec,
-    Twist,
-    augmented_log_det,
-    curvature_limit_check,
-    expansion_fit,
-    hodge_decomposition,
-    log_det_lambda,
-    mixed_second_derivative,
-    residue_integral,
-)
-from .ncd import (
-    DoubleCurve,
-    NCDSurface,
-    SurfacePiece,
-    TriplePoint,
-    build_weight_complexes,
-    curve_lmhs,
-    friedman_check,
-    graded_dims,
-    monodromy_graded_maps,
-    triple_point_check,
-)
-from .positivity import (
-    CurvatureTriple,
-    curvature_identity_check,
-    numerical_dimension,
-    sigma_weight1,
-    sigma_weight2,
-)
-from .siegel import (
-    ConeSpec,
-    Sp4Setup,
-    boundedness_probe,
-    build_setup,
-    orbit_point,
-    solve_maximal,
-    solve_minimal,
-)
+The public names below load their submodule on first access (PEP 562), so
+importing the package, or an exact submodule such as ``charts``, loads neither
+numpy nor scipy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinomialRelationSet",
-    "ConeSpec",
-    "CurvatureTriple",
-    "DoubleCurve",
-    "ExpansionFit",
-    "FarkasAlternative",
-    "FarkasSplit",
-    "FlagPoint",
-    "MonomialAtlas",
-    "MonomialMap",
-    "NCDSurface",
-    "NilpotentCone",
-    "OrbitSpec",
-    "RationalMatrix",
-    "RelationData",
-    "Sp4Setup",
-    "Subspace",
-    "SurfacePiece",
-    "TriplePoint",
-    "Twist",
-    "WeightFiltration",
-    "adjoint_filtration",
-    "augmented_log_det",
-    "binomial_relations",
-    "boundedness_probe",
-    "build_atlas",
-    "build_setup",
-    "build_weight_complexes",
-    "curvature_identity_check",
-    "curvature_limit_check",
-    "curve_lmhs",
-    "decoupled_fiber_check",
-    "expansion_fit",
-    "farkas_alternative",
-    "farkas_split",
-    "fiber_tangency",
-    "friedman_check",
-    "graded_dims",
-    "graded_pieces",
-    "hodge_decomposition",
-    "image",
-    "induced_map",
-    "k_index_map",
-    "kernel",
-    "lattice_basis",
-    "log_det_lambda",
-    "mixed_second_derivative",
-    "monodromy_graded_maps",
-    "numerical_dimension",
-    "orbit_point",
-    "polarization_form",
-    "positive_basis",
-    "primitive_subspace",
-    "rank",
-    "relation_data",
-    "relation_space",
-    "residue_integral",
-    "restrict_map",
-    "rwfp_consequence_check",
-    "separation_check",
-    "sigma_weight1",
-    "sigma_weight2",
-    "solve",
-    "solve_maximal",
-    "solve_minimal",
-    "triple_point_check",
-    "weight_filtration",
-]
+_EXPORTS = {
+    "charts": (
+        "BinomialRelationSet",
+        "MonomialAtlas",
+        "MonomialMap",
+        "binomial_relations",
+        "build_atlas",
+        "decoupled_fiber_check",
+        "fiber_tangency",
+        "separation_check",
+    ),
+    "cones": (
+        "FarkasAlternative",
+        "FarkasSplit",
+        "RelationData",
+        "farkas_alternative",
+        "farkas_split",
+        "k_index_map",
+        "positive_basis",
+        "relation_data",
+        "relation_space",
+    ),
+    "filtrations": (
+        "NilpotentCone",
+        "WeightFiltration",
+        "adjoint_filtration",
+        "graded_pieces",
+        "induced_map",
+        "polarization_form",
+        "primitive_subspace",
+        "rwfp_consequence_check",
+        "weight_filtration",
+    ),
+    "linalg": (
+        "RationalMatrix",
+        "Subspace",
+        "image",
+        "kernel",
+        "lattice_basis",
+        "rank",
+        "restrict_map",
+        "solve",
+    ),
+    "metrics": (
+        "ExpansionFit",
+        "FlagPoint",
+        "OrbitSpec",
+        "Twist",
+        "augmented_log_det",
+        "curvature_limit_check",
+        "expansion_fit",
+        "hodge_decomposition",
+        "log_det_lambda",
+        "mixed_second_derivative",
+        "residue_integral",
+    ),
+    "ncd": (
+        "DoubleCurve",
+        "NCDSurface",
+        "SurfacePiece",
+        "TriplePoint",
+        "build_weight_complexes",
+        "curve_lmhs",
+        "friedman_check",
+        "graded_dims",
+        "monodromy_graded_maps",
+        "triple_point_check",
+    ),
+    "positivity": (
+        "CurvatureTriple",
+        "curvature_identity_check",
+        "numerical_dimension",
+        "sigma_weight1",
+        "sigma_weight2",
+    ),
+    "siegel": (
+        "ConeSpec",
+        "Sp4Setup",
+        "boundedness_probe",
+        "build_setup",
+        "orbit_point",
+        "solve_maximal",
+        "solve_minimal",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    # Look the name up in its submodule on every access rather than caching it
+    # here, so that rebinding a submodule attribute (monkeypatching, tracing)
+    # is seen through the package too.
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import SampleInconsistent, SeparationFailure
 from .cones import KIndexMap, RelationData, _relation_data, k_index_map
 from .filtrations import IndexSet, NilpotentCone, index_set
@@ -228,6 +226,8 @@ def decoupled_fiber_check(
     nonzero component inside span{N_i} contradicts the split coordinates, in
     which that component vanishes identically, and raises SampleInconsistent.
     """
+    import numpy as np
+
     from .cones import relation_space
 
     index = index_set(index)

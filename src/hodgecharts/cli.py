@@ -27,7 +27,6 @@ from .errors import (
     NumericDomainError,
     SchemaError,
 )
-from .metrics import curvature_limit_check, expansion_fit, residue_integral
 from .ncd import (
     build_weight_complexes,
     curve_lmhs,
@@ -53,7 +52,6 @@ from .serialize import (
     siegel_cone_from_json,
     surface_from_json,
 )
-from .siegel import boundedness_probe
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -182,6 +180,8 @@ def _parse_ray(spec) -> callable:
 
 
 def run_curvature(data, args) -> tuple[dict, list, list]:
+    from .metrics import curvature_limit_check, expansion_fit, residue_integral
+
     if not isinstance(data, dict):
         raise SchemaError("curvature input must be an object")
     mode = data.get("mode", "limit")
@@ -193,7 +193,13 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
             except ValueError as exc:
                 raise SchemaError(f"bad monomial key {key!r}") from exc
             coeffs[(i, j)] = complex(val[0], val[1]) if isinstance(val, list) else complex(val)
-        t_values = [float(t) for t in data.get("t_values", [10.0**-k for k in range(2, 6)])]
+        try:
+            t_values = [float(t) for t in data.get("t_values", [10.0**-k for k in range(2, 6)])]
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"t_values must be numbers: {exc}") from exc
+        for t in t_values:
+            if not 0 < abs(t) < 1:
+                raise SchemaError(f"t_values must satisfy 0 < |t| < 1, not {t!r}")
         values = [residue_integral(coeffs, t) for t in t_values]
         import numpy as np
 
@@ -289,15 +295,25 @@ def parse_family(text: str):
 
 
 def run_siegel(data, args) -> tuple[dict, list, list]:
+    from .siegel import boundedness_probe
+
+    if not isinstance(data, dict):
+        raise SchemaError("siegel input must be an object")
     cone = siegel_cone_from_json(data.get("cone", data))
     family_text = args.family or data.get("family")
     if not family_text:
         raise SchemaError("siegel needs a family (flag --family or input field)")
+    family = parse_family(family_text)
+    components = len(family(1.0))
+    if components != cone.size:
+        raise SchemaError(
+            f"family {family_text!r} has {components} components, the cone {cone.size}"
+        )
     parabolic = args.parabolic or data.get("parabolic")
     if parabolic not in ("minimal", "maximal"):
         raise SchemaError("siegel needs --parabolic minimal|maximal")
     grid = tuple(float(t) for t in data.get("grid", tuple(10.0**k for k in range(1, 7))))
-    rep = boundedness_probe(cone, parse_family(family_text), parabolic, grid)
+    rep = boundedness_probe(cone, family, parabolic, grid)
     report = {
         "verdict": rep.verdict,
         "parabolic": rep.parabolic,

@@ -9,14 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import HodgeChartsError, SchemaError
 from .filtrations import NilpotentCone
 from .linalg import RationalMatrix
-from .metrics import FlagPoint, OrbitSpec, Twist
 from .ncd import DoubleCurve, NCDSurface, SurfacePiece, TriplePoint
-from .siegel import ConeSpec
 
 
 def rational_to_json(x: Fraction) -> str:
@@ -152,7 +148,9 @@ def _complex_from_json(x) -> complex:
     raise SchemaError(f"not a complex scalar: {x!r}")
 
 
-def complex_matrix_from_json(data, what: str = "matrix") -> np.ndarray:
+def complex_matrix_from_json(data, what: str = "matrix") -> "np.ndarray":
+    import numpy as np
+
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise SchemaError(f"{what} must be an array of row arrays")
     try:
@@ -168,7 +166,9 @@ def complex_to_json(x: complex) -> list[float]:
     return [x.real, x.imag]
 
 
-def orbit_from_json(data) -> OrbitSpec:
+def orbit_from_json(data) -> "OrbitSpec":
+    from .metrics import FlagPoint, OrbitSpec, Twist
+
     if not isinstance(data, dict):
         raise SchemaError("orbit must be an object")
     cone = cone_from_json(data.get("cone"))
@@ -198,7 +198,9 @@ def orbit_from_json(data) -> OrbitSpec:
         raise SchemaError(str(exc)) from exc
 
 
-def siegel_cone_from_json(data) -> ConeSpec:
+def siegel_cone_from_json(data) -> "ConeSpec":
+    from .siegel import ConeSpec
+
     if not isinstance(data, dict):
         raise SchemaError("cone must be an object with p, q, r arrays")
     try:

@@ -197,6 +197,28 @@ def test_exit_code_schema_bad_cone_field(tmp_path, capsys, field, value):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _fixture_with(name, **fields):
+    return {**json.loads((FIXTURES / name).read_text()), **fields}
+
+
+@pytest.mark.parametrize(
+    "subcommand, data",
+    [
+        ("curvature", _fixture_with("residue_constant.json", t_values=[2.0])),
+        ("curvature", _fixture_with("residue_constant.json", t_values=["x"])),
+        ("siegel", [1, 2]),
+        ("siegel", _fixture_with("siegel_cl2.json", family="y=(T)")),
+    ],
+    ids=["residue-t-outside-disc", "residue-t-not-a-number", "siegel-list", "siegel-family-length"],
+)
+def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
+    bad = tmp_path / "bad_input.json"
+    bad.write_text(json.dumps(data))
+    assert main([subcommand, "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_exit_code_size_cap(tmp_path, monkeypatch):
     import hodgecharts.cones as cones_mod
 

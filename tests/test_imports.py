@@ -1,0 +1,68 @@
+"""Import hygiene: the exact subcommands load neither numpy nor scipy, and the
+package's lazy namespace resolves every public name.
+
+The subcommand checks run in a fresh interpreter, because the test process has
+numpy loaded already and would hide an eager import.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_fresh(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "subcommand, fixture, absent",
+    [
+        ("charts", "genus2_cone.json", ("numpy", "scipy")),
+        ("lmhs", "ncd_tetrahedron.json", ("numpy", "scipy")),
+        ("positivity", "positivity_sigma1.json", ("numpy", "scipy")),
+        ("siegel", "siegel_cl2.json", ("scipy",)),
+    ],
+)
+def test_subcommand_loads_no_unused_float_library(subcommand, fixture, absent):
+    code = f"""
+import os, sys
+import hodgecharts.cli as cli
+args = [{subcommand!r}, "--input", {str(ROOT / "fixtures" / fixture)!r}, "--output", os.devnull]
+assert cli.main(args) == 0
+print(sorted(m for m in {absent!r} if m in sys.modules))
+"""
+    assert run_fresh(code) == "[]"
+
+
+def test_public_names_resolve():
+    code = """
+import hodgecharts
+unresolved = [n for n in hodgecharts.__all__ if not hasattr(hodgecharts, n)]
+namespace = {}
+exec("from hodgecharts import *", namespace)
+unbound = [n for n in hodgecharts.__all__ if namespace.get(n) is not getattr(hodgecharts, n)]
+print(unresolved, unbound, hasattr(hodgecharts, "no_such_name"), hodgecharts.__version__)
+"""
+    assert run_fresh(code) == "[] [] False 0.1.0"
+
+
+def test_package_names_follow_submodule_rebinding(monkeypatch):
+    import hodgecharts
+    import hodgecharts.linalg as linalg
+
+    replacement = object()
+    monkeypatch.setattr(linalg, "kernel", replacement)
+    assert hodgecharts.kernel is replacement
+    monkeypatch.undo()
+    assert hodgecharts.kernel is linalg.kernel
