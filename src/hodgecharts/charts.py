@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import SampleInconsistent, SeparationFailure
 from .cones import KIndexMap, RelationData, _relation_data, k_index_map
 from .filtrations import IndexSet, NilpotentCone, index_set
-from .linalg import RationalMatrix, hnf_rows, integer_kernel, vec
+from .linalg import RationalMatrix, _primitive_integer, integer_kernel, vec
 
 
 def monomial_strings(rows, var: str = "t") -> tuple[str, ...]:
@@ -92,8 +92,6 @@ class MonomialAtlas:
         this reproduces the compact four-monomial chart whose single relation
         is z1*z2*z3 = z4^2.
         """
-        from .cones import _primitive_integer
-
         rows = []
         for k in sorted(self.k_map.image, key=lambda t: (-len(t), t)):
             data = self.relation_table[k]
@@ -106,9 +104,9 @@ def _int_rows(m: RationalMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in m.entries)
 
 
-def build_atlas(cone: NilpotentCone, jobs: int = 1) -> MonomialAtlas:
+def build_atlas(cone: NilpotentCone) -> MonomialAtlas:
     """Assemble the per-K monomial maps from the relation-space pipeline."""
-    km = k_index_map(cone, jobs=jobs)
+    km = k_index_map(cone)
     table: dict[IndexSet, RelationData] = {}
     charts = []
     for k in km.image:
@@ -129,8 +127,7 @@ def binomial_relations(rows) -> BinomialRelationSet:
         return BinomialRelationSet(())
     ncols = len(rows)
     constraints = [[rows[j][i] for j in range(ncols)] for i in range(len(rows[0]))]
-    ker = integer_kernel(constraints, ncols)
-    return BinomialRelationSet(tuple(tuple(r) for r in hnf_rows(ker)))
+    return BinomialRelationSet(tuple(tuple(r) for r in integer_kernel(constraints, ncols)))
 
 
 @dataclass(frozen=True)

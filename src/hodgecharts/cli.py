@@ -92,7 +92,7 @@ def _emit_csv(rows: list[list], header: list[str], path: str | None) -> None:
 
 def run_charts(data, args) -> tuple[dict, list, list]:
     cone = cone_from_json(data)
-    atlas = build_atlas(cone, jobs=args.jobs)
+    atlas = build_atlas(cone)
     km = atlas.k_map
     relations = atlas.relations()
     separation = separation_check(atlas)
@@ -170,13 +170,30 @@ def run_lmhs(data, args) -> tuple[dict, list, list]:
 
 def _parse_ray(spec) -> callable:
     spec = spec or [{"scale": 1.0, "power": 1.0}]
-    scales = [float(c.get("scale", 1.0)) for c in spec]
-    powers = [float(c.get("power", 1.0)) for c in spec]
+    try:
+        scales = [float(c.get("scale", 1.0)) for c in spec]
+        powers = [float(c.get("power", 1.0)) for c in spec]
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"ray must be an array of {{scale, power}} objects: {exc}") from exc
 
     def ray(tau: float):
         return tuple(c * tau**p for c, p in zip(scales, powers))
 
     return ray
+
+
+def _numbers(values, what: str, kind=float) -> tuple:
+    try:
+        return tuple(kind(x) for x in values)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what} must be an array of numbers: {exc}") from exc
+
+
+def _complex_field(data: dict, name: str) -> complex:
+    try:
+        return complex(*data.get(name, [0.0, 0.0]))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{name} must be an [re, im] pair: {exc}") from exc
 
 
 def run_curvature(data, args) -> tuple[dict, list, list]:
@@ -185,18 +202,22 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
     if not isinstance(data, dict):
         raise SchemaError("curvature input must be an object")
     mode = data.get("mode", "limit")
+    if args.tol is not None and mode != "expansion":
+        raise SchemaError("--tol applies to expansion mode only")
+    if args.csv and mode == "expansion":
+        raise SchemaError("--csv: expansion mode writes no table")
     if mode == "residue":
         coeffs = {}
-        for key, val in data.get("coefficients", {}).items():
+        coeff_data = data.get("coefficients", {})
+        if not isinstance(coeff_data, dict):
+            raise SchemaError("coefficients must be an object keyed by \"i,j\"")
+        for key, val in coeff_data.items():
             try:
                 i, j = (int(x) for x in key.split(","))
-            except ValueError as exc:
-                raise SchemaError(f"bad monomial key {key!r}") from exc
-            coeffs[(i, j)] = complex(val[0], val[1]) if isinstance(val, list) else complex(val)
-        try:
-            t_values = [float(t) for t in data.get("t_values", [10.0**-k for k in range(2, 6)])]
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"t_values must be numbers: {exc}") from exc
+                coeffs[(i, j)] = complex(val[0], val[1]) if isinstance(val, list) else complex(val)
+            except (IndexError, TypeError, ValueError) as exc:
+                raise SchemaError(f"bad coefficient {key!r}: {val!r}") from exc
+        t_values = _numbers(data.get("t_values", [10.0**-k for k in range(2, 6)]), "t_values")
         for t in t_values:
             if not 0 < abs(t) < 1:
                 raise SchemaError(f"t_values must satisfy 0 < |t| < 1, not {t!r}")
@@ -217,11 +238,13 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
     orbit = orbit_from_json(data.get("orbit"))
     if mode == "expansion":
         ray = _parse_ray(data.get("ray"))
-        w = complex(*data.get("w", [0.0, 0.0]))
+        w = _complex_field(data, "w")
         kwargs = {}
         if data.get("taus"):
-            kwargs["taus"] = tuple(float(t) for t in data["taus"])
+            kwargs["taus"] = _numbers(data["taus"], "taus")
         if args.tol is not None:
+            if args.tol <= 0:
+                raise SchemaError("--tol must be positive")
             kwargs["residual_threshold"] = args.tol
         fit = expansion_fit(orbit, ray, w, **kwargs)
         return (
@@ -236,13 +259,19 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
         )
     if mode != "limit":
         raise SchemaError(f"unknown curvature mode {mode!r}")
-    index = tuple(int(i) for i in data.get("index", range(1, orbit.cone.k + 1)))
-    w0 = complex(*data.get("w0", [0.0, 0.0]))
+    k = orbit.cone.k
+    index = _numbers(data.get("index", range(1, k + 1)), "index", int)
+    if not all(1 <= i <= k for i in index):
+        raise SchemaError(f"index {list(index)} leaves the generator range 1..{k}")
+    w0 = _complex_field(data, "w0")
     t_seq = data.get("t_sequence")
     if not t_seq:
         raise SchemaError("curvature limit mode needs a t_sequence")
-    t_seq = [tuple(complex(x[0], x[1]) if isinstance(x, list) else float(x) for x in t)
-             for t in t_seq]
+    try:
+        t_seq = [tuple(complex(x[0], x[1]) if isinstance(x, list) else float(x) for x in t)
+                 for t in t_seq]
+    except (IndexError, TypeError, ValueError) as exc:
+        raise SchemaError(f"t_sequence must hold arrays of numbers: {exc}") from exc
     rep = curvature_limit_check(orbit, index, w0, t_seq)
     report = {
         "mode": "limit",
@@ -312,7 +341,7 @@ def run_siegel(data, args) -> tuple[dict, list, list]:
     parabolic = args.parabolic or data.get("parabolic")
     if parabolic not in ("minimal", "maximal"):
         raise SchemaError("siegel needs --parabolic minimal|maximal")
-    grid = tuple(float(t) for t in data.get("grid", tuple(10.0**k for k in range(1, 7))))
+    grid = _numbers(data.get("grid", tuple(10.0**k for k in range(1, 7))), "grid")
     rep = boundedness_probe(cone, family, parabolic, grid)
     report = {
         "verdict": rep.verdict,
@@ -347,7 +376,10 @@ def run_positivity(data, args) -> tuple[dict, list, list]:
         raise SchemaError("positivity input must be an object")
     mode = args.mode or data.get("mode")
     if mode == "sigma1":
-        rep = sigma_weight1(matrix_from_json(data.get("quadric"), "quadric"))
+        try:
+            rep = sigma_weight1(matrix_from_json(data.get("quadric"), "quadric"))
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
         return (
             {"mode": mode, "rank": rep.rank, "injective": rep.injective},
             [],
@@ -368,9 +400,11 @@ def run_positivity(data, args) -> tuple[dict, list, list]:
         )
     if mode == "ndim":
         triple = _triple_from_json(data.get("triple"))
-        rho, n = numerical_dimension(
-            triple, samples=int(data.get("samples", 20)), seed=args.seed
-        )
+        try:
+            samples = int(data.get("samples", 20))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"samples must be an integer: {exc}") from exc
+        rho, n = numerical_dimension(triple, samples=samples, seed=args.seed)
         return {"mode": mode, "rho": rho, "numerical_dimension": n}, [], []
     if mode == "identity":
         triple = _triple_from_json(data.get("triple"))
@@ -402,10 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", required=(name != "siegel"), help="input JSON path")
         p.add_argument("--output", help="report JSON path (default stdout)")
-        p.add_argument("--csv", help="optional CSV path for tabular output")
-        p.add_argument("--tol", type=float, default=None, help="numeric tolerance override")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for strata")
+        if name in ("curvature", "siegel"):
+            p.add_argument("--csv", help="optional CSV path for tabular output")
+        if name == "curvature":
+            p.add_argument(
+                "--tol", type=float, default=None, help="expansion-fit residual threshold"
+            )
         if name == "siegel":
             p.add_argument("--cone", dest="input", help="alias for --input")
             p.add_argument("--family", help='family string, e.g. "y=(T,1)"')
@@ -421,9 +458,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not args.input:
         sys.stderr.write("error: an input file is required (--input or --cone)\n")
-        return EXIT_SCHEMA
-    if args.tol is not None and args.tol <= 0:
-        sys.stderr.write("error: --tol must be positive\n")
         return EXIT_SCHEMA
     try:
         data, digest = _load_input(args.input)
@@ -449,7 +483,7 @@ def main(argv=None) -> int:
     }
     try:
         _emit(report, args)
-        _emit_csv(rows, header, args.csv)
+        _emit_csv(rows, header, getattr(args, "csv", None))
     except OSError as exc:
         sys.stderr.write(f"error: cannot write output: {exc}\n")
         return EXIT_SCHEMA

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import ConeTooLarge, InvalidSplit
 from .filtrations import IndexSet, NilpotentCone, index_set, weight_filtration
-from .linalg import Q, RationalMatrix, Subspace, dot, kernel, vec
+from .linalg import Q, RationalMatrix, Subspace, _primitive_integer, dot, kernel, vec
 
 MAX_GENERATORS = 12
 
@@ -182,17 +181,6 @@ def farkas_split(s: Subspace) -> FarkasSplit:
     return FarkasSplit(tuple(support), tuple(v), tuple(v_tilde))
 
 
-def _primitive_integer(v) -> list[int]:
-    den = 1
-    for x in v:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return [x // g for x in ints] if g > 1 else ints
-
-
 def positive_basis(s: Subspace, support) -> RationalMatrix:
     """Integer basis of S^perp that vanishes on K and is positive elsewhere.
 
@@ -277,28 +265,14 @@ class KIndexMap:
     )
 
 
-def k_index_map(
-    cone: NilpotentCone, max_generators: int | None = None, jobs: int = 1
-) -> KIndexMap:
-    cap = MAX_GENERATORS if max_generators is None else max_generators
-    if cone.k > cap:
-        raise ConeTooLarge(f"{cone.k} generators exceed the enumeration cap {cap}")
-    subsets = [
-        tuple(i + 1 for i in range(cone.k) if mask >> i & 1)
-        for mask in range(1 << cone.k)
-    ]
-
-    def split_of(index: IndexSet) -> tuple[Subspace, FarkasSplit]:
+def k_index_map(cone: NilpotentCone) -> KIndexMap:
+    if cone.k > MAX_GENERATORS:
+        raise ConeTooLarge(f"{cone.k} generators exceed the enumeration cap {MAX_GENERATORS}")
+    results = {}
+    for mask in range(1 << cone.k):
+        index = tuple(i + 1 for i in range(cone.k) if mask >> i & 1)
         s = relation_space(cone, index)
-        return s, farkas_split(s)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(zip(subsets, pool.map(split_of, subsets)))
-    else:
-        results = {i: split_of(i) for i in subsets}
+        results[index] = (s, farkas_split(s))
     table: dict[IndexSet, IndexSet] = {
         index: split.support for index, (_, split) in results.items()
     }

@@ -254,8 +254,7 @@ class AdjointFiltration:
 def adjoint_filtration(cone: NilpotentCone, index) -> AdjointFiltration:
     """Weight filtration of ad N_I on the isometry algebra, centered at 0.
 
-    Results are memoized on the cone (pure data, so a racing recompute is
-    harmless).
+    Results are memoized on the cone.
     """
     index = index_set(index)
     if not index:

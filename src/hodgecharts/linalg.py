@@ -9,7 +9,7 @@ are canonicalized by row-style Hermite normal form.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotInvariant
 
@@ -316,21 +316,16 @@ def restrict_map(m: RationalMatrix, s_domain: Subspace, s_codomain: Subspace) ->
 # Integer lattices.
 
 
-def _int_rows(m: RationalMatrix) -> list[list[int]]:
-    """Clear denominators row by row and divide out content."""
-    out = []
-    for r in m.entries:
-        den = 1
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in r]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
+def _primitive_integer(v) -> list[int]:
+    """Clear the denominators of a rational vector and divide out content."""
+    den = 1
+    for x in v:
+        den = lcm(den, x.denominator)
+    ints = [int(x * den) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -375,41 +370,16 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
 def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """HNF basis of {v in Z^ncols : (each row) . v = 0}.
 
-    Computed by row-reducing [A^T | I] over Z; rows whose A^T-part vanishes
-    carry a basis of the kernel lattice (saturated by unimodularity).
+    The HNF of [A^T | I] is echelon, so its rows whose A^T-part vanishes span
+    the kernel lattice (saturated by unimodularity) and are already its HNF.
     """
-    nconstraints = len(rows)
-    work = [
-        [rows[i][j] for i in range(nconstraints)] + [int(i == j) for i in range(ncols)]
-        for j in range(ncols)
-    ]
-    # Row HNF pass over the constraint columns only.
-    r = 0
-    for c in range(nconstraints):
-        idx = [i for i in range(r, ncols) if work[i][c] != 0]
-        if not idx:
-            continue
-        while len(idx) > 1:
-            idx.sort(key=lambda i: abs(work[i][c]))
-            i0 = idx[0]
-            for i in idx[1:]:
-                q = work[i][c] // work[i0][c]
-                work[i] = [a - q * b for a, b in zip(work[i], work[i0])]
-            idx = [i for i in idx if work[i][c] != 0]
-        i0 = idx[0]
-        work[r], work[i0] = work[i0], work[r]
-        r += 1
-        if r == ncols:
-            break
-    kernel_rows = [w[nconstraints:] for w in work[r:] if all(x == 0 for x in w[:nconstraints])]
-    return hnf_rows(kernel_rows) if kernel_rows else []
+    m = len(rows)
+    work = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    return [w[m:] for w in hnf_rows(work) if not any(w[:m])]
 
 
 def lattice_basis(s: Subspace) -> RationalMatrix:
     """HNF basis of the saturated lattice S cap Z^n (rows generate S over Q)."""
-    comp = s.orthogonal_complement()
-    constraints = _int_rows(comp.basis)
-    rows = integer_kernel(constraints, s.ambient_dim) if constraints else [
-        [int(i == j) for j in range(s.ambient_dim)] for i in range(s.ambient_dim)
-    ]
-    return RationalMatrix.from_rows(rows, cols=s.ambient_dim)
+    n = s.ambient_dim
+    constraints = [_primitive_integer(r) for r in s.orthogonal_complement().basis.entries]
+    return RationalMatrix.from_rows(integer_kernel(constraints, n), cols=n)

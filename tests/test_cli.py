@@ -41,6 +41,19 @@ def test_charts_single_cone(tmp_path):
     assert {tuple(c["K"]): len(c["exponents"]) for c in charts} == {(): 1, (1,): 0}
 
 
+def test_charts_zero_generators(tmp_path):
+    """A cone without generators is valid input: the one index set I = [] and
+    an atlas of size 0."""
+    cone = tmp_path / "zero.json"
+    cone.write_text(json.dumps(_fixture_with("genus2_cone.json", generators=[])))
+    code, report = run_cli(["charts", "--input", str(cone)], tmp_path)
+    assert code == 0
+    body = report["report"]
+    assert [(e["I"], e["K"]) for e in body["relation_table"]] == [([], [])]
+    assert body["atlas"]["size"] == 0 and body["atlas"]["monomials"] == []
+    assert body["binomial_relations"]["vectors"] == []
+
+
 def test_charts_deterministic(tmp_path):
     _, first = run_cli(
         ["charts", "--input", str(FIXTURES / "genus2_cone.json")], tmp_path, "a.json"
@@ -51,12 +64,30 @@ def test_charts_deterministic(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-def test_charts_jobs_flag(tmp_path):
-    code, report = run_cli(
-        ["charts", "--input", str(FIXTURES / "genus2_cone.json"), "--jobs", "4"],
-        tmp_path,
-    )
-    assert code == 0 and report["report"]["atlas"]["size"] == 6
+@pytest.mark.parametrize(
+    "subcommand, fixture, flag, value",
+    [
+        ("charts", "genus2_cone.json", "--jobs", "4"),
+        ("charts", "genus2_cone.json", "--tol", "0.5"),
+        ("lmhs", "ncd_tetrahedron.json", "--csv", "f.csv"),
+        ("curvature", "residue_constant.json", "--tol", "0.5"),
+        ("curvature", "orbit_weight2_caseC_expansion.json", "--csv", "f.csv"),
+    ],
+    ids=["charts-jobs", "charts-tol", "lmhs-csv", "residue-tol", "expansion-csv"],
+)
+def test_rejected_flag(tmp_path, capsys, subcommand, fixture, flag, value):
+    """A flag that the subcommand (or its input's mode) does not read exits 2."""
+    if flag == "--csv":
+        value = str(tmp_path / value)
+    out = tmp_path / "out.json"
+    argv = [subcommand, "--input", str(FIXTURES / fixture), flag, value, "--output", str(out)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects flags a subcommand does not register
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "f.csv").exists()
 
 
 def test_lmhs_surface_and_curve(tmp_path):
@@ -206,10 +237,33 @@ def _fixture_with(name, **fields):
     [
         ("curvature", _fixture_with("residue_constant.json", t_values=[2.0])),
         ("curvature", _fixture_with("residue_constant.json", t_values=["x"])),
+        ("curvature", _fixture_with("residue_constant.json", coefficients={"0,0": "x"})),
+        ("curvature", _fixture_with("residue_constant.json", coefficients=[1])),
+        ("curvature", _fixture_with("orbit_twisted_weight1.json", w0="x")),
+        ("curvature", _fixture_with("orbit_twisted_weight1.json", index=[5])),
+        ("curvature", _fixture_with("orbit_twisted_weight1.json", t_sequence=[["x"]])),
+        ("curvature", _fixture_with("orbit_weight2_caseC_expansion.json", ray=[1])),
         ("siegel", [1, 2]),
         ("siegel", _fixture_with("siegel_cl2.json", family="y=(T)")),
+        ("siegel", _fixture_with("siegel_cl2.json", grid=["x"])),
+        ("positivity", _fixture_with("positivity_ndim.json", samples="x")),
+        ("positivity", _fixture_with("positivity_sigma1.json", quadric=[["1", "2"]])),
     ],
-    ids=["residue-t-outside-disc", "residue-t-not-a-number", "siegel-list", "siegel-family-length"],
+    ids=[
+        "residue-t-outside-disc",
+        "residue-t-not-a-number",
+        "residue-coefficient-not-a-number",
+        "residue-coefficients-list",
+        "limit-w0-not-a-pair",
+        "limit-index-out-of-range",
+        "limit-t-not-a-number",
+        "expansion-ray-not-objects",
+        "siegel-list",
+        "siegel-family-length",
+        "siegel-grid-not-a-number",
+        "ndim-samples-not-an-integer",
+        "sigma1-quadric-not-symmetric",
+    ],
 )
 def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
     bad = tmp_path / "bad_input.json"

@@ -160,9 +160,12 @@ def test_k_index_map_small_cones():
     )
 
 
-def test_k_index_map_cap():
+def test_k_index_map_cap(monkeypatch):
+    import hodgecharts.cones as cones_mod
+
+    monkeypatch.setattr(cones_mod, "MAX_GENERATORS", 2)
     with pytest.raises(ConeTooLarge):
-        k_index_map(genus2_cone(), max_generators=2)
+        k_index_map(genus2_cone())
 
 
 def test_standard_triple_block_cone():

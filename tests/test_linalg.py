@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hodgecharts.linalg import (
     Subspace,
     hnf_rows,
     image,
+    integer_kernel,
     kernel,
     lattice_basis,
     rank,
@@ -138,6 +140,26 @@ def test_hnf_canonical():
     assert hnf_rows(h) == h
     # pivot positivity and reduction above pivots
     assert all(next(x for x in r if x) > 0 for r in h)
+
+
+def test_integer_kernel_defining_properties():
+    """A.v = 0 on every row, full rank, HNF, and saturation on a small box."""
+    rng = random.Random(SEED + 5)
+    for _ in range(60):
+        ncols = rng.randint(0, 5)
+        a = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(0, 4))]
+        ker = integer_kernel(a, ncols)
+        for v in ker:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+        assert len(ker) == ncols - rank(RationalMatrix.from_rows(a, cols=ncols))
+        assert not ker or rank(RationalMatrix.from_rows(ker, cols=ncols)) == len(ker)
+        assert hnf_rows(ker) == ker
+        basis_t = RationalMatrix.from_rows(ker, cols=ncols).transpose()
+        for v in itertools.product(range(-2, 3), repeat=ncols):
+            if any(v) and all(sum(x * y for x, y in zip(row, v)) == 0 for row in a):
+                coords = solve(basis_t, v)
+                assert coords is not None
+                assert all(c.denominator == 1 for c in coords)
 
 
 def test_restrict_map():
