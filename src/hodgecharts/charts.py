@@ -19,6 +19,8 @@ from .cones import KIndexMap, RelationData, _relation_data, k_index_map
 from .filtrations import IndexSet, NilpotentCone, index_set
 from .linalg import RationalMatrix, _primitive_integer, integer_kernel, vec
 
+FIBER_TOL = 1e-9  # sup norm below which a sampled derivative counts as zero
+
 
 def monomial_strings(rows, var: str = "t") -> tuple[str, ...]:
     out = []
@@ -207,20 +209,13 @@ class DecoupledFiberReport:
     tangent: tuple[bool, ...]  # conjunction, per sample
 
 
-def decoupled_fiber_check(
-    cone: NilpotentCone,
-    index,
-    a,
-    b,
-    samples,
-    tol: float = 1e-9,
-) -> DecoupledFiberReport:
+def decoupled_fiber_check(cone: NilpotentCone, index, a, b, samples) -> DecoupledFiberReport:
     """Check the split fiber condition at user-supplied samples.
 
     The candidate tangent vector has t-part a (exact rationals) and w-part b.
     It is tangent iff a lies in S_I (exact) and the sampled derivative of the
-    residual generator vanishes (numeric, tol).  A sampled derivative with a
-    nonzero component inside span{N_i} contradicts the split coordinates, in
+    residual generator vanishes (numeric, FIBER_TOL).  A sampled derivative with
+    a nonzero component inside span{N_i} contradicts the split coordinates, in
     which that component vanishes identically, and raises SampleInconsistent.
     """
     import numpy as np
@@ -240,11 +235,11 @@ def decoupled_fiber_check(
         deriv = np.asarray(sample.derivative, dtype=complex)
         flat = deriv.reshape(-1)
         inside = span @ (pinv @ flat)
-        if np.linalg.norm(inside, ord=np.inf) > tol:
+        if np.linalg.norm(inside, ord=np.inf) > FIBER_TOL:
             raise SampleInconsistent(
                 "sampled derivative has a component along the nilpotent span"
             )
-        numeric.append(bool(np.linalg.norm(flat, ord=np.inf) <= tol))
+        numeric.append(bool(np.linalg.norm(flat, ord=np.inf) <= FIBER_TOL))
     return DecoupledFiberReport(
         exact_ok, tuple(numeric), tuple(exact_ok and n for n in numeric)
     )

@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import re
 import sys
+from math import isfinite
 
 from . import __version__
 from .charts import (
@@ -21,12 +21,7 @@ from .charts import (
     monomial_strings,
     separation_check,
 )
-from .errors import (
-    ConeTooLarge,
-    HodgeChartsError,
-    NumericDomainError,
-    SchemaError,
-)
+from .errors import HodgeChartsError, NumericDomainError, SchemaError
 from .ncd import (
     build_weight_complexes,
     curve_lmhs,
@@ -36,30 +31,35 @@ from .ncd import (
     triple_point_check,
 )
 from .positivity import (
-    CurvatureTriple,
     curvature_identity_check,
     numerical_dimension,
     sigma_weight1,
     sigma_weight2,
 )
 from .serialize import (
+    _array_from_json,
+    _complex_from_json,
+    _float_from_json,
+    _int_from_json,
+    _rational_from_json,
     cone_from_json,
     dual_graph_from_json,
     int_matrix_to_json,
     matrix_from_json,
     matrix_to_json,
     orbit_from_json,
+    parse_family,
+    ray_from_json,
+    residue_coefficients_from_json,
     siegel_cone_from_json,
     surface_from_json,
+    triple_from_json,
 )
 
-EXIT_OK = 0
-EXIT_SCHEMA = 2
-EXIT_SIZE = 3
-EXIT_NUMERIC = 4
 
-
-def _load_input(path: str) -> tuple[dict, str]:
+def _load_input(path: str | None) -> tuple[dict, str]:
+    if not path:
+        raise SchemaError("an input file is required (--input or --cone)")
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -68,15 +68,26 @@ def _load_input(path: str) -> tuple[dict, str]:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         return json.loads(raw), digest
-    except json.JSONDecodeError as exc:
+    # ValueError: bad JSON, bad UTF-8 or too many digits; RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write output: {exc}") from exc
+
+
+def _emit(report: dict, args) -> None:
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # allow_nan=False rejects NaN and infinities
+        raise NumericDomainError(f"report holds a non-finite value: {exc}") from exc
+    if args.output:
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -86,8 +97,7 @@ def _emit_csv(rows: list[list], header: list[str], path: str | None) -> None:
         return
     lines = [",".join(header)]
     lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def run_charts(data, args) -> tuple[dict, list, list]:
@@ -168,36 +178,8 @@ def run_lmhs(data, args) -> tuple[dict, list, list]:
     return report, [], []
 
 
-def _parse_ray(spec) -> callable:
-    spec = spec or [{"scale": 1.0, "power": 1.0}]
-    try:
-        scales = [float(c.get("scale", 1.0)) for c in spec]
-        powers = [float(c.get("power", 1.0)) for c in spec]
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise SchemaError(f"ray must be an array of {{scale, power}} objects: {exc}") from exc
-
-    def ray(tau: float):
-        return tuple(c * tau**p for c, p in zip(scales, powers))
-
-    return ray
-
-
-def _numbers(values, what: str, kind=float) -> tuple:
-    try:
-        return tuple(kind(x) for x in values)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what} must be an array of numbers: {exc}") from exc
-
-
-def _complex_field(data: dict, name: str) -> complex:
-    try:
-        return complex(*data.get(name, [0.0, 0.0]))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{name} must be an [re, im] pair: {exc}") from exc
-
-
 def run_curvature(data, args) -> tuple[dict, list, list]:
-    from .metrics import curvature_limit_check, expansion_fit, residue_integral
+    from .metrics import EXPANSION_TAUS, curvature_limit_check, expansion_fit, residue_integral
 
     if not isinstance(data, dict):
         raise SchemaError("curvature input must be an object")
@@ -207,24 +189,17 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
     if args.csv and mode == "expansion":
         raise SchemaError("--csv: expansion mode writes no table")
     if mode == "residue":
-        coeffs = {}
-        coeff_data = data.get("coefficients", {})
-        if not isinstance(coeff_data, dict):
-            raise SchemaError("coefficients must be an object keyed by \"i,j\"")
-        for key, val in coeff_data.items():
-            try:
-                i, j = (int(x) for x in key.split(","))
-                coeffs[(i, j)] = complex(val[0], val[1]) if isinstance(val, list) else complex(val)
-            except (IndexError, TypeError, ValueError) as exc:
-                raise SchemaError(f"bad coefficient {key!r}: {val!r}") from exc
-        t_values = _numbers(data.get("t_values", [10.0**-k for k in range(2, 6)]), "t_values")
+        coeffs = residue_coefficients_from_json(data.get("coefficients", {}))
+        t_values = _array_from_json(
+            data.get("t_values", [10.0**-k for k in range(2, 6)]), "t_values", _float_from_json
+        )
         for t in t_values:
-            if not 0 < abs(t) < 1:
-                raise SchemaError(f"t_values must satisfy 0 < |t| < 1, not {t!r}")
+            if not 0 < abs(t) < 1 or not isfinite(1 / t):
+                raise SchemaError(f"t_values must satisfy 0 < |t| < 1 with 1/t finite, not {t!r}")
         values = [residue_integral(coeffs, t) for t in t_values]
         import numpy as np
 
-        logs = [float(np.log(1 / t)) for t in t_values]
+        logs = [float(np.log(1 / abs(t))) for t in t_values]
         slope = float(np.polyfit(logs, values, 1)[0]) if len(values) > 1 else 0.0
         report = {
             "mode": "residue",
@@ -236,17 +211,21 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
         rows = [[t, v] for t, v in zip(t_values, values)]
         return report, rows, ["t", "integral"]
     orbit = orbit_from_json(data.get("orbit"))
+    k = orbit.cone.k
     if mode == "expansion":
-        ray = _parse_ray(data.get("ray"))
-        w = _complex_field(data, "w")
-        kwargs = {}
-        if data.get("taus"):
-            kwargs["taus"] = _numbers(data["taus"], "taus")
-        if args.tol is not None:
-            if args.tol <= 0:
-                raise SchemaError("--tol must be positive")
-            kwargs["residual_threshold"] = args.tol
-        fit = expansion_fit(orbit, ray, w, **kwargs)
+        if k == 0:
+            raise SchemaError("expansion mode reads the rate from t_1: the cone needs a generator")
+        ray = ray_from_json(data.get("ray", [{}] * k), k)
+        w = _complex_from_json(data.get("w", 0.0), "w")
+        taus = _array_from_json(data.get("taus", EXPANSION_TAUS), "taus", _float_from_json)
+        if not taus or not all(0 < tau < 1 for tau in taus):
+            raise SchemaError(f"taus must be a nonempty array of numbers in (0, 1), not {taus!r}")
+        if not all(0 < abs(t) < 1 for tau in taus for t in ray(tau)):
+            raise SchemaError("every ray point t(tau) must satisfy 0 < |t_j| < 1")
+        if args.tol is not None and not args.tol > 0:
+            raise SchemaError(f"--tol must be positive, not {args.tol!r}")
+        kwargs = {} if args.tol is None else {"residual_threshold": args.tol}
+        fit = expansion_fit(orbit, ray, w, taus, **kwargs)
         return (
             {
                 "mode": "expansion",
@@ -259,19 +238,17 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
         )
     if mode != "limit":
         raise SchemaError(f"unknown curvature mode {mode!r}")
-    k = orbit.cone.k
-    index = _numbers(data.get("index", range(1, k + 1)), "index", int)
+    index = _array_from_json(data.get("index", list(range(1, k + 1))), "index", _int_from_json)
     if not all(1 <= i <= k for i in index):
         raise SchemaError(f"index {list(index)} leaves the generator range 1..{k}")
-    w0 = _complex_field(data, "w0")
-    t_seq = data.get("t_sequence")
-    if not t_seq:
-        raise SchemaError("curvature limit mode needs a t_sequence")
-    try:
-        t_seq = [tuple(complex(x[0], x[1]) if isinstance(x, list) else float(x) for x in t)
-                 for t in t_seq]
-    except (IndexError, TypeError, ValueError) as exc:
-        raise SchemaError(f"t_sequence must hold arrays of numbers: {exc}") from exc
+    w0 = _complex_from_json(data.get("w0", 0.0), "w0")
+    t_seq = _array_from_json(
+        data.get("t_sequence"),
+        "t_sequence",
+        lambda t, what: _array_from_json(t, f"{what} point", _complex_from_json, k),
+    )
+    if not t_seq or not all(all(pt) for pt in t_seq):
+        raise SchemaError("t_sequence must hold at least one point, with nonzero coordinates")
     rep = curvature_limit_check(orbit, index, w0, t_seq)
     report = {
         "mode": "limit",
@@ -293,38 +270,8 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
     return report, rows, header
 
 
-_FAMILY_RE = re.compile(r"^y\s*=\s*\((?P<body>[^)]*)\)$")
-
-
-def parse_family(text: str):
-    """Parse family strings like "y=(T,1)" or "y=(2*T^2, 3)"."""
-    m = _FAMILY_RE.match(text.strip())
-    if not m:
-        raise SchemaError(f"cannot parse family {text!r}")
-    terms = []
-    for part in m.group("body").split(","):
-        part = part.strip()
-        tm = re.match(
-            r"^(?:(?P<coef>[0-9.]+)\s*\*\s*)?T(?:\^(?P<pow>[0-9.]+))?$|^(?P<const>[0-9.]+)$",
-            part,
-        )
-        if not tm:
-            raise SchemaError(f"cannot parse family component {part!r}")
-        if tm.group("const") is not None:
-            terms.append((float(tm.group("const")), 0.0))
-        else:
-            coef = float(tm.group("coef")) if tm.group("coef") else 1.0
-            power = float(tm.group("pow")) if tm.group("pow") else 1.0
-            terms.append((coef, power))
-
-    def family(t_val: float):
-        return tuple(c * t_val**p for c, p in terms)
-
-    return family
-
-
 def run_siegel(data, args) -> tuple[dict, list, list]:
-    from .siegel import boundedness_probe
+    from .siegel import DEFAULT_GRID, boundedness_probe
 
     if not isinstance(data, dict):
         raise SchemaError("siegel input must be an object")
@@ -341,7 +288,9 @@ def run_siegel(data, args) -> tuple[dict, list, list]:
     parabolic = args.parabolic or data.get("parabolic")
     if parabolic not in ("minimal", "maximal"):
         raise SchemaError("siegel needs --parabolic minimal|maximal")
-    grid = _numbers(data.get("grid", tuple(10.0**k for k in range(1, 7))), "grid")
+    grid = _array_from_json(data.get("grid", DEFAULT_GRID), "grid", _float_from_json)
+    if not grid or not all(t > 0 for t in grid):
+        raise SchemaError(f"grid must be a nonempty array of positive numbers, not {grid!r}")
     rep = boundedness_probe(cone, family, parabolic, grid)
     report = {
         "verdict": rep.verdict,
@@ -358,62 +307,31 @@ def run_siegel(data, args) -> tuple[dict, list, list]:
     return report, rows, ["T"] + names
 
 
-def _triple_from_json(data) -> CurvatureTriple:
-    try:
-        return CurvatureTriple(
-            int(data["dim_t"]),
-            int(data["dim_w"]),
-            int(data["dim_u"]),
-            data["entries"],
-            matrix_from_json(data["metric"], "metric") if data.get("metric") else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad curvature triple: {exc}") from exc
-
-
 def run_positivity(data, args) -> tuple[dict, list, list]:
     if not isinstance(data, dict):
         raise SchemaError("positivity input must be an object")
     mode = args.mode or data.get("mode")
-    if mode == "sigma1":
+    if mode in ("sigma1", "sigma2"):
+        quadric = matrix_from_json(data.get("quadric"), "quadric")
+        triple = triple_from_json(data.get("triple")) if mode == "sigma2" else None
         try:
-            rep = sigma_weight1(matrix_from_json(data.get("quadric"), "quadric"))
-        except ValueError as exc:
+            rep = sigma_weight1(quadric) if triple is None else sigma_weight2(triple, quadric)
+        except ValueError as exc:  # quadric not symmetric, or A not injective
             raise SchemaError(str(exc)) from exc
-        return (
-            {"mode": mode, "rank": rep.rank, "injective": rep.injective},
-            [],
-            [],
-        )
-    if mode == "sigma2":
-        try:
-            rep = sigma_weight2(
-                _triple_from_json(data.get("triple")),
-                matrix_from_json(data.get("quadric"), "quadric"),
-            )
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-        return (
-            {"mode": mode, "rank": rep.rank, "injective": rep.injective},
-            [],
-            [],
-        )
+        return {"mode": mode, "rank": rep.rank, "injective": rep.injective}, [], []
     if mode == "ndim":
-        triple = _triple_from_json(data.get("triple"))
-        try:
-            samples = int(data.get("samples", 20))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"samples must be an integer: {exc}") from exc
+        triple = triple_from_json(data.get("triple"))
+        samples = _int_from_json(data.get("samples", 20), "samples")
+        if samples < 1:
+            raise SchemaError(f"samples must be at least 1, not {samples}")
         rho, n = numerical_dimension(triple, samples=samples, seed=args.seed)
         return {"mode": mode, "rho": rho, "numerical_dimension": n}, [], []
     if mode == "identity":
-        triple = _triple_from_json(data.get("triple"))
-        chk = curvature_identity_check(triple, data.get("e"), data.get("xi"))
-        return (
-            {"mode": mode, "lhs": str(chk.lhs), "rhs": str(chk.rhs), "match": chk.match},
-            [],
-            [],
-        )
+        triple = triple_from_json(data.get("triple"))
+        e = _array_from_json(data.get("e"), "e", _rational_from_json, triple.dim_w)
+        xi = _array_from_json(data.get("xi"), "xi", _rational_from_json, triple.dim_t)
+        chk = curvature_identity_check(triple, e, xi)
+        return {"mode": mode, "lhs": str(chk.lhs), "rhs": str(chk.rhs), "match": chk.match}, [], []
     raise SchemaError(f"unknown positivity mode {mode!r}")
 
 
@@ -456,38 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.input:
-        sys.stderr.write("error: an input file is required (--input or --cone)\n")
-        return EXIT_SCHEMA
     try:
         data, digest = _load_input(args.input)
         report, rows, header = _RUNNERS[args.subcommand](data, args)
-    except ConeTooLarge as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SIZE
-    except NumericDomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
-    except SchemaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SCHEMA
-    except HodgeChartsError as exc:  # exact validation failures
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SCHEMA
-    report = {
-        "subcommand": args.subcommand,
-        "library_version": __version__,
-        "input_sha256": digest,
-        "seed": args.seed,
-        "report": report,
-    }
-    try:
+        report = {
+            "subcommand": args.subcommand,
+            "library_version": __version__,
+            "input_sha256": digest,
+            "seed": args.seed,
+            "report": report,
+        }
         _emit(report, args)
         _emit_csv(rows, header, getattr(args, "csv", None))
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot write output: {exc}\n")
-        return EXIT_SCHEMA
-    return EXIT_OK
+    except HodgeChartsError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

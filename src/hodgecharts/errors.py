@@ -1,12 +1,14 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI: SchemaError and exact input-validation
-failures -> 2, ConeTooLarge -> 3, NumericDomainError subclasses -> 4.
+Each class carries the CLI exit code of its failures as ``exit_code``, which
+``cli.main`` returns: 2 for SchemaError and exact input-validation failures
+(the base-class default), 3 for ConeTooLarge, 4 for NumericDomainError.
 """
 
 
 class HodgeChartsError(Exception):
     """Base class for all library errors."""
+    exit_code = 2
 
 
 class SchemaError(HodgeChartsError):
@@ -15,6 +17,7 @@ class SchemaError(HodgeChartsError):
 
 class ConeTooLarge(HodgeChartsError):
     """Number of cone generators exceeds the enumeration cap."""
+    exit_code = 3
 
 
 class NotNilpotent(HodgeChartsError):
@@ -50,7 +53,8 @@ class Disconnected(HodgeChartsError):
 
 
 class NumericDomainError(HodgeChartsError):
-    """Base class for floating-point domain failures (CLI exit 4)."""
+    """Base class for floating-point domain failures."""
+    exit_code = 4
 
 
 class NotPolarized(NumericDomainError):

@@ -6,8 +6,7 @@ curvature against the graded boundary value computed from the exact weight
 filtration.  Everything runs in double precision with two documented
 tolerances: 1e-8 for algebraic identities and 1e-2 for asymptotic fits (the
 fits are limited by log-log convergence, not by arithmetic).  Subspace
-intersections use singular-value thresholding at 1e-10 relative, surfaced as
-the svd_tol knob.
+intersections use singular-value thresholding at 1e-10 relative.
 """
 
 from __future__ import annotations
@@ -18,19 +17,30 @@ from math import floor, log, pi
 import numpy as np
 from scipy.linalg import expm, lstsq, qr
 
-from .errors import NotPolarized, PoorFit
+from .errors import NotPolarized, NumericDomainError, PoorFit
 from .filtrations import NilpotentCone, index_set, weight_filtration
 from .linalg import RationalMatrix
 
 ALGEBRAIC_TOL = 1e-8
 FIT_TOL = 1e-2
 SVD_TOL = 1e-10
+COMMUTE_TOL = 1e-10  # sup norm of [twist generator, N_i]
+FD_STEP = 5e-2  # coarse step of the finite-difference Laplacian
+GAUSS_NODES_PER_UNIT = 24  # Gauss-Legendre nodes per unit of log|x|
+MIN_THETA_NODES = 64
+EXPANSION_TAUS = tuple(10.0 ** -k for k in range(4, 13))
 
 TWO_PI_I = 2j * pi
 
 
 def _np_matrix(m: RationalMatrix) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in m.entries], dtype=float)
+
+
+def _finite(m: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(m).all():
+        raise NumericDomainError(f"{what} leaves the float range")
+    return m
 
 
 def log_coord(t: complex) -> complex:
@@ -41,7 +51,7 @@ def log_coord(t: complex) -> complex:
 class FlagPoint:
     """Partial flag F^n <= ... <= F^1 of column spans (F^0 is everything)."""
 
-    def __init__(self, weight: int, levels: dict[int, np.ndarray], svd_tol: float = SVD_TOL):
+    def __init__(self, weight: int, levels: dict[int, np.ndarray]):
         self.weight = weight
         self.levels = {p: np.asarray(m, dtype=complex) for p, m in levels.items()}
         dims = {p: m.shape[1] for p, m in self.levels.items()}
@@ -49,7 +59,7 @@ class FlagPoint:
         for a, b in zip(ps, ps[1:]):
             big, small = self.levels[b], self.levels[a]
             resid = small - big @ np.linalg.lstsq(big, small, rcond=None)[0]
-            if np.linalg.norm(resid) > svd_tol * max(1.0, np.linalg.norm(small)):
+            if np.linalg.norm(resid) > SVD_TOL * max(1.0, np.linalg.norm(small)):
                 raise ValueError(f"F^{a} is not contained in F^{b}")
 
     def level(self, p: int) -> np.ndarray:
@@ -64,26 +74,24 @@ class FlagPoint:
         return FlagPoint(self.weight, {p: g @ m for p, m in self.levels.items()})
 
 
-def _nullspace(m: np.ndarray, svd_tol: float = SVD_TOL) -> np.ndarray:
+def _nullspace(m: np.ndarray) -> np.ndarray:
     if m.shape[0] == 0:
         return np.eye(m.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(m)
-    cutoff = svd_tol * max(1.0, s[0] if s.size else 0.0)
+    cutoff = SVD_TOL * max(1.0, s[0] if s.size else 0.0)
     nrank = int(np.sum(s > cutoff))
     return vh[nrank:].conj().T
 
 
-def _intersect_spans(a: np.ndarray, b: np.ndarray, svd_tol: float = SVD_TOL) -> np.ndarray:
+def _intersect_spans(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Columns spanning span(a) cap span(b)."""
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    null = _nullspace(np.hstack([a, -b]), svd_tol)
+    null = _nullspace(np.hstack([a, -b]))
     return a @ null[: a.shape[1]]
 
 
-def hodge_decomposition(
-    flag: FlagPoint, form: np.ndarray, tol: float = ALGEBRAIC_TOL
-) -> dict[tuple[int, int], np.ndarray]:
+def hodge_decomposition(flag: FlagPoint, form: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """Hodge decomposition H^{p,q} = F^p cap conj(F^{n-p}) with positivity.
 
     Raises NotPolarized when the pieces fail to fill the space or the Hermitian
@@ -107,16 +115,16 @@ def hodge_decomposition(
         raise NotPolarized(f"Hodge pieces span dimension {total} of {dim}")
     combined = np.hstack(stack)
     smin = np.linalg.svd(combined, compute_uv=False)[-1]
-    if smin < tol:
+    if smin < ALGEBRAIC_TOL:
         raise NotPolarized("Hodge pieces are not in direct sum")
     for (p, q), basis in pieces.items():
         if basis.shape[1] == 0:
             continue
         gram = (1j) ** (p - q) * (basis.T @ form @ basis.conj())
         herm = 0.5 * (gram + gram.conj().T)
-        if np.linalg.norm(gram - herm) > tol * max(1.0, np.linalg.norm(gram)):
+        if np.linalg.norm(gram - herm) > ALGEBRAIC_TOL * max(1.0, np.linalg.norm(gram)):
             raise NotPolarized(f"H^{p},{q} pairing is not Hermitian")
-        if np.linalg.eigvalsh(herm).min() <= tol:
+        if np.linalg.eigvalsh(herm).min() <= ALGEBRAIC_TOL:
             raise NotPolarized(f"H^{p},{q} pairing is not positive definite")
     return pieces
 
@@ -132,15 +140,14 @@ class Twist:
         if self.kind == "none":
             return np.eye(dim, dtype=complex)
         if self.kind == "exp_linear":
-            return expm(complex(w) * self.generator)
+            return _finite(expm(complex(w) * self.generator), f"twist exp(w xi) at w = {w}")
         raise ValueError(f"unknown twist kind {self.kind!r}")
 
 
 class OrbitSpec:
     """Twisted nilpotent orbit exp(sum l(t_i) N_i) . zeta(w) . F0."""
 
-    def __init__(self, cone: NilpotentCone, f0: FlagPoint, twist: Twist | None = None,
-                 tol: float = 1e-10):
+    def __init__(self, cone: NilpotentCone, f0: FlagPoint, twist: Twist | None = None):
         self.cone = cone
         self.f0 = f0
         self.twist = twist or Twist("none")
@@ -150,7 +157,7 @@ class OrbitSpec:
             xi = np.asarray(self.twist.generator, dtype=complex)
             for i, n in enumerate(self.gens):
                 comm = xi @ n - n @ xi
-                if np.linalg.norm(comm, ord=np.inf) > tol:
+                if np.linalg.norm(comm, ord=np.inf) > COMMUTE_TOL:
                     raise ValueError(f"twist does not commute with generator {i + 1}")
 
     @property
@@ -158,7 +165,7 @@ class OrbitSpec:
         return self.cone.weight
 
     def group_element(self, t, w) -> np.ndarray:
-        z = sum(log_coord(ti) * n for ti, n in zip(t, self.gens, strict=True))
+        z = sum((log_coord(ti) * n for ti, n in zip(t, self.gens, strict=True)), 0 * self.form)
         return expm(z) @ self.twist.matrix(w, self.form.shape[0])
 
     def flag_at(self, t, w) -> FlagPoint:
@@ -168,7 +175,7 @@ class OrbitSpec:
         """Columns zeta(w) . F0^n; the t-direction factor removed."""
         return self.twist.matrix(w, self.form.shape[0]) @ self.f0.level(self.weight)
 
-    def check_horizontal(self, tol: float = ALGEBRAIC_TOL) -> None:
+    def check_horizontal(self) -> None:
         """Verify N_j . F0^p <= F0^{p-1} on every pair of provided flag levels."""
         for p in sorted(self.f0.levels, reverse=True):
             if p - 1 > 0 and (p - 1) not in self.f0.levels:
@@ -177,7 +184,7 @@ class OrbitSpec:
             for j, n in enumerate(self.gens):
                 moved = n @ self.f0.level(p)
                 resid = moved - target @ np.linalg.lstsq(target, moved, rcond=None)[0]
-                if np.linalg.norm(resid) > tol * max(1.0, np.linalg.norm(moved)):
+                if np.linalg.norm(resid) > ALGEBRAIC_TOL * max(1.0, np.linalg.norm(moved)):
                     raise ValueError(
                         f"generator {j + 1} moves F^{p} outside F^{p - 1}"
                     )
@@ -190,7 +197,7 @@ def _top_gram(orbit: OrbitSpec, frame: np.ndarray) -> np.ndarray:
 def log_det_lambda(orbit: OrbitSpec, t, w) -> float:
     """log det of the Hodge-metric Gram matrix of the transported F^n frame."""
     frame = orbit.group_element(t, w) @ orbit.f0.level(orbit.weight)
-    gram = _top_gram(orbit, frame)
+    gram = _finite(_top_gram(orbit, frame), f"top Hodge pairing at t = {t}")
     herm = 0.5 * (gram + gram.conj().T)
     eigs = np.linalg.eigvalsh(herm)
     if eigs.min() <= 0:
@@ -262,7 +269,7 @@ def expansion_fit(
     orbit: OrbitSpec,
     ray,
     w,
-    taus=tuple(10.0 ** -k for k in range(4, 13)),
+    taus=EXPANSION_TAUS,
     residual_threshold: float = FIT_TOL,
 ) -> ExpansionFit:
     """Select the integer growth order of log h against log log|t|^{-1}.
@@ -298,7 +305,7 @@ def _second_derivative(f, x0: float, h: float) -> float:
     ) / (12 * h * h)
 
 
-def mixed_second_derivative(f, w0: complex, step: float = 5e-2) -> float:
+def mixed_second_derivative(f, w0: complex) -> float:
     """d/dw d/dwbar of a real-valued f via (1/4)(d^2/dx^2 + d^2/dy^2).
 
     Five-point stencils per real axis, Richardson-extrapolated over two step
@@ -311,8 +318,8 @@ def mixed_second_derivative(f, w0: complex, step: float = 5e-2) -> float:
         fy = _second_derivative(lambda y: f(complex(w0.real, y)), w0.imag, h)
         return fx + fy
 
-    coarse = laplacian(step)
-    fine = laplacian(step / 2)
+    coarse = laplacian(FD_STEP)
+    fine = laplacian(FD_STEP / 2)
     return 0.25 * (16 * fine - coarse) / 15
 
 
@@ -324,14 +331,13 @@ class _NestedFrame:
     and drop out of mixed second derivatives of the block log-determinants.
     """
 
-    def __init__(self, orbit: OrbitSpec, index, w_base: complex, svd_tol: float = SVD_TOL):
+    def __init__(self, orbit: OrbitSpec, index, w_base: complex):
         index = index_set(index)
         n_i = orbit.cone.n_of(index)
         filtration = weight_filtration(n_i, orbit.cone.weight)
         self.orbit = orbit
         self.n_float = _np_matrix(n_i)
         self.filtration = filtration
-        self.svd_tol = svd_tol
         # Exact complements of each step, as float constraint matrices.
         self.constraints = {}
         for level in filtration.levels():
@@ -347,7 +353,7 @@ class _NestedFrame:
         if pivots is None:
             _, r, perm = qr(m, pivoting=True)
             diag = np.abs(np.diag(r)) if min(m.shape) else np.array([])
-            nrank = int(np.sum(diag > self.svd_tol * max(1.0, diag[0] if diag.size else 0)))
+            nrank = int(np.sum(diag > SVD_TOL * max(1.0, diag[0] if diag.size else 0)))
             pivots = tuple(int(p) for p in perm[:nrank])
         free = [j for j in range(m.shape[1]) if j not in pivots]
         cols = []
@@ -375,7 +381,7 @@ class _NestedFrame:
             for j in range(basis.shape[1]):
                 cand = np.column_stack([acc, basis[:, j]])
                 svals = np.linalg.svd(cand, compute_uv=False)
-                if cand.shape[1] <= cand.shape[0] and svals[-1] > self.svd_tol:
+                if cand.shape[1] <= cand.shape[0] and svals[-1] > SVD_TOL:
                     chosen.append(j)
                     acc = cand
             self.column_choice[level] = tuple(chosen)
@@ -419,16 +425,14 @@ class CurvatureReport:
     final_error: float
 
 
-def curvature_limit_check(
-    orbit: OrbitSpec, index, w0: complex, t_sequence, step: float = 5e-2
-) -> CurvatureReport:
+def curvature_limit_check(orbit: OrbitSpec, index, w0: complex, t_sequence) -> CurvatureReport:
     """Compare d_w d_wbar log h along t -> 0 with the boundary graded value."""
     nested = _NestedFrame(orbit, index, w0)
-    boundary = mixed_second_derivative(nested.log_det, w0, step)
+    boundary = mixed_second_derivative(nested.log_det, w0)
     interior = []
     for t in t_sequence:
         interior.append(
-            mixed_second_derivative(lambda w: log_det_lambda(orbit, t, w), w0, step)
+            mixed_second_derivative(lambda w: log_det_lambda(orbit, t, w), w0)
         )
     errors = [abs(v - boundary) for v in interior]
     decreasing = all(b < a + 1e-12 for a, b in zip(errors, errors[1:]))
@@ -442,12 +446,7 @@ def curvature_limit_check(
     )
 
 
-def residue_integral(
-    coefficients: dict[tuple[int, int], complex],
-    t: complex,
-    nodes_per_unit: int = 24,
-    n_theta: int = 64,
-) -> float:
+def residue_integral(coefficients: dict[tuple[int, int], complex], t: complex) -> float:
     """Positive area integral of the residue 1-form pairing on the local curve
     xy = t inside the unit bidisc.
 
@@ -460,10 +459,10 @@ def residue_integral(
         raise ValueError("t must satisfy 0 < |t| < 1")
     s_lo = log(abs(t))
     deg = max((max(i, j) for i, j in coefficients), default=0)
-    n_theta = max(n_theta, 4 * deg + 8)
+    n_theta = max(MIN_THETA_NODES, 4 * deg + 8)
     thetas = np.linspace(0.0, 2 * pi, n_theta, endpoint=False)
     npanels = max(1, int(np.ceil(-s_lo)))
-    glx, glw = np.polynomial.legendre.leggauss(nodes_per_unit)
+    glx, glw = np.polynomial.legendre.leggauss(GAUSS_NODES_PER_UNIT)
     edges = np.linspace(s_lo, 0.0, npanels + 1)
     total = 0.0
     for a, b in zip(edges, edges[1:]):

@@ -77,6 +77,8 @@ class NCDSurface:
 
         norm_triples = []
         for t in triples:
+            if not set(t.ends) <= order.keys():
+                raise IncidenceError(f"unknown component in triple point {t.ends}")
             ends = tuple(sorted(set(t.ends), key=order.get))
             if len(ends) != 3:
                 raise IncidenceError(f"triple point {t.ends} needs three distinct pieces")

@@ -13,7 +13,7 @@ the sampled grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, sqrt
+from math import inf, log, sqrt
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .errors import NotInDomain, PZero
 from .linalg import RationalMatrix
 
 SLOPE_THRESHOLD = 0.5
+DEFAULT_GRID = tuple(10.0**k for k in range(1, 7))
+CONE_TOL = 1e-12  # slack in r^2 <= pq and in the boundary test r^2 = pq
 
 
 def _unit(i: int, j: int) -> RationalMatrix:
@@ -73,14 +75,14 @@ class ConeSpec:
     have strict inequality.
     """
 
-    def __init__(self, p, q, r, tol: float = 1e-12):
+    def __init__(self, p, q, r):
         p, q, r = tuple(map(float, p)), tuple(map(float, q)), tuple(map(float, r))
         if not len(p) == len(q) == len(r):
             raise ValueError("p, q, r must have equal lengths")
         for j, (pj, qj, rj) in enumerate(zip(p, q, r)):
             if pj < 0 or qj < 0:
                 raise ValueError(f"p_{j + 1}, q_{j + 1} must be nonnegative")
-            if rj * rj > pj * qj + tol:
+            if rj * rj > pj * qj + CONE_TOL:
                 raise ValueError(f"r_{j + 1}^2 <= p_{j + 1} q_{j + 1} fails")
         self.p, self.q, self.r = p, q, r
         self.size = len(p)
@@ -88,7 +90,7 @@ class ConeSpec:
     def boundary_generators(self) -> tuple[bool, ...]:
         """Which generators lie on the nilpotent-boundary orbit r^2 = pq."""
         return tuple(
-            abs(rj * rj - pj * qj) <= 1e-12
+            abs(rj * rj - pj * qj) <= CONE_TOL
             for pj, qj, rj in zip(self.p, self.q, self.r)
         )
 
@@ -188,6 +190,8 @@ class ProbeReport:
 
 
 def _loglog_slope(ts, vals) -> float:
+    if not all(0 < v < inf for v in vals):
+        raise NotInDomain("monitored parameters must stay positive and finite")
     xs = np.log(np.asarray(ts))
     ys = np.log(np.asarray(vals))
     return float(np.polyfit(xs, ys, 1)[0])
@@ -197,8 +201,7 @@ def boundedness_probe(
     cone: ConeSpec,
     family,
     parabolic: str,
-    grid=tuple(10.0**k for k in range(1, 7)),
-    slope_threshold: float = SLOPE_THRESHOLD,
+    grid=DEFAULT_GRID,
 ) -> ProbeReport:
     """Decide whether the family escapes every Siegel domain of the parabolic.
 
@@ -222,17 +225,20 @@ def boundedness_probe(
         else:
             sol = solve_maximal(cone, y)
             # Fourth powers are the scale-invariant ratios q/p and p/q.
-            vals = {
-                "norm_B1_4": float(sol.b[0] @ sol.b[0]) ** 2,
-                "norm_B2_4": float(sol.b[1] @ sol.b[1]) ** 2,
-            }
+            try:
+                vals = {
+                    "norm_B1_4": float(sol.b[0] @ sol.b[0]) ** 2,
+                    "norm_B2_4": float(sol.b[1] @ sol.b[1]) ** 2,
+                }
+            except OverflowError as exc:
+                raise NotInDomain("|B_i|^4 leaves the float range") from exc
         for k, v in vals.items():
             monitored.setdefault(k, []).append(float(v))
     slopes = {k: _loglog_slope(grid, v) for k, v in monitored.items()}
     if parabolic == "minimal":
-        escapes = any(s < -slope_threshold for s in slopes.values())
+        escapes = any(s < -SLOPE_THRESHOLD for s in slopes.values())
     else:
-        escapes = any(s > slope_threshold for s in slopes.values())
+        escapes = any(s > SLOPE_THRESHOLD for s in slopes.values())
     return ProbeReport(
         "escapes-every-Siegel-set" if escapes else "contained",
         parabolic,

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,21 @@ def _fixture_with(name, **fields):
     return {**json.loads((FIXTURES / name).read_text()), **fields}
 
 
+def _orbit_fixture_with(name, **fields):
+    data = _fixture_with(name)
+    data["orbit"].update(fields)
+    return data
+
+
+def _identity_input(**fields):
+    """The ndim fixture's triple (dim_t = dim_w = 2) in identity mode."""
+    return _fixture_with("positivity_ndim.json", mode="identity", **fields)
+
+
+_EXPANSION_WITHOUT_GENERATORS = _fixture_with("orbit_weight2_caseC_expansion.json")
+_EXPANSION_WITHOUT_GENERATORS["orbit"]["cone"]["generators"] = []
+
+
 @pytest.mark.parametrize(
     "subcommand, data",
     [
@@ -248,6 +264,24 @@ def _fixture_with(name, **fields):
         ("siegel", _fixture_with("siegel_cl2.json", grid=["x"])),
         ("positivity", _fixture_with("positivity_ndim.json", samples="x")),
         ("positivity", _fixture_with("positivity_sigma1.json", quadric=[["1", "2"]])),
+        ("curvature", _fixture_with("orbit_twisted_weight1.json", t_sequence=[[0.01, 0.02]])),
+        ("curvature", _fixture_with("orbit_twisted_weight1.json", t_sequence=[[0.0]])),
+        ("curvature", _fixture_with("orbit_twisted_weight1.json", t_sequence=[[math.nan]])),
+        ("curvature", _fixture_with("orbit_twisted_weight1.json", index=[1.5])),
+        ("curvature", _orbit_fixture_with("orbit_twisted_weight1.json", twist=[1])),
+        ("curvature", _fixture_with("orbit_weight2_caseC_expansion.json", taus=[2.0, 3.0])),
+        ("curvature", _fixture_with("orbit_weight2_caseC_expansion.json", ray=[{"scale": 0.0}])),
+        ("curvature", _fixture_with("residue_constant.json", t_values=[10**400])),
+        ("curvature", _EXPANSION_WITHOUT_GENERATORS),
+        ("siegel", _fixture_with("siegel_cl2.json", family=5)),
+        ("siegel", _fixture_with("siegel_cl2.json", family="y=(1.2.3*T,1)")),
+        ("lmhs", _fixture_with("ncd_tetrahedron.json", triple_points=5)),
+        ("lmhs", _fixture_with("ncd_tetrahedron.json", triple_points=[1])),
+        ("positivity", _fixture_with("positivity_ndim.json", samples=1.5)),
+        ("positivity", _fixture_with("positivity_ndim.json", samples=0)),
+        ("positivity", _identity_input(e="x", xi=[1, 1])),
+        ("positivity", _identity_input(e=[1, 1], xi=[1, 1, 1])),
+        ("positivity", _identity_input()),
     ],
     ids=[
         "residue-t-outside-disc",
@@ -263,12 +297,43 @@ def _fixture_with(name, **fields):
         "siegel-grid-not-a-number",
         "ndim-samples-not-an-integer",
         "sigma1-quadric-not-symmetric",
+        "limit-t-point-length",
+        "limit-t-zero",
+        "limit-t-nan",
+        "limit-index-not-an-integer",
+        "limit-twist-not-an-object",
+        "expansion-taus-outside-unit-interval",
+        "expansion-ray-scale-zero",
+        "residue-t-beyond-float-range",
+        "expansion-cone-without-generators",
+        "siegel-family-not-a-string",
+        "siegel-family-bad-literal",
+        "lmhs-triple-points-not-an-array",
+        "lmhs-triple-point-not-an-array",
+        "ndim-samples-fractional",
+        "ndim-samples-zero",
+        "identity-e-not-an-array",
+        "identity-xi-length",
+        "identity-e-xi-missing",
     ],
 )
 def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
     bad = tmp_path / "bad_input.json"
     bad.write_text(json.dumps(data))
     assert main([subcommand, "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"[" + b"1" * 5000 + b"]", b"\xff\xfe{", b"[" * 100000],
+    ids=["integer-beyond-digit-limit", "not-utf8", "nested-too-deep"],
+)
+def test_exit_code_schema_unreadable_json(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    assert main(["charts", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 
@@ -286,6 +351,32 @@ def test_exit_code_numeric(tmp_path):
     bad = tmp_path / "numeric.json"
     bad.write_text(json.dumps(data))
     assert main(["curvature", "--input", str(bad)]) == 4
+
+
+@pytest.mark.parametrize(
+    "subcommand, data",
+    [
+        ("siegel", _fixture_with("siegel_cl2.json", family="y=(T^400,1)")),
+        ("siegel", _fixture_with("siegel_cl3.json", cone={"p": [0, 5e-324], "q": [1, 0], "r": [0, 0]})),
+    ],
+    ids=["siegel-family-overflows", "siegel-monitored-overflows"],
+)
+def test_exit_code_numeric_float_range(tmp_path, capsys, subcommand, data):
+    bad = tmp_path / "numeric.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    assert main([subcommand, "--input", str(bad), "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error:") and not out.exists()
+
+
+def test_exit_code_non_finite_report(tmp_path, monkeypatch, capsys):
+    """A NaN or an infinity in a report is a numeric failure, not invalid JSON."""
+    import hodgecharts.cli as cli
+
+    monkeypatch.setitem(cli._RUNNERS, "charts", lambda data, args: ({"x": math.inf}, [], []))
+    out = tmp_path / "out.json"
+    assert main(["charts", "--input", str(FIXTURES / "genus2_cone.json"), "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error:") and not out.exists()
 
 
 def test_console_entry_point(tmp_path):
