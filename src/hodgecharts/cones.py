@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConeTooLarge, InvalidSplit
-from .filtrations import IndexSet, NilpotentCone, index_set, weight_filtration
+from .filtrations import (
+    IndexSet,
+    NilpotentCone,
+    WeightFiltration,
+    index_set,
+    weight_filtration,
+)
 from .linalg import Q, RationalMatrix, Subspace, _primitive_integer, dot, kernel, vec
 
 MAX_GENERATORS = 12
@@ -32,18 +38,25 @@ def relation_space(cone: NilpotentCone, index) -> Subspace:
     """S_I = {a in Q^k : sum a_i N_i lies in W_{-1}(ad N_I)}.
 
     For I empty this is the space of linear relations among the generators.
-    Otherwise, with W = W(N_I) on V, a lies in S_I exactly when
-    sum a_i N_i . W_l <= W_{l-1} for every level l (Cattani-Kaplan-Schmid:
-    W(ad N) is induced from W(N)).  Each w in a basis of W_l modulo W_{l-1}
-    and each basis row p of W_{l-1}^perp give one linear condition
-    sum a_i p.(N_i w) = 0.
+    Otherwise a lies in S_I exactly when sum a_i N_i . W_l <= W_{l-1} for
+    every level l of W = W(N_I) on V, so S_I depends on I only through W.
     """
     index = index_set(index)
     if not index:
         flat_cols = [n.flatten() for n in cone.generators]
         rows = tuple(zip(*flat_cols))
         return kernel(RationalMatrix.from_rows(rows, cols=cone.k))
-    w = weight_filtration(cone.n_of(index), cone.weight)
+    return _relation_space_of(cone, weight_filtration(cone.n_of(index), cone.weight))
+
+
+def _relation_space_of(cone: NilpotentCone, w: WeightFiltration) -> Subspace:
+    """S_I for nonempty I, from W = W(N_I) alone.
+
+    The criterion of relation_space holds because W(ad N) is induced from
+    W(N) (Cattani-Kaplan-Schmid).  Each w in a basis of W_l modulo W_{l-1}
+    and each basis row p of W_{l-1}^perp give one linear condition
+    sum a_i p.(N_i w) = 0.
+    """
     rows = []
     perp_below = Subspace.full(cone.dim)  # W_{low-1} = 0
     pivots_below: set[int] = set()
@@ -266,13 +279,30 @@ class KIndexMap:
 
 
 def k_index_map(cone: NilpotentCone) -> KIndexMap:
+    """The table I -> K_I over all 2^k index sets.
+
+    S_I depends on a nonempty I only through W(N_I), and many index sets share
+    one filtration, so S_I and its Farkas split are computed once per distinct
+    W (WeightFiltration equality compares the canonical RREF step bases).
+    N_I is built in mask order as N_{I minus max I} + N_{max I}.
+    """
     if cone.k > MAX_GENERATORS:
         raise ConeTooLarge(f"{cone.k} generators exceed the enumeration cap {MAX_GENERATORS}")
-    results = {}
-    for mask in range(1 << cone.k):
-        index = tuple(i + 1 for i in range(cone.k) if mask >> i & 1)
-        s = relation_space(cone, index)
-        results[index] = (s, farkas_split(s))
+    s = relation_space(cone, ())
+    results = {(): (s, farkas_split(s))}
+    sums = [RationalMatrix.zeros(cone.dim, cone.dim)]  # N_I by mask
+    by_filtration: dict[WeightFiltration, tuple[Subspace, FarkasSplit]] = {}
+    for mask in range(1, 1 << cone.k):
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        n = sums[rest] + cone.generators[top]
+        sums.append(n)
+        w = weight_filtration(n, cone.weight)
+        known = by_filtration.get(w)
+        if known is None:
+            s = _relation_space_of(cone, w)
+            known = by_filtration[w] = (s, farkas_split(s))
+        results[tuple(i + 1 for i in range(cone.k) if mask >> i & 1)] = known
     table: dict[IndexSet, IndexSet] = {
         index: split.support for index, (_, split) in results.items()
     }

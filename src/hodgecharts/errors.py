@@ -16,7 +16,8 @@ class SchemaError(HodgeChartsError):
 
 
 class ConeTooLarge(HodgeChartsError):
-    """Number of cone generators exceeds the enumeration cap."""
+    """A declared size exceeds its cap: the generator count of a cone, or a
+    residue-mode exponent."""
     exit_code = 3
 
 

@@ -79,7 +79,7 @@ def _powers(n: RationalMatrix) -> list[RationalMatrix]:
     N^dim is not zero."""
     if n.rows != n.cols:
         raise ValueError("nilpotency of a non-square matrix")
-    powers = [RationalMatrix.identity(n.rows)]
+    powers = [RationalMatrix.identity(n.rows), n] if n.rows else [n]  # on Q^0, N = I
     while not powers[-1].is_zero():
         if len(powers) > n.rows:
             raise NotNilpotent("matrix is not nilpotent")

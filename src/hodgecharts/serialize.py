@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import inf, isfinite
 from sys import float_info
 
-from .errors import HodgeChartsError, NotInDomain, SchemaError
+from .errors import ConeTooLarge, HodgeChartsError, NotInDomain, SchemaError
 from .filtrations import NilpotentCone
 from .linalg import RationalMatrix
 from .ncd import DoubleCurve, NCDSurface, SurfacePiece, TriplePoint
@@ -36,11 +36,19 @@ def int_matrix_to_json(rows) -> list[list[int]]:
     return [[int(x) for x in row] for row in rows]
 
 
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+# Residue mode sizes its quadrature by the largest exponent (4 deg + 8 angles).
+MAX_RESIDUE_EXPONENT = 1000
+
+
 def _rational_from_json(x, what: str) -> Fraction:
-    """An integer JSON literal, or a string "p/q" or "p"."""
+    """An integer JSON literal, or a string "p/q" or "p".  The grammar is
+    checked first: Fraction would also expand "1e300000" exactly."""
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL_RE.fullmatch(x):
+            raise SchemaError(f"{what}: bad rational literal {x!r}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -252,6 +260,10 @@ def residue_coefficients_from_json(data) -> dict[tuple[int, int], complex]:
     coeffs = {}
     for key, val in data.items():
         i, j = _array_from_json(key.split(","), f"coefficient key {key!r}", _int_from_json, 2)
+        if max(i, j) > MAX_RESIDUE_EXPONENT:
+            raise ConeTooLarge(
+                f"coefficient key {key!r} exceeds the exponent cap {MAX_RESIDUE_EXPONENT}"
+            )
         coeffs[(i, j)] = _complex_from_json(val, f"coefficient {key!r}")
     return coeffs
 

@@ -3,13 +3,15 @@
 These deliberately avoid the code paths they check: feasibility questions go
 through Fourier-Motzkin elimination instead of the simplex, weight
 filtrations are verified against the two defining properties directly, and
-relation spaces are recomputed from W(ad N_I) on the isometry algebra.
+relation spaces are recomputed from W(ad N_I) on the isometry algebra.  The
+relation table is rebuilt index set by index set, without the memo on W(N_I).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from hodgecharts.cones import farkas_split, relation_space
 from hodgecharts.filtrations import NilpotentCone, adjoint_filtration, index_set
 from hodgecharts.linalg import RationalMatrix, Subspace, kernel, solve
 
@@ -219,3 +221,21 @@ def adjoint_relation_space(cone: NilpotentCone, index) -> Subspace:
     comp = adj.filtration.step(-1).orthogonal_complement()
     m = RationalMatrix.from_rows(tuple(zip(*coord_cols)), cols=cone.k)
     return kernel(comp.basis @ m) if comp.dim else Subspace.full(cone.k)
+
+
+def unkeyed_k_index_map(cone: NilpotentCone):
+    """(table, image, strata, splits) of k_index_map, with relation_space and
+    farkas_split computed afresh for every index set; splits covers every I."""
+    splits = {}
+    for mask in range(1 << cone.k):
+        index = tuple(i + 1 for i in range(cone.k) if mask >> i & 1)
+        s = relation_space(cone, index)
+        splits[index] = (s, farkas_split(s))
+    table = {index: split.support for index, (_, split) in splits.items()}
+    image = tuple(sorted(set(table.values()), key=_by_size))
+    strata = {k: tuple(sorted((i for i in table if table[i] == k), key=_by_size)) for k in image}
+    return table, image, strata, splits
+
+
+def _by_size(index) -> tuple:
+    return len(index), index

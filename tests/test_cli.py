@@ -338,11 +338,34 @@ def test_exit_code_schema_unreadable_json(tmp_path, capsys, raw):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("literal", ["-1e3000000", "1.5"], ids=["exponent", "decimal"])
+def test_exit_code_schema_bad_rational_literal(tmp_path, capsys, literal):
+    """Only "p/q" and "p" are rationals: an exponent is rejected before
+    Fraction would expand it exactly."""
+    data = _fixture_with("genus2_cone.json")
+    data["generators"][0][0][0] = literal
+    bad = tmp_path / "bad_rational.json"
+    bad.write_text(json.dumps(data))
+    assert main(["charts", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"bad rational literal {literal!r}" in err
+
+
 def test_exit_code_size_cap(tmp_path, monkeypatch):
     import hodgecharts.cones as cones_mod
 
     monkeypatch.setattr(cones_mod, "MAX_GENERATORS", 2)
     assert main(["charts", "--input", str(FIXTURES / "genus2_cone.json")]) == 3
+
+
+def test_exit_code_residue_exponent_cap(tmp_path, capsys):
+    """The largest exponent sizes the residue quadrature, so it is capped."""
+    data = _fixture_with("residue_constant.json", coefficients={"2000000,0": 1.0})
+    bad = tmp_path / "residue_degree.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    assert main(["curvature", "--input", str(bad), "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error:") and not out.exists()
 
 
 def test_exit_code_numeric(tmp_path):

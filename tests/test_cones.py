@@ -21,7 +21,12 @@ from hodgecharts.gallery import (
 )
 from hodgecharts.linalg import RationalMatrix, Subspace
 
-from .oracles import adjoint_relation_space, farkas_branch_infeasible, split_supports
+from .oracles import (
+    adjoint_relation_space,
+    farkas_branch_infeasible,
+    split_supports,
+    unkeyed_k_index_map,
+)
 
 SEED = 4814
 
@@ -246,15 +251,21 @@ def _random_sym(rng, g, lo=-2, hi=2):
 
 
 def _random_abelian_cone(rng, g, k):
-    """k generators [[0, A A^T], [0, 0]] of sp(2g), conjugated by a random
-    isometry [[I, 0], [C, I]] [[I, B], [0, I]] so that no entry pattern is
-    special."""
+    """k generators [[0, A A^T], [0, 0]] of sp(2g) (positive semidefinite
+    blocks), conjugated by a random isometry."""
     blocks = []
     while len(blocks) < k:
         a = [[rng.randint(-1, 1) for _ in range(2)] for _ in range(g)]
         s = [[sum(x * y for x, y in zip(a[i], a[j])) for j in range(g)] for i in range(g)]
         if any(any(row) for row in s):
             blocks.append(s)
+    return _conjugated_sp_cone(rng, g, blocks)
+
+
+def _conjugated_sp_cone(rng, g, blocks):
+    """Generators [[0, S], [0, 0]] of sp(2g), one per block S, conjugated by a
+    random isometry [[I, 0], [C, I]] [[I, B], [0, I]] so that no entry pattern
+    is special."""
     one = RationalMatrix.identity(2 * g)
     b, c = _random_sym(rng, g, -1, 1), _random_sym(rng, g, -1, 1)
     iso = (one + _block(g, c, lower=True)) @ (one + _block(g, b))
@@ -263,27 +274,66 @@ def _random_abelian_cone(rng, g, k):
     return NilpotentCone(2 * g, 1, _sp_form(g), gens)
 
 
-def _random_k3_cone(rng, b, k):
-    """Weight-2 cone on <e> + L + <f> with Q(e, f) = 1 and Q|_L = diag(1, -1,
-    ..., -1): N_lambda sends f to lambda and v in L to -Q(lambda, v) e, so
-    N_lambda^2 = 0 exactly when lambda is isotropic."""
+# Cycle vectors gamma_e in Z^g of the edges of 2-edge-connected graphs (one
+# fundamental cycle per coordinate); the graphic cone has one generator with
+# block gamma_e gamma_e^T per edge.
+GRAPHS = {
+    "theta": [(1, 0), (0, 1), (1, 1)],  # three parallel edges
+    "theta-chord": [(1, -1), (1, 0), (1, 0), (0, 1)],  # a triangle plus a chord
+    "figure-eight": [(1, 0), (1, 0), (0, 1), (0, 1)],  # two 2-cycles on one vertex
+    "banana": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],  # four parallel edges
+    "k4": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (-1, 0, 1), (0, -1, -1)],
+}
+
+
+def _graphic_cone(rng, gammas):
+    """The graphic cone of the cycle vectors, edges in random order, conjugated
+    by a random isometry."""
+    gammas = list(gammas)
+    rng.shuffle(gammas)
+    blocks = [[[a * b for b in gam] for a in gam] for gam in gammas]
+    return _conjugated_sp_cone(rng, len(gammas[0]), blocks)
+
+
+def _k3_cone(q_l, lambdas):
+    """Weight-2 cone on <e> + L + <f> with Q(e, f) = 1 and Q|_L = diag(q_l):
+    N_lambda sends f to lambda and v in L to -Q(lambda, v) e, so N_lambda^2 = 0
+    exactly when lambda is isotropic."""
+    b = len(q_l)
     n = b + 2
-    q_l = [1] + [-1] * (b - 1)
     form = [[0] * n for _ in range(n)]
     form[0][n - 1] = form[n - 1][0] = 1
     for i in range(b):
         form[1 + i][1 + i] = q_l[i]
     gens = []
-    while len(gens) < k:
-        lam = [rng.randint(-1, 1) for _ in range(b)]
-        if not any(lam):
-            continue
+    for lam in lambdas:
         m = [[0] * n for _ in range(n)]
         for i, x in enumerate(lam):
             m[1 + i][n - 1] = x
             m[0][1 + i] = -q_l[i] * x
         gens.append(RationalMatrix.from_rows(m))
     return NilpotentCone(n, 2, RationalMatrix.from_rows(form), gens)
+
+
+def _random_k3_cone(rng, b, k):
+    """Q|_L = diag(1, -1, ..., -1) and k nonzero lambda in {-1, 0, 1}^b."""
+    lambdas = []
+    while len(lambdas) < k:
+        lam = [rng.randint(-1, 1) for _ in range(b)]
+        if any(lam):
+            lambdas.append(lam)
+    return _k3_cone([1] + [-1] * (b - 1), lambdas)
+
+
+def _pointed_k3_cone(rng, b, k):
+    """Q|_L = -I_b and k distinct nonzero lambda in {0, 1, 2}^b: a pointed
+    cone, as a monodromy cone is."""
+    lambdas = []
+    while len(lambdas) < k:
+        lam = [rng.randint(0, 2) for _ in range(b)]
+        if any(lam) and lam not in lambdas:
+            lambdas.append(lam)
+    return _k3_cone([-1] * b, lambdas)
 
 
 def _oracle_cones():
@@ -319,3 +369,47 @@ def test_relation_space_matches_adjoint_oracle():
             assert relation_space(cone, index) == adjoint_relation_space(cone, index), (
                 cone.dim, cone.weight, index,
             )
+
+
+def _graphic_cones(rng):
+    for gammas in GRAPHS.values():
+        yield _graphic_cone(rng, gammas)
+
+
+def test_k_index_map_matches_unkeyed_path():
+    """Keying S_I and its split by W(N_I) changes no table, image, stratum or
+    split: every index set recomputed with relation_space and farkas_split."""
+    rng = random.Random(SEED + 3)
+    for cone in (*_oracle_cones(), *_graphic_cones(rng)):
+        km = k_index_map(cone)
+        table, image, strata, splits = unkeyed_k_index_map(cone)
+        assert list(km.table.items()) == list(table.items())
+        assert km.image == image
+        assert km.strata == strata
+        assert km.splits == {k: splits[k] for k in image}
+
+
+def _polarized_type_cones():
+    """Generated cones of polarized type: graphic cones, abelian sp(2g) cones
+    with positive semidefinite blocks and pointed K3-type cones."""
+    rng = random.Random(SEED + 4)
+    yield from _graphic_cones(rng)
+    for g, k in ((2, 3), (2, 4), (3, 3), (3, 4), (3, 5)):
+        yield _random_abelian_cone(rng, g, k)
+    for b, k in ((2, 3), (3, 3), (3, 4), (4, 3), (4, 4)):
+        yield _pointed_k3_cone(rng, b, k)
+
+
+def test_k_map_closure_laws_on_polarized_cones():
+    """I -> K_I is extensive, idempotent and monotone on polarized-type cones.
+    Measured, not proven, and false on some indefinite cones that the CLI
+    accepts, so no library code relies on it."""
+    for cone in _polarized_type_cones():
+        table = k_index_map(cone).table
+        for index, support in table.items():
+            assert set(index) <= set(support)
+            assert table[support] == support
+        for index, support in table.items():
+            for larger, larger_support in table.items():
+                if set(index) <= set(larger):
+                    assert set(support) <= set(larger_support), (index, larger)
