@@ -12,14 +12,15 @@ W_{l-1}(N_I).
 Each subspace S of Q^k determines a unique support subset K carrying
 complementary nonnegative witnesses in S and S^perp; the witnesses are
 produced by one exact Farkas alternative per coordinate.  All feasibility
-questions are settled by an exact rational simplex with Bland's rule, so there
-are no tolerance parameters anywhere in this module.
+questions are settled by an exact simplex with Bland's rule, pivoting over the
+integers, so there are no tolerance parameters anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
 
 from .errors import ConeTooLarge, InvalidSplit
 from .filtrations import (
@@ -29,7 +30,7 @@ from .filtrations import (
     index_set,
     weight_filtration,
 )
-from .linalg import Q, RationalMatrix, Subspace, _primitive_integer, dot, kernel, vec
+from .linalg import Q, RationalMatrix, Subspace, _kernel_rows, _primitive_integer, dot, kernel, vec
 
 MAX_GENERATORS = 12
 
@@ -58,7 +59,7 @@ def _relation_space_of(cone: NilpotentCone, w: WeightFiltration) -> Subspace:
     sum a_i p.(N_i w) = 0.
     """
     rows = []
-    perp_below = Subspace.full(cone.dim)  # W_{low-1} = 0
+    perp_below = RationalMatrix.identity(cone.dim).entries  # W_{low-1} = 0
     pivots_below: set[int] = set()
     for level in w.levels():
         step = w.step(level)
@@ -70,11 +71,12 @@ def _relation_space_of(cone: NilpotentCone, w: WeightFiltration) -> Subspace:
             if _pivot(v) in pivots_below:
                 continue
             images = [n.mul_vec(v) for n in cone.generators]
-            for p in perp_below.basis.entries:
+            for p in perp_below:
                 row = tuple(dot(p, y) for y in images)
                 if any(row):
                     rows.append(row)
-        perp_below = step.orthogonal_complement()
+        # Any basis of W_l^perp gives conditions with the same kernel.
+        perp_below = _kernel_rows(step.basis)[0]
         pivots_below = pivots
     return kernel(RationalMatrix.from_rows(rows, cols=cone.k))
 
@@ -103,15 +105,22 @@ def _phase_one(a_rows: list[list[Fraction]], b: list[Fraction], n: int):
     x a feasible point when value = 0, and y the simplex multipliers of the
     sign-normalized system otherwise.  Bland's rule throughout, so the
     iteration terminates.
+
+    Integer pivoting (Bareiss; the lrs simplex): each row, artificial entry
+    included, is scaled to integers, which leaves the tableau B^-1 M as it is.
+    The tableau and the reduced-cost row are kept as integers over den, the
+    determinant of the current basis, so every update divides exactly.
     """
     m = len(b)
-    signs = [Q(1) if bi >= 0 else Q(-1) for bi in b]
-    tab = [[signs[i] * x for x in a_rows[i]] + [Q(0)] * m + [signs[i] * b[i]] for i in range(m)]
-    for i in range(m):
-        tab[i][n + i] = Q(1)
+    rows = [r + [bi] if bi >= 0 else [-x for x in r] + [-bi] for r, bi in zip(a_rows, b)]
+    # Row i scaled by the lcm L_i of its denominators makes the artificial
+    # basis diag(L_i), of determinant den; den times each row is integral.
+    den = prod(lcm(*(x.denominator for x in r)) for r in rows)
+    ints = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
+    tab = [r[:n] + [den if j == i else 0 for j in range(m)] + r[n:] for i, r in enumerate(ints)]
     basis = [n + i for i in range(m)]
     # Reduced cost row for min(sum of artificials); artificial columns start at 0.
-    obj = [-sum(tab[i][j] for i in range(m)) for j in range(n)] + [Q(0)] * m
+    obj = [-sum(tab[i][j] for i in range(m)) for j in range(n)] + [0] * m
 
     while True:
         enter = next((j for j in range(n + m) if obj[j] < 0), None)
@@ -120,31 +129,35 @@ def _phase_one(a_rows: list[list[Fraction]], b: list[Fraction], n: int):
         best = None
         for i in range(m):
             if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
+                # tab[i][-1] / tab[i][enter] against the best ratio, cross-multiplied.
+                if best is None:
+                    best = i
+                    continue
+                lhs = tab[i][-1] * tab[best][enter]
+                rhs = tab[best][-1] * tab[i][enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best = i
         if best is None:  # pragma: no cover - phase one is bounded
             raise AssertionError("phase-one problem cannot be unbounded")
-        row = best[1]
-        piv = tab[row][enter]
-        tab[row] = [x / piv for x in tab[row]]
+        pivot_row = tab[best]
+        piv = pivot_row[enter]
         for i in range(m):
-            if i != row and tab[i][enter] != 0:
+            if i != best:
                 f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+                tab[i] = [(x * piv - f * y) // den for x, y in zip(tab[i], pivot_row)]
         f = obj[enter]
-        if f:
-            obj = [x - f * y for x, y in zip(obj, tab[row][:-1])]
-        basis[row] = enter
+        obj = [(x * piv - f * y) // den for x, y in zip(obj, pivot_row)]
+        den = piv
+        basis[best] = enter
 
-    value = sum(tab[i][-1] for i in range(m) if basis[i] >= n)
+    value = Fraction(sum(tab[i][-1] for i in range(m) if basis[i] >= n), den)
     x = [Q(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
+            x[basis[i]] = Fraction(tab[i][-1], den)
     # Multipliers for the normalized system: y_i = 1 - reduced cost of the
     # i-th artificial column; undo the sign normalization afterwards.
-    y = [signs[i] * (Q(1) - obj[n + i]) for i in range(m)]
+    y = [Fraction(den - obj[n + i], den if b[i] >= 0 else -den) for i in range(m)]
     return value, tuple(x), tuple(y)
 
 

@@ -16,8 +16,8 @@ class SchemaError(HodgeChartsError):
 
 
 class ConeTooLarge(HodgeChartsError):
-    """A declared size exceeds its cap: the generator count of a cone, or a
-    residue-mode exponent."""
+    """A declared size exceeds its cap: the generator count of a cone, a
+    residue-mode exponent, or a summed cohomology dimension of an lmhs surface."""
     exit_code = 3
 
 

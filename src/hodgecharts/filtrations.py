@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotFiltrationCompatible, NotNilpotent
-from .linalg import Q, RationalMatrix, Subspace, image, kernel, solve, vec
+from .linalg import Q, RationalMatrix, Subspace, _kernel_rows, dot, kernel, solve, vec
 
 IndexSet = tuple[int, ...]
 
@@ -30,8 +30,8 @@ class WeightFiltration:
 
     def __init__(self, center: int, ambient_dim: int, steps: dict[int, Subspace]):
         levels = sorted(steps)
-        low = next(l for l in levels if steps[l].dim > 0)
         high = next(l for l in levels if steps[l].dim == ambient_dim)
+        low = next((l for l in levels if steps[l].dim > 0), high)  # Q^0 has no such step
         self.center = center
         self.ambient_dim = ambient_dim
         self.low = low
@@ -92,39 +92,46 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
 
     Built from the classical closed form: the step at c+l is the span of all
     ker(N^{i+1}) cap im(N^{i-l}), i >= 0, with nonpositive powers read as the
-    identity.
+    identity.  One elimination of each N^j, 0 < j < d, gives both a basis of
+    ker N^j and the pivot columns P_j, whose columns of N^j span im N^j.
     """
     powers = _powers(n)
     d = len(powers) - 1
     dim = n.rows
-    if d == 0:  # zero-dimensional space
-        return WeightFiltration(center, 0, {center: Subspace.full(0)})
-    kernels = {i: kernel(powers[i]) for i in range(1, d + 1)}
-    images = {j: image(powers[j]) for j in range(1, d)}
-    # ker N^{i+1} cap im N^j, shared by the levels that use it.  im N^0 is the
-    # whole space, im N^j = 0 for j >= d, and im N^j <= ker N^{i+1} once
-    # i + 1 + j >= d.
-    pieces: dict[tuple[int, int], Subspace] = {}
-    steps: dict[int, Subspace] = {}
-    for l in range(-(d - 1), d):
+    if d <= 1:  # N = 0, or the zero-dimensional space
+        return WeightFiltration(center, dim, {center: Subspace.full(dim)})
+    kernels, images = {}, {}
+    for j in range(1, d):
+        kernels[j], pivots = _kernel_rows(powers[j])
+        images[j] = pivots, [powers[j].col(p) for p in pivots]
+
+    def piece(i: int, j: int) -> list:
+        """Rows spanning ker N^{i+1} cap im N^j, not in echelon form."""
+        if j == 0:
+            return kernels[i + 1]
+        pivots, cols = images[j]
+        if i + 1 + j >= d:  # im N^j <= ker N^{i+1}
+            return cols
+        # sum c_t N^j e_{p_t} lies in ker N^{i+1} iff sum c_t N^{i+1+j} e_{p_t} = 0,
+        # and the N^j e_{p_t} are independent.
+        power = powers[i + 1 + j].entries
+        at_pivots = tuple(tuple(r[p] for p in pivots) for r in power)
+        coeffs = _kernel_rows(RationalMatrix(dim, len(pivots), at_pivots))[0]
+        return [tuple(dot(c, x) for x in zip(*cols)) for c in coeffs]
+
+    # Pieces are shared by the levels that use them; im N^j = 0 for j >= d.
+    pieces: dict[tuple[int, int], list] = {}
+    steps: dict[int, Subspace] = {center + d - 1: Subspace.full(dim)}  # holds ker N^d
+    for l in range(-(d - 1), d - 1):
         rows = []
         for i in range(d):
             j = max(0, i - l)
             if j >= d:
                 continue
-            piece = pieces.get((i, j))
-            if piece is None:
-                if j == 0:
-                    piece = kernels[i + 1]
-                elif i + 1 + j >= d:
-                    piece = images[j]
-                else:
-                    piece = kernels[i + 1].intersect(images[j])
-                pieces[(i, j)] = piece
-            rows.extend(piece.basis.entries)
+            if (i, j) not in pieces:
+                pieces[(i, j)] = piece(i, j)
+            rows.extend(pieces[(i, j)])
         steps[center + l] = Subspace.from_vectors(dim, rows)
-    if d == 1:
-        steps[center] = Subspace.full(dim)
     return WeightFiltration(center, dim, steps)
 
 

@@ -31,6 +31,7 @@ def vec(values) -> tuple[Fraction, ...]:
 
 
 _ZERO = Q(0)
+_ONE = Q(1)
 
 
 def dot(u, v) -> Fraction:
@@ -70,7 +71,8 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, tuple(tuple(Q(i == j) for j in range(n)) for i in range(n)))
+        rows = tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
+        return cls(n, n, rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -262,16 +264,23 @@ def rank(m: RationalMatrix) -> int:
 
 def kernel(m: RationalMatrix) -> Subspace:
     """Null space {v : M v^T = 0}, as a canonical row-span subspace."""
+    return Subspace.from_vectors(m.cols, _kernel_rows(m)[0])
+
+
+def _kernel_rows(m: RationalMatrix) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """A basis of {v : M v^T = 0}, one row per free column of rref(M) and not
+    in echelon form, together with the pivot columns of M."""
     red, pivots = m.rref()
-    free = [c for c in range(m.cols) if c not in pivots]
     rows = []
-    for f in free:
-        v = [Q(0)] * m.cols
-        v[f] = Q(1)
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [_ZERO] * m.cols
+        v[f] = _ONE
         for i, p in enumerate(pivots):
             v[p] = -red.entries[i][f]
         rows.append(v)
-    return Subspace.from_vectors(m.cols, rows)
+    return rows, pivots
 
 
 def image(m: RationalMatrix) -> Subspace:

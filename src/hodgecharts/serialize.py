@@ -39,6 +39,10 @@ def int_matrix_to_json(rows) -> list[list[int]]:
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 # Residue mode sizes its quadrature by the largest exponent (4 deg + 8 angles).
 MAX_RESIDUE_EXPONENT = 1000
+# The summed h^1, h^2, h^3 of the components and 2 * genus of the double
+# curves size the matrices of the weight complexes; with all four at 200 an
+# lmhs run takes about 5 s, and its cost grows faster than n^3.
+MAX_LMHS_DIM = 200
 
 
 def _rational_from_json(x, what: str) -> Fraction:
@@ -162,6 +166,15 @@ def surface_from_json(data) -> NCDSurface:
         ]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad surface data: {exc}") from exc
+    sizes = {
+        "summed h^1 of the components": sum(c.h[1] for c in comps),
+        "summed h^2 of the components": sum(c.h[2] for c in comps),
+        "summed h^3 of the components": sum(c.h[3] for c in comps),
+        "summed 2 * genus of the double curves": sum(2 * c.genus for c in curves),
+    }
+    for what, size in sizes.items():
+        if size > MAX_LMHS_DIM:
+            raise ConeTooLarge(f"{what} is {size}, above the size cap {MAX_LMHS_DIM}")
     odd_g = data.get("odd_gysin")
     odd_r = data.get("odd_restriction")
     return NCDSurface(

@@ -5,6 +5,9 @@ through Fourier-Motzkin elimination instead of the simplex, weight
 filtrations are verified against the two defining properties directly, and
 relation spaces are recomputed from W(ad N_I) on the isometry algebra.  The
 relation table is rebuilt index set by index set, without the memo on W(N_I).
+The library's earlier weight filtration (one kernel, image and intersection
+per piece) and phase-one simplex (a Fraction tableau) are kept here verbatim
+as references for the elimination-sparing and integer-pivoting versions.
 """
 
 from __future__ import annotations
@@ -12,8 +15,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hodgecharts.cones import farkas_split, relation_space
-from hodgecharts.filtrations import NilpotentCone, adjoint_filtration, index_set
-from hodgecharts.linalg import RationalMatrix, Subspace, kernel, solve
+from hodgecharts.filtrations import (
+    NilpotentCone,
+    WeightFiltration,
+    _powers,
+    adjoint_filtration,
+    index_set,
+)
+from hodgecharts.linalg import Q, RationalMatrix, Subspace, image, kernel, solve
 
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin feasibility for systems  sum c_i x_i + d >= 0.
@@ -183,6 +192,47 @@ def filtration_satisfies_defining_properties(n: RationalMatrix, filtration) -> b
     return True
 
 
+def intersection_weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
+    """The unique filtration with N.W_l <= W_{l-2} and N^l : Gr_{c+l} ~ Gr_{c-l}.
+
+    Built from the classical closed form: the step at c+l is the span of all
+    ker(N^{i+1}) cap im(N^{i-l}), i >= 0, with nonpositive powers read as the
+    identity.
+    """
+    powers = _powers(n)
+    d = len(powers) - 1
+    dim = n.rows
+    if d == 0:  # zero-dimensional space
+        return WeightFiltration(center, 0, {center: Subspace.full(0)})
+    kernels = {i: kernel(powers[i]) for i in range(1, d + 1)}
+    images = {j: image(powers[j]) for j in range(1, d)}
+    # ker N^{i+1} cap im N^j, shared by the levels that use it.  im N^0 is the
+    # whole space, im N^j = 0 for j >= d, and im N^j <= ker N^{i+1} once
+    # i + 1 + j >= d.
+    pieces: dict[tuple[int, int], Subspace] = {}
+    steps: dict[int, Subspace] = {}
+    for l in range(-(d - 1), d):
+        rows = []
+        for i in range(d):
+            j = max(0, i - l)
+            if j >= d:
+                continue
+            piece = pieces.get((i, j))
+            if piece is None:
+                if j == 0:
+                    piece = kernels[i + 1]
+                elif i + 1 + j >= d:
+                    piece = images[j]
+                else:
+                    piece = kernels[i + 1].intersect(images[j])
+                pieces[(i, j)] = piece
+            rows.extend(piece.basis.entries)
+        steps[center + l] = Subspace.from_vectors(dim, rows)
+    if d == 1:
+        steps[center] = Subspace.full(dim)
+    return WeightFiltration(center, dim, steps)
+
+
 def random_nilpotent(rng, dim: int) -> RationalMatrix:
     """Strictly upper-triangular integer matrix conjugated by a unimodular one."""
     upper = [
@@ -239,3 +289,60 @@ def unkeyed_k_index_map(cone: NilpotentCone):
 
 def _by_size(index) -> tuple:
     return len(index), index
+
+
+# ---------------------------------------------------------------------------
+# Phase-one simplex over a Fraction tableau.
+
+
+def fraction_phase_one(a_rows: list[list[Fraction]], b: list[Fraction], n: int):
+    """Exact phase-one simplex for {x >= 0 : Ax = b}.
+
+    Returns (value, x, y): value is the artificial optimum (0 iff feasible),
+    x a feasible point when value = 0, and y the simplex multipliers of the
+    sign-normalized system otherwise.  Bland's rule throughout, so the
+    iteration terminates.
+    """
+    m = len(b)
+    signs = [Q(1) if bi >= 0 else Q(-1) for bi in b]
+    tab = [[signs[i] * x for x in a_rows[i]] + [Q(0)] * m + [signs[i] * b[i]] for i in range(m)]
+    for i in range(m):
+        tab[i][n + i] = Q(1)
+    basis = [n + i for i in range(m)]
+    # Reduced cost row for min(sum of artificials); artificial columns start at 0.
+    obj = [-sum(tab[i][j] for i in range(m)) for j in range(n)] + [Q(0)] * m
+
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:  # pragma: no cover - phase one is bounded
+            raise AssertionError("phase-one problem cannot be unbounded")
+        row = best[1]
+        piv = tab[row][enter]
+        tab[row] = [x / piv for x in tab[row]]
+        for i in range(m):
+            if i != row and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+        f = obj[enter]
+        if f:
+            obj = [x - f * y for x, y in zip(obj, tab[row][:-1])]
+        basis[row] = enter
+
+    value = sum(tab[i][-1] for i in range(m) if basis[i] >= n)
+    x = [Q(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][-1]
+    # Multipliers for the normalized system: y_i = 1 - reduced cost of the
+    # i-th artificial column; undo the sign normalization afterwards.
+    y = [signs[i] * (Q(1) - obj[n + i]) for i in range(m)]
+    return value, tuple(x), tuple(y)
+

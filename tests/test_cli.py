@@ -368,6 +368,36 @@ def test_exit_code_residue_exponent_cap(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:") and not out.exists()
 
 
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("field", ["genus", "h2"])
+def test_exit_code_lmhs_size_cap(tmp_path, field):
+    """Declared cohomology dimensions and genera size the lmhs matrices, so
+    their sums are capped.  The CLI runs as a child under a timeout and a
+    1 GiB address-space limit, so a regression fails fast."""
+    data = _fixture_with("ncd_two_components.json")
+    if field == "genus":
+        data["double_curves"][0]["genus"] = 620721
+    else:
+        data["components"][0]["h"][2] = 10**30
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgecharts.cli", "lmhs", "--input", str(bad), "--output", out],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:") and not out.exists()
+
+
 def test_exit_code_numeric(tmp_path):
     data = json.loads((FIXTURES / "orbit_twisted_weight1.json").read_text())
     data["t_sequence"] = [[1.0]]  # boundary of the disc: not polarized

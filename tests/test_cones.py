@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hodgecharts.cones import (
+    _phase_one,
     farkas_alternative,
     farkas_split,
     k_index_map,
@@ -24,6 +25,7 @@ from hodgecharts.linalg import RationalMatrix, Subspace
 from .oracles import (
     adjoint_relation_space,
     farkas_branch_infeasible,
+    fraction_phase_one,
     split_supports,
     unkeyed_k_index_map,
 )
@@ -81,6 +83,46 @@ def test_farkas_alternative_against_elimination():
         assert _plug_in(a, b, res)
         other = "certificate" if res.solution is not None else "solution"
         assert farkas_branch_infeasible(a, b, other)
+
+
+def _random_lp(rng, kind: str):
+    """(A rows, b, n) with rational entries.  "feasible": b = A x0 with x0 >= 0
+    and zeros in x0 (degenerate vertices); "ties": every row a positive
+    multiple of one of two base rows, b scaled alike or zero, so ratio tests
+    tie; otherwise a random b, mostly infeasible."""
+    m, n = rng.randint(1, 4), rng.randint(1, 6)
+
+    def q():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+    a = [[q() for _ in range(n)] for _ in range(m)]
+    if kind == "feasible":
+        x0 = [Fraction(rng.choice((0, 0, 1, 2)), rng.choice((1, 2))) for _ in range(n)]
+        b = [sum(x * y for x, y in zip(row, x0)) for row in a]
+    elif kind == "ties":
+        bases = [(a[0], rng.choice((0, 1, 2))), (a[-1], rng.choice((0, 0, 1)))]
+        rows = []
+        for _ in range(m):
+            row, rhs = rng.choice(bases)
+            c = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            rows.append(([c * x for x in row], c * rhs))
+        a, b = [r for r, _ in rows], [rhs for _, rhs in rows]
+    else:
+        b = [q() for _ in range(m)]
+    return a, b, n
+
+
+def test_phase_one_matches_fraction_oracle():
+    """Integer pivoting takes the Fraction tableau's pivot sequence: the same
+    value, point and multipliers on feasible, infeasible and tied LPs."""
+    rng = random.Random(SEED + 5)
+    outcomes = {True: 0, False: 0}
+    for trial in range(2400):
+        a, b, n = _random_lp(rng, ("feasible", "ties", "random")[trial % 3])
+        got = _phase_one([list(r) for r in a], list(b), n)
+        assert got == fraction_phase_one([list(r) for r in a], list(b), n)
+        outcomes[got[0] == 0] += 1
+    assert min(outcomes.values()) > 400
 
 
 def test_farkas_split_examples():

@@ -15,9 +15,14 @@ from hodgecharts.filtrations import (
     weight_filtration,
 )
 from hodgecharts.gallery import genus2_cone, rank1_cone, symplectic_form_4
-from hodgecharts.linalg import RationalMatrix, Subspace, rank
+from hodgecharts.linalg import RationalMatrix, Subspace, rank, solve
 
-from .oracles import filtration_satisfies_defining_properties, random_nilpotent
+from .oracles import (
+    filtration_satisfies_defining_properties,
+    intersection_weight_filtration,
+    random_nilpotent,
+)
+from .test_cones import _conjugated_sp_cone, _k3_cone
 
 SEED = 771
 
@@ -26,6 +31,79 @@ def test_zero_matrix_filtration():
     w = weight_filtration(RationalMatrix.zeros(3, 3), 1)
     assert w.step(0).dim == 0
     assert w.step(1) == Subspace.full(3)
+
+
+def test_zero_dimensional_space_filtration():
+    w = weight_filtration(RationalMatrix(0, 0, ()), 3)
+    assert (w.low, w.high) == (3, 3)
+    assert w.step(3) == Subspace.full(0) == w.step(2)
+    assert w.graded_dim(3) == 0
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts of size at most largest, parts decreasing."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _conjugated_jordan(rng, blocks):
+    """Nilpotent Jordan matrix with the given block sizes, conjugated by a
+    random diagonal matrix times elementary ones, with non-integer rational
+    entries."""
+    dim = sum(blocks)
+    starts = {sum(blocks[:b]) for b in range(len(blocks))}
+    jordan = RationalMatrix.from_rows(
+        [[int(j == i + 1 and j not in starts) for j in range(dim)] for i in range(dim)]
+    )
+    scalars = [Fraction(1, 2), Fraction(-2, 3), Fraction(1), Fraction(-3, 2), Fraction(2)]
+    rows = [[rng.choice(scalars) if i == j else 0 for j in range(dim)] for i in range(dim)]
+    for _ in range(dim if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice(scalars)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    g = RationalMatrix.from_rows(rows)
+    g_inv = RationalMatrix.from_rows(
+        tuple(zip(*(solve(g, RationalMatrix.identity(dim).col(j)) for j in range(dim))))
+    )
+    return g @ jordan @ g_inv
+
+
+def _adjoint_matrices():
+    """ad N_I on the 21-dimensional sp(6) and the 15-dimensional o(1, 4, 1),
+    as adjoint_filtration filters them."""
+    rng = random.Random(SEED + 3)
+    sp6 = _conjugated_sp_cone(
+        rng, 3, [[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[1, 1, 0], [1, 1, 0], [0, 0, 0]]]
+    )
+    k3 = _k3_cone([-1] * 4, [[1, 0, 2, 0], [0, 1, 1, 2]])
+    for cone in (sp6, k3):
+        ctx = cone.lie_algebra()
+        for index in ((1,), (2,), (1, 2)):
+            yield ctx.ad_matrix(cone.n_of(index))
+
+
+def test_weight_filtration_matches_intersection_oracle():
+    """The one-elimination-per-power filtration equals the closed form built
+    from kernels, images and intersections, step by step."""
+    rng = random.Random(SEED + 4)
+    cases = [random_nilpotent(rng, rng.randint(1, 8)) for _ in range(120)]
+    for dim in range(1, 9):
+        for d in range(1, dim + 1):  # every nilpotency index up to dim
+            for blocks in _partitions(dim - d, d):
+                cases.extend(_conjugated_jordan(rng, (d,) + blocks) for _ in range(9 - dim))
+    cases.extend(_adjoint_matrices())
+    assert len(cases) >= 300
+    for n in cases:
+        center = rng.randint(-2, 2)
+        got, want = weight_filtration(n, center), intersection_weight_filtration(n, center)
+        assert got == want
+        assert (got.low, got.high) == (want.low, want.high)
+        for level in range(want.low - 1, want.high + 2):
+            assert got.step(level) == want.step(level)
 
 
 def test_not_nilpotent_rejected():
