@@ -21,7 +21,7 @@ from .charts import (
     monomial_strings,
     separation_check,
 )
-from .errors import HodgeChartsError, NumericDomainError, SchemaError
+from .errors import ConeTooLarge, HodgeChartsError, NumericDomainError, SchemaError
 from .ncd import (
     build_weight_complexes,
     curve_lmhs,
@@ -37,6 +37,7 @@ from .positivity import (
     sigma_weight2,
 )
 from .serialize import (
+    MAX_NDIM_SAMPLES,
     _array_from_json,
     _complex_from_json,
     _float_from_json,
@@ -324,6 +325,8 @@ def run_positivity(data, args) -> tuple[dict, list, list]:
         samples = _int_from_json(data.get("samples", 20), "samples")
         if samples < 1:
             raise SchemaError(f"samples must be at least 1, not {samples}")
+        if samples > MAX_NDIM_SAMPLES:
+            raise ConeTooLarge(f"samples is {samples}, above the cap {MAX_NDIM_SAMPLES}")
         rho, n = numerical_dimension(triple, samples=samples, seed=args.seed)
         return {"mode": mode, "rho": rho, "numerical_dimension": n}, [], []
     if mode == "identity":

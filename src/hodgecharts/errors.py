@@ -17,7 +17,8 @@ class SchemaError(HodgeChartsError):
 
 class ConeTooLarge(HodgeChartsError):
     """A declared size exceeds its cap: the generator count of a cone, a
-    residue-mode exponent, or a summed cohomology dimension of an lmhs surface."""
+    residue-mode exponent, a summed cohomology dimension of an lmhs surface,
+    or an ndim sample count above serialize.MAX_NDIM_SAMPLES."""
     exit_code = 3
 
 

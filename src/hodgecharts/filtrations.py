@@ -1,16 +1,16 @@
 """Monodromy weight filtrations of commuting nilpotent isometry logarithms.
 
-Conventions: filtrations on the underlying space are centered at the weight n;
-filtrations on the infinitesimal isometry algebra are centered at 0.  A
-nilpotent N acts by N . W_l <= W_{l-2}, and N^l induces isomorphisms between
-the graded pieces at center+l and center-l; these two properties determine
-the filtration uniquely.
+Conventions: every filtration is computed on the underlying space V and
+centered at the weight n.  A nilpotent N acts by N . W_l <= W_{l-2}, and N^l
+induces isomorphisms between the graded pieces at center+l and center-l;
+these two properties determine the filtration uniquely.  The filtration of
+ad N on the isometry algebra (centered at 0) is never built: it is induced
+from W(N) (Cattani-Kaplan-Schmid), so membership in it is read on V.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotFiltrationCompatible, NotNilpotent
 from .linalg import Q, RationalMatrix, Subspace, _kernel_rows, dot, kernel, solve, vec
@@ -135,57 +135,6 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
     return WeightFiltration(center, dim, steps)
 
 
-class LieContext:
-    """The isometry algebra g = {X : X^T Q + Q X = 0} with a fixed basis."""
-
-    __slots__ = ("form", "dim", "basis", "_basis_matrix_t")
-
-    def __init__(self, form: RationalMatrix):
-        n = form.rows
-        # Kernel of X |-> X^T Q + Q X on flattened n x n matrices.
-        rows = []
-        for a in range(n):
-            for b in range(n):
-                row = [Q(0)] * (n * n)
-                # (X^T Q)_{ab} = sum_c X_{ca} Q_{cb};  (Q X)_{ab} = sum_c Q_{ac} X_{cb}
-                for c in range(n):
-                    row[c * n + a] += form.entries[c][b]
-                    row[c * n + b] += form.entries[a][c]
-                rows.append(row)
-        ker = kernel(RationalMatrix.from_rows(rows, cols=n * n))
-        self.form = form
-        self.dim = ker.dim
-        self.basis = tuple(
-            RationalMatrix(n, n, tuple(tuple(r[i * n : (i + 1) * n]) for i in range(n)))
-            for r in ker.basis.entries
-        )
-        self._basis_matrix_t = ker.basis.transpose()
-
-    def to_coords(self, x: RationalMatrix) -> tuple[Fraction, ...] | None:
-        return solve(self._basis_matrix_t, x.flatten())
-
-    def from_coords(self, coords) -> RationalMatrix:
-        coords = vec(coords)
-        n = self.form.rows
-        out = RationalMatrix.zeros(n, n)
-        for c, b in zip(coords, self.basis, strict=True):
-            if c:
-                out = out + b.scale(c)
-        return out
-
-    def ad_matrix(self, n_mat: RationalMatrix) -> RationalMatrix:
-        """Matrix of ad N = [N, .] on g in the fixed basis."""
-        cols = []
-        for b in self.basis:
-            bracket = n_mat @ b - b @ n_mat
-            coords = self.to_coords(bracket)
-            if coords is None:  # pragma: no cover - g is an ideal under ad
-                raise AssertionError("bracket left the isometry algebra")
-            cols.append(coords)
-        rows = tuple(zip(*cols)) if cols else ()
-        return RationalMatrix(self.dim, self.dim, tuple(tuple(r) for r in rows))
-
-
 class NilpotentCone:
     """Commuting nilpotent infinitesimal isometries N_1..N_k of (V, Q)."""
 
@@ -215,8 +164,6 @@ class NilpotentCone:
         self.form = form
         self.generators = generators
         self.k = len(generators)
-        self._lie: LieContext | None = None
-        self._adjoint_cache: dict[IndexSet, "AdjointFiltration"] = {}
 
     def n_of(self, index: IndexSet) -> RationalMatrix:
         """N_I = sum of the generators named by the 1-based index set."""
@@ -226,11 +173,6 @@ class NilpotentCone:
                 raise ValueError(f"index {i} out of range 1..{self.k}")
             out = out + self.generators[i - 1]
         return out
-
-    def lie_algebra(self) -> LieContext:
-        if self._lie is None:
-            self._lie = LieContext(self.form)
-        return self._lie
 
     def combination(self, coeffs) -> RationalMatrix:
         coeffs = vec(coeffs)
@@ -245,35 +187,36 @@ class NilpotentCone:
 
 @dataclass(frozen=True)
 class AdjointFiltration:
-    """W(ad N_I) on the isometry algebra, with the coordinate context."""
+    """W(ad N_I) on the isometry algebra, held as W(N_I) on V.
+
+    W(ad N) is induced from W(N) (Cattani-Kaplan-Schmid), so an isometry X
+    lies in W_l(ad N_I) exactly when X . W_j <= W_{j+l} for every j.
+    """
 
     index: IndexSet
-    filtration: WeightFiltration
-    context: LieContext
+    filtration: WeightFiltration  # W(N_I) on V, centered at the weight
+    form: RationalMatrix
 
     def contains(self, x: RationalMatrix, level: int) -> bool:
-        coords = self.context.to_coords(x)
-        if coords is None:
+        q, w = self.form, self.filtration
+        if (x.rows, x.cols) != (q.rows, q.cols) or not (x.transpose() @ q + q @ x).is_zero():
             raise ValueError("matrix is not in the isometry algebra")
-        return self.filtration.step(level).contains_vector(coords)
+        return all(
+            w.step(j + level).contains_vector(x.mul_vec(v))
+            for j in w.levels()
+            for v in w.step(j).basis.entries
+        )
 
 
 def adjoint_filtration(cone: NilpotentCone, index) -> AdjointFiltration:
-    """Weight filtration of ad N_I on the isometry algebra, centered at 0.
-
-    Results are memoized on the cone.
-    """
+    """Weight filtration of ad N_I on the isometry algebra, centered at 0,
+    read through W(N_I) on V."""
     index = index_set(index)
     if not index:
         raise ValueError("adjoint filtration needs a nonempty index set")
-    cached = cone._adjoint_cache.get(index)
-    if cached is not None:
-        return cached
-    ctx = cone.lie_algebra()
-    ad = ctx.ad_matrix(cone.n_of(index))
-    out = AdjointFiltration(index, weight_filtration(ad, 0), ctx)
-    cone._adjoint_cache[index] = out
-    return out
+    return AdjointFiltration(
+        index, weight_filtration(cone.n_of(index), cone.weight), cone.form
+    )
 
 
 @dataclass(frozen=True)
@@ -393,15 +336,19 @@ def polarization_form(cone: NilpotentCone, index, a: int) -> RationalMatrix:
 
 @dataclass(frozen=True)
 class RwfpReport:
-    """Outcome of the nested-filtration compatibility consequence."""
+    """Outcome of the nested-filtration compatibility consequence.
+
+    Both filtrations are W on V, centered at the weight; W(ad N_I) is the
+    filtration that W(N_I) induces on the isometry algebra.
+    """
 
     index: IndexSet
     index_larger: IndexSet
     premise: bool  # N_{I'} in W_{-1}(ad N_I)
-    filtrations_equal: bool
+    filtrations_equal: bool  # W(N_I) = W(N_{I'}) on V
     holds: bool  # premise implies equality
-    filtration: WeightFiltration
-    filtration_larger: WeightFiltration
+    filtration: WeightFiltration  # W(N_I) on V, centered at the weight
+    filtration_larger: WeightFiltration  # W(N_{I'}) on V, centered at the weight
 
 
 def rwfp_consequence_check(cone: NilpotentCone, index, index_larger) -> RwfpReport:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import Disconnected, IncidenceError, NotAComplex
-from .linalg import Q, RationalMatrix, image, kernel, rank, solve
+from .linalg import Q, RationalMatrix, dot, image, kernel, rank
 
 
 @dataclass(frozen=True)
@@ -276,24 +276,19 @@ class MonodromyReport:
 def _kernel_to_cokernel(g: RationalMatrix, r: RationalMatrix):
     """Induced map ker(g) -> target/im(r), with g acting on the space r maps to."""
     ker = kernel(g)
-    im = image(r)
-    n = g.cols
-    # Complement basis of im(r): the non-pivot standard vectors.
-    pivots = set(im.basis.rref()[1]) if im.dim else set()
-    free = [j for j in range(n) if j not in pivots]
-    stacked = im.basis.stack(
-        RationalMatrix.from_rows(
-            [[Q(int(j == f)) for j in range(n)] for f in free], cols=n
-        )
-    ).transpose()
+    basis = image(r).basis.entries  # reduced row echelon
+    # The non-pivot standard vectors complement im(r): clearing each pivot
+    # entry of v with its basis row leaves v's cokernel coordinates in the
+    # free columns.
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    free = sorted(set(range(g.cols)) - set(pivots))
+    free_cols = [tuple(row[f] for row in basis) for f in free]
     cols = []
     for v in ker.basis.entries:
-        coeffs = solve(stacked, v)
-        if coeffs is None:  # pragma: no cover - complement spans everything
-            raise AssertionError("cokernel complement does not span")
-        cols.append(coeffs[im.dim :])
+        at_pivots = [v[p] for p in pivots]
+        cols.append(tuple(v[f] - dot(at_pivots, c) for f, c in zip(free, free_cols)))
     rows = tuple(zip(*cols)) if cols else tuple(() for _ in free)
-    mat = RationalMatrix(len(free), ker.dim, tuple(tuple(r_) for r_ in rows))
+    mat = RationalMatrix(len(free), ker.dim, rows)
     iso = ker.dim == len(free) and rank(mat) == ker.dim
     return iso, mat
 

@@ -41,8 +41,10 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 MAX_RESIDUE_EXPONENT = 1000
 # The summed h^1, h^2, h^3 of the components and 2 * genus of the double
 # curves size the matrices of the weight complexes; with all four at 200 an
-# lmhs run takes about 5 s, and its cost grows faster than n^3.
+# lmhs run takes well under a second.
 MAX_LMHS_DIM = 200
+# positivity --mode ndim takes one rank per sample.
+MAX_NDIM_SAMPLES = 1000
 
 
 def _rational_from_json(x, what: str) -> Fraction:

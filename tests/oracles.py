@@ -3,26 +3,29 @@
 These deliberately avoid the code paths they check: feasibility questions go
 through Fourier-Motzkin elimination instead of the simplex, weight
 filtrations are verified against the two defining properties directly, and
-relation spaces are recomputed from W(ad N_I) on the isometry algebra.  The
-relation table is rebuilt index set by index set, without the memo on W(N_I).
-The library's earlier weight filtration (one kernel, image and intersection
-per piece) and phase-one simplex (a Fraction tableau) are kept here verbatim
-as references for the elimination-sparing and integer-pivoting versions.
+relation spaces and adjoint membership are recomputed from W(ad N_I) on the
+isometry algebra, which the library never builds.  The relation table is
+rebuilt index set by index set, without the memo on W(N_I).  The library's
+earlier weight filtration (one kernel, image and intersection per piece),
+phase-one simplex (a Fraction tableau) and lmhs cokernel map (one solve per
+kernel vector) are kept here verbatim as references for the
+elimination-sparing, integer-pivoting and direct versions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from hodgecharts.cones import farkas_split, relation_space
 from hodgecharts.filtrations import (
     NilpotentCone,
     WeightFiltration,
     _powers,
-    adjoint_filtration,
     index_set,
+    weight_filtration,
 )
-from hodgecharts.linalg import Q, RationalMatrix, Subspace, image, kernel, solve
+from hodgecharts.linalg import Q, RationalMatrix, Subspace, image, kernel, rank, solve, vec
 
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin feasibility for systems  sum c_i x_i + d >= 0.
@@ -258,17 +261,83 @@ def random_nilpotent(rng, dim: int) -> RationalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Relation spaces from the adjoint filtration.
+# The adjoint filtration W(ad N_I) on the isometry algebra, and relation
+# spaces read off it.
+
+
+class LieContext:
+    """The isometry algebra g = {X : X^T Q + Q X = 0} with a fixed basis."""
+
+    __slots__ = ("form", "dim", "basis", "_basis_matrix_t")
+
+    def __init__(self, form: RationalMatrix):
+        n = form.rows
+        # Kernel of X |-> X^T Q + Q X on flattened n x n matrices.
+        rows = []
+        for a in range(n):
+            for b in range(n):
+                row = [Q(0)] * (n * n)
+                # (X^T Q)_{ab} = sum_c X_{ca} Q_{cb};  (Q X)_{ab} = sum_c Q_{ac} X_{cb}
+                for c in range(n):
+                    row[c * n + a] += form.entries[c][b]
+                    row[c * n + b] += form.entries[a][c]
+                rows.append(row)
+        ker = kernel(RationalMatrix.from_rows(rows, cols=n * n))
+        self.form = form
+        self.dim = ker.dim
+        self.basis = tuple(
+            RationalMatrix(n, n, tuple(tuple(r[i * n : (i + 1) * n]) for i in range(n)))
+            for r in ker.basis.entries
+        )
+        self._basis_matrix_t = ker.basis.transpose()
+
+    def to_coords(self, x: RationalMatrix) -> tuple[Fraction, ...] | None:
+        return solve(self._basis_matrix_t, x.flatten())
+
+    def from_coords(self, coords) -> RationalMatrix:
+        coords = vec(coords)
+        n = self.form.rows
+        out = RationalMatrix.zeros(n, n)
+        for c, b in zip(coords, self.basis, strict=True):
+            if c:
+                out = out + b.scale(c)
+        return out
+
+    def ad_matrix(self, n_mat: RationalMatrix) -> RationalMatrix:
+        """Matrix of ad N = [N, .] on g in the fixed basis."""
+        cols = []
+        for b in self.basis:
+            bracket = n_mat @ b - b @ n_mat
+            coords = self.to_coords(bracket)
+            if coords is None:  # pragma: no cover - g is an ideal under ad
+                raise AssertionError("bracket left the isometry algebra")
+            cols.append(coords)
+        rows = tuple(zip(*cols)) if cols else ()
+        return RationalMatrix(self.dim, self.dim, tuple(tuple(r) for r in rows))
+
+
+@cache
+def lie_context(form: RationalMatrix) -> LieContext:
+    """One LieContext per form, shared by the tests that revisit a cone."""
+    return LieContext(form)
+
+
+def ad_weight_filtration(cone: NilpotentCone, index) -> tuple[WeightFiltration, LieContext]:
+    """W(ad N_I) on the isometry algebra, centered at 0, with its context."""
+    index = index_set(index)
+    if not index:
+        raise ValueError("adjoint filtration needs a nonempty index set")
+    ctx = lie_context(cone.form)
+    return weight_filtration(ctx.ad_matrix(cone.n_of(index)), 0), ctx
 
 
 def adjoint_relation_space(cone: NilpotentCone, index) -> Subspace:
     """S_I = {a : sum a_i N_i in W_{-1}(ad N_I)} for nonempty I, read off the
     weight filtration of ad N_I on the isometry algebra in its own basis."""
-    adj = adjoint_filtration(cone, index_set(index))
-    ctx = adj.context
+    w, ctx = ad_weight_filtration(cone, index)
     coord_cols = [ctx.to_coords(n) for n in cone.generators]
     assert all(c is not None for c in coord_cols), "generator outside the isometry algebra"
-    comp = adj.filtration.step(-1).orthogonal_complement()
+    comp = w.step(-1).orthogonal_complement()
     m = RationalMatrix.from_rows(tuple(zip(*coord_cols)), cols=cone.k)
     return kernel(comp.basis @ m) if comp.dim else Subspace.full(cone.k)
 
@@ -346,3 +415,32 @@ def fraction_phase_one(a_rows: list[list[Fraction]], b: list[Fraction], n: int):
     y = [signs[i] * (Q(1) - obj[n + i]) for i in range(m)]
     return value, tuple(x), tuple(y)
 
+
+
+# ---------------------------------------------------------------------------
+# The lmhs map from top kernels to bottom cokernels, one solve per vector.
+
+
+def solve_kernel_to_cokernel(g: RationalMatrix, r: RationalMatrix):
+    """Induced map ker(g) -> target/im(r), with g acting on the space r maps to."""
+    ker = kernel(g)
+    im = image(r)
+    n = g.cols
+    # Complement basis of im(r): the non-pivot standard vectors.
+    pivots = set(im.basis.rref()[1]) if im.dim else set()
+    free = [j for j in range(n) if j not in pivots]
+    stacked = im.basis.stack(
+        RationalMatrix.from_rows(
+            [[Q(int(j == f)) for j in range(n)] for f in free], cols=n
+        )
+    ).transpose()
+    cols = []
+    for v in ker.basis.entries:
+        coeffs = solve(stacked, v)
+        if coeffs is None:  # pragma: no cover - complement spans everything
+            raise AssertionError("cokernel complement does not span")
+        cols.append(coeffs[im.dim :])
+    rows = tuple(zip(*cols)) if cols else tuple(() for _ in free)
+    mat = RationalMatrix(len(free), ker.dim, tuple(tuple(r_) for r_ in rows))
+    iso = ker.dim == len(free) and rank(mat) == ker.dim
+    return iso, mat

@@ -398,6 +398,27 @@ def test_exit_code_lmhs_size_cap(tmp_path, field):
     assert proc.stderr.startswith("error:") and not out.exists()
 
 
+@pytest.mark.parametrize("samples, code", [(10**9, 3), (1000, 0)], ids=["above-cap", "at-cap"])
+def test_exit_code_ndim_samples_cap(tmp_path, samples, code):
+    """ndim mode takes one rank per sample, so the sample count is capped.
+    The CLI runs as a child under a timeout, so a regression fails fast."""
+    data = _fixture_with("positivity_ndim.json", samples=samples)
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgecharts.cli", "positivity", "--input", str(path), "--output", out],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr.startswith("error:") and not out.exists()
+    else:
+        assert json.loads(out.read_text())["report"]["numerical_dimension"] == 3
+
+
 def test_exit_code_numeric(tmp_path):
     data = json.loads((FIXTURES / "orbit_twisted_weight1.json").read_text())
     data["t_sequence"] = [[1.0]]  # boundary of the disc: not polarized

@@ -30,12 +30,13 @@ FIXTURES = {
     name: json.loads((ROOT / "fixtures" / name).read_text()) for name in sorted(workloads.FIXTURES)
 }
 
-# Integers stay small: a fixture's declared sizes (cohomology dimensions,
-# genera, sample counts) set how much work a run does.
+# Small integers reach the in-range branches; huge ones test that every
+# declared size (cohomology dimensions, genera, sample counts) is capped.
 SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-100, 100),
+    st.integers(-10**18, 10**18),
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.floats(),
     st.text(max_size=6),

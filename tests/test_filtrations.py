@@ -18,11 +18,13 @@ from hodgecharts.gallery import genus2_cone, rank1_cone, symplectic_form_4
 from hodgecharts.linalg import RationalMatrix, Subspace, rank, solve
 
 from .oracles import (
+    ad_weight_filtration,
     filtration_satisfies_defining_properties,
     intersection_weight_filtration,
+    lie_context,
     random_nilpotent,
 )
-from .test_cones import _conjugated_sp_cone, _k3_cone
+from .test_cones import _conjugated_sp_cone, _k3_cone, _oracle_cones
 
 SEED = 771
 
@@ -74,14 +76,14 @@ def _conjugated_jordan(rng, blocks):
 
 def _adjoint_matrices():
     """ad N_I on the 21-dimensional sp(6) and the 15-dimensional o(1, 4, 1),
-    as adjoint_filtration filters them."""
+    as the adjoint oracle filters them."""
     rng = random.Random(SEED + 3)
     sp6 = _conjugated_sp_cone(
         rng, 3, [[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[1, 1, 0], [1, 1, 0], [0, 0, 0]]]
     )
     k3 = _k3_cone([-1] * 4, [[1, 0, 2, 0], [0, 1, 1, 2]])
     for cone in (sp6, k3):
-        ctx = cone.lie_algebra()
+        ctx = lie_context(cone.form)
         for index in ((1,), (2,), (1, 2)):
             yield ctx.ad_matrix(cone.n_of(index))
 
@@ -207,15 +209,14 @@ def _replace_step(w, level, subspace):
 
 def test_adjoint_kernel_in_w0():
     cone = genus2_cone()
-    adj = adjoint_filtration(cone, (1,))
-    ctx = adj.context
+    w, ctx = ad_weight_filtration(cone, (1,))
     n1 = cone.generators[0]
     # every centralizer element lies in W_0(ad N)
     ad = ctx.ad_matrix(n1)
     from hodgecharts.linalg import kernel
 
     for coords in kernel(ad).basis.entries:
-        assert adj.filtration.step(0).contains_vector(coords)
+        assert w.step(0).contains_vector(coords)
 
 
 def test_adjoint_block_intersection():
@@ -349,13 +350,12 @@ def test_polarization_representative_invariance():
 def test_bracket_filtration_property():
     """[W_a, W_b] <= W_{a+b} on sampled pairs of the adjoint filtration."""
     cone = genus2_cone()
-    adj = adjoint_filtration(cone, (1,))
-    ctx = adj.context
+    w, ctx = ad_weight_filtration(cone, (1,))
     rng = random.Random(SEED + 2)
-    levels = list(adj.filtration.levels())
+    levels = list(w.levels())
     for _ in range(10):
         a, b = rng.choice(levels), rng.choice(levels)
-        wa, wb = adj.filtration.step(a), adj.filtration.step(b)
+        wa, wb = w.step(a), w.step(b)
         for _ in range(3):
             ca = [Fraction(rng.randint(-2, 2)) for _ in range(wa.dim)]
             cb = [Fraction(rng.randint(-2, 2)) for _ in range(wb.dim)]
@@ -368,7 +368,7 @@ def test_bracket_filtration_property():
             bracket = xa @ xb - xb @ xa
             coords = ctx.to_coords(bracket)
             assert coords is not None
-            assert adj.filtration.step(a + b).contains_vector(coords)
+            assert w.step(a + b).contains_vector(coords)
 
 
 def test_rwfp_cases():
@@ -380,3 +380,38 @@ def test_rwfp_cases():
     r1 = rank1_cone()
     prop = rwfp_consequence_check(r1, (1,), (1, 2))
     assert prop.premise and prop.filtrations_equal and prop.holds
+
+
+def test_adjoint_membership_matches_ad_oracle():
+    """X in W_l(ad N_I), read on V, and both parts of the RWFP check agree
+    with W(ad N_I) built on the isometry algebra.  Per cone, a random I and a
+    random I' containing it, strictly unless k = 1; membership at every level
+    from low - 1 to high + 1, on a random isometry and on the oracle's own
+    step bases."""
+    rng = random.Random(SEED + 5)
+    checks, strict = 0, set()
+    for cone in _oracle_cones():
+        order = rng.sample(range(1, cone.k + 1), cone.k)
+        cut = rng.randint(1, max(1, cone.k - 1))
+        small = tuple(sorted(order[:cut]))
+        large = tuple(sorted(order[: rng.randint(min(cut + 1, cone.k), cone.k)]))
+        ad = {index: ad_weight_filtration(cone, index) for index in dict.fromkeys((small, large))}
+        for index, (w, ctx) in ad.items():
+            adj = adjoint_filtration(cone, index)
+            xs = [ctx.from_coords([rng.randint(-2, 2) for _ in range(ctx.dim)])]
+            for level in range(w.low, w.high):  # the random X stands in for W_high = g
+                xs.append(ctx.from_coords(rng.choice(w.step(level).basis.entries)))
+            for x in xs:
+                coords = ctx.to_coords(x)
+                for level in range(w.low - 1, w.high + 2):
+                    assert adj.contains(x, level) == w.step(level).contains_vector(coords)
+                    checks += 1
+        for pair in dict.fromkeys(((small, small), (small, large), (large, large))):
+            report = rwfp_consequence_check(cone, *pair)
+            (w_small, ctx), (w_large, _) = ad[pair[0]], ad[pair[1]]
+            premise = w_small.step(-1).contains_vector(ctx.to_coords(cone.n_of(pair[1])))
+            assert report.premise == premise
+            assert report.filtrations_equal == (w_small == w_large)
+            if pair[0] != pair[1]:
+                strict.add((premise, report.filtrations_equal))
+    assert checks > 800 and {(True, True), (False, False)} <= strict

@@ -1,12 +1,16 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from hodgecharts.errors import Disconnected, IncidenceError, NotAComplex
-from hodgecharts.linalg import RationalMatrix
+from hodgecharts.linalg import RationalMatrix, rank
 from hodgecharts.ncd import (
     DoubleCurve,
     NCDSurface,
     SurfacePiece,
     TriplePoint,
+    _kernel_to_cokernel,
     build_weight_complexes,
     curve_lmhs,
     friedman_check,
@@ -14,6 +18,8 @@ from hodgecharts.ncd import (
     monodromy_graded_maps,
     triple_point_check,
 )
+
+from .oracles import solve_kernel_to_cokernel
 
 
 def two_component_surface(genus=2, d2=(-3, 3)):
@@ -170,3 +176,29 @@ def test_curve_lmhs_examples():
     # graded dims sum to twice the arithmetic genus
     gr = curve_lmhs([("a", 1), ("b", 2)], [("a", "b"), ("a", "b")])
     assert sum(gr) == 2 * (1 + 2 + 1)  # p_a = sum g + b_1
+
+
+def _low_rank(rng, rows, cols, rank):
+    """A rows x cols rational matrix of rank at most the given one."""
+    if rank == 0 or not rows or not cols:
+        return RationalMatrix.zeros(rows, cols)
+    scalars = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(-3, 2)]
+    left = RationalMatrix.from_rows([[rng.choice(scalars) for _ in range(rank)] for _ in range(rows)])
+    right = RationalMatrix.from_rows([[rng.choice(scalars) for _ in range(cols)] for _ in range(rank)])
+    return left @ right
+
+
+def test_kernel_to_cokernel_matches_solve_oracle():
+    """Reading cokernel coordinates off the RREF basis of im(r) gives the same
+    map and verdict as one solve per kernel vector, for r = 0, rank-deficient
+    and full-rank r."""
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        r_cols, g_rows = rng.randint(0, 7), rng.randint(0, 7)
+        r = _low_rank(rng, n, r_cols, rng.randint(0, min(n, r_cols)))
+        g = _low_rank(rng, g_rows, n, rng.randint(0, min(n, g_rows)))
+        kinds.add("zero" if r.is_zero() else "full" if rank(r) == min(n, r_cols) else "deficient")
+        assert _kernel_to_cokernel(g, r) == solve_kernel_to_cokernel(g, r)
+    assert kinds == {"zero", "deficient", "full"}
