@@ -12,12 +12,11 @@ choice among many.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import SampleInconsistent, SeparationFailure
 from .cones import KIndexMap, RelationData, _relation_data, k_index_map
 from .filtrations import IndexSet, NilpotentCone, index_set
-from .linalg import RationalMatrix, _primitive_integer, integer_kernel, vec
+from .linalg import RationalMatrix, _primitive_integer, dot, integer_kernel, vec
 
 FIBER_TOL = 1e-9  # sup norm below which a sampled derivative counts as zero
 
@@ -182,10 +181,7 @@ def fiber_tangency(mmap: MonomialMap, a, t) -> bool:
     for j in range(mmap.ambient):
         if (j + 1) not in mmap.support and abs(complex(t[j])) == 0.0:
             raise ValueError(f"t_{j + 1} must be nonzero off the stratum")
-    return all(
-        sum((ai * ci for ai, ci in zip(a, row)), Fraction(0)) == 0
-        for row in mmap.exponents
-    )
+    return all(dot(a, row) == 0 for row in mmap.exponents)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,9 @@ from .filtrations import (
     index_set,
     weight_filtration,
 )
-from .linalg import Q, RationalMatrix, Subspace, _kernel_rows, _primitive_integer, dot, kernel, vec
+from .linalg import (
+    Rational, RationalMatrix, Subspace, _exact, _kernel_rows, _primitive_integer, dot, kernel, vec,
+)
 
 MAX_GENERATORS = 12
 
@@ -94,11 +96,11 @@ class FarkasAlternative:
     """Either a nonnegative solution x of Ax = b, or a certificate y with
     A^T y >= 0 and y.b < 0.  Exactly one of the two is set."""
 
-    solution: tuple[Fraction, ...] | None
-    certificate: tuple[Fraction, ...] | None
+    solution: tuple[Rational, ...] | None
+    certificate: tuple[Rational, ...] | None
 
 
-def _phase_one(a_rows: list[list[Fraction]], b: list[Fraction], n: int):
+def _phase_one(a_rows: list[list[Rational]], b: list[Rational], n: int):
     """Exact phase-one simplex for {x >= 0 : Ax = b}.
 
     Returns (value, x, y): value is the artificial optimum (0 iff feasible),
@@ -150,14 +152,14 @@ def _phase_one(a_rows: list[list[Fraction]], b: list[Fraction], n: int):
         den = piv
         basis[best] = enter
 
-    value = Fraction(sum(tab[i][-1] for i in range(m) if basis[i] >= n), den)
-    x = [Q(0)] * n
+    value = _exact(Fraction(sum(tab[i][-1] for i in range(m) if basis[i] >= n), den))
+    x = [0] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = Fraction(tab[i][-1], den)
+            x[basis[i]] = _exact(Fraction(tab[i][-1], den))
     # Multipliers for the normalized system: y_i = 1 - reduced cost of the
     # i-th artificial column; undo the sign normalization afterwards.
-    y = [Fraction(den - obj[n + i], den if b[i] >= 0 else -den) for i in range(m)]
+    y = [_exact(Fraction(den - obj[n + i], den if b[i] >= 0 else -den)) for i in range(m)]
     return value, tuple(x), tuple(y)
 
 
@@ -177,33 +179,33 @@ class FarkasSplit:
     """The unique support subset K of Lemma-2.8 type for a subspace S."""
 
     support: IndexSet  # 1-based positions where the S-side witness is positive
-    witness: tuple[Fraction, ...]  # v in S, nonnegative, support exactly K
-    cowitness: tuple[Fraction, ...]  # v~ in S^perp, nonnegative, support K^c
+    witness: tuple[Rational, ...]  # v in S, nonnegative, support exactly K
+    cowitness: tuple[Rational, ...]  # v~ in S^perp, nonnegative, support K^c
 
 
 def farkas_split(s: Subspace) -> FarkasSplit:
     k = s.ambient_dim
     mu = s.orthogonal_complement().basis
     ns = mu.rows
-    b = [Q(0)] * ns + [Q(1)]
+    b = [0] * ns + [1]
     support: list[int] = []
-    v = [Q(0)] * k
-    v_tilde = [Q(0)] * k
+    v = [0] * k
+    v_tilde = [0] * k
     for i in range(k):
-        e_i = [Q(0)] * k
-        e_i[i] = Q(1)
+        e_i = [0] * k
+        e_i[i] = 1
         a_i = RationalMatrix.from_rows(list(mu.entries) + [e_i], cols=k)
         res = farkas_alternative(a_i, b)
         if res.solution is not None:
             support.append(i + 1)
-            v = [a + c for a, c in zip(v, res.solution)]
+            v = [_exact(a + c) for a, c in zip(v, res.solution)]
         else:
             y = res.certificate
-            x_tilde = [Q(0)] * k
+            x_tilde = [0] * k
             for coef, row in zip(y[:ns], mu.entries):
                 if coef:
-                    x_tilde = [a + coef * c for a, c in zip(x_tilde, row)]
-            v_tilde = [a + c for a, c in zip(v_tilde, x_tilde)]
+                    x_tilde = [_exact(a + coef * c) for a, c in zip(x_tilde, row)]
+            v_tilde = [_exact(a + c) for a, c in zip(v_tilde, x_tilde)]
     return FarkasSplit(tuple(support), tuple(v), tuple(v_tilde))
 
 
@@ -245,7 +247,7 @@ def _positive_basis(s: Subspace, split: FarkasSplit) -> RationalMatrix:
             continue
         need = max(
             (Fraction(1 - hrow[i], cert[i]) for i in off if hrow[i] < 1),
-            default=Q(0),
+            default=0,
         )
         shift = max(0, -(-need.numerator // need.denominator))  # ceil
         rows.append([int(x) + shift * c for x, c in zip(hrow, cert)])
@@ -260,8 +262,8 @@ class RelationData:
     space: Subspace
     support: IndexSet  # K_I
     basis: RationalMatrix  # positive integer basis of S_I^perp
-    witness: tuple[Fraction, ...]
-    cowitness: tuple[Fraction, ...]
+    witness: tuple[Rational, ...]
+    cowitness: tuple[Rational, ...]
 
 
 def relation_data(cone: NilpotentCone, index) -> RelationData:

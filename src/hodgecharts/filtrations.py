@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFiltrationCompatible, NotNilpotent
-from .linalg import Q, RationalMatrix, Subspace, _kernel_rows, dot, kernel, solve, vec
+from .linalg import RationalMatrix, Subspace, _kernel_rows, dot, kernel, solve, vec
 
 IndexSet = tuple[int, ...]
 
@@ -142,7 +142,7 @@ class NilpotentCone:
         generators = tuple(generators)
         if form.rows != dim or form.cols != dim:
             raise ValueError("form must be dim x dim")
-        sign = Q(1) if weight % 2 == 0 else Q(-1)
+        sign = 1 if weight % 2 == 0 else -1
         if form.transpose() != form.scale(sign):
             kind = "symmetric" if weight % 2 == 0 else "alternating"
             raise ValueError(f"form must be {kind} for weight {weight}")
@@ -309,10 +309,7 @@ def primitive_subspace(cone: NilpotentCone, index, a: int) -> PrimitivePiece:
     mat = maps[level]
     ker = kernel(mat)
     reprs = [
-        tuple(
-            sum((c * x for c, x in zip(coords, col)), Q(0))
-            for col in zip(*piece.representatives.entries)
-        )
+        tuple(dot(coords, col) for col in zip(*piece.representatives.entries))
         for coords in ker.basis.entries
     ] if piece.dimension else []
     return PrimitivePiece(
@@ -329,7 +326,7 @@ def polarization_form(cone: NilpotentCone, index, a: int) -> RationalMatrix:
         row = []
         for v in prim.representatives.entries:
             nv = n_pow.mul_vec(v)
-            row.append(sum((x * y for x, y in zip(u, cone.form.mul_vec(nv))), Q(0)))
+            row.append(dot(u, cone.form.mul_vec(nv)))
         rows.append(row)
     return RationalMatrix.from_rows(rows, cols=prim.representatives.rows)
 

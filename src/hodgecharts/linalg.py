@@ -1,9 +1,12 @@
 """Exact rational linear algebra and integer-lattice utilities.
 
-All vectors are row vectors of fractions.Fraction; matrices are immutable,
-dense, row-major.  Subspaces of Q^n are canonicalized as reduced row echelon
-bases, so subspace equality is syntactic equality of bases.  Integer lattices
-are canonicalized by row-style Hermite normal form.
+All vectors are row vectors of exact rationals, and one scalar invariant holds
+throughout: a value is a Python int when it is integral and a
+fractions.Fraction only when it is not, so integral data stays in integer
+arithmetic (2 == Fraction(2), with equal hashes and equal str).  Matrices are
+immutable, dense, row-major.  Subspaces of Q^n are canonicalized as reduced
+row echelon bases, so subspace equality is syntactic equality of bases.
+Integer lattices are canonicalized by row-style Hermite normal form.
 """
 
 from __future__ import annotations
@@ -13,33 +16,34 @@ from math import gcd, lcm
 
 from .errors import NotInvariant
 
-Q = Fraction
+Rational = int | Fraction
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _exact(x: Rational) -> Rational:
+    """x as an int when it is integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _frac(x) -> Rational:
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to a rational")
+        x = Fraction(x)
+    elif not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot coerce {x!r} to a rational")
+    return _exact(x)
 
 
-def vec(values) -> tuple[Fraction, ...]:
-    return tuple(_frac(x) for x in values)
+def vec(values) -> tuple[Rational, ...]:
+    return tuple(map(_frac, values))
 
 
-_ZERO = Q(0)
-_ONE = Q(1)
-
-
-def dot(u, v) -> Fraction:
-    total = _ZERO
+def dot(u, v) -> Rational:
+    total = 0
     for a, b in zip(u, v, strict=True):
         if a and b:  # skipping zero factors saves most Fraction arithmetic
             total += a * b
-    return total
+    return total if type(total) is int else _exact(total)
 
 
 class RationalMatrix:
@@ -47,7 +51,7 @@ class RationalMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: tuple[tuple[Fraction, ...], ...]):
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[Rational, ...], ...]):
         self.rows = rows
         self.cols = cols
         self.entries = entries
@@ -59,6 +63,8 @@ class RationalMatrix:
             ncols = len(data[0])
             if any(len(r) != ncols for r in data):
                 raise ValueError("ragged rows")
+            if cols is not None and cols != ncols:
+                raise ValueError(f"rows have {ncols} entries, not the stated {cols}")
         else:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
@@ -67,11 +73,11 @@ class RationalMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, tuple((Q(0),) * cols for _ in range(rows)))
+        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        rows = tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
+        rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
         return cls(n, n, rows)
 
     def __eq__(self, other) -> bool:
@@ -89,10 +95,10 @@ class RationalMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[Rational, ...]:
         return self.entries[i]
 
-    def col(self, j: int) -> tuple[Fraction, ...]:
+    def col(self, j: int) -> tuple[Rational, ...]:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "RationalMatrix":
@@ -104,22 +110,29 @@ class RationalMatrix:
         return RationalMatrix(
             self.rows,
             self.cols,
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries)),
+            tuple(
+                tuple(_exact(a + b) for a, b in zip(r, s))
+                for r, s in zip(self.entries, other.entries)
+            ),
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return RationalMatrix(
             self.rows,
             self.cols,
-            tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries)),
+            tuple(
+                tuple(_exact(a - b) for a, b in zip(r, s))
+                for r, s in zip(self.entries, other.entries)
+            ),
         )
 
     def __neg__(self) -> "RationalMatrix":
-        return self.scale(Q(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "RationalMatrix":
         c = _frac(c)
-        return RationalMatrix(self.rows, self.cols, tuple(tuple(c * a for a in r) for r in self.entries))
+        rows = tuple(tuple(_exact(c * a) for a in r) for r in self.entries)
+        return RationalMatrix(self.rows, self.cols, rows)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -133,7 +146,7 @@ class RationalMatrix:
             tuple(tuple(dot(r, c) for c in cols) for r in self.entries),
         )
 
-    def mul_vec(self, v) -> tuple[Fraction, ...]:
+    def mul_vec(self, v) -> tuple[Rational, ...]:
         """M v with v a column vector, returned as a flat tuple."""
         v = vec(v)
         return tuple(dot(r, v) for r in self.entries)
@@ -149,7 +162,7 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.entries for x in r)
 
-    def flatten(self) -> tuple[Fraction, ...]:
+    def flatten(self) -> tuple[Rational, ...]:
         return tuple(x for r in self.entries for x in r)
 
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -168,12 +181,13 @@ class RationalMatrix:
             if pivot is None:
                 continue
             m[r], m[pivot] = m[pivot], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv if x else x for x in m[r]]
+            if m[r][c] != 1:
+                inv = Fraction(1, m[r][c])  # never 1 / p: on ints that is a float
+                m[r] = [_exact(x * inv) if x else x for x in m[r]]
             for i in range(nrows):
                 if i != r and m[i][c] != 0:
                     f = m[i][c]
-                    m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+                    m[i] = [_exact(a - f * b) if b else a for a, b in zip(m[i], m[r])]
             pivots.append(c)
             r += 1
             if r == nrows:
@@ -253,7 +267,7 @@ class Subspace:
         """Orthogonal complement for the standard inner product on Q^n."""
         return kernel(self.basis) if self.dim else Subspace.full(self.ambient_dim)
 
-    def coordinates_of(self, v) -> tuple[Fraction, ...] | None:
+    def coordinates_of(self, v) -> tuple[Rational, ...] | None:
         """Coefficients of v in this basis, or None if v is outside."""
         return solve(self.basis.transpose(), v)
 
@@ -267,7 +281,7 @@ def kernel(m: RationalMatrix) -> Subspace:
     return Subspace.from_vectors(m.cols, _kernel_rows(m)[0])
 
 
-def _kernel_rows(m: RationalMatrix) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+def _kernel_rows(m: RationalMatrix) -> tuple[list[list[Rational]], tuple[int, ...]]:
     """A basis of {v : M v^T = 0}, one row per free column of rref(M) and not
     in echelon form, together with the pivot columns of M."""
     red, pivots = m.rref()
@@ -275,8 +289,8 @@ def _kernel_rows(m: RationalMatrix) -> tuple[list[list[Fraction]], tuple[int, ..
     for f in range(m.cols):
         if f in pivots:
             continue
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
+        v = [0] * m.cols
+        v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -red.entries[i][f]
         rows.append(v)
@@ -288,7 +302,7 @@ def image(m: RationalMatrix) -> Subspace:
     return Subspace.from_vectors(m.rows, tuple(zip(*m.entries)) if m.rows and m.cols else ())
 
 
-def solve(m: RationalMatrix, b) -> tuple[Fraction, ...] | None:
+def solve(m: RationalMatrix, b) -> tuple[Rational, ...] | None:
     """One exact solution x of M x = b, or None if the system is inconsistent."""
     b = vec(b)
     if len(b) != m.rows:
@@ -297,7 +311,7 @@ def solve(m: RationalMatrix, b) -> tuple[Fraction, ...] | None:
     red, pivots = aug.rref()
     if m.cols in pivots:
         return None
-    x = [Q(0)] * m.cols
+    x = [0] * m.cols
     for i, p in enumerate(pivots):
         x[p] = red.entries[i][m.cols]
     return tuple(x)

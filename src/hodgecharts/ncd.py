@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import Disconnected, IncidenceError, NotAComplex
-from .linalg import Q, RationalMatrix, dot, image, kernel, rank
+from .linalg import RationalMatrix, _exact, dot, image, kernel, rank
 
 
 @dataclass(frozen=True)
@@ -149,18 +149,18 @@ def build_weight_complexes(surface: NCDSurface) -> WeightComplexes:
 
     r1_rows = []
     for c in curves:
-        row = [Q(0)] * n1
-        row[order[c.ends[0]]] = Q(1)
-        row[order[c.ends[1]]] = Q(-1)
+        row = [0] * n1
+        row[order[c.ends[0]]] = 1
+        row[order[c.ends[1]]] = -1
         r1_rows.append(row)
     r1 = RationalMatrix.from_rows(r1_rows, cols=n1)
 
     r2_rows = []
     for t in triples:
-        row = [Q(0)] * n2
+        row = [0] * n2
         pairs = ((t.ends[0], t.ends[1]), (t.ends[0], t.ends[2]), (t.ends[1], t.ends[2]))
         for pos, pair in enumerate(pairs):
-            row[surface.pair_index[pair]] = Q(_cech_sign(pos))
+            row[surface.pair_index[pair]] = _cech_sign(pos)
         r2_rows.append(row)
     r2 = RationalMatrix.from_rows(r2_rows, cols=n2)
 
@@ -174,11 +174,11 @@ def build_weight_complexes(surface: NCDSurface) -> WeightComplexes:
         offset += comp.h[2]
     h2_dim = offset
 
-    g_mid_rows = [[Q(0)] * n2 for _ in range(h2_dim)]
+    g_mid_rows = [[0] * n2 for _ in range(h2_dim)]
     for ci, c in enumerate(curves):
         for end, sign in zip(c.ends, (1, -1)):
             off, on_comp, _ = h2_layout[end]
-            g_mid_rows[off + on_comp.index(ci)][ci] = Q(sign)
+            g_mid_rows[off + on_comp.index(ci)][ci] = sign
     g_mid = RationalMatrix.from_rows(g_mid_rows, cols=n2)
 
     def curve_product(comp_name: str, ci: int, cj: int) -> int:
@@ -188,14 +188,12 @@ def build_weight_complexes(surface: NCDSurface) -> WeightComplexes:
         members = set(curves[ci].ends) | set(curves[cj].ends)
         return sum(1 for t in triples if members <= set(t.ends))
 
-    r_mid_rows = [[Q(0)] * h2_dim for _ in range(n2)]
+    r_mid_rows = [[0] * h2_dim for _ in range(n2)]
     for target_ci, c in enumerate(curves):
         for end, sign in zip(c.ends, (1, -1)):
             off, on_comp, _ = h2_layout[end]
             for slot, source_ci in enumerate(on_comp):
-                r_mid_rows[target_ci][off + slot] = Q(
-                    sign * curve_product(end, source_ci, target_ci)
-                )
+                r_mid_rows[target_ci][off + slot] = sign * curve_product(end, source_ci, target_ci)
     r_mid = RationalMatrix.from_rows(r_mid_rows, cols=h2_dim)
 
     h1_x1 = sum(comp.h[1] for comp in comps)
@@ -286,7 +284,7 @@ def _kernel_to_cokernel(g: RationalMatrix, r: RationalMatrix):
     cols = []
     for v in ker.basis.entries:
         at_pivots = [v[p] for p in pivots]
-        cols.append(tuple(v[f] - dot(at_pivots, c) for f, c in zip(free, free_cols)))
+        cols.append(tuple(_exact(v[f] - dot(at_pivots, c)) for f, c in zip(free, free_cols)))
     rows = tuple(zip(*cols)) if cols else tuple(() for _ in free)
     mat = RationalMatrix(len(free), ker.dim, rows)
     iso = ker.dim == len(free) and rank(mat) == ker.dim

@@ -3,17 +3,16 @@
 A curvature triple is a trilinear map A : T (x) W -> U together with a
 positive metric on U; when a bundle's curvature has the shape
 Theta(e, xi) = |A(xi) e|^2 its positivity is governed by the linear algebra
-of A.  Everything here runs over exact rationals by default (rank is brittle
-in floats); float inputs are accepted and handled with a tolerance.
+of A.  Everything here runs over exact rationals (rank is brittle in floats):
+entries are ints, Fractions or "p/q" strings, as for linalg.vec.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import Q, RationalMatrix, rank, vec
+from .linalg import Rational, RationalMatrix, _exact, dot, rank, vec
 
 
 class CurvatureTriple:
@@ -21,11 +20,7 @@ class CurvatureTriple:
 
     def __init__(self, dim_t: int, dim_w: int, dim_u: int, entries,
                  metric: RationalMatrix | None = None):
-        entries = tuple(
-            tuple(tuple(Fraction(x) if not isinstance(x, Fraction) else x for x in row)
-                  for row in sl)
-            for sl in entries
-        )
+        entries = tuple(tuple(vec(row) for row in sl) for sl in entries)
         if len(entries) != dim_t or any(
             len(sl) != dim_w or any(len(r) != dim_u for r in sl) for sl in entries
         ):
@@ -40,10 +35,10 @@ class CurvatureTriple:
         self.entries = entries
         self.metric = metric
 
-    def apply(self, xi, e) -> tuple[Fraction, ...]:
+    def apply(self, xi, e) -> tuple[Rational, ...]:
         """A(xi) e in U."""
         xi, e = vec(xi), vec(e)
-        out = [Q(0)] * self.dim_u
+        out = [0] * self.dim_u
         for s, x in enumerate(xi):
             if not x:
                 continue
@@ -53,14 +48,14 @@ class CurvatureTriple:
                 row = self.entries[s][i]
                 for j in range(self.dim_u):
                     out[j] += x * ei * row[j]
-        return tuple(out)
+        return vec(out)
 
     def slice_matrix(self, e) -> RationalMatrix:
         """The map xi -> A(xi) e as a dim_t x dim_u matrix of rows."""
         e = vec(e)
         rows = []
         for s in range(self.dim_t):
-            row = [Q(0)] * self.dim_u
+            row = [0] * self.dim_u
             for i, ei in enumerate(e):
                 if not ei:
                     continue
@@ -69,17 +64,15 @@ class CurvatureTriple:
             rows.append(row)
         return RationalMatrix.from_rows(rows, cols=self.dim_u)
 
-    def norm_sq(self, u) -> Fraction:
+    def norm_sq(self, u) -> Rational:
         u = vec(u)
-        return sum(
-            (a * b for a, b in zip(u, self.metric.mul_vec(u))), Q(0)
-        )
+        return dot(u, self.metric.mul_vec(u))
 
 
 @dataclass(frozen=True)
 class CurvatureIdentity:
-    lhs: Fraction
-    rhs: Fraction
+    lhs: Rational
+    rhs: Rational
     match: bool
 
 
@@ -91,8 +84,8 @@ def curvature_identity_check(triple: CurvatureTriple, e, xi) -> CurvatureIdentit
     applies A first.  Exact equality is the curvature-shape identity.
     """
     e, xi = vec(e), vec(xi)
-    lhs = Q(0)
-    images = [triple.apply([Q(int(s == i)) for i in range(triple.dim_t)], e)
+    lhs = 0
+    images = [triple.apply([int(s == i) for i in range(triple.dim_t)], e)
               for s in range(triple.dim_t)]
     for s in range(triple.dim_t):
         if not xi[s]:
@@ -101,11 +94,9 @@ def curvature_identity_check(triple: CurvatureTriple, e, xi) -> CurvatureIdentit
         for t in range(triple.dim_t):
             if not xi[t]:
                 continue
-            lhs += xi[s] * xi[t] * sum(
-                (a * b for a, b in zip(images[t], gs)), Q(0)
-            )
+            lhs += xi[s] * xi[t] * dot(images[t], gs)
     rhs = triple.norm_sq(triple.apply(xi, e))
-    return CurvatureIdentity(lhs, rhs, lhs == rhs)
+    return CurvatureIdentity(_exact(lhs), rhs, lhs == rhs)
 
 
 def numerical_dimension(triple: CurvatureTriple, samples: int = 20, seed: int = 0):
@@ -116,7 +107,7 @@ def numerical_dimension(triple: CurvatureTriple, samples: int = 20, seed: int = 
     rng = random.Random(seed)
     rho = 0
     for _ in range(samples):
-        e = [Q(rng.randint(-5, 5)) for _ in range(triple.dim_w)]
+        e = [rng.randint(-5, 5) for _ in range(triple.dim_w)]
         rho = max(rho, rank(triple.slice_matrix(e)))
     return rho, triple.dim_w - 1 + rho
 
@@ -143,9 +134,9 @@ def sigma_weight1(q_form: RationalMatrix) -> SigmaReport:
     pairs = _sym_basis(m)
     cols = []
     for (i, j) in pairs:
-        s = [[Q(0)] * m for _ in range(m)]
-        s[i][j] += Q(1)
-        s[j][i] += Q(1)
+        s = [[0] * m for _ in range(m)]
+        s[i][j] += 1
+        s[j][i] += 1
         prod = q_form @ RationalMatrix.from_rows(s, cols=m)
         cols.append(prod.flatten())
     rows = tuple(zip(*cols))
@@ -170,7 +161,7 @@ def sigma_weight2(triple: CurvatureTriple, q_form: RationalMatrix) -> SigmaRepor
         raise ValueError("A must be injective as a map T -> Hom(W, U)")
     cols = []
     for s in range(triple.dim_t):
-        out = [[Q(0)] * triple.dim_u for _ in range(triple.dim_w)]
+        out = [[0] * triple.dim_u for _ in range(triple.dim_w)]
         for i in range(triple.dim_w):
             for ip in range(triple.dim_w):
                 c = q_form.entries[i][ip]
@@ -178,7 +169,7 @@ def sigma_weight2(triple: CurvatureTriple, q_form: RationalMatrix) -> SigmaRepor
                     continue
                 for j in range(triple.dim_u):
                     out[i][j] += c * triple.entries[s][ip][j]
-        cols.append([x for row in out for x in row])
+        cols.append([_exact(x) for row in out for x in row])
     rows = tuple(zip(*cols))
     mat = RationalMatrix(
         triple.dim_w * triple.dim_u, triple.dim_t, tuple(tuple(r) for r in rows)

@@ -19,12 +19,12 @@ from sys import float_info
 
 from .errors import ConeTooLarge, HodgeChartsError, NotInDomain, SchemaError
 from .filtrations import NilpotentCone
-from .linalg import RationalMatrix
+from .linalg import Rational, RationalMatrix, _exact
 from .ncd import DoubleCurve, NCDSurface, SurfacePiece, TriplePoint
 from .positivity import CurvatureTriple
 
 
-def rational_to_json(x: Fraction) -> str:
+def rational_to_json(x: Rational) -> str:
     return str(x)
 
 
@@ -47,16 +47,17 @@ MAX_LMHS_DIM = 200
 MAX_NDIM_SAMPLES = 1000
 
 
-def _rational_from_json(x, what: str) -> Fraction:
-    """An integer JSON literal, or a string "p/q" or "p".  The grammar is
-    checked first: Fraction would also expand "1e300000" exactly."""
+def _rational_from_json(x, what: str) -> Rational:
+    """An integer JSON literal, or a string "p/q" or "p"; an int when it is
+    integral.  The grammar is checked first: Fraction would also expand
+    "1e300000" exactly."""
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
         if not _RATIONAL_RE.fullmatch(x):
             raise SchemaError(f"{what}: bad rational literal {x!r}")
         try:
-            return Fraction(x)
+            return int(x) if "/" not in x else _exact(Fraction(x))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{what}: bad rational literal {x!r}") from exc
     raise SchemaError(f"{what} must be a rational, not {x!r}")

@@ -7,9 +7,10 @@ relation spaces and adjoint membership are recomputed from W(ad N_I) on the
 isometry algebra, which the library never builds.  The relation table is
 rebuilt index set by index set, without the memo on W(N_I).  The library's
 earlier weight filtration (one kernel, image and intersection per piece),
-phase-one simplex (a Fraction tableau) and lmhs cokernel map (one solve per
-kernel vector) are kept here verbatim as references for the
-elimination-sparing, integer-pivoting and direct versions.
+phase-one simplex (a Fraction tableau), lmhs cokernel map (one solve per
+kernel vector) and all-Fraction elimination are kept here verbatim as
+references for the elimination-sparing, integer-pivoting, direct and
+int-when-integral versions.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from hodgecharts.filtrations import (
     index_set,
     weight_filtration,
 )
-from hodgecharts.linalg import Q, RationalMatrix, Subspace, image, kernel, rank, solve, vec
+from hodgecharts.linalg import RationalMatrix, Subspace, image, kernel, rank, solve, vec
+
+Q = Fraction
 
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin feasibility for systems  sum c_i x_i + d >= 0.
@@ -415,6 +418,48 @@ def fraction_phase_one(a_rows: list[list[Fraction]], b: list[Fraction], n: int):
     y = [signs[i] * (Q(1) - obj[n + i]) for i in range(m)]
     return value, tuple(x), tuple(y)
 
+
+
+# ---------------------------------------------------------------------------
+# Elimination over a Fraction matrix, and the scalar invariant it is checked by.
+
+
+def fraction_rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and its pivot columns, every entry a Fraction."""
+    m = [[Fraction(x) for x in r] for r in matrix.entries]
+    nrows, ncols = matrix.rows, matrix.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv if x else x for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return RationalMatrix(nrows, ncols, tuple(tuple(row) for row in m)), tuple(pivots)
+
+
+def inexact_values(values) -> list:
+    """The scalars in a nest of tuples, lists, matrices and subspaces that break
+    the exact core's invariant: each value an int when integral, a Fraction
+    otherwise, and never a float (or a bool)."""
+    if isinstance(values, Subspace):
+        values = values.basis
+    if isinstance(values, RationalMatrix):
+        values = values.entries
+    if isinstance(values, (tuple, list)):
+        return [bad for v in values for bad in inexact_values(v)]
+    exact = type(values) is int or (type(values) is Fraction and values.denominator != 1)
+    return [] if exact else [values]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .oracles import (
     adjoint_relation_space,
     farkas_branch_infeasible,
     fraction_phase_one,
+    inexact_values,
     split_supports,
     unkeyed_k_index_map,
 )
@@ -455,3 +456,42 @@ def test_k_map_closure_laws_on_polarized_cones():
             for larger, larger_support in table.items():
                 if set(index) <= set(larger):
                     assert set(support) <= set(larger_support), (index, larger)
+
+
+def _atlas_summary(cone):
+    from hodgecharts.charts import build_atlas
+
+    atlas = build_atlas(cone)
+    km = atlas.k_map
+    held = [(d.space, d.basis, d.witness, d.cowitness) for d in atlas.relation_table.values()]
+    assert not inexact_values(held)
+    return (
+        list(km.table.items()), km.image, km.strata, [c.exponents for c in atlas.charts],
+        atlas.relations(), atlas.certificate_chart(),
+    )
+
+
+def test_atlas_unchanged_by_non_integral_rescaling_and_conjugation():
+    """W(cN) = W(N) and W(g N g^-1) = g W(N) leave every S_I, and so the whole
+    atlas, unchanged: scaling the generators by 2/3, or conjugating them by the
+    non-unimodular isometry diag(D, D^-1) of sp(2g), drives non-integral
+    values through the atlas path and must give the same table, image,
+    strata, chart exponents, relations and certificate chart."""
+    rng = random.Random(SEED + 6)
+    abelian = (_random_abelian_cone(rng, g, k) for g, k in ((2, 3), (3, 3), (3, 4)))
+    for cone in (*_graphic_cones(rng), *abelian):
+        d = [Fraction(2), Fraction(1, 3), Fraction(5, 2)][: cone.dim // 2]
+        iso, iso_inv = (
+            RationalMatrix.from_rows(
+                [[x if i == j else 0 for j in range(cone.dim)] for i, x in enumerate(diag)]
+            )
+            for diag in (d + [1 / x for x in d], [1 / x for x in d] + d)
+        )
+        scaled = [n.scale(Fraction(2, 3)) for n in cone.generators]
+        conjugated = [iso @ n @ iso_inv for n in cone.generators]
+        assert (iso.transpose() @ cone.form @ iso) == cone.form
+        expected = _atlas_summary(cone)
+        for gens in (scaled, conjugated):
+            assert any(type(x) is Fraction for n in gens for x in n.flatten())
+            other = NilpotentCone(cone.dim, cone.weight, cone.form, gens)
+            assert _atlas_summary(other) == expected

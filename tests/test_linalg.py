@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from hodgecharts.cones import _phase_one
 from hodgecharts.errors import NotInvariant
+from hodgecharts.filtrations import weight_filtration
 from hodgecharts.linalg import (
     RationalMatrix,
     Subspace,
+    _kernel_rows,
+    dot,
     hnf_rows,
     image,
     integer_kernel,
@@ -16,6 +20,14 @@ from hodgecharts.linalg import (
     rank,
     restrict_map,
     solve,
+)
+
+from .oracles import (
+    filtration_satisfies_defining_properties,
+    fraction_phase_one,
+    fraction_rref,
+    inexact_values,
+    random_nilpotent,
 )
 
 SEED = 20240811
@@ -58,6 +70,98 @@ def test_solve_roundtrip():
     x = solve(m, [5, 6])
     assert m.mul_vec(x) == (Fraction(5), Fraction(6))
     assert solve(RationalMatrix.from_rows([[1, 1], [1, 1]]), [0, 1]) is None
+
+
+def test_from_rows_rejects_a_wrong_stated_column_count():
+    with pytest.raises(ValueError, match="stated 5"):
+        RationalMatrix.from_rows([[1, 2, 3]], cols=5)
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(5, [[1, 2, 3]])
+    assert RationalMatrix.from_rows([[1, 2, 3]], cols=3).cols == 3
+    assert RationalMatrix.from_rows([], cols=5).cols == 5
+
+
+def _mixed(rng):
+    """An int in [-3, 3], or (one time in three) a non-integral Fraction."""
+    if rng.random() < 1 / 3:
+        return Fraction(rng.choice((-7, -5, -1, 1, 5, 7)), rng.choice((2, 3, 4, 6)))
+    return rng.randint(-3, 3)
+
+
+def _mixed_matrix(rng, rows, cols):
+    return RationalMatrix.from_rows([[_mixed(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def _mixed_matrices(rng, count):
+    """Seeded matrices of every shape up to 8 x 9 that mix ints with
+    non-integral Fractions: dense draws (mostly full rank), products through a
+    thinner middle (rank deficient) and zero matrices."""
+    for trial in range(count):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 9)
+        if trial % 5 == 4:
+            yield RationalMatrix.zeros(rows, cols)
+        elif trial % 5 >= 2:
+            mid = rng.randint(1, max(1, min(rows, cols) - 1))
+            yield _mixed_matrix(rng, rows, mid) @ _mixed_matrix(rng, mid, cols)
+        else:
+            yield _mixed_matrix(rng, rows, cols)
+
+
+def test_rref_matches_fraction_and_sympy_oracles():
+    """Elimination with ints where values are integral gives the all-Fraction
+    elimination's form and pivots, and sympy's."""
+    import sympy
+
+    rng = random.Random(SEED + 6)
+    kinds = {"full": 0, "deficient": 0, "zero": 0}
+    for m in _mixed_matrices(rng, 150):
+        red, pivots = m.rref()
+        assert (red, pivots) == fraction_rref(m)
+        flat = [sympy.Rational(x.numerator, x.denominator) for x in m.flatten()]
+        s_red, s_pivots = sympy.Matrix(m.rows, m.cols, flat).rref()
+        assert pivots == s_pivots
+        assert list(red.flatten()) == [Fraction(int(x.p), int(x.q)) for x in s_red]
+        assert not inexact_values(red)
+        r = len(pivots)
+        kinds["zero" if r == 0 else "full" if r == min(m.rows, m.cols) else "deficient"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_exact_values_are_ints_when_integral():
+    """No float anywhere, and every integral value an int, in the outputs of
+    rref, @, +, mul_vec, dot, _kernel_rows, solve, weight_filtration steps and
+    _phase_one, on inputs that mix ints with non-integral Fractions."""
+    half = RationalMatrix.from_rows([["1/2", "3/2"]])
+    assert [type(x) for x in (half + half).flatten()] == [int, int]
+    assert [type(x) for x in (half.transpose() @ half.scale(4)).flatten()] == [int] * 4
+    assert type(dot(half.row(0), [2, Fraction(2, 3)])) is int
+    rng = random.Random(SEED + 7)
+    for m in _mixed_matrices(rng, 100):
+        v = [_mixed(rng) for _ in range(m.cols)]
+        outputs = [
+            m.rref()[0], m @ m.transpose(), m + m.scale(Fraction(1, 3)), m.mul_vec(v),
+            dot(v, v), _kernel_rows(m)[0], solve(m, m.mul_vec(v)),
+        ]
+        assert not inexact_values(outputs)
+    for dim in range(2, 7):
+        d = [Fraction(_mixed(rng) or 1) for _ in range(dim)]
+        diag, diag_inv = (
+            RationalMatrix.from_rows(
+                [[x if i == j else 0 for j in range(dim)] for i, x in enumerate(xs)]
+            )
+            for xs in (d, [1 / x for x in d])
+        )
+        n = diag @ random_nilpotent(rng, dim).scale(Fraction(2, 3)) @ diag_inv
+        w = weight_filtration(n, 1)
+        assert filtration_satisfies_defining_properties(n, w)
+        assert not inexact_values([w.step(level) for level in w.levels()])
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        a = [[_mixed(rng) for _ in range(ncols)] for _ in range(nrows)]
+        b = [_mixed(rng) for _ in range(nrows)]
+        got = _phase_one(a, b, ncols)
+        assert not inexact_values(list(got))
+        assert got == fraction_phase_one(a, b, ncols)
 
 
 def test_orthogonal_complement_examples():
