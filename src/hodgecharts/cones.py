@@ -31,7 +31,8 @@ from .filtrations import (
     weight_filtration,
 )
 from .linalg import (
-    Rational, RationalMatrix, Subspace, _exact, _kernel_rows, _primitive_integer, dot, kernel, vec,
+    Rational, RationalMatrix, Subspace, _exact, _kernel_rows, _primitive_integer, dot, kernel,
+    lattice_basis, solve, vec,
 )
 
 MAX_GENERATORS = 12
@@ -77,10 +78,11 @@ def _relation_space_of(cone: NilpotentCone, w: WeightFiltration) -> Subspace:
                 row = tuple(dot(p, y) for y in images)
                 if any(row):
                     rows.append(row)
-        # Any basis of W_l^perp gives conditions with the same kernel.
-        perp_below = _kernel_rows(step.basis)[0]
-        pivots_below = pivots
-    return kernel(RationalMatrix.from_rows(rows, cols=cone.k))
+        if level < w.high:  # W_high = V leaves no condition above it
+            # Any basis of W_l^perp gives conditions with the same kernel.
+            perp_below = _kernel_rows(step.basis)[0]
+            pivots_below = pivots
+    return kernel(RationalMatrix(len(rows), cone.k, tuple(rows)))
 
 
 def _pivot(row) -> int:
@@ -194,7 +196,7 @@ def farkas_split(s: Subspace) -> FarkasSplit:
     for i in range(k):
         e_i = [0] * k
         e_i[i] = 1
-        a_i = RationalMatrix.from_rows(list(mu.entries) + [e_i], cols=k)
+        a_i = RationalMatrix(ns + 1, k, mu.entries + (tuple(e_i),))
         res = farkas_alternative(a_i, b)
         if res.solution is not None:
             support.append(i + 1)
@@ -226,8 +228,6 @@ def positive_basis(s: Subspace, support) -> RationalMatrix:
 
 def _positive_basis(s: Subspace, split: FarkasSplit) -> RationalMatrix:
     """positive_basis for the support of an already computed farkas_split(s)."""
-    from .linalg import lattice_basis, solve
-
     support = split.support
     perp = s.orthogonal_complement()
     k = s.ambient_dim
@@ -298,8 +298,9 @@ def k_index_map(cone: NilpotentCone) -> KIndexMap:
 
     S_I depends on a nonempty I only through W(N_I), and many index sets share
     one filtration, so S_I and its Farkas split are computed once per distinct
-    W (WeightFiltration equality compares the canonical RREF step bases).
-    N_I is built in mask order as N_{I minus max I} + N_{max I}.
+    W (WeightFiltration equality compares the canonical RREF step bases), and
+    W itself once per distinct matrix N_I.  N_I is built in mask order as
+    N_{I minus max I} + N_{max I}.
     """
     if cone.k > MAX_GENERATORS:
         raise ConeTooLarge(f"{cone.k} generators exceed the enumeration cap {MAX_GENERATORS}")
@@ -307,16 +308,20 @@ def k_index_map(cone: NilpotentCone) -> KIndexMap:
     results = {(): (s, farkas_split(s))}
     sums = [RationalMatrix.zeros(cone.dim, cone.dim)]  # N_I by mask
     by_filtration: dict[WeightFiltration, tuple[Subspace, FarkasSplit]] = {}
+    by_matrix: dict[RationalMatrix, tuple[Subspace, FarkasSplit]] = {}
     for mask in range(1, 1 << cone.k):
         top = mask.bit_length() - 1
         rest = mask ^ (1 << top)
         n = sums[rest] + cone.generators[top]
         sums.append(n)
-        w = weight_filtration(n, cone.weight)
-        known = by_filtration.get(w)
+        known = by_matrix.get(n)
         if known is None:
-            s = _relation_space_of(cone, w)
-            known = by_filtration[w] = (s, farkas_split(s))
+            w = weight_filtration(n, cone.weight)
+            known = by_filtration.get(w)
+            if known is None:
+                s = _relation_space_of(cone, w)
+                known = by_filtration[w] = (s, farkas_split(s))
+            by_matrix[n] = known
         results[tuple(i + 1 for i in range(cone.k) if mask >> i & 1)] = known
     table: dict[IndexSet, IndexSet] = {
         index: split.support for index, (_, split) in results.items()

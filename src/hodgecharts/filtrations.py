@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFiltrationCompatible, NotNilpotent
-from .linalg import RationalMatrix, Subspace, _kernel_rows, dot, kernel, solve, vec
+from .linalg import RationalMatrix, Subspace, _kernel_rows, _row_space, dot, kernel, solve, vec
 
 IndexSet = tuple[int, ...]
 
@@ -92,8 +92,10 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
 
     Built from the classical closed form: the step at c+l is the span of all
     ker(N^{i+1}) cap im(N^{i-l}), i >= 0, with nonpositive powers read as the
-    identity.  One elimination of each N^j, 0 < j < d, gives both a basis of
-    ker N^j and the pivot columns P_j, whose columns of N^j span im N^j.
+    identity.  For l >= 0 the pieces with i < l lie in ker N^{l+1}, so the
+    span starts at i = max(0, l), and each piece serves exactly one level.
+    One elimination of each N^j, 0 < j < d, gives both a basis of ker N^j and
+    the pivot columns P_j, whose columns of N^j span im N^j.
     """
     powers = _powers(n)
     d = len(powers) - 1
@@ -105,7 +107,7 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
         kernels[j], pivots = _kernel_rows(powers[j])
         images[j] = pivots, [powers[j].col(p) for p in pivots]
 
-    def piece(i: int, j: int) -> list:
+    def piece(i: int, j: int):
         """Rows spanning ker N^{i+1} cap im N^j, not in echelon form."""
         if j == 0:
             return kernels[i + 1]
@@ -119,19 +121,13 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
         coeffs = _kernel_rows(RationalMatrix(dim, len(pivots), at_pivots))[0]
         return [tuple(dot(c, x) for x in zip(*cols)) for c in coeffs]
 
-    # Pieces are shared by the levels that use them; im N^j = 0 for j >= d.
-    pieces: dict[tuple[int, int], list] = {}
     steps: dict[int, Subspace] = {center + d - 1: Subspace.full(dim)}  # holds ker N^d
     for l in range(-(d - 1), d - 1):
         rows = []
-        for i in range(d):
-            j = max(0, i - l)
-            if j >= d:
-                continue
-            if (i, j) not in pieces:
-                pieces[(i, j)] = piece(i, j)
-            rows.extend(pieces[(i, j)])
-        steps[center + l] = Subspace.from_vectors(dim, rows)
+        for i in range(max(0, l), d):
+            if i - l < d:  # im N^{i-l} = 0 otherwise
+                rows.extend(piece(i, i - l))
+        steps[center + l] = _row_space(RationalMatrix(len(rows), dim, tuple(rows)))
     return WeightFiltration(center, dim, steps)
 
 

@@ -4,8 +4,11 @@ All vectors are row vectors of exact rationals, and one scalar invariant holds
 throughout: a value is a Python int when it is integral and a
 fractions.Fraction only when it is not, so integral data stays in integer
 arithmetic (2 == Fraction(2), with equal hashes and equal str).  Matrices are
-immutable, dense, row-major.  Subspaces of Q^n are canonicalized as reduced
-row echelon bases, so subspace equality is syntactic equality of bases.
+immutable, dense, row-major; a product adds up the rows of B scaled by the
+nonzero entries of A, so zero entries cost nothing.  Subspaces of Q^n are
+canonicalized as reduced row echelon bases, so subspace equality is syntactic
+equality of bases.  A subspace computes its orthogonal complement once and
+links the two, since the complement of the complement is the subspace itself.
 Integer lattices are canonicalized by row-style Hermite normal form.
 """
 
@@ -135,16 +138,18 @@ class RationalMatrix:
         return RationalMatrix(self.rows, self.cols, rows)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        """Row i of AB is the sum of a_ij B_j over the nonzero a_ij."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        if self.cols == 0:
-            return RationalMatrix.zeros(self.rows, other.cols)
-        cols = other.transpose().entries
-        return RationalMatrix(
-            self.rows,
-            other.cols,
-            tuple(tuple(dot(r, c) for c in cols) for r in self.entries),
-        )
+        zero = (0,) * other.cols
+        out = []
+        for r in self.entries:
+            acc = zero
+            for a, b in zip(r, other.entries):
+                if a:
+                    acc = [x + a * y if y else x for x, y in zip(acc, b)]
+            out.append(acc if acc is zero else tuple(map(_exact, acc)))
+        return RationalMatrix(self.rows, other.cols, tuple(out))
 
     def mul_vec(self, v) -> tuple[Rational, ...]:
         """M v with v a column vector, returned as a flat tuple."""
@@ -198,18 +203,18 @@ class RationalMatrix:
 class Subspace:
     """Row-span subspace of Q^n, stored as a reduced row echelon basis."""
 
-    __slots__ = ("ambient_dim", "basis")
+    # _perp holds the orthogonal complement once computed; it is derived data,
+    # so it takes no part in equality or hashing.
+    __slots__ = ("ambient_dim", "basis", "_perp")
 
     def __init__(self, ambient_dim: int, basis: RationalMatrix):
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self._perp = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        m = RationalMatrix.from_rows(vectors, cols=ambient_dim)
-        red, pivots = m.rref()
-        rows = red.entries[: len(pivots)]
-        return cls(ambient_dim, RationalMatrix(len(rows), ambient_dim, rows))
+        return _row_space(RationalMatrix.from_rows(vectors, cols=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -264,8 +269,15 @@ class Subspace:
         return Subspace.from_vectors(self.ambient_dim, rows)
 
     def orthogonal_complement(self) -> "Subspace":
-        """Orthogonal complement for the standard inner product on Q^n."""
-        return kernel(self.basis) if self.dim else Subspace.full(self.ambient_dim)
+        """Orthogonal complement for the standard inner product on Q^n.
+
+        Computed once per subspace.  Both bases are canonical, so the
+        complement's own complement is this very subspace.
+        """
+        if self._perp is None:
+            perp = kernel(self.basis) if self.dim else Subspace.full(self.ambient_dim)
+            perp._perp, self._perp = self, perp
+        return self._perp
 
     def coordinates_of(self, v) -> tuple[Rational, ...] | None:
         """Coefficients of v in this basis, or None if v is outside."""
@@ -276,12 +288,20 @@ def rank(m: RationalMatrix) -> int:
     return len(m.rref()[1])
 
 
+def _row_space(m: RationalMatrix) -> Subspace:
+    """The canonical subspace spanned by the rows of an exact matrix."""
+    red, pivots = m.rref()
+    rows = red.entries[: len(pivots)]
+    return Subspace(m.cols, RationalMatrix(len(rows), m.cols, rows))
+
+
 def kernel(m: RationalMatrix) -> Subspace:
     """Null space {v : M v^T = 0}, as a canonical row-span subspace."""
-    return Subspace.from_vectors(m.cols, _kernel_rows(m)[0])
+    rows = _kernel_rows(m)[0]
+    return _row_space(RationalMatrix(len(rows), m.cols, rows))
 
 
-def _kernel_rows(m: RationalMatrix) -> tuple[list[list[Rational]], tuple[int, ...]]:
+def _kernel_rows(m: RationalMatrix) -> tuple[tuple[tuple[Rational, ...], ...], tuple[int, ...]]:
     """A basis of {v : M v^T = 0}, one row per free column of rref(M) and not
     in echelon form, together with the pivot columns of M."""
     red, pivots = m.rref()
@@ -293,8 +313,8 @@ def _kernel_rows(m: RationalMatrix) -> tuple[list[list[Rational]], tuple[int, ..
         v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -red.entries[i][f]
-        rows.append(v)
-    return rows, pivots
+        rows.append(tuple(v))
+    return tuple(rows), pivots
 
 
 def image(m: RationalMatrix) -> Subspace:

@@ -10,7 +10,8 @@ earlier weight filtration (one kernel, image and intersection per piece),
 phase-one simplex (a Fraction tableau), lmhs cokernel map (one solve per
 kernel vector) and all-Fraction elimination are kept here verbatim as
 references for the elimination-sparing, integer-pivoting, direct and
-int-when-integral versions.
+int-when-integral versions; matrix products are checked against the
+dot-product definition.
 """
 
 from __future__ import annotations
@@ -421,7 +422,8 @@ def fraction_phase_one(a_rows: list[list[Fraction]], b: list[Fraction], n: int):
 
 
 # ---------------------------------------------------------------------------
-# Elimination over a Fraction matrix, and the scalar invariant it is checked by.
+# Elimination and products over Fraction matrices, and the scalar invariant
+# they are checked by.
 
 
 def fraction_rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
@@ -446,6 +448,20 @@ def fraction_rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ..
         if r == nrows:
             break
     return RationalMatrix(nrows, ncols, tuple(tuple(row) for row in m)), tuple(pivots)
+
+
+def dot_product_matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """AB by its definition, entry (i, j) the Fraction dot product of row i of A
+    with column j of B, zeros included."""
+    cols = [tuple(r[j] for r in b.entries) for j in range(b.cols)]
+    return RationalMatrix(
+        a.rows,
+        b.cols,
+        tuple(
+            tuple(sum((Q(x) * y for x, y in zip(r, c)), Q(0)) for c in cols)
+            for r in a.entries
+        ),
+    )
 
 
 def inexact_values(values) -> list:

@@ -420,9 +420,12 @@ def _graphic_cones(rng):
 
 
 def test_k_index_map_matches_unkeyed_path():
-    """Keying S_I and its split by W(N_I) changes no table, image, stratum or
-    split: every index set recomputed with relation_space and farkas_split."""
+    """Keying S_I and its split by W(N_I), and W(N_I) by the matrix N_I,
+    changes no table, image, stratum or split: every index set recomputed with
+    relation_space and farkas_split.  Some cones repeat a matrix N_I, so the
+    memo on N_I is exercised."""
     rng = random.Random(SEED + 3)
+    repeated = 0
     for cone in (*_oracle_cones(), *_graphic_cones(rng)):
         km = k_index_map(cone)
         table, image, strata, splits = unkeyed_k_index_map(cone)
@@ -430,6 +433,9 @@ def test_k_index_map_matches_unkeyed_path():
         assert km.image == image
         assert km.strata == strata
         assert km.splits == {k: splits[k] for k in image}
+        nonempty = [index for index in table if index]
+        repeated += len({cone.n_of(index) for index in nonempty}) < len(nonempty)
+    assert repeated
 
 
 def _polarized_type_cones():

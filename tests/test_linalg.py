@@ -23,6 +23,7 @@ from hodgecharts.linalg import (
 )
 
 from .oracles import (
+    dot_product_matmul,
     filtration_satisfies_defining_properties,
     fraction_phase_one,
     fraction_rref,
@@ -164,6 +165,47 @@ def test_exact_values_are_ints_when_integral():
         assert got == fraction_phase_one(a, b, ncols)
 
 
+def _sparse_mixed_matrix(rng, rows: int, cols: int, axis: int) -> RationalMatrix:
+    """_mixed entries, each zero with probability 0.4, and a random set of the
+    rows (axis 0) or columns (axis 1) zero throughout."""
+    zeroed = {i for i in range(cols if axis else rows) if rng.random() < 0.3}
+    entries = [
+        [
+            0 if (j if axis else i) in zeroed or rng.random() < 0.4 else _mixed(rng)
+            for j in range(cols)
+        ]
+        for i in range(rows)
+    ]
+    return RationalMatrix.from_rows(entries, cols=cols)
+
+
+def test_matmul_matches_dot_product_and_sympy():
+    """The product that skips zero entries of A and B equals the dot-product
+    definition and sympy's product, on shapes down to inner dimension 0 and
+    with zero rows in A and zero columns in B; integral entries are ints."""
+    import sympy
+
+    def to_sympy(m):
+        flat = [sympy.Rational(x.numerator, x.denominator) for x in m.flatten()]
+        return sympy.Matrix(m.rows, m.cols, flat)
+
+    rng = random.Random(SEED + 8)
+    inner_zero = 0
+    for trial in range(200):
+        n, inner, p = (rng.randint(0, 6) for _ in range(3))
+        if trial % 10 == 0:
+            inner = 0
+        inner_zero += inner == 0
+        a, b = _sparse_mixed_matrix(rng, n, inner, 0), _sparse_mixed_matrix(rng, inner, p, 1)
+        got = a @ b
+        assert (got.rows, got.cols) == (n, p)
+        assert got == dot_product_matmul(a, b)
+        want = to_sympy(a) * to_sympy(b)
+        assert list(got.flatten()) == [Fraction(int(x.p), int(x.q)) for x in want]
+        assert not inexact_values(got)
+    assert inner_zero >= 20
+
+
 def test_orthogonal_complement_examples():
     assert Subspace.zero(3).orthogonal_complement() == Subspace.full(3)
     s = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, -1]])
@@ -181,6 +223,34 @@ def test_double_complement_random():
         comp = s.orthogonal_complement()
         assert s.dim + comp.dim == dim
         assert comp.orthogonal_complement() == s
+
+
+def test_orthogonal_complement_is_one_kernel(monkeypatch):
+    """S^perp equals a fresh kernel of the basis for zero, full and random
+    subspaces; it is eliminated once, its own complement is S itself, and
+    neither equality nor hashing sees the stored complement."""
+    rng = random.Random(SEED + 9)
+    spaces = [Subspace.zero(4), Subspace.full(4), Subspace.zero(0)]
+    for _ in range(40):
+        dim = rng.randint(1, 6)
+        vectors = [[_mixed(rng) for _ in range(dim)] for _ in range(rng.randint(0, dim))]
+        spaces.append(Subspace.from_vectors(dim, vectors))
+    calls = []
+    original = RationalMatrix.rref
+    monkeypatch.setattr(RationalMatrix, "rref", lambda m: calls.append(m) or original(m))
+    for s in spaces:
+        twin = Subspace(s.ambient_dim, s.basis)
+        del calls[:]
+        perp = s.orthogonal_complement()
+        assert len(calls) <= 2  # the kernel rows, then their canonical form
+        assert perp == kernel(s.basis)
+        assert s.dim + perp.dim == s.ambient_dim
+        del calls[:]
+        assert s.orthogonal_complement() is perp
+        assert perp.orthogonal_complement() is s
+        assert not calls
+        assert s == twin and hash(s) == hash(twin)
+        assert perp == twin.orthogonal_complement() and perp.orthogonal_complement() == twin
 
 
 def test_rank_nullity_random():
