@@ -31,8 +31,8 @@ from .filtrations import (
     weight_filtration,
 )
 from .linalg import (
-    Rational, RationalMatrix, Subspace, _exact, _kernel_rows, _primitive_integer, dot, kernel,
-    lattice_basis, solve, vec,
+    Rational, RationalMatrix, Subspace, _exact, _null_rows, _pivot, _primitive_integer, dot,
+    kernel, lattice_basis, solve, vec,
 )
 
 MAX_GENERATORS = 12
@@ -63,15 +63,15 @@ def _relation_space_of(cone: NilpotentCone, w: WeightFiltration) -> Subspace:
     """
     rows = []
     perp_below = RationalMatrix.identity(cone.dim).entries  # W_{low-1} = 0
-    pivots_below: set[int] = set()
+    pivots_below: tuple[int, ...] = ()
     for level in w.levels():
         step = w.step(level)
-        pivots = {_pivot(v) for v in step.basis.entries}
+        pivots = tuple(map(_pivot, step.basis.entries))
         # Pivots of W_{l-1} are pivots of W_l, and the rows of W_l with the
         # other pivots span W_l modulo W_{l-1}; the rows of W_{l-1} already
         # met the stronger condition one level down.
-        for v in step.basis.entries:
-            if _pivot(v) in pivots_below:
+        for v, pivot in zip(step.basis.entries, pivots):
+            if pivot in pivots_below:
                 continue
             images = [n.mul_vec(v) for n in cone.generators]
             for p in perp_below:
@@ -79,14 +79,11 @@ def _relation_space_of(cone: NilpotentCone, w: WeightFiltration) -> Subspace:
                 if any(row):
                     rows.append(row)
         if level < w.high:  # W_high = V leaves no condition above it
-            # Any basis of W_l^perp gives conditions with the same kernel.
-            perp_below = _kernel_rows(step.basis)[0]
+            # Any basis of W_l^perp gives conditions with the same kernel; it
+            # is read off the canonical (RREF) basis of W_l, not eliminated.
+            perp_below = _null_rows(step.basis, pivots)
             pivots_below = pivots
     return kernel(RationalMatrix(len(rows), cone.k, tuple(rows)))
-
-
-def _pivot(row) -> int:
-    return next(i for i, x in enumerate(row) if x)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFiltrationCompatible, NotNilpotent
-from .linalg import RationalMatrix, Subspace, _kernel_rows, _row_space, dot, kernel, solve, vec
+from .linalg import RationalMatrix, Subspace, _pivot, _row_space, dot, kernel, solve
 
 IndexSet = tuple[int, ...]
 
 
 def index_set(values) -> IndexSet:
-    out = tuple(sorted(set(int(v) for v in values)))
-    return out
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:  # a bool, float or str is never truncated
+            raise ValueError(f"index set entries must be ints, not {v!r}")
+    return tuple(sorted(set(values)))
 
 
 class WeightFiltration:
@@ -94,8 +97,9 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
     ker(N^{i+1}) cap im(N^{i-l}), i >= 0, with nonpositive powers read as the
     identity.  For l >= 0 the pieces with i < l lie in ker N^{l+1}, so the
     span starts at i = max(0, l), and each piece serves exactly one level.
-    One elimination of each N^j, 0 < j < d, gives both a basis of ker N^j and
-    the pivot columns P_j, whose columns of N^j span im N^j.
+    One elimination of each N^j, 0 < j < d, gives the canonical basis of
+    ker N^j, and the columns that lead none of its rows are P_j, the
+    lexicographically last column basis of N^j, whose columns span im N^j.
     """
     powers = _powers(n)
     d = len(powers) - 1
@@ -104,7 +108,8 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
         return WeightFiltration(center, dim, {center: Subspace.full(dim)})
     kernels, images = {}, {}
     for j in range(1, d):
-        kernels[j], pivots = _kernel_rows(powers[j])
+        kernels[j] = kernel(powers[j]).basis.entries
+        pivots = sorted(set(range(dim)).difference(map(_pivot, kernels[j])))
         images[j] = pivots, [powers[j].col(p) for p in pivots]
 
     def piece(i: int, j: int):
@@ -118,7 +123,7 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
         # and the N^j e_{p_t} are independent.
         power = powers[i + 1 + j].entries
         at_pivots = tuple(tuple(r[p] for p in pivots) for r in power)
-        coeffs = _kernel_rows(RationalMatrix(dim, len(pivots), at_pivots))[0]
+        coeffs = kernel(RationalMatrix(dim, len(pivots), at_pivots)).basis.entries
         return [tuple(dot(c, x) for x in zip(*cols)) for c in coeffs]
 
     steps: dict[int, Subspace] = {center + d - 1: Subspace.full(dim)}  # holds ker N^d
@@ -168,16 +173,6 @@ class NilpotentCone:
             if not 1 <= i <= self.k:
                 raise ValueError(f"index {i} out of range 1..{self.k}")
             out = out + self.generators[i - 1]
-        return out
-
-    def combination(self, coeffs) -> RationalMatrix:
-        coeffs = vec(coeffs)
-        if len(coeffs) != self.k:
-            raise ValueError("coefficient vector has wrong length")
-        out = RationalMatrix.zeros(self.dim, self.dim)
-        for c, n in zip(coeffs, self.generators):
-            if c:
-                out = out + n.scale(c)
         return out
 
 

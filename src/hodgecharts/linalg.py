@@ -7,8 +7,9 @@ arithmetic (2 == Fraction(2), with equal hashes and equal str).  Matrices are
 immutable, dense, row-major; a product adds up the rows of B scaled by the
 nonzero entries of A, so zero entries cost nothing.  Subspaces of Q^n are
 canonicalized as reduced row echelon bases, so subspace equality is syntactic
-equality of bases.  A subspace computes its orthogonal complement once and
-links the two, since the complement of the complement is the subspace itself.
+equality of bases; a kernel is one elimination, of M with reversed columns.
+A subspace computes its orthogonal complement once and links the two, since
+the complement of the complement is the subspace itself.
 Integer lattices are canonicalized by row-style Hermite normal form.
 """
 
@@ -279,10 +280,6 @@ class Subspace:
             perp._perp, self._perp = self, perp
         return self._perp
 
-    def coordinates_of(self, v) -> tuple[Rational, ...] | None:
-        """Coefficients of v in this basis, or None if v is outside."""
-        return solve(self.basis.transpose(), v)
-
 
 def rank(m: RationalMatrix) -> int:
     return len(m.rref()[1])
@@ -296,25 +293,33 @@ def _row_space(m: RationalMatrix) -> Subspace:
 
 
 def kernel(m: RationalMatrix) -> Subspace:
-    """Null space {v : M v^T = 0}, as a canonical row-span subspace."""
-    rows = _kernel_rows(m)[0]
-    return _row_space(RationalMatrix(len(rows), m.cols, rows))
+    """Null space {v : M v^T = 0}, as a canonical row-span subspace.
+
+    One elimination, of M with its columns reversed, whose pivots are the
+    lexicographically last column basis: the row of each free column f is
+    nonzero only at f and at pivots after f, so the rows are already RREF."""
+    red, pivots = RationalMatrix(m.rows, m.cols, tuple(r[::-1] for r in m.entries)).rref()
+    rows = tuple(r[::-1] for r in reversed(_null_rows(red, pivots)))
+    return Subspace(m.cols, RationalMatrix(len(rows), m.cols, rows))
 
 
-def _kernel_rows(m: RationalMatrix) -> tuple[tuple[tuple[Rational, ...], ...], tuple[int, ...]]:
-    """A basis of {v : M v^T = 0}, one row per free column of rref(M) and not
-    in echelon form, together with the pivot columns of M."""
-    red, pivots = m.rref()
+def _null_rows(red: RationalMatrix, pivots) -> list[tuple[Rational, ...]]:
+    """A basis of {v : R v^T = 0} for R in reduced row echelon form with the
+    given pivot columns: e_f - sum_i R[i][f] e_{p_i} for each free column f."""
     rows = []
-    for f in range(m.cols):
+    for f in range(red.cols):
         if f in pivots:
             continue
-        v = [0] * m.cols
+        v = [0] * red.cols
         v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -red.entries[i][f]
+        for r, p in zip(red.entries, pivots):
+            v[p] = -r[f]
         rows.append(tuple(v))
-    return tuple(rows), pivots
+    return rows
+
+
+def _pivot(row) -> int:
+    return next(i for i, x in enumerate(row) if x)
 
 
 def image(m: RationalMatrix) -> Subspace:

@@ -8,10 +8,10 @@ isometry algebra, which the library never builds.  The relation table is
 rebuilt index set by index set, without the memo on W(N_I).  The library's
 earlier weight filtration (one kernel, image and intersection per piece),
 phase-one simplex (a Fraction tableau), lmhs cokernel map (one solve per
-kernel vector) and all-Fraction elimination are kept here verbatim as
-references for the elimination-sparing, integer-pivoting, direct and
-int-when-integral versions; matrix products are checked against the
-dot-product definition.
+kernel vector), all-Fraction elimination and two-elimination kernel are kept
+here verbatim as references for the elimination-sparing, integer-pivoting,
+direct, int-when-integral and one-elimination versions; matrix products are
+checked against the dot-product definition.
 """
 
 from __future__ import annotations
@@ -448,6 +448,23 @@ def fraction_rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ..
         if r == nrows:
             break
     return RationalMatrix(nrows, ncols, tuple(tuple(row) for row in m)), tuple(pivots)
+
+
+def two_elimination_kernel(m: RationalMatrix) -> Subspace:
+    """{v : M v^T = 0}: one row per free column of rref(M), then the RREF of
+    those rows."""
+    red, pivots = m.rref()
+    rows = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [0] * m.cols
+        v[f] = 1
+        for i, p in enumerate(pivots):
+            v[p] = -red.entries[i][f]
+        rows.append(tuple(v))
+    red, pivots = RationalMatrix(len(rows), m.cols, tuple(rows)).rref()
+    return Subspace(m.cols, RationalMatrix(len(pivots), m.cols, red.entries[: len(pivots)]))
 
 
 def dot_product_matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

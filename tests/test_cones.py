@@ -5,6 +5,7 @@ import pytest
 
 from hodgecharts.cones import (
     _phase_one,
+    _relation_space_of,
     farkas_alternative,
     farkas_split,
     k_index_map,
@@ -13,7 +14,7 @@ from hodgecharts.cones import (
     relation_space,
 )
 from hodgecharts.errors import ConeTooLarge, InvalidSplit
-from hodgecharts.filtrations import NilpotentCone
+from hodgecharts.filtrations import NilpotentCone, adjoint_filtration, weight_filtration
 from hodgecharts.gallery import (
     equal_pair_cone,
     genus2_cone,
@@ -412,6 +413,36 @@ def test_relation_space_matches_adjoint_oracle():
             assert relation_space(cone, index) == adjoint_relation_space(cone, index), (
                 cone.dim, cone.weight, index,
             )
+
+
+def test_relation_space_of_eliminates_once(monkeypatch):
+    """Given W(N_I), S_I takes one rref, the kernel of its conditions: each
+    W_l^perp is read off the canonical step basis."""
+    calls = []
+    original = RationalMatrix.rref
+    monkeypatch.setattr(RationalMatrix, "rref", lambda m: calls.append(m) or original(m))
+    for cone in _oracle_cones():
+        for mask in range(1, 1 << cone.k):
+            index = tuple(i + 1 for i in range(cone.k) if mask >> i & 1)
+            w = weight_filtration(cone.n_of(index), cone.weight)
+            del calls[:]
+            s = _relation_space_of(cone, w)
+            assert len(calls) == 1
+            assert s == relation_space(cone, index)
+
+
+def test_index_sets_reject_entries_that_are_not_ints():
+    """A float, string or bool entry is an error, never truncated or parsed."""
+    cone = genus2_cone()
+    s = relation_space(cone, (1,))
+    for bad in (1.7, 1.0, "2", True):
+        with pytest.raises(ValueError, match="must be ints"):
+            relation_space(cone, [bad])
+        with pytest.raises(ValueError, match="must be ints"):
+            adjoint_filtration(cone, [1, bad])
+        with pytest.raises(ValueError, match="must be ints"):
+            positive_basis(s, [bad])
+    assert relation_space(cone, [2, 1, 2]) == relation_space(cone, (1, 2))
 
 
 def _graphic_cones(rng):

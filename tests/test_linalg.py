@@ -10,7 +10,8 @@ from hodgecharts.filtrations import weight_filtration
 from hodgecharts.linalg import (
     RationalMatrix,
     Subspace,
-    _kernel_rows,
+    _null_rows,
+    _pivot,
     dot,
     hnf_rows,
     image,
@@ -29,6 +30,7 @@ from .oracles import (
     fraction_rref,
     inexact_values,
     random_nilpotent,
+    two_elimination_kernel,
 )
 
 SEED = 20240811
@@ -128,9 +130,63 @@ def test_rref_matches_fraction_and_sympy_oracles():
     assert min(kinds.values()) >= 20, kinds
 
 
+def test_kernel_is_one_elimination_matching_oracles(monkeypatch):
+    """kernel(M) runs one rref, returns a basis already in RREF, and equals the
+    two-elimination kernel and sympy's null space in RREF, on mixed matrices
+    with zero rows, zero columns, full and deficient rank, and empty shapes."""
+    import sympy
+
+    rng = random.Random(SEED + 10)
+    matrices = list(_mixed_matrices(rng, 400))
+    for trial in range(240):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 8)
+        matrices.append(_sparse_mixed_matrix(rng, rows, cols, trial % 2))
+    matrices += [RationalMatrix(0, 3, ()), RationalMatrix(2, 0, ((), ())), RationalMatrix(0, 0, ())]
+    calls = []
+    original = RationalMatrix.rref
+    monkeypatch.setattr(RationalMatrix, "rref", lambda m: calls.append(m) or original(m))
+    kinds = {"full": 0, "deficient": 0, "zero": 0, "zero row": 0, "zero column": 0}
+    for m in matrices:
+        del calls[:]
+        got = kernel(m)
+        assert len(calls) == 1
+        red, pivots = got.basis.rref()  # an RREF with no zero row is its own RREF
+        assert got.ambient_dim == m.cols and red == got.basis and len(pivots) == got.dim
+        assert got == two_elimination_kernel(m)
+        assert not inexact_values(got)
+        flat = [sympy.Rational(x.numerator, x.denominator) for x in m.flatten()]
+        null = sympy.Matrix(m.rows, m.cols, flat).nullspace()
+        assert len(null) == got.dim
+        if null:
+            want = sympy.Matrix.hstack(*null).T.rref()[0]
+            assert list(got.basis.flatten()) == [Fraction(int(x.p), int(x.q)) for x in want]
+        r = m.cols - got.dim
+        kinds["zero" if r == 0 else "full" if r == min(m.rows, m.cols) else "deficient"] += 1
+        kinds["zero row"] += any(not any(row) for row in m.entries) and r > 0
+        kinds["zero column"] += any(not any(c) for c in zip(*m.entries)) and r > 0
+    assert len(matrices) >= 600
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_null_rows_of_weight_filtration_steps_span_the_complement():
+    """Read off a canonical step basis with no elimination, the null-space rows
+    of each step of a random weight filtration are orthogonal to the step and
+    number ambient - dim, so they are a basis of W_l^perp."""
+    rng = random.Random(SEED + 11)
+    for _ in range(30):
+        dim = rng.randint(1, 7)
+        w = weight_filtration(random_nilpotent(rng, dim), rng.randint(0, 2))
+        for level in w.levels():
+            step = w.step(level)
+            rows = _null_rows(step.basis, tuple(map(_pivot, step.basis.entries)))
+            assert len(rows) == dim - step.dim
+            assert all(dot(p, v) == 0 for p in rows for v in step.basis.entries)
+            assert rank(RationalMatrix(len(rows), dim, tuple(rows))) == len(rows)
+
+
 def test_exact_values_are_ints_when_integral():
     """No float anywhere, and every integral value an int, in the outputs of
-    rref, @, +, mul_vec, dot, _kernel_rows, solve, weight_filtration steps and
+    rref, @, +, mul_vec, dot, kernel, solve, weight_filtration steps and
     _phase_one, on inputs that mix ints with non-integral Fractions."""
     half = RationalMatrix.from_rows([["1/2", "3/2"]])
     assert [type(x) for x in (half + half).flatten()] == [int, int]
@@ -141,7 +197,7 @@ def test_exact_values_are_ints_when_integral():
         v = [_mixed(rng) for _ in range(m.cols)]
         outputs = [
             m.rref()[0], m @ m.transpose(), m + m.scale(Fraction(1, 3)), m.mul_vec(v),
-            dot(v, v), _kernel_rows(m)[0], solve(m, m.mul_vec(v)),
+            dot(v, v), kernel(m), solve(m, m.mul_vec(v)),
         ]
         assert not inexact_values(outputs)
     for dim in range(2, 7):
@@ -242,7 +298,7 @@ def test_orthogonal_complement_is_one_kernel(monkeypatch):
         twin = Subspace(s.ambient_dim, s.basis)
         del calls[:]
         perp = s.orthogonal_complement()
-        assert len(calls) <= 2  # the kernel rows, then their canonical form
+        assert len(calls) == (1 if s.dim else 0)  # one kernel of a nonzero S
         assert perp == kernel(s.basis)
         assert s.dim + perp.dim == s.ambient_dim
         del calls[:]
