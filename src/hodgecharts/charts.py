@@ -178,6 +178,8 @@ def fiber_tangency(mmap: MonomialMap, a, t) -> bool:
     a = vec(a)
     if len(a) != mmap.ambient:
         raise ValueError("coefficient vector has wrong length")
+    if len(t) != mmap.ambient:
+        raise ValueError("point t has wrong length")
     for j in range(mmap.ambient):
         if (j + 1) not in mmap.support and abs(complex(t[j])) == 0.0:
             raise ValueError(f"t_{j + 1} must be nonzero off the stratum")

@@ -32,7 +32,7 @@ from .filtrations import (
 )
 from .linalg import (
     Rational, RationalMatrix, Subspace, _exact, _null_rows, _pivot, _primitive_integer, dot,
-    kernel, lattice_basis, solve, vec,
+    kernel, lattice_basis, vec,
 )
 
 MAX_GENERATORS = 12
@@ -236,12 +236,11 @@ def _positive_basis(s: Subspace, split: FarkasSplit) -> RationalMatrix:
     if h.rows == 0:
         return RationalMatrix(0, k, ())
     cert = _primitive_integer(split.cowitness)
-    gamma = solve(h.transpose(), cert)
-    j0 = next(j for j, g in enumerate(gamma) if g != 0)
+    # cert = sum_j gamma_j h_j, and h_0 is the only HNF row that is nonzero
+    # at its pivot, which lies off K, where cert is positive: gamma_0 != 0,
+    # so cert replaces h_0.
     rows = [cert]
-    for j, hrow in enumerate(h.entries):
-        if j == j0:
-            continue
+    for hrow in h.entries[1:]:
         need = max(
             (Fraction(1 - hrow[i], cert[i]) for i in off if hrow[i] < 1),
             default=0,

@@ -5,9 +5,12 @@ throughout: a value is a Python int when it is integral and a
 fractions.Fraction only when it is not, so integral data stays in integer
 arithmetic (2 == Fraction(2), with equal hashes and equal str).  Matrices are
 immutable, dense, row-major; a product adds up the rows of B scaled by the
-nonzero entries of A, so zero entries cost nothing.  Subspaces of Q^n are
-canonicalized as reduced row echelon bases, so subspace equality is syntactic
-equality of bases; a kernel is one elimination, of M with reversed columns.
+nonzero entries of A, and M v sums only the nonzero entries of v, so zero
+entries cost nothing.  Subspaces of Q^n are canonicalized as reduced row
+echelon bases, so subspace equality is syntactic equality of bases; a kernel
+is one elimination, of M with reversed columns.  Membership, coordinates in a
+subspace and coordinates in Q^n/S are read off the echelon basis, with no
+further elimination.
 A subspace computes its orthogonal complement once and links the two, since
 the complement of the complement is the subspace itself.
 Integer lattices are canonicalized by row-style Hermite normal form.
@@ -155,7 +158,10 @@ class RationalMatrix:
     def mul_vec(self, v) -> tuple[Rational, ...]:
         """M v with v a column vector, returned as a flat tuple."""
         v = vec(v)
-        return tuple(dot(r, v) for r in self.entries)
+        if len(v) != self.cols:
+            raise ValueError("shape mismatch")
+        nonzero = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(_exact(sum(r[j] * x for j, x in nonzero if r[j])) for r in self.entries)
 
     def power(self, k: int) -> "RationalMatrix":
         if self.rows != self.cols:
@@ -246,8 +252,14 @@ class Subspace:
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        stacked = self.basis.stack(RationalMatrix.from_rows([v]))
-        return rank(stacked) == self.dim
+        return not any(self.residues([v])[0])
+
+    def residues(self, vectors) -> list[tuple[Rational, ...]]:
+        """Each exact vector's coordinates in Q^n/S, at the columns that lead
+        no basis row; all are zero exactly when the vector lies in S.  Read
+        off the RREF basis, with no elimination (Cohen, GTM 138, 2.3)."""
+        null = _null_rows(self.basis, tuple(map(_pivot, self.basis.entries)))
+        return [tuple(dot(z, v) for z in null) for v in vectors]
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.basis.entries)
@@ -346,18 +358,15 @@ def restrict_map(m: RationalMatrix, s_domain: Subspace, s_codomain: Subspace) ->
     """Matrix of M restricted to s_domain, in the two given bases.
 
     Requires M . s_domain <= s_codomain; raises NotInvariant otherwise.  The
-    result R satisfies M d_j = sum_i R[i][j] c_i for the basis rows d_j, c_i.
+    result R satisfies M d_j = sum_i R[i][j] c_i for the basis rows d_j, c_i:
+    an RREF row c_i is 1 at its own pivot and 0 at the others, so R[i][j] is
+    the pivot entry of M d_j.
     """
-    cod_t = s_codomain.basis.transpose()
-    cols = []
-    for d in s_domain.basis.entries:
-        y = m.mul_vec(d)
-        coeffs = solve(cod_t, y)
-        if coeffs is None:
-            raise NotInvariant("image vector leaves the codomain subspace")
-        cols.append(coeffs)
-    out_rows = tuple(zip(*cols)) if cols else tuple(() for _ in range(s_codomain.dim))
-    return RationalMatrix(s_codomain.dim, s_domain.dim, tuple(tuple(r) for r in out_rows))
+    images = [m.mul_vec(d) for d in s_domain.basis.entries]
+    if any(map(any, s_codomain.residues(images))):
+        raise NotInvariant("image vector leaves the codomain subspace")
+    rows = tuple(tuple(y[_pivot(c)] for y in images) for c in s_codomain.basis.entries)
+    return RationalMatrix(s_codomain.dim, s_domain.dim, rows)
 
 
 # ---------------------------------------------------------------------------

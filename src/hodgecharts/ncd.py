@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import Disconnected, IncidenceError, NotAComplex
-from .linalg import RationalMatrix, _exact, dot, image, kernel, rank
+from .linalg import RationalMatrix, image, kernel, rank
 
 
 @dataclass(frozen=True)
@@ -274,20 +274,14 @@ class MonodromyReport:
 def _kernel_to_cokernel(g: RationalMatrix, r: RationalMatrix):
     """Induced map ker(g) -> target/im(r), with g acting on the space r maps to."""
     ker = kernel(g)
-    basis = image(r).basis.entries  # reduced row echelon
-    # The non-pivot standard vectors complement im(r): clearing each pivot
-    # entry of v with its basis row leaves v's cokernel coordinates in the
-    # free columns.
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-    free = sorted(set(range(g.cols)) - set(pivots))
-    free_cols = [tuple(row[f] for row in basis) for f in free]
-    cols = []
-    for v in ker.basis.entries:
-        at_pivots = [v[p] for p in pivots]
-        cols.append(tuple(_exact(v[f] - dot(at_pivots, c)) for f, c in zip(free, free_cols)))
-    rows = tuple(zip(*cols)) if cols else tuple(() for _ in free)
-    mat = RationalMatrix(len(free), ker.dim, rows)
-    iso = ker.dim == len(free) and rank(mat) == ker.dim
+    im = image(r)
+    # The non-pivot standard vectors complement im(r), and a kernel vector's
+    # coordinates in them are its residues modulo im(r).
+    cols = im.residues(ker.basis.entries)
+    free = im.ambient_dim - im.dim
+    rows = tuple(zip(*cols)) if cols else tuple(() for _ in range(free))
+    mat = RationalMatrix(free, ker.dim, rows)
+    iso = ker.dim == free and rank(mat) == ker.dim
     return iso, mat
 
 
@@ -306,7 +300,7 @@ def curve_lmhs(vertices, edges) -> tuple[int, int, int]:
     vertices: iterable of (name, genus); edges: iterable of (name, name) pairs
     (multi-edges and loops allowed).  The graph must be connected.
     """
-    vertices = list(vertices)
+    vertices, edges = list(vertices), list(edges)
     names = [v[0] for v in vertices]
     if len(set(names)) != len(names):
         raise Disconnected("vertex names must be unique")
@@ -324,6 +318,6 @@ def curve_lmhs(vertices, edges) -> tuple[int, int, int]:
         parent[find(a)] = find(b)
     if len({find(n) for n in names}) != 1:
         raise Disconnected("dual graph is not connected")
-    b1 = len(list(edges)) - len(names) + 1
+    b1 = len(edges) - len(names) + 1
     gr1 = 2 * sum(g for _, g in vertices)
     return (b1, gr1, b1)

@@ -36,7 +36,9 @@ def int_matrix_to_json(rows) -> list[list[int]]:
     return [[int(x) for x in row] for row in rows]
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+# ASCII digits only: \d and int() also take other scripts' digits and "1_000".
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # Residue mode sizes its quadrature by the largest exponent (4 deg + 8 angles).
 MAX_RESIDUE_EXPONENT = 1000
 # The summed h^1, h^2, h^3 of the components and 2 * genus of the double
@@ -75,8 +77,13 @@ def matrix_from_json(data, what: str = "matrix") -> RationalMatrix:
 
 
 def _int_from_json(x, what: str) -> int:
-    """An integer JSON literal, or a string holding one."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
+    """An integer JSON literal, or a string holding one (surrounding
+    whitespace allowed)."""
+    if (
+        isinstance(x, bool)
+        or not isinstance(x, (int, str))
+        or (isinstance(x, str) and not _INTEGER_RE.fullmatch(x.strip()))
+    ):
         raise SchemaError(f"{what} must be an integer, not {x!r}")
     try:
         return int(x)
@@ -314,7 +321,7 @@ def siegel_cone_from_json(data) -> "ConeSpec":
         raise SchemaError(str(exc)) from exc
 
 
-_NUMBER = r"\d+(?:\.\d*)?|\.\d+"
+_NUMBER = r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+"
 _FAMILY_RE = re.compile(r"^y\s*=\s*\((?P<body>[^)]*)\)$")
 _TERM_RE = re.compile(
     rf"^(?:(?P<coef>{_NUMBER})\s*\*\s*)?T(?:\^(?P<pow>{_NUMBER}))?$|^(?P<const>{_NUMBER})$"

@@ -11,7 +11,10 @@ phase-one simplex (a Fraction tableau), lmhs cokernel map (one solve per
 kernel vector), all-Fraction elimination and two-elimination kernel are kept
 here verbatim as references for the elimination-sparing, integer-pivoting,
 direct, int-when-integral and one-elimination versions; matrix products are
-checked against the dot-product definition.
+checked against the dot-product definition.  Subspace membership by a
+stacked rank, restrict_map by one solve per domain vector and the positive
+basis with its dropped lattice row found by solve are the references for the
+read-offs from the echelon basis.
 """
 
 from __future__ import annotations
@@ -27,7 +30,17 @@ from hodgecharts.filtrations import (
     index_set,
     weight_filtration,
 )
-from hodgecharts.linalg import RationalMatrix, Subspace, image, kernel, rank, solve, vec
+from hodgecharts.linalg import (
+    RationalMatrix,
+    Subspace,
+    _primitive_integer,
+    image,
+    kernel,
+    lattice_basis,
+    rank,
+    solve,
+    vec,
+)
 
 Q = Fraction
 
@@ -522,3 +535,53 @@ def solve_kernel_to_cokernel(g: RationalMatrix, r: RationalMatrix):
     mat = RationalMatrix(len(free), ker.dim, tuple(tuple(r_) for r_ in rows))
     iso = ker.dim == len(free) and rank(mat) == ker.dim
     return iso, mat
+
+
+# ---------------------------------------------------------------------------
+# Read-offs by elimination: membership by a stacked rank, coordinates by one
+# solve per vector, and the positive basis's dropped row j0 by solve.
+
+
+def stacked_rank_contains(s: Subspace, v) -> bool:
+    """v lies in S exactly when stacking it under S's basis keeps the rank."""
+    stacked = s.basis.stack(RationalMatrix.from_rows([vec(v)], cols=s.ambient_dim))
+    return rank(stacked) == s.dim
+
+
+def solve_restrict_map(m: RationalMatrix, s_domain: Subspace, s_codomain: Subspace):
+    """restrict_map with one solve per domain vector; None when some image
+    vector leaves the codomain."""
+    cod_t = s_codomain.basis.transpose()
+    cols = []
+    for d in s_domain.basis.entries:
+        coeffs = solve(cod_t, m.mul_vec(d))
+        if coeffs is None:
+            return None
+        cols.append(coeffs)
+    out_rows = tuple(zip(*cols)) if cols else tuple(() for _ in range(s_codomain.dim))
+    return RationalMatrix(s_codomain.dim, s_domain.dim, tuple(tuple(r) for r in out_rows))
+
+
+def solve_first_dependency(h: RationalMatrix, cert) -> int:
+    """The first row of h with a nonzero coefficient in cert = sum_j gamma_j h_j."""
+    gamma = solve(h.transpose(), cert)
+    return next(j for j, g in enumerate(gamma) if g != 0)
+
+
+def solve_positive_basis(s: Subspace, split) -> RationalMatrix:
+    """cones._positive_basis for a valid split, with j0 found by solve."""
+    k = s.ambient_dim
+    off = [i for i in range(k) if (i + 1) not in split.support]
+    h = lattice_basis(s.orthogonal_complement())
+    if h.rows == 0:
+        return RationalMatrix(0, k, ())
+    cert = _primitive_integer(split.cowitness)
+    j0 = solve_first_dependency(h, cert)
+    rows = [cert]
+    for j, hrow in enumerate(h.entries):
+        if j == j0:
+            continue
+        need = max((Q(1 - hrow[i], cert[i]) for i in off if hrow[i] < 1), default=0)
+        shift = max(0, -(-need.numerator // need.denominator))
+        rows.append([int(x) + shift * c for x, c in zip(hrow, cert)])
+    return RationalMatrix.from_rows(rows, cols=k)

@@ -112,6 +112,15 @@ def test_fiber_tangency():
         fiber_tangency(charts[()], [1, 0, 0], (0.0, 0.5, 0.5))
 
 
+@pytest.mark.parametrize("t", [(0.5, 0.5), (0.5, 0.5, 0.5, 0.5), ()])
+def test_fiber_tangency_rejects_a_point_of_wrong_length(t):
+    """t has one coordinate per generator, like a: a short t is not an
+    IndexError and a long one is not silently cut."""
+    chart = next(c for c in build_atlas(genus2_cone()).charts if c.support == ())
+    with pytest.raises(ValueError, match="wrong length"):
+        fiber_tangency(chart, [0, 0, 0], t)
+
+
 def test_decoupled_fiber_check_cases():
     cone = genus2_cone()
     zero = np.zeros((4, 4))

@@ -217,7 +217,10 @@ def test_exit_code_schema(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("dim", "x"), ("dim", [4]), ("weight", "one"), ("weight", 1.5), ("generators", 5)],
+    [
+        ("dim", "x"), ("dim", [4]), ("weight", "one"), ("weight", 1.5), ("generators", 5),
+        ("dim", "\u0664"), ("dim", "0_4"), ("weight", "\u0661"), ("weight", "\uff11"),
+    ],
 )
 def test_exit_code_schema_bad_cone_field(tmp_path, capsys, field, value):
     data = json.loads((FIXTURES / "genus2_cone.json").read_text())
@@ -282,6 +285,10 @@ _EXPANSION_WITHOUT_GENERATORS["orbit"]["cone"]["generators"] = []
         ("positivity", _identity_input(e="x", xi=[1, 1])),
         ("positivity", _identity_input(e=[1, 1], xi=[1, 1, 1])),
         ("positivity", _identity_input()),
+        ("curvature", _fixture_with("residue_constant.json", coefficients={"\u0660,0": [1, 0]})),
+        ("siegel", _fixture_with("siegel_cl2.json", family="y=(\u0662*T,1)")),
+        ("positivity", _fixture_with("positivity_ndim.json", samples="2_0")),
+        ("positivity", _fixture_with("positivity_ndim.json", samples="\u0662")),
     ],
     ids=[
         "residue-t-outside-disc",
@@ -315,6 +322,10 @@ _EXPANSION_WITHOUT_GENERATORS["orbit"]["cone"]["generators"] = []
         "identity-e-not-an-array",
         "identity-xi-length",
         "identity-e-xi-missing",
+        "residue-key-arabic-indic-digit",
+        "siegel-family-arabic-indic-digit",
+        "ndim-samples-underscore",
+        "ndim-samples-arabic-indic-digit",
     ],
 )
 def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
@@ -338,10 +349,16 @@ def test_exit_code_schema_unreadable_json(tmp_path, capsys, raw):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("literal", ["-1e3000000", "1.5"], ids=["exponent", "decimal"])
+@pytest.mark.parametrize(
+    "literal",
+    ["-1e3000000", "1.5", "\u0663/\u0664", "\u0663", "1_000", "1/2_0"],
+    ids=["exponent", "decimal", "arabic-indic-fraction", "arabic-indic-integer",
+         "underscore", "underscore-denominator"],
+)
 def test_exit_code_schema_bad_rational_literal(tmp_path, capsys, literal):
-    """Only "p/q" and "p" are rationals: an exponent is rejected before
-    Fraction would expand it exactly."""
+    """Only "p/q" and "p" with ASCII digits are rationals: an exponent is
+    rejected before Fraction would expand it exactly, and other scripts'
+    digits and underscores, which int() and Fraction accept, are rejected."""
     data = _fixture_with("genus2_cone.json")
     data["generators"][0][0][0] = literal
     bad = tmp_path / "bad_rational.json"

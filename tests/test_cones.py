@@ -5,6 +5,7 @@ import pytest
 
 from hodgecharts.cones import (
     _phase_one,
+    _positive_basis,
     _relation_space_of,
     farkas_alternative,
     farkas_split,
@@ -21,13 +22,21 @@ from hodgecharts.gallery import (
     rank1_cone,
     single_cone,
 )
-from hodgecharts.linalg import RationalMatrix, Subspace
+from hodgecharts.linalg import (
+    RationalMatrix,
+    Subspace,
+    _primitive_integer,
+    kernel,
+    lattice_basis,
+)
 
 from .oracles import (
     adjoint_relation_space,
     farkas_branch_infeasible,
     fraction_phase_one,
     inexact_values,
+    solve_first_dependency,
+    solve_positive_basis,
     split_supports,
     unkeyed_k_index_map,
 )
@@ -173,6 +182,51 @@ def test_positive_basis_examples():
     assert b0.rows == 3
     assert all(x > 0 for row in b0.entries for x in row)
     assert Subspace.from_vectors(3, b0.entries) == Subspace.full(3)
+
+
+def _positive_lattice_splits(rng, count):
+    """(S, split) for S = L^perp, with L a random integer lattice on a nonempty
+    set C of coordinates that holds a vector positive on C: the split's
+    support is the complement of C, on which S^perp vanishes."""
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, 6)
+        c = [i for i in range(k) if rng.random() < 0.7] or [rng.randrange(k)]
+        rows = [
+            [rng.randint(-3, 3) if i in c else 0 for i in range(k)]
+            for _ in range(rng.randint(0, len(c) - 1))
+        ]
+        rows.append([rng.randint(1, 3) if i in c else 0 for i in range(k)])
+        s = kernel(RationalMatrix.from_rows(rows, cols=k))
+        split = farkas_split(s)
+        assert split.support == tuple(i + 1 for i in range(k) if i not in c)
+        out.append((s, split))
+    return out
+
+
+def test_positive_basis_matches_solve_oracle():
+    """The certificate depends on the first HNF row of S^perp, so the
+    positive basis that replaces that row equals the one that replaces the
+    row found by solve, on every split of the oracle cones whose S^perp
+    vanishes on the support (the others are refused), and on random lattices
+    with a positive certificate."""
+    pairs = [
+        pair for cone in _oracle_cones() for pair in k_index_map(cone).splits.values()
+    ]
+    pairs += _positive_lattice_splits(random.Random(SEED + 5), 200)
+    dropped = refused = 0
+    for s, split in pairs:
+        try:
+            basis = _positive_basis(s, split)
+        except InvalidSplit:
+            refused += 1
+            continue
+        h = lattice_basis(s.orthogonal_complement())
+        if h.rows:
+            assert solve_first_dependency(h, _primitive_integer(split.cowitness)) == 0
+        assert basis == solve_positive_basis(s, split)
+        dropped += basis.rows > 1
+    assert dropped >= 50 and refused < len(pairs) // 10, (dropped, refused)
 
 
 def test_positive_basis_validates_support():

@@ -30,6 +30,8 @@ from .oracles import (
     fraction_rref,
     inexact_values,
     random_nilpotent,
+    solve_restrict_map,
+    stacked_rank_contains,
     two_elimination_kernel,
 )
 
@@ -414,3 +416,132 @@ def test_restrict_map_on_genus2_filtration():
     w = weight_filtration(n1, 1)
     r = restrict_map(n1, w.step(2), w.step(0))
     assert r.rows == w.step(0).dim and r.cols == w.step(2).dim
+
+
+def test_mul_vec_matches_dot_product_definition():
+    """M v, summed over the nonzero entries of v only, equals the product
+    with v as a column, down to zero columns; integral entries are ints, and a
+    vector of the wrong length is refused."""
+    rng = random.Random(SEED + 10)
+    for trial in range(200):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = _sparse_mixed_matrix(rng, rows, cols, trial % 2)
+        v = _sparse_mixed_matrix(rng, cols, 1, 0)
+        got = m.mul_vec(v.col(0))
+        assert got == dot_product_matmul(m, v).col(0)
+        assert not inexact_values(got)
+        with pytest.raises(ValueError):
+            m.mul_vec(v.col(0) + (1,))
+        if cols:
+            with pytest.raises(ValueError):
+                m.mul_vec(v.col(0)[1:])
+
+
+def _read_off_cases(rng, count):
+    """Seeded subspaces mixing ints with non-integral Fractions (random spans,
+    including repeated and zero vectors, plus the zero, full and Q^0
+    subspaces), each with vectors inside it and vectors drawn at random."""
+    spaces = [Subspace.zero(0), Subspace.full(0)]
+    spaces += [f(n) for n in (1, 4) for f in (Subspace.zero, Subspace.full)]
+    for _ in range(count):
+        dim = rng.randint(1, 7)
+        vectors = [[_mixed(rng) for _ in range(dim)] for _ in range(rng.randint(0, dim))]
+        if vectors and rng.random() < 0.3:
+            vectors.append([2 * x for x in vectors[0]])
+        spaces.append(Subspace.from_vectors(dim, vectors))
+    for s in spaces:
+        n = s.ambient_dim
+        inside = [
+            tuple(dot([_mixed(rng) for _ in range(s.dim)], s.basis.col(j)) for j in range(n))
+            for _ in range(2)
+        ]
+        outside = [tuple(_mixed(rng) for _ in range(n)) for _ in range(2)]
+        yield s, inside + outside
+
+
+def test_residues_match_stacked_rank_membership():
+    """On 300 seeded subspaces and on the zero, full and Q^0 ones, a vector's
+    residues are all zero exactly when stacking it under the basis keeps the
+    rank, and they are its coordinates in Q^n/S: subtracting them at the
+    columns that lead no basis row leaves a vector of S."""
+    rng = random.Random(SEED + 11)
+    seen = {True: 0, False: 0}
+    for s, vectors in _read_off_cases(rng, 300):
+        pivots = set(map(_pivot, s.basis.entries))
+        free = [j for j in range(s.ambient_dim) if j not in pivots]
+        residues = s.residues(vectors)
+        assert len(residues) == len(vectors)
+        for v, res in zip(vectors, residues):
+            member = stacked_rank_contains(s, v)
+            seen[member] += 1
+            assert s.contains_vector(v) is member
+            assert (not any(res)) is member
+            assert len(res) == len(free) and not inexact_values(res)
+            rest = list(v)
+            for j, x in zip(free, res):
+                rest[j] -= x
+            assert stacked_rank_contains(s, rest)
+        with pytest.raises(ValueError):
+            s.contains_vector((0,) * (s.ambient_dim + 1))
+    assert min(seen.values()) >= 300, seen
+
+
+def test_restrict_map_matches_solve_oracle():
+    """restrict_map reads its coordinates off the codomain's pivots and equals
+    one solve per domain vector, and both refuse a map that leaves the
+    codomain."""
+    rng = random.Random(SEED + 12)
+    refused = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        m = _mixed_matrix(rng, n, n)
+        domain = Subspace.from_vectors(
+            n, [[_mixed(rng) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        )
+        images = [m.mul_vec(d) for d in domain.basis.entries]
+        extra = [[_mixed(rng) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.3 and images:
+            codomain = Subspace.from_vectors(n, images[1:] + extra)
+        else:
+            codomain = Subspace.from_vectors(n, images + extra)
+        want = solve_restrict_map(m, domain, codomain)
+        if want is None:
+            refused += 1
+            with pytest.raises(NotInvariant):
+                restrict_map(m, domain, codomain)
+        else:
+            got = restrict_map(m, domain, codomain)
+            assert got == want
+            assert (got.rows, got.cols) == (codomain.dim, domain.dim)
+            assert not inexact_values(got)
+    assert refused >= 10
+
+
+def test_read_offs_run_no_elimination(monkeypatch):
+    """contains_vector, residues and restrict_map read the RREF basis and
+    never eliminate."""
+    from hodgecharts.filtrations import weight_filtration
+    from hodgecharts.gallery import genus2_cone
+
+    rng = random.Random(SEED + 13)
+    cases = list(_read_off_cases(rng, 40))
+    cone = genus2_cone()
+    n1 = cone.generators[0]
+    w = weight_filtration(n1, 1)
+    calls = []
+    original = RationalMatrix.rref
+    monkeypatch.setattr(RationalMatrix, "rref", lambda m: calls.append(m) or original(m))
+    for s, vectors in cases:
+        s.residues(vectors)
+        for v in vectors:
+            s.contains_vector(v)
+    for level in w.levels():  # N W_l <= W_{l-2}
+        assert all(
+            w.step(level - 2).contains_vector(n1.mul_vec(row))
+            for row in w.step(level).basis.entries
+        )
+    restrict_map(n1, w.step(2), w.step(0))
+    restrict_map(n1, w.step(1), w.step(-1))
+    with pytest.raises(NotInvariant):
+        restrict_map(n1, w.step(2), w.step(-1))
+    assert not calls

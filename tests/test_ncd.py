@@ -178,6 +178,14 @@ def test_curve_lmhs_examples():
     assert sum(gr) == 2 * (1 + 2 + 1)  # p_a = sum g + b_1
 
 
+def test_curve_lmhs_reads_iterators_once():
+    """Vertices and edges given as one-shot iterators give the same graded
+    dimensions as lists: each is read once."""
+    vertices, edges = [("a", 0), ("b", 1)], [("a", "b")] * 3
+    assert curve_lmhs(iter(vertices), (e for e in edges)) == curve_lmhs(vertices, edges)
+    assert curve_lmhs(iter(vertices), iter(edges)) == (2, 2, 2)
+
+
 def _low_rank(rng, rows, cols, rank):
     """A rows x cols rational matrix of rank at most the given one."""
     if rank == 0 or not rows or not cols:

@@ -4,6 +4,7 @@ import pytest
 from hodgecharts.errors import SchemaError
 from hodgecharts.gallery import genus2_cone, twisted_weight1_orbit
 from hodgecharts.serialize import (
+    _int_from_json,
     complex_matrix_from_json,
     complex_to_json,
     cone_from_json,
@@ -37,6 +38,17 @@ def test_matrix_rational_literals():
         matrix_from_json([[1, 2], [3]])
     with pytest.raises(SchemaError):
         matrix_from_json("nope")
+
+
+def test_integers_are_ascii_decimal():
+    """An integer string has ASCII digits, an optional sign and surrounding
+    whitespace (so residue keys like "0, 1" split into integers)."""
+    for text, value in (("7", 7), (" 7", 7), ("+7 ", 7), ("-12", -12), ("\t0\n", 0)):
+        assert _int_from_json(text, "n") == value
+    assert [_int_from_json(x, "key") for x in "0, 1".split(",")] == [0, 1]
+    for bad in ("\u0662", "\uff11", "1_000", "1 0", "", " ", "+", "0x1", "1.0", True, 1.0):
+        with pytest.raises(SchemaError):
+            _int_from_json(bad, "n")
 
 
 def test_cone_schema_errors():
