@@ -51,7 +51,6 @@ _EXPORTS = {
         "lattice_basis",
         "rank",
         "restrict_map",
-        "solve",
     ),
     "metrics": (
         "ExpansionFit",

@@ -31,7 +31,7 @@ from .filtrations import (
     weight_filtration,
 )
 from .linalg import (
-    Rational, RationalMatrix, Subspace, _exact, _null_rows, _pivot, _primitive_integer, dot,
+    Rational, RationalMatrix, Subspace, _exact, _primitive_integer, dot,
     kernel, lattice_basis, vec,
 )
 
@@ -57,32 +57,17 @@ def _relation_space_of(cone: NilpotentCone, w: WeightFiltration) -> Subspace:
     """S_I for nonempty I, from W = W(N_I) alone.
 
     The criterion of relation_space holds because W(ad N) is induced from
-    W(N) (Cattani-Kaplan-Schmid).  Each w in a basis of W_l modulo W_{l-1}
-    and each basis row p of W_{l-1}^perp give one linear condition
-    sum a_i p.(N_i w) = 0.
+    W(N) (Cattani-Kaplan-Schmid).  The rows of W_{l-1} already met the
+    stronger condition one level down, so only the lifts v of a basis of
+    Gr_l (WeightFiltration.graded_lifts) give conditions: each residue of
+    N_i v modulo W_{l-1} is linear in a, and sum a_i res(N_i v) = 0.
     """
     rows = []
-    perp_below = RationalMatrix.identity(cone.dim).entries  # W_{low-1} = 0
-    pivots_below: tuple[int, ...] = ()
     for level in w.levels():
-        step = w.step(level)
-        pivots = tuple(map(_pivot, step.basis.entries))
-        # Pivots of W_{l-1} are pivots of W_l, and the rows of W_l with the
-        # other pivots span W_l modulo W_{l-1}; the rows of W_{l-1} already
-        # met the stronger condition one level down.
-        for v, pivot in zip(step.basis.entries, pivots):
-            if pivot in pivots_below:
-                continue
-            images = [n.mul_vec(v) for n in cone.generators]
-            for p in perp_below:
-                row = tuple(dot(p, y) for y in images)
-                if any(row):
-                    rows.append(row)
-        if level < w.high:  # W_high = V leaves no condition above it
-            # Any basis of W_l^perp gives conditions with the same kernel; it
-            # is read off the canonical (RREF) basis of W_l, not eliminated.
-            perp_below = _null_rows(step.basis, pivots)
-            pivots_below = pivots
+        lifts, _ = w.graded_lifts(level)
+        res = w.step(level - 1).residues([n.mul_vec(v) for v in lifts for n in cone.generators])
+        for at in range(0, len(res), cone.k):  # one lift's k images
+            rows.extend(row for row in zip(*res[at : at + cone.k]) if any(row))
     return kernel(RationalMatrix(len(rows), cone.k, tuple(rows)))
 
 

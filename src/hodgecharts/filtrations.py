@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFiltrationCompatible, NotNilpotent
-from .linalg import RationalMatrix, Subspace, _pivot, _row_space, dot, kernel, solve
+from .linalg import Rational, RationalMatrix, Subspace, _pivot, _row_space, dot, kernel
 
 IndexSet = tuple[int, ...]
 
@@ -53,6 +53,25 @@ class WeightFiltration:
 
     def graded_dim(self, level: int) -> int:
         return self.step(level).dim - self.step(level - 1).dim
+
+    def graded_lifts(self, level: int) -> tuple[list[tuple[Rational, ...]], list[int]]:
+        """Rows lifting a basis of Gr_l, and where their coordinates sit.
+
+        The pivots of W_{l-1} are pivots of W_l, and the rows of W_l's
+        canonical basis at the other pivots lift a basis of Gr_l.  A vector y
+        of W_l reduced modulo W_{l-1} at that step's pivots is the sum of
+        these rows weighted by its entries at their pivots, and those entries
+        are y's residues modulo W_{l-1} (Subspace.residues) at the returned
+        positions.  Nothing is eliminated.
+        """
+        below = set(self.step(level - 1).pivots)
+        step = self.step(level)
+        lifts, at = [], []
+        for i, (row, p) in enumerate(zip(step.basis.entries, step.pivots)):
+            if p not in below:
+                at.append(p - i + len(lifts))  # i - len(lifts) pivots of W_{l-1} precede p
+                lifts.append(row)
+        return lifts, at
 
     def __eq__(self, other) -> bool:
         return (
@@ -192,11 +211,7 @@ class AdjointFiltration:
         q, w = self.form, self.filtration
         if (x.rows, x.cols) != (q.rows, q.cols) or not (x.transpose() @ q + q @ x).is_zero():
             raise ValueError("matrix is not in the isometry algebra")
-        return all(
-            w.step(j + level).contains_vector(x.mul_vec(v))
-            for j in w.levels()
-            for v in w.step(j).basis.entries
-        )
+        return _maps_into(x, w, level)
 
 
 def adjoint_filtration(cone: NilpotentCone, index) -> AdjointFiltration:
@@ -220,21 +235,21 @@ class GradedPiece:
 def graded_pieces(filtration: WeightFiltration) -> list[GradedPiece]:
     out = []
     for level in filtration.levels():
-        below = filtration.step(level - 1)
-        reprs = []
-        span = below
-        for row in filtration.step(level).basis.entries:
-            if not span.contains_vector(row):
-                reprs.append(row)
-                span = span.sum(Subspace.from_vectors(filtration.ambient_dim, [row]))
-        out.append(
-            GradedPiece(
-                level,
-                len(reprs),
-                RationalMatrix.from_rows(reprs, cols=filtration.ambient_dim),
-            )
-        )
+        lifts, _ = filtration.graded_lifts(level)
+        reprs = RationalMatrix(len(lifts), filtration.ambient_dim, tuple(lifts))
+        out.append(GradedPiece(level, len(lifts), reprs))
     return out
+
+
+def _maps_into(m: RationalMatrix, filtration: WeightFiltration, shift: int) -> bool:
+    """Whether M . W_l <= W_{l+shift} for every l, read as residues."""
+    return not any(
+        any(r)
+        for l in filtration.levels()
+        for r in filtration.step(l + shift).residues(
+            [m.mul_vec(v) for v in filtration.step(l).basis.entries]
+        )
+    )
 
 
 def induced_map(
@@ -243,35 +258,19 @@ def induced_map(
     """Per-level matrices Gr_a -> Gr_{a+shift} induced by M.
 
     Requires M . W_l <= W_{l+shift} for all l; raises NotFiltrationCompatible
-    otherwise.  Matrices are written in the graded_pieces representative bases.
+    otherwise.  Matrices are written in the graded_pieces representative
+    bases: column j holds the residues of M r_j modulo W_{a+shift-1} at the
+    pivots of the target representatives.
     """
-    for level in filtration.levels():
-        target = filtration.step(level + shift)
-        for row in filtration.step(level).basis.entries:
-            if not target.contains_vector(m.mul_vec(row)):
-                raise NotFiltrationCompatible(
-                    f"M W_{level} is not contained in W_{level + shift}"
-                )
-    pieces = {p.level: p for p in graded_pieces(filtration)}
+    if not _maps_into(m, filtration, shift):
+        raise NotFiltrationCompatible(f"M does not map each W_l into W_(l{shift:+d})")
     out: dict[int, RationalMatrix] = {}
-    for level, piece in pieces.items():
-        target_level = level + shift
-        target_reprs = pieces.get(target_level)
-        tdim = target_reprs.dimension if target_reprs else 0
-        cols = []
-        for row in piece.representatives.entries:
-            y = m.mul_vec(row)
-            if tdim:
-                below = filtration.step(target_level - 1)
-                stacked = target_reprs.representatives.stack(below.basis).transpose()
-                coeffs = solve(stacked, y)
-                if coeffs is None:  # pragma: no cover - containment already checked
-                    raise AssertionError("containment check missed a vector")
-                cols.append(coeffs[:tdim])
-            else:
-                cols.append(())
-        rows = tuple(zip(*cols)) if cols and tdim else ()
-        out[level] = RationalMatrix(tdim, piece.dimension, tuple(tuple(r) for r in rows))
+    for level in filtration.levels():
+        lifts, _ = filtration.graded_lifts(level)
+        _, at = filtration.graded_lifts(level + shift)
+        res = filtration.step(level + shift - 1).residues([m.mul_vec(r) for r in lifts])
+        rows = tuple(tuple(y[i] for y in res) for i in at)
+        out[level] = RationalMatrix(len(at), len(lifts), rows)
     return out
 
 
@@ -295,16 +294,10 @@ def primitive_subspace(cone: NilpotentCone, index, a: int) -> PrimitivePiece:
         return PrimitivePiece(
             level, Subspace.zero(0), RationalMatrix(0, cone.dim, ())
         )
-    maps = induced_map(n_i.power(a + 1), filtration, -2 * (a + 1))
-    piece = next(p for p in graded_pieces(filtration) if p.level == level)
-    mat = maps[level]
-    ker = kernel(mat)
-    reprs = [
-        tuple(dot(coords, col) for col in zip(*piece.representatives.entries))
-        for coords in ker.basis.entries
-    ] if piece.dimension else []
+    ker = kernel(induced_map(n_i.power(a + 1), filtration, -2 * (a + 1))[level])
+    lifts, _ = filtration.graded_lifts(level)
     return PrimitivePiece(
-        level, ker, RationalMatrix.from_rows(reprs, cols=cone.dim)
+        level, ker, ker.basis @ RationalMatrix(len(lifts), cone.dim, tuple(lifts))
     )
 
 

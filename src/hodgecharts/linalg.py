@@ -10,9 +10,10 @@ entries cost nothing.  Subspaces of Q^n are canonicalized as reduced row
 echelon bases, so subspace equality is syntactic equality of bases; a kernel
 is one elimination, of M with reversed columns.  Membership, coordinates in a
 subspace and coordinates in Q^n/S are read off the echelon basis, with no
-further elimination.
-A subspace computes its orthogonal complement once and links the two, since
-the complement of the complement is the subspace itself.
+further elimination, so the library has no general linear solve.
+A subspace computes its pivot columns and its orthogonal complement at most
+once each, and links itself to its complement, since the complement of the
+complement is the subspace itself.
 Integer lattices are canonicalized by row-style Hermite normal form.
 """
 
@@ -114,6 +115,8 @@ class RationalMatrix:
         return RationalMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
         return RationalMatrix(
             self.rows,
             self.cols,
@@ -124,6 +127,8 @@ class RationalMatrix:
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
         return RationalMatrix(
             self.rows,
             self.cols,
@@ -166,6 +171,8 @@ class RationalMatrix:
     def power(self, k: int) -> "RationalMatrix":
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
+        if k < 0:
+            raise ValueError("negative power")
         out = RationalMatrix.identity(self.rows)
         for _ in range(k):
             out = out @ self
@@ -210,14 +217,16 @@ class RationalMatrix:
 class Subspace:
     """Row-span subspace of Q^n, stored as a reduced row echelon basis."""
 
-    # _perp holds the orthogonal complement once computed; it is derived data,
-    # so it takes no part in equality or hashing.
-    __slots__ = ("ambient_dim", "basis", "_perp")
+    # _perp and _pivots hold the orthogonal complement and the pivot columns
+    # once computed; they are derived data, so they take no part in equality
+    # or hashing.
+    __slots__ = ("ambient_dim", "basis", "_perp", "_pivots")
 
     def __init__(self, ambient_dim: int, basis: RationalMatrix):
         self.ambient_dim = ambient_dim
         self.basis = basis
         self._perp = None
+        self._pivots = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
@@ -234,6 +243,13 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row, in order."""
+        if self._pivots is None:
+            self._pivots = tuple(map(_pivot, self.basis.entries))
+        return self._pivots
 
     def __eq__(self, other) -> bool:
         return (
@@ -258,16 +274,11 @@ class Subspace:
         """Each exact vector's coordinates in Q^n/S, at the columns that lead
         no basis row; all are zero exactly when the vector lies in S.  Read
         off the RREF basis, with no elimination (Cohen, GTM 138, 2.3)."""
-        null = _null_rows(self.basis, tuple(map(_pivot, self.basis.entries)))
+        null = _null_rows(self.basis, self.pivots)
         return [tuple(dot(z, v) for z in null) for v in vectors]
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.basis.entries)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(
-            self.ambient_dim, self.basis.entries + other.basis.entries
-        )
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.dim == 0 or other.dim == 0:
@@ -339,21 +350,6 @@ def image(m: RationalMatrix) -> Subspace:
     return Subspace.from_vectors(m.rows, tuple(zip(*m.entries)) if m.rows and m.cols else ())
 
 
-def solve(m: RationalMatrix, b) -> tuple[Rational, ...] | None:
-    """One exact solution x of M x = b, or None if the system is inconsistent."""
-    b = vec(b)
-    if len(b) != m.rows:
-        raise ValueError("dimension mismatch")
-    aug = RationalMatrix(m.rows, m.cols + 1, tuple(r + (bb,) for r, bb in zip(m.entries, b)))
-    red, pivots = aug.rref()
-    if m.cols in pivots:
-        return None
-    x = [0] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = red.entries[i][m.cols]
-    return tuple(x)
-
-
 def restrict_map(m: RationalMatrix, s_domain: Subspace, s_codomain: Subspace) -> RationalMatrix:
     """Matrix of M restricted to s_domain, in the two given bases.
 
@@ -365,7 +361,7 @@ def restrict_map(m: RationalMatrix, s_domain: Subspace, s_codomain: Subspace) ->
     images = [m.mul_vec(d) for d in s_domain.basis.entries]
     if any(map(any, s_codomain.residues(images))):
         raise NotInvariant("image vector leaves the codomain subspace")
-    rows = tuple(tuple(y[_pivot(c)] for y in images) for c in s_codomain.basis.entries)
+    rows = tuple(tuple(y[p] for y in images) for p in s_codomain.pivots)
     return RationalMatrix(s_codomain.dim, s_domain.dim, rows)
 
 

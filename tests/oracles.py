@@ -12,9 +12,12 @@ kernel vector), all-Fraction elimination and two-elimination kernel are kept
 here verbatim as references for the elimination-sparing, integer-pivoting,
 direct, int-when-integral and one-elimination versions; matrix products are
 checked against the dot-product definition.  Subspace membership by a
-stacked rank, restrict_map by one solve per domain vector and the positive
-basis with its dropped lattice row found by solve are the references for the
-read-offs from the echelon basis.
+stacked rank, restrict_map by one solve per domain vector, the positive
+basis with its dropped lattice row found by solve, and the greedy graded
+pieces with the induced maps solved against them are the references for the
+read-offs from the echelon basis.  Linear solves and subspace sums by
+elimination live only here: the library reads such answers off echelon
+bases.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from fractions import Fraction
 from functools import cache
 
 from hodgecharts.cones import farkas_split, relation_space
+from hodgecharts.errors import NotFiltrationCompatible
 from hodgecharts.filtrations import (
+    GradedPiece,
     NilpotentCone,
     WeightFiltration,
     _powers,
@@ -31,6 +36,7 @@ from hodgecharts.filtrations import (
     weight_filtration,
 )
 from hodgecharts.linalg import (
+    Rational,
     RationalMatrix,
     Subspace,
     _primitive_integer,
@@ -38,11 +44,34 @@ from hodgecharts.linalg import (
     kernel,
     lattice_basis,
     rank,
-    solve,
     vec,
 )
 
 Q = Fraction
+
+# ---------------------------------------------------------------------------
+# Linear solves and subspace sums by elimination.
+
+
+def solve(m: RationalMatrix, b) -> tuple[Rational, ...] | None:
+    """One exact solution x of M x = b, or None if the system is inconsistent."""
+    b = vec(b)
+    if len(b) != m.rows:
+        raise ValueError("dimension mismatch")
+    aug = RationalMatrix(m.rows, m.cols + 1, tuple(r + (bb,) for r, bb in zip(m.entries, b)))
+    red, pivots = aug.rref()
+    if m.cols in pivots:
+        return None
+    x = [0] * m.cols
+    for i, p in enumerate(pivots):
+        x[p] = red.entries[i][m.cols]
+    return tuple(x)
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    """S + T, by one elimination of both bases stacked."""
+    return Subspace.from_vectors(a.ambient_dim, a.basis.entries + b.basis.entries)
+
 
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin feasibility for systems  sum c_i x_i + d >= 0.
@@ -206,7 +235,7 @@ def filtration_satisfies_defining_properties(n: RationalMatrix, filtration) -> b
             continue
         power = n.power(ell)
         image_rows = [power.mul_vec(r) for r in hi.basis.entries]
-        pushed = Subspace.from_vectors(dim, image_rows).sum(lo2)
+        pushed = subspace_sum(Subspace.from_vectors(dim, image_rows), lo2)
         if pushed.dim - lo2.dim != hi2.dim - lo2.dim:
             return False  # induced map is not surjective
     return True
@@ -585,3 +614,66 @@ def solve_positive_basis(s: Subspace, split) -> RationalMatrix:
         shift = max(0, -(-need.numerator // need.denominator))
         rows.append([int(x) + shift * c for x, c in zip(hrow, cert)])
     return RationalMatrix.from_rows(rows, cols=k)
+
+
+# ---------------------------------------------------------------------------
+# Graded pieces picked greedily, and induced maps solved against them.
+
+
+def greedy_graded_pieces(filtration: WeightFiltration) -> list[GradedPiece]:
+    out = []
+    for level in filtration.levels():
+        below = filtration.step(level - 1)
+        reprs = []
+        span = below
+        for row in filtration.step(level).basis.entries:
+            if not span.contains_vector(row):
+                reprs.append(row)
+                span = subspace_sum(span, Subspace.from_vectors(filtration.ambient_dim, [row]))
+        out.append(
+            GradedPiece(
+                level,
+                len(reprs),
+                RationalMatrix.from_rows(reprs, cols=filtration.ambient_dim),
+            )
+        )
+    return out
+
+
+def solve_induced_map(
+    m: RationalMatrix, filtration: WeightFiltration, shift: int
+) -> dict[int, RationalMatrix]:
+    """Per-level matrices Gr_a -> Gr_{a+shift} induced by M.
+
+    Requires M . W_l <= W_{l+shift} for all l; raises NotFiltrationCompatible
+    otherwise.  Matrices are written in the greedy_graded_pieces
+    representative bases.
+    """
+    for level in filtration.levels():
+        target = filtration.step(level + shift)
+        for row in filtration.step(level).basis.entries:
+            if not target.contains_vector(m.mul_vec(row)):
+                raise NotFiltrationCompatible(
+                    f"M W_{level} is not contained in W_{level + shift}"
+                )
+    pieces = {p.level: p for p in greedy_graded_pieces(filtration)}
+    out: dict[int, RationalMatrix] = {}
+    for level, piece in pieces.items():
+        target_level = level + shift
+        target_reprs = pieces.get(target_level)
+        tdim = target_reprs.dimension if target_reprs else 0
+        cols = []
+        for row in piece.representatives.entries:
+            y = m.mul_vec(row)
+            if tdim:
+                below = filtration.step(target_level - 1)
+                stacked = target_reprs.representatives.stack(below.basis).transpose()
+                coeffs = solve(stacked, y)
+                if coeffs is None:  # pragma: no cover - containment already checked
+                    raise AssertionError("containment check missed a vector")
+                cols.append(coeffs[:tdim])
+            else:
+                cols.append(())
+        rows = tuple(zip(*cols)) if cols and tdim else ()
+        out[level] = RationalMatrix(tdim, piece.dimension, tuple(tuple(r) for r in rows))
+    return out

@@ -46,6 +46,7 @@ from .oracles import (
     filtration_satisfies_defining_properties,
     random_nilpotent,
     split_supports,
+    subspace_sum,
 )
 
 
@@ -155,7 +156,7 @@ def test_criterion_4_weight_filtration_suite():
                     extra = next(
                         r for r in above.basis.entries if not cur.contains_vector(r)
                     )
-                    bigger = cur.sum(Subspace.from_vectors(dim, [extra]))
+                    bigger = subspace_sum(cur, Subspace.from_vectors(dim, [extra]))
                     assert not filtration_satisfies_defining_properties(
                         n, _with_step(w, level, bigger)
                     )
@@ -163,7 +164,7 @@ def test_criterion_4_weight_filtration_suite():
                     reps = [
                         r for r in cur.basis.entries if not below.contains_vector(r)
                     ]
-                    smaller = below.sum(Subspace.from_vectors(dim, reps[1:]))
+                    smaller = subspace_sum(below, Subspace.from_vectors(dim, reps[1:]))
                     if smaller.dim < cur.dim:
                         assert not filtration_satisfies_defining_properties(
                             n, _with_step(w, level, smaller)

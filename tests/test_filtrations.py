@@ -15,14 +15,19 @@ from hodgecharts.filtrations import (
     weight_filtration,
 )
 from hodgecharts.gallery import genus2_cone, rank1_cone, symplectic_form_4
-from hodgecharts.linalg import RationalMatrix, Subspace, rank, solve
+from hodgecharts.linalg import RationalMatrix, Subspace, rank
 
 from .oracles import (
     ad_weight_filtration,
     filtration_satisfies_defining_properties,
+    greedy_graded_pieces,
     intersection_weight_filtration,
     lie_context,
     random_nilpotent,
+    solve,
+    solve_induced_map,
+    stacked_rank_contains,
+    subspace_sum,
 )
 from .test_cones import _conjugated_sp_cone, _k3_cone, _oracle_cones
 
@@ -160,8 +165,8 @@ def test_weight_filtration_uniqueness_perturbation():
                 extra = next(
                     r for r in above.basis.entries if not cur.contains_vector(r)
                 )
-                perturbed = _replace_step(w, level, cur.sum(
-                    Subspace.from_vectors(dim, [extra])
+                perturbed = _replace_step(w, level, subspace_sum(
+                    cur, Subspace.from_vectors(dim, [extra])
                 ))
                 assert not filtration_satisfies_defining_properties(n, perturbed)
                 checked += 1
@@ -177,7 +182,7 @@ def test_weight_filtration_uniqueness_perturbation():
                     r for r in cur.basis.entries if not below.contains_vector(r)
                 ]
                 if others:
-                    smaller = Subspace.from_vectors(dim, keep + others[1:]).sum(below)
+                    smaller = subspace_sum(Subspace.from_vectors(dim, keep + others[1:]), below)
                     if smaller.dim < cur.dim:
                         perturbed = _replace_step(w, level, smaller)
                         assert not filtration_satisfies_defining_properties(
@@ -415,3 +420,176 @@ def test_adjoint_membership_matches_ad_oracle():
             if pair[0] != pair[1]:
                 strict.add((premise, report.filtrations_equal))
     assert checks > 800 and {(True, True), (False, False)} <= strict
+
+
+def _gallery_filtrations():
+    """(W(N_I), maps) for every nonempty index set of the oracle cones, with
+    maps a list of (M, shift): N_I and N_I^2 lower W by 2 and 4, so N_I also
+    maps W_l into W_{l+1}, and the identity and each generator, which
+    commutes with N_I, preserve it."""
+    for cone in _oracle_cones():
+        ident = RationalMatrix.identity(cone.dim)
+        for mask in range(1, 1 << cone.k):
+            index = tuple(i + 1 for i in range(cone.k) if mask >> i & 1)
+            n = cone.n_of(index)
+            maps = [(n, -2), (n @ n, -4), (n, 1), (ident, 0)]
+            maps += [(g, 0) for g in cone.generators]
+            yield weight_filtration(n, cone.weight), maps
+
+
+def _random_filtrations(rng, count):
+    """(W(N), maps) for seeded nilpotents: unimodular conjugates, Jordan
+    matrices conjugated with non-integral entries, and unimodular conjugates
+    scaled by 2/3 and conjugated by a non-integral diagonal.  The maps are N
+    (shifts -2 and 1), N^2 and a polynomial in N with a constant term
+    (shift 0)."""
+    for trial in range(count):
+        dim = rng.randint(1, 7)
+        if trial % 3 == 0:
+            n = random_nilpotent(rng, dim)
+        elif trial % 3 == 1:
+            blocks = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+            n = _conjugated_jordan(rng, blocks)
+        else:
+            nums, dens = (-5, -1, 1, 3, 7), (1, 2, 3)
+            d = [Fraction(rng.choice(nums), rng.choice(dens)) for _ in range(dim)]
+            diag, diag_inv = (
+                RationalMatrix.from_rows(
+                    [[x if i == j else 0 for j in range(dim)] for i, x in enumerate(xs)]
+                )
+                for xs in (d, [1 / x for x in d])
+            )
+            n = diag @ random_nilpotent(rng, dim).scale(Fraction(2, 3)) @ diag_inv
+        dim = n.rows
+        poly = RationalMatrix.identity(dim).scale(Fraction(1, 2)) + n.scale(3) - (n @ n)
+        maps = [(n, -2), (n @ n, -4), (n, 1), (poly, 0)]
+        yield weight_filtration(n, rng.randint(-2, 2)), maps
+
+
+def _coordinates(lifts, below, vectors):
+    """Coordinates of each vector on the lifts modulo W_{l-1}, by one solve
+    against the lifts stacked over W_{l-1}'s basis."""
+    dim = below.ambient_dim
+    stacked = RationalMatrix(len(lifts), dim, tuple(lifts)).stack(below.basis).transpose()
+    return [solve(stacked, v)[: len(lifts)] for v in vectors]
+
+
+def test_graded_read_off_matches_greedy_and_solve_oracles():
+    """On every index set of the oracle cones and 60 seeded filtrations:
+    the lifts of Gr_l lie in W_l, are independent modulo W_{l-1} and number
+    graded_dim(l); every induced matrix A satisfies M r_j - sum_i A_ij t_i in
+    W_{t-1}; and A equals the solve-based matrix on the greedy
+    representatives after the change of basis between the two sets, and
+    outright where the sets coincide.  A map that does not respect W is
+    refused by both."""
+    rng = random.Random(SEED + 6)
+    cases = [*_gallery_filtrations(), *_random_filtrations(rng, 60)]
+    changed = same = refused = 0
+    for w, maps in cases:
+        dim = w.ambient_dim
+        greedy = {p.level: p for p in greedy_graded_pieces(w)}
+        pieces = graded_pieces(w)
+        assert [p.level for p in pieces] == list(greedy) == list(w.levels())
+        change, coincide = {}, set()
+        for piece in pieces:
+            level, lifts = piece.level, piece.representatives.entries
+            below = w.step(level - 1)
+            assert piece.dimension == len(lifts) == w.graded_dim(level)
+            assert piece.dimension == greedy[level].dimension
+            assert all(w.step(level).contains_vector(r) for r in lifts)
+            assert rank(piece.representatives.stack(below.basis)) == below.dim + len(lifts)
+            # column j: the greedy representative g_j on the lifts
+            cols = _coordinates(lifts, below, greedy[level].representatives.entries)
+            change[level] = RationalMatrix(
+                len(lifts), len(lifts), tuple(zip(*cols)) if cols else ()
+            )
+            if piece.representatives == greedy[level].representatives:
+                coincide.add(level)
+            else:
+                changed += 1
+        for m, shift in maps:
+            got, want = induced_map(m, w, shift), solve_induced_map(m, w, shift)
+            assert list(got) == list(want) == list(w.levels())
+            for level, a in got.items():
+                target = level + shift
+                lifts = w.graded_lifts(level)[0]
+                t_lifts = w.graded_lifts(target)[0]
+                assert (a.rows, a.cols) == (len(t_lifts), len(lifts))
+                for j, r in enumerate(lifts):
+                    y = m.mul_vec(r)
+                    rest = tuple(
+                        y_c - sum(a.entries[i][j] * t[c] for i, t in enumerate(t_lifts))
+                        for c, y_c in enumerate(y)
+                    )
+                    assert stacked_rank_contains(w.step(target - 1), rest)
+                b = want[level]
+                if w.low <= target <= w.high:
+                    # Both matrices describe one map: P_t B = A P_a.
+                    assert change[target] @ b == a @ change[level]
+                    if level in coincide and target in coincide:
+                        assert (a.rows, a.cols, a.flatten()) == (b.rows, b.cols, b.flatten())
+                        same += 1
+                else:
+                    assert a.rows == b.rows == 0
+        # N W_l <= W_{l-3} and W_l <= W_{l-1} fail unless some graded pieces
+        # vanish.
+        n, ident = maps[0][0], RationalMatrix.identity(dim)
+        for m, shift in ((n, -3), (ident, -1)):
+            compatible = all(
+                stacked_rank_contains(w.step(l + shift), m.mul_vec(v))
+                for l in w.levels()
+                for v in w.step(l).basis.entries
+            )
+            if not compatible:
+                refused += 1
+                with pytest.raises(NotFiltrationCompatible):
+                    induced_map(m, w, shift)
+                with pytest.raises(NotFiltrationCompatible):
+                    solve_induced_map(m, w, shift)
+            else:
+                assert list(induced_map(m, w, shift)) == list(w.levels())
+    assert len(cases) >= 130 and changed and same > 500 and refused > 100, (
+        len(cases), changed, same, refused,
+    )
+
+
+def test_graded_read_off_runs_no_elimination(monkeypatch):
+    """graded_pieces and induced_map read the step bases and never
+    eliminate; the primitive subspace and its polarization take W (three
+    eliminations on genus2_cone) plus one kernel."""
+    cases = list(_gallery_filtrations())
+    cone = genus2_cone()
+    calls = []
+    original = RationalMatrix.rref
+    monkeypatch.setattr(RationalMatrix, "rref", lambda m: calls.append(m) or original(m))
+    for w, maps in cases:
+        graded_pieces(w)
+        for m, shift in maps:
+            induced_map(m, w, shift)
+    assert not calls
+    for fn in (primitive_subspace, polarization_form):
+        del calls[:]
+        fn(cone, (1, 2, 3), 1)
+        assert len(calls) <= 4, (fn.__name__, len(calls))
+
+
+def test_adjoint_contains_matches_per_vector_check():
+    """AdjointFiltration.contains, which shares induced_map's compatibility
+    read-off, agrees with checking X v in W_{j+l} vector by vector by a
+    stacked rank, on the RWFP cases, for every generator and every N_I."""
+    checks = 0
+    for cone, index in ((genus2_cone(), (1,)), (genus2_cone(), (1, 2, 3)), (rank1_cone(), (1,))):
+        adj = adjoint_filtration(cone, index)
+        w = adj.filtration
+        xs = [cone.n_of(i) for i in ((1,), (1, 2), (1, 2, 3), (2,), (3,)) if max(i) <= cone.k]
+        xs += [cone.generators[-1] - cone.generators[0]]
+        for x in xs:
+            for level in range(w.low - w.high - 1, 2):
+                want = all(
+                    stacked_rank_contains(w.step(j + level), x.mul_vec(v))
+                    for j in w.levels()
+                    for v in w.step(j).basis.entries
+                )
+                assert adj.contains(x, level) == want
+                checks += 1
+    assert checks > 50

@@ -20,7 +20,6 @@ from hodgecharts.linalg import (
     lattice_basis,
     rank,
     restrict_map,
-    solve,
 )
 
 from .oracles import (
@@ -30,6 +29,7 @@ from .oracles import (
     fraction_rref,
     inexact_values,
     random_nilpotent,
+    solve,
     solve_restrict_map,
     stacked_rank_contains,
     two_elimination_kernel,
@@ -84,6 +84,37 @@ def test_from_rows_rejects_a_wrong_stated_column_count():
         Subspace.from_vectors(5, [[1, 2, 3]])
     assert RationalMatrix.from_rows([[1, 2, 3]], cols=3).cols == 3
     assert RationalMatrix.from_rows([], cols=5).cols == 5
+
+
+def test_sum_and_difference_reject_mismatched_shapes():
+    """+ and - refuse operands of different shapes, in either order, as @
+    and stack do; equal shapes still add entrywise."""
+    a = RationalMatrix.from_rows([[1, 2], [3, 4]])
+    others = [
+        RationalMatrix.from_rows([[1]]),
+        RationalMatrix.from_rows([[1, 2]]),
+        RationalMatrix.from_rows([[1], [2]]),
+        RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]]),
+        RationalMatrix(0, 2, ()),
+    ]
+    for b in others:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                x + y
+            with pytest.raises(ValueError, match="shape mismatch"):
+                x - y
+    assert (a + a).entries == ((2, 4), (6, 8))
+    assert (a - a).is_zero()
+    assert RationalMatrix(0, 3, ()) + RationalMatrix(0, 3, ()) == RationalMatrix(0, 3, ())
+
+
+def test_power_rejects_negative_exponents():
+    n = RationalMatrix.from_rows([[0, 1], [0, 0]])
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match="negative power"):
+            n.power(k)
+    assert n.power(0) == RationalMatrix.identity(2)
+    assert n.power(1) == n and n.power(2).is_zero()
 
 
 def _mixed(rng):
