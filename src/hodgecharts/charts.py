@@ -52,19 +52,9 @@ class BinomialRelationSet:
     vectors: tuple[tuple[int, ...], ...]
 
     def as_equations(self, var: str = "z") -> tuple[str, ...]:
-        def side(indices_exps):
-            factors = [
-                f"{var}{i + 1}" if e == 1 else f"{var}{i + 1}^{e}"
-                for i, e in indices_exps
-            ]
-            return "*".join(factors) if factors else "1"
-
-        out = []
-        for u in self.vectors:
-            pos = [(i, e) for i, e in enumerate(u) if e > 0]
-            neg = [(i, -e) for i, e in enumerate(u) if e < 0]
-            out.append(f"{side(pos)} = {side(neg)}")
-        return tuple(out)
+        pos = monomial_strings([[max(e, 0) for e in u] for u in self.vectors], var)
+        neg = monomial_strings([[max(-e, 0) for e in u] for u in self.vectors], var)
+        return tuple(f"{p} = {n}" for p, n in zip(pos, neg))
 
 
 @dataclass(frozen=True)

@@ -276,8 +276,12 @@ def expansion_fit(
 
     ray maps tau in (0,1) to the t-tuple; the boundary-approach rate is read
     from the first coordinate.  Each candidate power m in 0..2n is fitted with
-    an A + B/L correction and the smallest max-deviation wins.
+    an A + B/L correction and the smallest max-deviation wins.  Two
+    parameters per order fit any two points exactly, so at least 3 distinct
+    taus are needed.
     """
+    if len(set(taus)) < 3:
+        raise ValueError("an expansion fit needs at least 3 distinct taus")
     ys, ls = [], []
     for tau in taus:
         t = ray(tau)

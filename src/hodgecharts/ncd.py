@@ -9,7 +9,9 @@ order; Gysin maps are the transposes of the dual restriction maps.  With this
 convention the middle-weight square is a complex exactly when the triple point
 formula D^2|_{X_i} + D^2|_{X_j} + #(triple points on D_ij) = 0 holds for every
 double curve, and the two outer complexes are mutually transposed, so the
-outer graded dimensions match in dual pairs by construction.
+outer graded dimensions match in dual pairs by construction.  Genera and
+cohomology dimensions must be nonnegative.  Each graded dimension is that of
+a kernel or a cokernel, counted by one rank, with no basis built.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ class NCDSurface:
         norm_curves = []
         for c in curves:
             ends = normalize_pair(c.ends)
+            if c.genus < 0:
+                raise IncidenceError(f"double curve {ends} has negative genus")
             flip = ends != tuple(c.ends)
             si = c.self_intersections[::-1] if flip else c.self_intersections
             norm_curves.append(DoubleCurve(ends, c.genus, tuple(si)))
@@ -242,25 +246,15 @@ class GradedDims:
 
 def graded_dims(w: WeightComplexes) -> GradedDims:
     _require_complex(w)
-    i4 = kernel(w.g1).dim
+    i4 = w.g1.cols - rank(w.g1)
     i0 = w.r2.rows - rank(w.r2)
     first = w.g_mid.stack(w.r2)  # H0(X^[2]) -> H2(X^[1]) + H0(X^[3])
-    second_rows = tuple(
-        a + b for a, b in zip(w.r_mid.entries, _pad_rows(w.g1, w.r_mid.rows))
-    )
-    second = RationalMatrix(
-        w.r_mid.rows, w.r_mid.cols + w.g1.cols, second_rows
-    )
-    i2 = kernel(second).dim - rank(first)
-    i3 = kernel(w.g_odd).dim
+    # [R_mid | G1] : H2(X^[1]) + H0(X^[3]) -> H2(X^[2]), ranked as its transpose
+    second_t = w.r_mid.transpose().stack(w.g1.transpose())
+    i2 = second_t.rows - rank(second_t) - rank(first)
+    i3 = w.g_odd.cols - rank(w.g_odd)
     i1 = w.r_odd.rows - rank(w.r_odd)
     return GradedDims((i0, i1, i2, i3, i4))
-
-
-def _pad_rows(m: RationalMatrix, nrows: int):
-    if m.rows != nrows:
-        raise NotAComplex("block shapes are inconsistent")
-    return m.entries
 
 
 @dataclass(frozen=True)
@@ -297,10 +291,13 @@ def monodromy_graded_maps(w: WeightComplexes) -> MonodromyReport:
 def curve_lmhs(vertices, edges) -> tuple[int, int, int]:
     """Graded dimensions (Gr_0, Gr_1, Gr_2) for a nodal curve dual graph.
 
-    vertices: iterable of (name, genus); edges: iterable of (name, name) pairs
-    (multi-edges and loops allowed).  The graph must be connected.
+    vertices: iterable of (name, genus) with genus >= 0; edges: iterable of
+    (name, name) pairs (multi-edges and loops allowed).  The graph must be
+    connected.
     """
     vertices, edges = list(vertices), list(edges)
+    if any(g < 0 for _, g in vertices):
+        raise IncidenceError("vertex genera must be nonnegative")
     names = [v[0] for v in vertices]
     if len(set(names)) != len(names):
         raise Disconnected("vertex names must be unique")

@@ -3,7 +3,9 @@
 A curvature triple is a trilinear map A : T (x) W -> U together with a
 positive metric on U; when a bundle's curvature has the shape
 Theta(e, xi) = |A(xi) e|^2 its positivity is governed by the linear algebra
-of A.  Everything here runs over exact rationals (rank is brittle in floats):
+of A.  A is held as its dim_t slices A_s = A(t_s) in Q^{dim_w x dim_u}, so
+every map below is a product of exact matrices: A(xi) e = xi (e A_s)_s.
+Everything here runs over exact rationals (rank is brittle in floats):
 entries are ints, Fractions or "p/q" strings, as for linalg.vec.
 """
 
@@ -12,15 +14,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .linalg import Rational, RationalMatrix, _exact, dot, rank, vec
+from .linalg import Rational, RationalMatrix, dot, rank, vec
 
 
 class CurvatureTriple:
-    """A : T (x) W -> U as a 3-index array entries[s][i][j] with a metric on U."""
+    """A : T (x) W -> U as its slices A_s[i][j] = entries[s][i][j], with a
+    metric on U."""
 
     def __init__(self, dim_t: int, dim_w: int, dim_u: int, entries,
                  metric: RationalMatrix | None = None):
-        entries = tuple(tuple(vec(row) for row in sl) for sl in entries)
+        entries = [[vec(row) for row in sl] for sl in entries]
         if len(entries) != dim_t or any(
             len(sl) != dim_w or any(len(r) != dim_u for r in sl) for sl in entries
         ):
@@ -32,41 +35,28 @@ class CurvatureTriple:
         self.dim_t = dim_t
         self.dim_w = dim_w
         self.dim_u = dim_u
-        self.entries = entries
+        self.slices = tuple(RationalMatrix.from_rows(sl, cols=dim_u) for sl in entries)
         self.metric = metric
 
     def apply(self, xi, e) -> tuple[Rational, ...]:
         """A(xi) e in U."""
-        xi, e = vec(xi), vec(e)
-        out = [0] * self.dim_u
-        for s, x in enumerate(xi):
-            if not x:
-                continue
-            for i, ei in enumerate(e):
-                if not ei:
-                    continue
-                row = self.entries[s][i]
-                for j in range(self.dim_u):
-                    out[j] += x * ei * row[j]
-        return vec(out)
+        return (_row(xi, self.dim_t) @ self.slice_matrix(e)).entries[0]
 
     def slice_matrix(self, e) -> RationalMatrix:
-        """The map xi -> A(xi) e as a dim_t x dim_u matrix of rows."""
-        e = vec(e)
-        rows = []
-        for s in range(self.dim_t):
-            row = [0] * self.dim_u
-            for i, ei in enumerate(e):
-                if not ei:
-                    continue
-                for j in range(self.dim_u):
-                    row[j] += ei * self.entries[s][i][j]
-            rows.append(row)
-        return RationalMatrix.from_rows(rows, cols=self.dim_u)
+        """The map xi -> A(xi) e as the dim_t x dim_u matrix with rows e A_s."""
+        e = _row(e, self.dim_w)
+        return RationalMatrix.from_rows(
+            [(e @ a).entries[0] for a in self.slices], cols=self.dim_u
+        )
 
     def norm_sq(self, u) -> Rational:
         u = vec(u)
         return dot(u, self.metric.mul_vec(u))
+
+
+def _row(v, n: int) -> RationalMatrix:
+    """v as a 1 x n matrix; ValueError when v does not have n entries."""
+    return RationalMatrix.from_rows([v], cols=n)
 
 
 @dataclass(frozen=True)
@@ -80,23 +70,14 @@ def curvature_identity_check(triple: CurvatureTriple, e, xi) -> CurvatureIdentit
     """Compare the -(conj A)^t ^ A contraction against |A(xi) e|^2.
 
     The left side contracts the curvature 4-tensor sum_j A[s,a,j] g[j,j'] A[t,b,j']
-    against e in both bundle slots and xi in both tangent slots; the right side
-    applies A first.  Exact equality is the curvature-shape identity.
+    against e in both bundle slots and xi in both tangent slots: with
+    S = slice_matrix(e) it is x (S g S^t) x^t.  The right side applies A
+    first, |x S|^2_g.  Exact equality is the curvature-shape identity.
     """
-    e, xi = vec(e), vec(xi)
-    lhs = 0
-    images = [triple.apply([int(s == i) for i in range(triple.dim_t)], e)
-              for s in range(triple.dim_t)]
-    for s in range(triple.dim_t):
-        if not xi[s]:
-            continue
-        gs = triple.metric.mul_vec(images[s])
-        for t in range(triple.dim_t):
-            if not xi[t]:
-                continue
-            lhs += xi[s] * xi[t] * dot(images[t], gs)
+    s, x = triple.slice_matrix(e), _row(xi, triple.dim_t)
+    lhs = (x @ (s @ triple.metric @ s.transpose()) @ x.transpose()).entries[0][0]
     rhs = triple.norm_sq(triple.apply(xi, e))
-    return CurvatureIdentity(_exact(lhs), rhs, lhs == rhs)
+    return CurvatureIdentity(lhs, rhs, lhs == rhs)
 
 
 def numerical_dimension(triple: CurvatureTriple, samples: int = 20, seed: int = 0):
@@ -112,10 +93,6 @@ def numerical_dimension(triple: CurvatureTriple, samples: int = 20, seed: int = 
     return rho, triple.dim_w - 1 + rho
 
 
-def _sym_basis(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i, m)]
-
-
 @dataclass(frozen=True)
 class SigmaReport:
     matrix: RationalMatrix
@@ -123,26 +100,31 @@ class SigmaReport:
     injective: bool
 
 
+def _contraction(triple: CurvatureTriple, q_form: RationalMatrix) -> SigmaReport:
+    """The map T -> W (x) U, t_s -> q A_s: column s of the matrix is q A_s
+    flattened row by row."""
+    images = [(q_form @ a).flatten() for a in triple.slices]
+    mat = RationalMatrix.from_rows(images, cols=q_form.rows * triple.dim_u).transpose()
+    rk = rank(mat)
+    return SigmaReport(mat, rk, rk == triple.dim_t)
+
+
 def sigma_weight1(q_form: RationalMatrix) -> SigmaReport:
     """The contraction Sym^2 W -> W* (x) W, s -> q s, in monomial bases.
 
-    Injective exactly when the quadric q is nonsingular.
+    This is the sigma contraction of the tautological triple, whose slices are
+    the symmetric units S_ij = E_ij + E_ji (i <= j).  Injective exactly when
+    the quadric q is nonsingular.
     """
     if q_form.transpose() != q_form:
         raise ValueError("quadric must be symmetric")
     m = q_form.rows
-    pairs = _sym_basis(m)
-    cols = []
-    for (i, j) in pairs:
-        s = [[0] * m for _ in range(m)]
-        s[i][j] += 1
-        s[j][i] += 1
-        prod = q_form @ RationalMatrix.from_rows(s, cols=m)
-        cols.append(prod.flatten())
-    rows = tuple(zip(*cols))
-    mat = RationalMatrix(m * m, len(pairs), tuple(tuple(r) for r in rows))
-    rk = rank(mat)
-    return SigmaReport(mat, rk, rk == len(pairs))
+    units = [
+        [[int(r == i and c == j) + int(r == j and c == i) for c in range(m)] for r in range(m)]
+        for i in range(m)
+        for j in range(i, m)
+    ]
+    return _contraction(CurvatureTriple(len(units), m, m, units), q_form)
 
 
 def sigma_weight2(triple: CurvatureTriple, q_form: RationalMatrix) -> SigmaReport:
@@ -153,26 +135,6 @@ def sigma_weight2(triple: CurvatureTriple, q_form: RationalMatrix) -> SigmaRepor
     """
     if q_form.rows != triple.dim_w or q_form.transpose() != q_form:
         raise ValueError("quadric must be symmetric on W")
-    flat_rows = [
-        [triple.entries[s][i][j] for i in range(triple.dim_w) for j in range(triple.dim_u)]
-        for s in range(triple.dim_t)
-    ]
-    if rank(RationalMatrix.from_rows(flat_rows, cols=triple.dim_w * triple.dim_u)) < triple.dim_t:
+    if not _contraction(triple, RationalMatrix.identity(triple.dim_w)).injective:
         raise ValueError("A must be injective as a map T -> Hom(W, U)")
-    cols = []
-    for s in range(triple.dim_t):
-        out = [[0] * triple.dim_u for _ in range(triple.dim_w)]
-        for i in range(triple.dim_w):
-            for ip in range(triple.dim_w):
-                c = q_form.entries[i][ip]
-                if not c:
-                    continue
-                for j in range(triple.dim_u):
-                    out[i][j] += c * triple.entries[s][ip][j]
-        cols.append([_exact(x) for row in out for x in row])
-    rows = tuple(zip(*cols))
-    mat = RationalMatrix(
-        triple.dim_w * triple.dim_u, triple.dim_t, tuple(tuple(r) for r in rows)
-    )
-    rk = rank(mat)
-    return SigmaReport(mat, rk, rk == triple.dim_t)
+    return _contraction(triple, q_form)

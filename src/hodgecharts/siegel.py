@@ -209,10 +209,13 @@ def boundedness_probe(
     minimal parabolic the monitored quantities e^{2(a-d)} and e^{2d} must stay
     bounded below; for the maximal parabolic the row norms of B must stay
     bounded above.  A fitted log-log slope beyond the threshold in the bad
-    direction gives the escape verdict.
+    direction gives the escape verdict; the grid needs at least 2 distinct
+    values.
     """
     if parabolic not in ("minimal", "maximal"):
         raise ValueError("parabolic must be 'minimal' or 'maximal'")
+    if len(set(grid)) < 2:
+        raise ValueError("a slope fit needs at least 2 distinct grid values")
     monitored: dict[str, list[float]] = {}
     for t_val in grid:
         y = family(t_val)

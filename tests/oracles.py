@@ -17,7 +17,9 @@ basis with its dropped lattice row found by solve, and the greedy graded
 pieces with the induced maps solved against them are the references for the
 read-offs from the echelon basis.  Linear solves and subspace sums by
 elimination live only here: the library reads such answers off echelon
-bases.
+bases.  The curvature-triple maps and both sigma contractions by index loops
+over the entries of A, and the lmhs graded dimensions counted from kernel
+bases, are the references for the slice products and the rank counts.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 
 from hodgecharts.cones import farkas_split, relation_space
-from hodgecharts.errors import NotFiltrationCompatible
+from hodgecharts.errors import NotAComplex, NotFiltrationCompatible
 from hodgecharts.filtrations import (
     GradedPiece,
     NilpotentCone,
@@ -39,13 +41,17 @@ from hodgecharts.linalg import (
     Rational,
     RationalMatrix,
     Subspace,
+    _exact,
     _primitive_integer,
+    dot,
     image,
     kernel,
     lattice_basis,
     rank,
     vec,
 )
+from hodgecharts.ncd import GradedDims, WeightComplexes, _require_complex
+from hodgecharts.positivity import CurvatureIdentity, CurvatureTriple, SigmaReport
 
 Q = Fraction
 
@@ -677,3 +683,133 @@ def solve_induced_map(
         rows = tuple(zip(*cols)) if cols and tdim else ()
         out[level] = RationalMatrix(tdim, piece.dimension, tuple(tuple(r) for r in rows))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The curvature-triple maps and sigma contractions by index loops over the
+# entries of A, and the lmhs graded dimensions from kernel bases.
+
+
+def _entries(triple: CurvatureTriple):
+    """A as the 3-index array entries[s][i][j]."""
+    return tuple(a.entries for a in triple.slices)
+
+
+def loop_apply(triple: CurvatureTriple, xi, e) -> tuple[Rational, ...]:
+    """A(xi) e in U."""
+    xi, e = vec(xi), vec(e)
+    entries = _entries(triple)
+    out = [0] * triple.dim_u
+    for s, x in enumerate(xi):
+        if not x:
+            continue
+        for i, ei in enumerate(e):
+            if not ei:
+                continue
+            row = entries[s][i]
+            for j in range(triple.dim_u):
+                out[j] += x * ei * row[j]
+    return vec(out)
+
+
+def loop_slice_matrix(triple: CurvatureTriple, e) -> RationalMatrix:
+    """The map xi -> A(xi) e as a dim_t x dim_u matrix of rows."""
+    e = vec(e)
+    entries = _entries(triple)
+    rows = []
+    for s in range(triple.dim_t):
+        row = [0] * triple.dim_u
+        for i, ei in enumerate(e):
+            if not ei:
+                continue
+            for j in range(triple.dim_u):
+                row[j] += ei * entries[s][i][j]
+        rows.append(row)
+    return RationalMatrix.from_rows(rows, cols=triple.dim_u)
+
+
+def loop_curvature_identity_check(triple: CurvatureTriple, e, xi) -> CurvatureIdentity:
+    """The curvature 4-tensor contracted against e, e, xi, xi term by term,
+    against |A(xi) e|^2."""
+    e, xi = vec(e), vec(xi)
+    lhs = 0
+    images = [loop_apply(triple, [int(s == i) for i in range(triple.dim_t)], e)
+              for s in range(triple.dim_t)]
+    for s in range(triple.dim_t):
+        if not xi[s]:
+            continue
+        gs = triple.metric.mul_vec(images[s])
+        for t in range(triple.dim_t):
+            if not xi[t]:
+                continue
+            lhs += xi[s] * xi[t] * dot(images[t], gs)
+    rhs = triple.norm_sq(loop_apply(triple, xi, e))
+    return CurvatureIdentity(_exact(lhs), rhs, lhs == rhs)
+
+
+def loop_sigma_weight1(q_form: RationalMatrix) -> SigmaReport:
+    """The contraction Sym^2 W -> W* (x) W, s -> q s, in monomial bases."""
+    if q_form.transpose() != q_form:
+        raise ValueError("quadric must be symmetric")
+    m = q_form.rows
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    cols = []
+    for (i, j) in pairs:
+        s = [[0] * m for _ in range(m)]
+        s[i][j] += 1
+        s[j][i] += 1
+        prod = q_form @ RationalMatrix.from_rows(s, cols=m)
+        cols.append(prod.flatten())
+    rows = tuple(zip(*cols))
+    mat = RationalMatrix(m * m, len(pairs), tuple(tuple(r) for r in rows))
+    rk = rank(mat)
+    return SigmaReport(mat, rk, rk == len(pairs))
+
+
+def loop_sigma_weight2(triple: CurvatureTriple, q_form: RationalMatrix) -> SigmaReport:
+    """The composite T -> W (x) U contracting A against a quadric on W.  With
+    dim_t = 0 the matrix has dim_w * dim_u rows but no row entries."""
+    if q_form.rows != triple.dim_w or q_form.transpose() != q_form:
+        raise ValueError("quadric must be symmetric on W")
+    entries = _entries(triple)
+    flat_rows = [
+        [entries[s][i][j] for i in range(triple.dim_w) for j in range(triple.dim_u)]
+        for s in range(triple.dim_t)
+    ]
+    if rank(RationalMatrix.from_rows(flat_rows, cols=triple.dim_w * triple.dim_u)) < triple.dim_t:
+        raise ValueError("A must be injective as a map T -> Hom(W, U)")
+    cols = []
+    for s in range(triple.dim_t):
+        out = [[0] * triple.dim_u for _ in range(triple.dim_w)]
+        for i in range(triple.dim_w):
+            for ip in range(triple.dim_w):
+                c = q_form.entries[i][ip]
+                if not c:
+                    continue
+                for j in range(triple.dim_u):
+                    out[i][j] += c * entries[s][ip][j]
+        cols.append([_exact(x) for row in out for x in row])
+    rows = tuple(zip(*cols))
+    mat = RationalMatrix(
+        triple.dim_w * triple.dim_u, triple.dim_t, tuple(tuple(r) for r in rows)
+    )
+    rk = rank(mat)
+    return SigmaReport(mat, rk, rk == triple.dim_t)
+
+
+def kernel_graded_dims(w: WeightComplexes) -> GradedDims:
+    """Graded dimensions with a kernel basis built for each kernel counted."""
+    _require_complex(w)
+    i4 = kernel(w.g1).dim
+    i0 = w.r2.rows - rank(w.r2)
+    first = w.g_mid.stack(w.r2)  # H0(X^[2]) -> H2(X^[1]) + H0(X^[3])
+    if w.g1.rows != w.r_mid.rows:
+        raise NotAComplex("block shapes are inconsistent")
+    second_rows = tuple(a + b for a, b in zip(w.r_mid.entries, w.g1.entries))
+    second = RationalMatrix(
+        w.r_mid.rows, w.r_mid.cols + w.g1.cols, second_rows
+    )
+    i2 = kernel(second).dim - rank(first)
+    i3 = kernel(w.g_odd).dim
+    i1 = w.r_odd.rows - rank(w.r_odd)
+    return GradedDims((i0, i1, i2, i3, i4))

@@ -250,6 +250,12 @@ def _identity_input(**fields):
 _EXPANSION_WITHOUT_GENERATORS = _fixture_with("orbit_weight2_caseC_expansion.json")
 _EXPANSION_WITHOUT_GENERATORS["orbit"]["cone"]["generators"] = []
 
+_CURVE_NEGATIVE_GENUS = _fixture_with(
+    "theta_graph.json", vertices=[{"name": "a", "genus": -3}, {"name": "b", "genus": 0}]
+)
+_SURFACE_NEGATIVE_GENUS = _fixture_with("ncd_two_components.json")
+_SURFACE_NEGATIVE_GENUS["double_curves"][0]["genus"] = -1
+
 
 @pytest.mark.parametrize(
     "subcommand, data",
@@ -289,6 +295,15 @@ _EXPANSION_WITHOUT_GENERATORS["orbit"]["cone"]["generators"] = []
         ("siegel", _fixture_with("siegel_cl2.json", family="y=(\u0662*T,1)")),
         ("positivity", _fixture_with("positivity_ndim.json", samples="2_0")),
         ("positivity", _fixture_with("positivity_ndim.json", samples="\u0662")),
+        ("lmhs", _CURVE_NEGATIVE_GENUS),
+        ("lmhs", _SURFACE_NEGATIVE_GENUS),
+        ("siegel", _fixture_with("siegel_cl2.json", grid=[10.0])),
+        ("siegel", _fixture_with("siegel_cl2.json", grid=[10.0, 10.0, 10.0])),
+        ("curvature", _fixture_with("residue_constant.json", t_values=[0.01, 0.01])),
+        ("curvature", _fixture_with("residue_constant.json", t_values=[0.01, -0.01])),
+        ("curvature", _fixture_with("residue_constant.json", t_values=[])),
+        ("curvature", _fixture_with("orbit_weight2_caseC_expansion.json", taus=[1e-5] * 3)),
+        ("curvature", _fixture_with("orbit_weight2_caseC_expansion.json", taus=[1e-5, 1e-6])),
     ],
     ids=[
         "residue-t-outside-disc",
@@ -326,6 +341,15 @@ _EXPANSION_WITHOUT_GENERATORS["orbit"]["cone"]["generators"] = []
         "siegel-family-arabic-indic-digit",
         "ndim-samples-underscore",
         "ndim-samples-arabic-indic-digit",
+        "lmhs-curve-negative-genus",
+        "lmhs-surface-negative-genus",
+        "siegel-grid-one-point",
+        "siegel-grid-one-distinct-value",
+        "residue-t-one-distinct-value",
+        "residue-t-one-distinct-modulus",
+        "residue-t-empty",
+        "expansion-taus-one-distinct-value",
+        "expansion-taus-two-values",
     ],
 )
 def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):

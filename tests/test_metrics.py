@@ -172,6 +172,13 @@ def test_expansion_fit_cases():
     assert abs(fits["a"].amplitude - 2) < 1e-9
 
 
+@pytest.mark.parametrize("taus", [(1e-5,) * 3, (1e-5, 1e-6), (1e-5, 1e-6, 1e-5)])
+def test_expansion_fit_refuses_fewer_than_three_distinct_taus(taus):
+    """A + B/L has two parameters, so on two points every order fits exactly."""
+    with pytest.raises(ValueError, match="3 distinct"):
+        expansion_fit(weight2_jordan3_orbit(), lambda tau: (tau,), 0.0, taus)
+
+
 def test_expansion_fit_poor_fit():
     orbit = weight2_jordan3_orbit()
     with pytest.raises(PoorFit):

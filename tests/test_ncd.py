@@ -19,7 +19,7 @@ from hodgecharts.ncd import (
     triple_point_check,
 )
 
-from .oracles import solve_kernel_to_cokernel
+from .oracles import kernel_graded_dims, solve_kernel_to_cokernel
 
 
 def two_component_surface(genus=2, d2=(-3, 3)):
@@ -210,3 +210,70 @@ def test_kernel_to_cokernel_matches_solve_oracle():
         kinds.add("zero" if r.is_zero() else "full" if rank(r) == min(n, r_cols) else "deficient")
         assert _kernel_to_cokernel(g, r) == solve_kernel_to_cokernel(g, r)
     assert kinds == {"zero", "deficient", "full"}
+
+
+def test_negative_genus_is_an_incidence_error():
+    with pytest.raises(IncidenceError, match="negative genus"):
+        two_component_surface(genus=-1)
+    with pytest.raises(IncidenceError, match="nonnegative"):
+        curve_lmhs([("a", -3), ("b", 0)], [("a", "b")] * 3)
+
+
+def _random_surface(rng):
+    """Three pieces meeting in three double curves and t triple points, with
+    random genera, self-intersections and odd maps of the right shapes; the
+    triple point formula holds on some of them and fails on others."""
+    t = rng.randint(0, 3)
+    a = rng.randint(-4, 2)
+    pieces = [
+        SurfacePiece(n, (1, rng.randint(0, 2), rng.randint(2, 5), rng.randint(0, 2), 1))
+        for n in "ABC"
+    ]
+    curves = [
+        DoubleCurve(("A", "B"), rng.randint(0, 2), (a, rng.choice([-t - a, 1 - t - a]))),
+        DoubleCurve(("A", "C"), rng.randint(0, 1), (-t, 0)),
+        DoubleCurve(("B", "C"), 0, (0, -t)),
+    ]
+    h1 = sum(p.h[1] for p in pieces)
+    h3 = sum(p.h[3] for p in pieces)
+    h1_x2 = sum(2 * c.genus for c in curves)
+    g_odd = _low_rank(rng, h3, h1_x2, rng.randint(0, min(h3, h1_x2)))
+    r_odd = _low_rank(rng, h1_x2, h1, rng.randint(0, min(h1_x2, h1)))
+    return NCDSurface(pieces, curves, [TriplePoint(("A", "B", "C"))] * t, g_odd, r_odd)
+
+
+def test_graded_dims_match_kernel_oracle():
+    """Counting each kernel as columns minus rank gives the dimensions of the
+    kernel bases, on the test surfaces and on seeded random ones, and both
+    refuse the same non-complexes."""
+    rng = random.Random(20261019)
+    surfaces = [
+        two_component_surface(),
+        tetrahedron_surface(),
+        tetrahedron_surface(break_one=True),
+        NCDSurface([SurfacePiece("A", (1, 0, 5, 0, 1))], []),
+    ] + [_random_surface(rng) for _ in range(60)]
+    outcomes = set()
+    for surf in surfaces:
+        w = build_weight_complexes(surf)
+        if friedman_check(w):
+            assert graded_dims(w) == kernel_graded_dims(w)
+            outcomes.add("complex")
+        else:
+            for dims in (graded_dims, kernel_graded_dims):
+                with pytest.raises(NotAComplex):
+                    dims(w)
+            outcomes.add("not a complex")
+    assert outcomes == {"complex", "not a complex"}
+
+
+def test_graded_dims_build_no_kernel_basis(monkeypatch):
+    """Six ranks and no kernel basis."""
+    import hodgecharts.ncd as ncd
+
+    calls = []
+    original = RationalMatrix.rref
+    monkeypatch.setattr(RationalMatrix, "rref", lambda m: calls.append(m) or original(m))
+    monkeypatch.setattr(ncd, "kernel", None)
+    assert graded_dims(build_weight_complexes(tetrahedron_surface())).dims == (1, 0, 4, 0, 1)
+    assert len(calls) == 6

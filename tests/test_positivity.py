@@ -12,6 +12,15 @@ from hodgecharts.positivity import (
     sigma_weight2,
 )
 
+from .oracles import (
+    inexact_values,
+    loop_apply,
+    loop_curvature_identity_check,
+    loop_sigma_weight1,
+    loop_sigma_weight2,
+    loop_slice_matrix,
+)
+
 SEED = 2207
 
 
@@ -142,3 +151,108 @@ def test_sigma_weight2():
     with pytest.raises(ValueError):
         bad = CurvatureTriple(2, 2, 2, [[[1, 0], [0, 0]]] * 2)
         sigma_weight2(bad, eye2)
+
+
+def _random_scalar(rng):
+    return rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))])
+
+
+def _random_metric(rng, n, kind):
+    if kind == "identity":
+        return RationalMatrix.identity(n)
+    rows = [[_random_scalar(rng) for _ in range(n)] for _ in range(n)]
+    if kind == "symmetric":
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return RationalMatrix.from_rows(rows, cols=n)
+
+
+def _same_sigma(new, old):
+    """Equal rank and verdict, and the same matrix entry for entry.  A loop
+    oracle matrix with no columns stores no rows at all, so there the new
+    matrix must hold one empty row per row of its shape."""
+    assert (new.rank, new.injective) == (old.rank, old.injective)
+    assert (new.matrix.rows, new.matrix.cols) == (old.matrix.rows, old.matrix.cols)
+    if old.matrix.cols:
+        assert new.matrix.entries == old.matrix.entries
+    else:
+        assert new.matrix.entries == ((),) * new.matrix.rows
+    assert not inexact_values(new.matrix)
+
+
+def test_slice_products_match_loop_oracles():
+    """apply, slice_matrix, the curvature identity and both sigma maps agree
+    exactly with the index-loop versions, on int and Fraction triples of
+    dims 0-3 (dim_t = 0 and dim_u = 0 included) under identity, symmetric and
+    non-symmetric metrics."""
+    rng = random.Random(SEED + 3)
+    seen, sigma2_outcomes = set(), []
+    for n in range(240):
+        dt, dw, du = (rng.randint(0, 3) for _ in range(3))
+        if n % 8 == 0:
+            dt = 0
+        elif n % 8 == 1:
+            du = 0
+        integral = n % 2 == 0
+        entries = [
+            [[rng.randint(-3, 3) if integral else _random_scalar(rng) for _ in range(du)]
+             for _ in range(dw)]
+            for _ in range(dt)
+        ]
+        kind = ("identity", "symmetric", "general")[n % 3]
+        triple = CurvatureTriple(dt, dw, du, entries, _random_metric(rng, du, kind))
+        seen.add((dt == 0, du == 0, kind, integral))
+        e = [_random_scalar(rng) for _ in range(dw)]
+        xi = [_random_scalar(rng) for _ in range(dt)]
+        assert triple.apply(xi, e) == loop_apply(triple, xi, e)
+        assert triple.slice_matrix(e) == loop_slice_matrix(triple, e)
+        chk = curvature_identity_check(triple, e, xi)
+        assert chk == loop_curvature_identity_check(triple, e, xi) and chk.match
+        assert not inexact_values([triple.apply(xi, e), triple.slice_matrix(e), chk.lhs, chk.rhs])
+        q = _random_metric(rng, dw, "symmetric")
+        try:
+            old = loop_sigma_weight2(triple, q)
+        except ValueError:
+            with pytest.raises(ValueError):
+                sigma_weight2(triple, q)
+            sigma2_outcomes.append("refused")
+        else:
+            _same_sigma(sigma_weight2(triple, q), old)
+            sigma2_outcomes.append(old.injective)
+        q1 = _random_metric(rng, rng.randint(0, 3), "symmetric")
+        _same_sigma(sigma_weight1(q1), loop_sigma_weight1(q1))
+    assert {(t0, u0) for t0, u0, _, _ in seen} == {
+        (True, False), (True, True), (False, True), (False, False)
+    }
+    assert {kind for _, _, kind, _ in seen} == {"identity", "symmetric", "general"}
+    assert {"refused", True, False} <= set(sigma2_outcomes)
+
+
+@pytest.mark.parametrize("short_or_long", [[1], [1, 2, 3]], ids=["short", "long"])
+def test_wrong_length_vectors_raise(short_or_long):
+    """e must have dim_w entries and xi dim_t entries: a short vector is not
+    padded with zeros, and a long one is not an IndexError."""
+    triple = CurvatureTriple(2, 2, 2, [[[1, 2], [3, 4]], [[0, 1], [1, 0]]])
+    for call in (
+        lambda: triple.apply([1, 1], short_or_long),
+        lambda: triple.apply(short_or_long, [1, 1]),
+        lambda: triple.slice_matrix(short_or_long),
+        lambda: curvature_identity_check(triple, short_or_long, [1, 1]),
+        lambda: curvature_identity_check(triple, [1, 1], short_or_long),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize(
+    "dims, entries",
+    [
+        ((2, 1, 1), [[[1]]]),
+        ((1, 2, 1), [[[1]]]),
+        ((1, 1, 2), [[[1]]]),
+        ((1, 2, 2), [[[1, 0], [1]]]),
+    ],
+    ids=["dim-t", "dim-w", "dim-u", "ragged"],
+)
+def test_entry_shape_faults_raise_one_error(dims, entries):
+    with pytest.raises(ValueError, match="entry array has inconsistent shape"):
+        CurvatureTriple(*dims, entries)

@@ -115,3 +115,13 @@ def test_probe_stable_under_grid_refinement():
         boundedness_probe(one, lambda t: (t,), "minimal", g).verdict for g in grids
     }
     assert verdicts2 == {"contained"}
+
+
+@pytest.mark.parametrize(
+    "grid", [(10.0,), (10.0, 10.0, 10.0), ()], ids=["one", "repeated", "empty"]
+)
+def test_probe_refuses_a_grid_with_one_distinct_value(grid):
+    """A log-log slope through one point is not a fit: it is refused before
+    any sample is taken, not decided by a rank-deficient polyfit."""
+    with pytest.raises(ValueError, match="2 distinct"):
+        boundedness_probe(sigma_hat(), lambda t: (t, 1.0), "minimal", grid)
