@@ -197,12 +197,12 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
         for t in t_values:
             if not 0 < abs(t) < 1 or not isfinite(1 / t):
                 raise SchemaError(f"t_values must satisfy 0 < |t| < 1 with 1/t finite, not {t!r}")
-        if len({abs(t) for t in t_values}) < 2:
-            raise SchemaError("a slope fit needs t_values with at least 2 distinct |t|")
-        values = [residue_integral(coeffs, t) for t in t_values]
         import numpy as np
 
         logs = [float(np.log(1 / abs(t))) for t in t_values]
+        if len(set(logs)) < 2:
+            raise SchemaError("a slope fit needs t_values with at least 2 distinct log(1/|t|)")
+        values = [residue_integral(coeffs, t) for t in t_values]
         slope = float(np.polyfit(logs, values, 1)[0])
         report = {
             "mode": "residue",
@@ -221,14 +221,17 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
         ray = ray_from_json(data.get("ray", [{}] * k), k)
         w = _complex_from_json(data.get("w", 0.0), "w")
         taus = _array_from_json(data.get("taus", EXPANSION_TAUS), "taus", _float_from_json)
-        if len(set(taus)) < 3 or not all(0 < tau < 1 for tau in taus):
-            raise SchemaError(f"taus must hold at least 3 distinct numbers in (0, 1), not {taus!r}")
+        if not all(0 < tau < 1 for tau in taus):
+            raise SchemaError(f"taus must lie in (0, 1), not {taus!r}")
         if not all(0 < abs(t) < 1 for tau in taus for t in ray(tau)):
             raise SchemaError("every ray point t(tau) must satisfy 0 < |t_j| < 1")
         if args.tol is not None and not args.tol > 0:
             raise SchemaError(f"--tol must be positive, not {args.tol!r}")
         kwargs = {} if args.tol is None else {"residual_threshold": args.tol}
-        fit = expansion_fit(orbit, ray, w, taus, **kwargs)
+        try:
+            fit = expansion_fit(orbit, ray, w, taus, **kwargs)
+        except ValueError as exc:  # fewer than 3 distinct rates
+            raise SchemaError(str(exc)) from exc
         return (
             {
                 "mode": "expansion",
@@ -292,9 +295,10 @@ def run_siegel(data, args) -> tuple[dict, list, list]:
     if parabolic not in ("minimal", "maximal"):
         raise SchemaError("siegel needs --parabolic minimal|maximal")
     grid = _array_from_json(data.get("grid", DEFAULT_GRID), "grid", _float_from_json)
-    if len(set(grid)) < 2 or not all(t > 0 for t in grid):
-        raise SchemaError(f"grid must hold at least 2 distinct positive numbers, not {grid!r}")
-    rep = boundedness_probe(cone, family, parabolic, grid)
+    try:
+        rep = boundedness_probe(cone, family, parabolic, grid)
+    except ValueError as exc:  # a grid value not positive, or fewer than 2 distinct logs
+        raise SchemaError(str(exc)) from exc
     report = {
         "verdict": rep.verdict,
         "parabolic": rep.parabolic,

@@ -277,17 +277,14 @@ def expansion_fit(
     ray maps tau in (0,1) to the t-tuple; the boundary-approach rate is read
     from the first coordinate.  Each candidate power m in 0..2n is fitted with
     an A + B/L correction and the smallest max-deviation wins.  Two
-    parameters per order fit any two points exactly, so at least 3 distinct
-    taus are needed.
+    parameters per order fit any two points exactly, so the rates of at least
+    3 taus must be distinct.
     """
-    if len(set(taus)) < 3:
-        raise ValueError("an expansion fit needs at least 3 distinct taus")
-    ys, ls = [], []
-    for tau in taus:
-        t = ray(tau)
-        ys.append(log_det_lambda(orbit, t, w))
-        ls.append(-log(abs(t[0])))
-    ys = np.array(ys)
+    ts = [ray(tau) for tau in taus]
+    ls = [-log(abs(t[0])) for t in ts]
+    if len(set(ls)) < 3:
+        raise ValueError("an expansion fit needs taus with at least 3 distinct rates")
+    ys = np.array([log_det_lambda(orbit, t, w) for t in ts])
     ls = np.array(ls)
     design = np.column_stack([np.ones_like(ls), 1.0 / ls])
     best: tuple[float, int, float] | None = None

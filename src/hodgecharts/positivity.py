@@ -3,8 +3,9 @@
 A curvature triple is a trilinear map A : T (x) W -> U together with a
 positive metric on U; when a bundle's curvature has the shape
 Theta(e, xi) = |A(xi) e|^2 its positivity is governed by the linear algebra
-of A.  A is held as its dim_t slices A_s = A(t_s) in Q^{dim_w x dim_u}, so
-every map below is a product of exact matrices: A(xi) e = xi (e A_s)_s.
+of A.  A is held once, as the block row [A_0 | ... | A_{dim_t - 1}] of its
+slices A_s = A(t_s) in Q^{dim_w x dim_u}, so each map below is one product of
+exact matrices: e [A_0 | ...] = [e A_0 | ...] holds the rows of xi -> A(xi) e.
 Everything here runs over exact rationals (rank is brittle in floats):
 entries are ints, Fractions or "p/q" strings, as for linalg.vec.
 """
@@ -18,8 +19,8 @@ from .linalg import Rational, RationalMatrix, dot, rank, vec
 
 
 class CurvatureTriple:
-    """A : T (x) W -> U as its slices A_s[i][j] = entries[s][i][j], with a
-    metric on U."""
+    """A : T (x) W -> U, with slices A_s[i][j] = entries[s][i][j] held side by
+    side in the dim_w x (dim_t dim_u) matrix blocks, and a metric on U."""
 
     def __init__(self, dim_t: int, dim_w: int, dim_u: int, entries,
                  metric: RationalMatrix | None = None):
@@ -35,7 +36,9 @@ class CurvatureTriple:
         self.dim_t = dim_t
         self.dim_w = dim_w
         self.dim_u = dim_u
-        self.slices = tuple(RationalMatrix.from_rows(sl, cols=dim_u) for sl in entries)
+        self.blocks = RationalMatrix(
+            dim_w, dim_t * dim_u, tuple(sum((sl[i] for sl in entries), ()) for i in range(dim_w))
+        )
         self.metric = metric
 
     def apply(self, xi, e) -> tuple[Rational, ...]:
@@ -44,10 +47,13 @@ class CurvatureTriple:
 
     def slice_matrix(self, e) -> RationalMatrix:
         """The map xi -> A(xi) e as the dim_t x dim_u matrix with rows e A_s."""
-        e = _row(e, self.dim_w)
-        return RationalMatrix.from_rows(
-            [(e @ a).entries[0] for a in self.slices], cols=self.dim_u
-        )
+        (row,) = (_row(e, self.dim_w) @ self.blocks).entries
+        return RationalMatrix(self.dim_t, self.dim_u, self._split(row))
+
+    def _split(self, row) -> tuple[tuple[Rational, ...], ...]:
+        """A row of dim_t * dim_u entries cut into its dim_t blocks."""
+        u = self.dim_u
+        return tuple(row[s * u:(s + 1) * u] for s in range(self.dim_t))
 
     def norm_sq(self, u) -> Rational:
         u = vec(u)
@@ -102,9 +108,10 @@ class SigmaReport:
 
 def _contraction(triple: CurvatureTriple, q_form: RationalMatrix) -> SigmaReport:
     """The map T -> W (x) U, t_s -> q A_s: column s of the matrix is q A_s
-    flattened row by row."""
-    images = [(q_form @ a).flatten() for a in triple.slices]
-    mat = RationalMatrix.from_rows(images, cols=q_form.rows * triple.dim_u).transpose()
+    flattened row by row.  Row r of q [A_0 | ...] holds row r of every q A_s."""
+    blocks = [triple._split(r) for r in (q_form @ triple.blocks).entries]
+    images = tuple(tuple(x for b in blocks for x in b[s]) for s in range(triple.dim_t))
+    mat = RationalMatrix(triple.dim_t, q_form.rows * triple.dim_u, images).transpose()
     rk = rank(mat)
     return SigmaReport(mat, rk, rk == triple.dim_t)
 

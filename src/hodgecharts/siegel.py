@@ -189,10 +189,9 @@ class ProbeReport:
     grid: tuple[float, ...]
 
 
-def _loglog_slope(ts, vals) -> float:
+def _loglog_slope(xs, vals) -> float:
     if not all(0 < v < inf for v in vals):
         raise NotInDomain("monitored parameters must stay positive and finite")
-    xs = np.log(np.asarray(ts))
     ys = np.log(np.asarray(vals))
     return float(np.polyfit(xs, ys, 1)[0])
 
@@ -209,13 +208,17 @@ def boundedness_probe(
     minimal parabolic the monitored quantities e^{2(a-d)} and e^{2d} must stay
     bounded below; for the maximal parabolic the row norms of B must stay
     bounded above.  A fitted log-log slope beyond the threshold in the bad
-    direction gives the escape verdict; the grid needs at least 2 distinct
-    values.
+    direction gives the escape verdict; the grid needs positive values with
+    at least 2 distinct logarithms.
     """
     if parabolic not in ("minimal", "maximal"):
         raise ValueError("parabolic must be 'minimal' or 'maximal'")
-    if len(set(grid)) < 2:
-        raise ValueError("a slope fit needs at least 2 distinct grid values")
+    grid = tuple(grid)
+    if not all(t > 0 for t in grid):
+        raise ValueError("grid values must be positive")
+    xs = np.log(np.asarray(grid))
+    if len(set(xs.tolist())) < 2:
+        raise ValueError("a slope fit needs grid values with at least 2 distinct logarithms")
     monitored: dict[str, list[float]] = {}
     for t_val in grid:
         y = family(t_val)
@@ -237,7 +240,7 @@ def boundedness_probe(
                 raise NotInDomain("|B_i|^4 leaves the float range") from exc
         for k, v in vals.items():
             monitored.setdefault(k, []).append(float(v))
-    slopes = {k: _loglog_slope(grid, v) for k, v in monitored.items()}
+    slopes = {k: _loglog_slope(xs, v) for k, v in monitored.items()}
     if parabolic == "minimal":
         escapes = any(s < -SLOPE_THRESHOLD for s in slopes.values())
     else:

@@ -692,7 +692,8 @@ def solve_induced_map(
 
 def _entries(triple: CurvatureTriple):
     """A as the 3-index array entries[s][i][j]."""
-    return tuple(a.entries for a in triple.slices)
+    u, rows = triple.dim_u, triple.blocks.entries
+    return tuple(tuple(r[s * u:(s + 1) * u] for r in rows) for s in range(triple.dim_t))
 
 
 def loop_apply(triple: CurvatureTriple, xi, e) -> tuple[Rational, ...]:

@@ -304,6 +304,18 @@ _SURFACE_NEGATIVE_GENUS["double_curves"][0]["genus"] = -1
         ("curvature", _fixture_with("residue_constant.json", t_values=[])),
         ("curvature", _fixture_with("orbit_weight2_caseC_expansion.json", taus=[1e-5] * 3)),
         ("curvature", _fixture_with("orbit_weight2_caseC_expansion.json", taus=[1e-5, 1e-6])),
+        ("siegel", _fixture_with("siegel_cl2.json", grid=[1e10, 1.0000000000000002e10])),
+        (
+            "curvature",
+            _fixture_with("residue_constant.json", t_values=[1e-300, 1.0000000000000002e-300]),
+        ),
+        (
+            "curvature",
+            _fixture_with(
+                "orbit_weight2_caseC_expansion.json",
+                taus=[1e-5, 1.0000000000000003e-5, 1.0000000000000008e-5],
+            ),
+        ),
     ],
     ids=[
         "residue-t-outside-disc",
@@ -350,6 +362,9 @@ _SURFACE_NEGATIVE_GENUS["double_curves"][0]["genus"] = -1
         "residue-t-empty",
         "expansion-taus-one-distinct-value",
         "expansion-taus-two-values",
+        "siegel-grid-equal-logarithms",
+        "residue-t-equal-logarithms",
+        "expansion-taus-equal-rates",
     ],
 )
 def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):

@@ -14,6 +14,7 @@ from hodgecharts.gallery import (
     weight2_twoblock_orbit,
 )
 from hodgecharts.metrics import (
+    EXPANSION_TAUS,
     FlagPoint,
     augmented_log_det,
     augmented_weights,
@@ -172,11 +173,31 @@ def test_expansion_fit_cases():
     assert abs(fits["a"].amplitude - 2) < 1e-9
 
 
-@pytest.mark.parametrize("taus", [(1e-5,) * 3, (1e-5, 1e-6), (1e-5, 1e-6, 1e-5)])
-def test_expansion_fit_refuses_fewer_than_three_distinct_taus(taus):
-    """A + B/L has two parameters, so on two points every order fits exactly."""
+@pytest.mark.parametrize(
+    "taus",
+    [
+        (1e-5,) * 3,
+        (1e-5, 1e-6),
+        (1e-5, 1e-6, 1e-5),
+        (1e-5, 1.0000000000000003e-5, 1.0000000000000008e-5),
+    ],
+    ids=["repeated", "two", "two-distinct", "equal-rates"],
+)
+@pytest.mark.parametrize("as_generator", [False, True], ids=["tuple", "generator"])
+def test_expansion_fit_refuses_fewer_than_three_distinct_taus(taus, as_generator):
+    """A + B/L has two parameters, so on two points every order fits exactly.
+    Distinct taus whose rates -log|t_1| round equal are one point of the fit."""
+    if as_generator:
+        taus = (tau for tau in taus)
     with pytest.raises(ValueError, match="3 distinct"):
         expansion_fit(weight2_jordan3_orbit(), lambda tau: (tau,), 0.0, taus)
+
+
+def test_expansion_fit_reads_a_generator_of_taus_once():
+    orbit = weight2_jordan3_orbit()
+    want = expansion_fit(orbit, lambda tau: (tau,), 0.0)
+    got = expansion_fit(orbit, lambda tau: (tau,), 0.0, (tau for tau in EXPANSION_TAUS))
+    assert got == want
 
 
 def test_expansion_fit_poor_fit():

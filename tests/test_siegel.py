@@ -118,10 +118,28 @@ def test_probe_stable_under_grid_refinement():
 
 
 @pytest.mark.parametrize(
-    "grid", [(10.0,), (10.0, 10.0, 10.0), ()], ids=["one", "repeated", "empty"]
+    "grid",
+    [(10.0,), (10.0, 10.0, 10.0), (), (1e10, 1.0000000000000002e10)],
+    ids=["one", "repeated", "empty", "equal-logarithms"],
 )
-def test_probe_refuses_a_grid_with_one_distinct_value(grid):
+@pytest.mark.parametrize("as_generator", [False, True], ids=["tuple", "generator"])
+def test_probe_refuses_a_grid_with_one_distinct_value(grid, as_generator):
     """A log-log slope through one point is not a fit: it is refused before
-    any sample is taken, not decided by a rank-deficient polyfit."""
+    any sample is taken, not decided by a rank-deficient polyfit.  Distinct
+    grid values whose logarithms round equal are one point of the fit."""
+    if as_generator:
+        grid = (t for t in grid)
     with pytest.raises(ValueError, match="2 distinct"):
         boundedness_probe(sigma_hat(), lambda t: (t, 1.0), "minimal", grid)
+
+
+def test_probe_refuses_a_nonpositive_grid_value():
+    with pytest.raises(ValueError, match="positive"):
+        boundedness_probe(sigma_hat(), lambda t: (t, 1.0), "minimal", (0.0, 10.0))
+
+
+def test_probe_reads_a_generator_grid_once():
+    grid = tuple(10.0 ** k for k in range(1, 7))
+    want = boundedness_probe(sigma_hat(), lambda t: (t, 1.0), "minimal", grid)
+    got = boundedness_probe(sigma_hat(), lambda t: (t, 1.0), "minimal", (t for t in grid))
+    assert got == want
