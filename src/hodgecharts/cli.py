@@ -15,27 +15,7 @@ import sys
 from math import isfinite
 
 from . import __version__
-from .charts import (
-    binomial_relations,
-    build_atlas,
-    monomial_strings,
-    separation_check,
-)
 from .errors import ConeTooLarge, HodgeChartsError, NumericDomainError, SchemaError
-from .ncd import (
-    build_weight_complexes,
-    curve_lmhs,
-    friedman_check,
-    graded_dims,
-    monodromy_graded_maps,
-    triple_point_check,
-)
-from .positivity import (
-    curvature_identity_check,
-    numerical_dimension,
-    sigma_weight1,
-    sigma_weight2,
-)
 from .serialize import (
     MAX_NDIM_SAMPLES,
     _array_from_json,
@@ -102,6 +82,8 @@ def _emit_csv(rows: list[list], header: list[str], path: str | None) -> None:
 
 
 def run_charts(data, args) -> tuple[dict, list, list]:
+    from .charts import binomial_relations, build_atlas, monomial_strings, separation_check
+
     cone = cone_from_json(data)
     atlas = build_atlas(cone)
     km = atlas.k_map
@@ -155,6 +137,15 @@ def run_charts(data, args) -> tuple[dict, list, list]:
 
 
 def run_lmhs(data, args) -> tuple[dict, list, list]:
+    from .ncd import (
+        build_weight_complexes,
+        curve_lmhs,
+        friedman_check,
+        graded_dims,
+        monodromy_graded_maps,
+        triple_point_check,
+    )
+
     kind = data.get("kind", "surface") if isinstance(data, dict) else "surface"
     if kind == "curve":
         vertices, edges = dual_graph_from_json(data)
@@ -315,6 +306,13 @@ def run_siegel(data, args) -> tuple[dict, list, list]:
 
 
 def run_positivity(data, args) -> tuple[dict, list, list]:
+    from .positivity import (
+        curvature_identity_check,
+        numerical_dimension,
+        sigma_weight1,
+        sigma_weight2,
+    )
+
     if not isinstance(data, dict):
         raise SchemaError("positivity input must be an object")
     mode = args.mode or data.get("mode")

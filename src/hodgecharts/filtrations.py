@@ -302,17 +302,9 @@ def primitive_subspace(cone: NilpotentCone, index, a: int) -> PrimitivePiece:
 
 
 def polarization_form(cone: NilpotentCone, index, a: int) -> RationalMatrix:
-    """Gram matrix of Q(u, N_I^a v) on the primitive representatives."""
-    prim = primitive_subspace(cone, index, a)
-    n_pow = cone.n_of(index_set(index)).power(a)
-    rows = []
-    for u in prim.representatives.entries:
-        row = []
-        for v in prim.representatives.entries:
-            nv = n_pow.mul_vec(v)
-            row.append(dot(u, cone.form.mul_vec(nv)))
-        rows.append(row)
-    return RationalMatrix.from_rows(rows, cols=prim.representatives.rows)
+    """Gram matrix R Q N_I^a R^T of Q(u, N_I^a v), R the primitive representatives."""
+    reps = primitive_subspace(cone, index, a).representatives
+    return reps @ cone.form @ cone.n_of(index_set(index)).power(a) @ reps.transpose()
 
 
 @dataclass(frozen=True)

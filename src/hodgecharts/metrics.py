@@ -3,10 +3,9 @@
 Evaluates metrics on the top Hodge piece and its augmented variant, fits
 logarithmic growth orders along boundary rays, and compares finite-difference
 curvature against the graded boundary value computed from the exact weight
-filtration.  Everything runs in double precision with two documented
-tolerances: 1e-8 for algebraic identities and 1e-2 for asymptotic fits (the
-fits are limited by log-log convergence, not by arithmetic).  Subspace
-intersections use singular-value thresholding at 1e-10 relative.
+filtration.  Everything runs in double precision; each tolerance is a module
+constant, noted with what it governs.  Only the matrix exponential comes from
+scipy, imported where it is called, so residue mode never loads scipy.
 """
 
 from __future__ import annotations
@@ -15,16 +14,16 @@ from dataclasses import dataclass
 from math import floor, log, pi
 
 import numpy as np
-from scipy.linalg import expm, lstsq, qr
 
 from .errors import NotPolarized, NumericDomainError, PoorFit
 from .filtrations import NilpotentCone, index_set, weight_filtration
 from .linalg import RationalMatrix
 
-ALGEBRAIC_TOL = 1e-8
-FIT_TOL = 1e-2
-SVD_TOL = 1e-10
-COMMUTE_TOL = 1e-10  # sup norm of [twist generator, N_i]
+ALGEBRAIC_TOL = 1e-8  # Hodge pieces positive, direct and Hermitian; N_j F^p <= F^{p-1}
+FIT_TOL = 1e-2  # expansion-fit residual; fits are limited by log-log convergence
+SVD_TOL = 1e-10  # rank and span membership, relative to max(1, the scale tested)
+COMMUTE_TOL = 1e-10  # absolute sup norm of [twist generator, N_i]
+DECREASE_SLACK = 1e-12  # absolute rounding slack of curvature_limit_check's `decreasing`
 FD_STEP = 5e-2  # coarse step of the finite-difference Laplacian
 GAUSS_NODES_PER_UNIT = 24  # Gauss-Legendre nodes per unit of log|x|
 MIN_THETA_NODES = 64
@@ -34,7 +33,14 @@ TWO_PI_I = 2j * pi
 
 
 def _np_matrix(m: RationalMatrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in m.entries], dtype=float)
+    rows = [[float(x) for x in row] for row in m.entries]
+    return np.array(rows, dtype=float).reshape(m.rows, m.cols)
+
+
+def _expm(z: np.ndarray) -> np.ndarray:
+    from scipy.linalg import expm
+
+    return expm(z)
 
 
 def _finite(m: np.ndarray, what: str) -> np.ndarray:
@@ -48,18 +54,22 @@ def log_coord(t: complex) -> complex:
     return np.log(complex(t)) / TWO_PI_I
 
 
+def _outside_span(span: np.ndarray, vectors: np.ndarray, tol: float) -> bool:
+    """Whether the columns of vectors leave the column span of span, by more
+    than tol relative to max(1, |vectors|)."""
+    resid = vectors - span @ np.linalg.lstsq(span, vectors, rcond=None)[0]
+    return np.linalg.norm(resid) > tol * max(1.0, np.linalg.norm(vectors))
+
+
 class FlagPoint:
     """Partial flag F^n <= ... <= F^1 of column spans (F^0 is everything)."""
 
     def __init__(self, weight: int, levels: dict[int, np.ndarray]):
         self.weight = weight
         self.levels = {p: np.asarray(m, dtype=complex) for p, m in levels.items()}
-        dims = {p: m.shape[1] for p, m in self.levels.items()}
-        ps = sorted(dims, reverse=True)
+        ps = sorted(self.levels, reverse=True)
         for a, b in zip(ps, ps[1:]):
-            big, small = self.levels[b], self.levels[a]
-            resid = small - big @ np.linalg.lstsq(big, small, rcond=None)[0]
-            if np.linalg.norm(resid) > SVD_TOL * max(1.0, np.linalg.norm(small)):
+            if _outside_span(self.levels[b], self.levels[a], SVD_TOL):
                 raise ValueError(f"F^{a} is not contained in F^{b}")
 
     def level(self, p: int) -> np.ndarray:
@@ -140,7 +150,7 @@ class Twist:
         if self.kind == "none":
             return np.eye(dim, dtype=complex)
         if self.kind == "exp_linear":
-            return _finite(expm(complex(w) * self.generator), f"twist exp(w xi) at w = {w}")
+            return _finite(_expm(complex(w) * self.generator), f"twist exp(w xi) at w = {w}")
         raise ValueError(f"unknown twist kind {self.kind!r}")
 
 
@@ -166,7 +176,7 @@ class OrbitSpec:
 
     def group_element(self, t, w) -> np.ndarray:
         z = sum((log_coord(ti) * n for ti, n in zip(t, self.gens, strict=True)), 0 * self.form)
-        return expm(z) @ self.twist.matrix(w, self.form.shape[0])
+        return _expm(z) @ self.twist.matrix(w, self.form.shape[0])
 
     def flag_at(self, t, w) -> FlagPoint:
         return self.f0.transform(self.group_element(t, w))
@@ -180,29 +190,27 @@ class OrbitSpec:
         for p in sorted(self.f0.levels, reverse=True):
             if p - 1 > 0 and (p - 1) not in self.f0.levels:
                 continue  # the target level was not supplied; nothing to check
-            target = self.f0.level(p - 1)
             for j, n in enumerate(self.gens):
-                moved = n @ self.f0.level(p)
-                resid = moved - target @ np.linalg.lstsq(target, moved, rcond=None)[0]
-                if np.linalg.norm(resid) > ALGEBRAIC_TOL * max(1.0, np.linalg.norm(moved)):
-                    raise ValueError(
-                        f"generator {j + 1} moves F^{p} outside F^{p - 1}"
-                    )
+                if _outside_span(self.f0.level(p - 1), n @ self.f0.level(p), ALGEBRAIC_TOL):
+                    raise ValueError(f"generator {j + 1} moves F^{p} outside F^{p - 1}")
 
 
-def _top_gram(orbit: OrbitSpec, frame: np.ndarray) -> np.ndarray:
-    return (1j) ** orbit.weight * (frame.T @ orbit.form @ frame.conj())
+def _hermitian_log_det(gram: np.ndarray, what: str) -> float:
+    """log det of the Hermitian part of gram, which must be positive definite;
+    0 on an empty frame."""
+    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+    if eigs.size and eigs.min() <= 0:
+        raise NotPolarized(f"{what} is not positive definite")
+    return float(np.sum(np.log(eigs)))
 
 
 def log_det_lambda(orbit: OrbitSpec, t, w) -> float:
     """log det of the Hodge-metric Gram matrix of the transported F^n frame."""
     frame = orbit.group_element(t, w) @ orbit.f0.level(orbit.weight)
-    gram = _finite(_top_gram(orbit, frame), f"top Hodge pairing at t = {t}")
-    herm = 0.5 * (gram + gram.conj().T)
-    eigs = np.linalg.eigvalsh(herm)
-    if eigs.min() <= 0:
-        raise NotPolarized("top Hodge pairing is not positive definite")
-    return float(np.sum(np.log(eigs)))
+    gram = (1j) ** orbit.weight * (frame.T @ orbit.form @ frame.conj())
+    return _hermitian_log_det(
+        _finite(gram, f"top Hodge pairing at t = {t}"), "top Hodge pairing"
+    )
 
 
 def augmented_weights(n: int) -> list[tuple[int, int]]:
@@ -234,14 +242,8 @@ def augmented_log_det(orbit: OrbitSpec, t, w) -> float:
     weil = basis @ np.diag(weights) @ np.linalg.inv(basis)
 
     def gram_log_det(frame: np.ndarray) -> float:
-        if frame.shape[1] == 0:
-            return 0.0
         gram = (weil @ frame).T @ orbit.form @ frame.conj()
-        herm = 0.5 * (gram + gram.conj().T)
-        eigs = np.linalg.eigvalsh(herm)
-        if eigs.min() <= 0:
-            raise NotPolarized("Hodge-metric Gram matrix not positive definite")
-        return float(np.sum(np.log(eigs)))
+        return _hermitian_log_det(gram, "Hodge-metric Gram matrix")
 
     def level_frame(p: int) -> np.ndarray:
         if p > n:
@@ -290,7 +292,7 @@ def expansion_fit(
     best: tuple[float, int, float] | None = None
     for m in range(0, 2 * orbit.weight + 1):
         target = ys - m * np.log(ls)
-        coef, *_ = lstsq(design, target)
+        coef = np.linalg.lstsq(design, target, rcond=None)[0]
         resid = float(np.max(np.abs(target - design @ coef)))
         if best is None or resid < best[0]:
             best = (resid, m, float(np.exp(coef[0])))
@@ -324,89 +326,78 @@ def mixed_second_derivative(f, w0: complex) -> float:
     return 0.25 * (16 * fine - coarse) / 15
 
 
+def _independent_columns(m: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Greedy column pivoting: columns of m taken in turn by the largest
+    residual off the span of those already taken, while that residual exceeds
+    SVD_TOL * max(1, largest column norm).  Returns the taken columns in order
+    and an orthonormal basis of their span."""
+    resid = m.astype(complex)
+    norms = np.linalg.norm(resid, axis=0)
+    cutoff = SVD_TOL * max(1.0, norms.max(initial=0.0))
+    taken: list[int] = []
+    ortho = np.zeros((m.shape[0], min(m.shape)), dtype=complex)
+    while len(taken) < min(m.shape) and norms.max() > cutoff:
+        j = int(np.argmax(norms))
+        ortho[:, len(taken)] = q = resid[:, j] / norms[j]
+        resid -= np.outer(q, q.conj() @ resid)
+        norms = np.linalg.norm(resid, axis=0)
+        taken.append(j)
+    return taken, ortho[:, : len(taken)]
+
+
+def _coefficient_kernel(m: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """Basis of ker m that is the identity at the columns outside pivots, with
+    the pivot rows filled by one least-squares solve."""
+    free = [j for j in range(m.shape[1]) if j not in pivots]
+    basis = np.zeros((m.shape[1], len(free)), dtype=complex)
+    basis[free, range(len(free))] = 1.0
+    if pivots and free:
+        basis[pivots] = np.linalg.lstsq(m[:, pivots], -m[:, free], rcond=None)[0]
+    return basis
+
+
 class _NestedFrame:
     """Holomorphically-varying graded frames of the limit flag along W(N_I).
 
     Pivot patterns are frozen at a base point so that nearby evaluations give
     holomorphic bases; the induced basis-change factors are then pluriharmonic
     and drop out of mixed second derivatives of the block log-determinants.
+    The coefficients of F^n cap W_l solve C_l x = 0, with C_l the exact
+    complement of W_l; each level keeps the columns of that kernel basis that
+    extend the kernel of the level below.
     """
 
     def __init__(self, orbit: OrbitSpec, index, w_base: complex):
-        index = index_set(index)
-        n_i = orbit.cone.n_of(index)
+        n_i = orbit.cone.n_of(index_set(index))
         filtration = weight_filtration(n_i, orbit.cone.weight)
+        n_float = _np_matrix(n_i).astype(complex)
         self.orbit = orbit
-        self.n_float = _np_matrix(n_i)
-        self.filtration = filtration
-        # Exact complements of each step, as float constraint matrices.
-        self.constraints = {}
+        # (level, C_l, frozen pivots, graded columns, N_I^(l - n)) per level
+        # that contributes a graded column.
+        self.levels = []
+        frame = orbit.limit_frame(w_base)
+        span = np.zeros((frame.shape[1], 0), dtype=complex)
         for level in filtration.levels():
-            comp = filtration.step(level).orthogonal_complement()
-            self.constraints[level] = _np_matrix(comp.basis)
-        self._freeze(w_base)
-
-    def _coefficient_kernel(self, level: int, frame: np.ndarray, pivots=None):
-        c = self.constraints[level]
-        m = c @ frame if c.shape[0] else np.zeros((0, frame.shape[1]))
-        if m.shape[0] == 0:
-            return np.eye(frame.shape[1], dtype=complex), ()
-        if pivots is None:
-            _, r, perm = qr(m, pivoting=True)
-            diag = np.abs(np.diag(r)) if min(m.shape) else np.array([])
-            nrank = int(np.sum(diag > SVD_TOL * max(1.0, diag[0] if diag.size else 0)))
-            pivots = tuple(int(p) for p in perm[:nrank])
-        free = [j for j in range(m.shape[1]) if j not in pivots]
-        cols = []
-        a = m[:, list(pivots)]
-        for j in free:
-            sol = np.linalg.lstsq(a, -m[:, j], rcond=None)[0] if pivots else np.zeros(0)
-            col = np.zeros(m.shape[1], dtype=complex)
-            col[j] = 1.0
-            for pi, s in zip(pivots, sol):
-                col[pi] = s
-            cols.append(col)
-        basis = np.column_stack(cols) if cols else np.zeros((m.shape[1], 0), dtype=complex)
-        return basis, pivots
-
-    def _freeze(self, w_base: complex) -> None:
-        frame = self.orbit.limit_frame(w_base)
-        self.pivot_table = {}
-        self.column_choice = {}
-        prev = np.zeros((frame.shape[1], 0), dtype=complex)
-        for level in self.filtration.levels():
-            basis, pivots = self._coefficient_kernel(level, frame)
-            self.pivot_table[level] = pivots
-            chosen = []
-            acc = prev
-            for j in range(basis.shape[1]):
-                cand = np.column_stack([acc, basis[:, j]])
-                svals = np.linalg.svd(cand, compute_uv=False)
-                if cand.shape[1] <= cand.shape[0] and svals[-1] > SVD_TOL:
-                    chosen.append(j)
-                    acc = cand
-            self.column_choice[level] = tuple(chosen)
-            prev = acc
+            constraints = _np_matrix(filtration.step(level).orthogonal_complement().basis)
+            m = constraints @ frame
+            pivots, _ = _independent_columns(m)
+            basis = _coefficient_kernel(m, pivots)
+            chosen, new = _independent_columns(basis - span @ (span.conj().T @ basis))
+            span = np.column_stack([span, new])
+            if not chosen:
+                continue
+            if level < orbit.weight:
+                raise NotPolarized("top Hodge piece meets a weight level below the center")
+            power = np.linalg.matrix_power(n_float, level - orbit.weight)
+            self.levels.append((level, constraints, pivots, sorted(chosen), power))
 
     def log_det(self, w: complex) -> float:
         """Sum over levels of log|det Q(N^q u_i, conj u_j)| on the level frames."""
         frame = self.orbit.limit_frame(w)
-        n = self.orbit.cone.weight
         total = 0.0
-        for level in self.filtration.levels():
-            chosen = self.column_choice[level]
-            if not chosen:
-                continue
-            basis, _ = self._coefficient_kernel(level, frame, self.pivot_table[level])
-            reps = frame @ basis[:, list(chosen)]
-            q_pow = level - n
-            if q_pow < 0:
-                raise NotPolarized(
-                    "top Hodge piece meets a weight level below the center"
-                )
-            mat = np.linalg.matrix_power(self.n_float.astype(complex), q_pow) if q_pow else None
-            paired = (mat @ reps) if mat is not None else reps
-            block = paired.T @ self.orbit.form @ reps.conj()
+        for level, constraints, pivots, chosen, power in self.levels:
+            reps = frame @ _coefficient_kernel(constraints @ frame, pivots)[:, chosen]
+            block = (power @ reps).T @ self.orbit.form @ reps.conj()
             det = np.linalg.det(block)
             if abs(det) <= 0.0:
                 raise NotPolarized(f"degenerate graded pairing at level {level}")
@@ -427,16 +418,19 @@ class CurvatureReport:
 
 
 def curvature_limit_check(orbit: OrbitSpec, index, w0: complex, t_sequence) -> CurvatureReport:
-    """Compare d_w d_wbar log h along t -> 0 with the boundary graded value."""
+    """Compare d_w d_wbar log h along t -> 0 with the boundary graded value.
+
+    t_sequence is read once and must hold at least one point."""
+    t_sequence = tuple(t_sequence)
+    if not t_sequence:
+        raise ValueError("a curvature limit check needs at least one point t")
     nested = _NestedFrame(orbit, index, w0)
     boundary = mixed_second_derivative(nested.log_det, w0)
-    interior = []
-    for t in t_sequence:
-        interior.append(
-            mixed_second_derivative(lambda w: log_det_lambda(orbit, t, w), w0)
-        )
+    interior = [
+        mixed_second_derivative(lambda w: log_det_lambda(orbit, t, w), w0) for t in t_sequence
+    ]
     errors = [abs(v - boundary) for v in interior]
-    decreasing = all(b < a + 1e-12 for a, b in zip(errors, errors[1:]))
+    decreasing = all(b < a + DECREASE_SLACK for a, b in zip(errors, errors[1:]))
     return CurvatureReport(
         tuple(tuple(abs(ti) for ti in t) for t in t_sequence),
         tuple(interior),

@@ -20,8 +20,6 @@ from sys import float_info
 from .errors import ConeTooLarge, HodgeChartsError, NotInDomain, SchemaError
 from .filtrations import NilpotentCone
 from .linalg import Rational, RationalMatrix, _exact
-from .ncd import DoubleCurve, NCDSurface, SurfacePiece, TriplePoint
-from .positivity import CurvatureTriple
 
 
 def rational_to_json(x: Rational) -> str:
@@ -154,7 +152,9 @@ def cone_to_json(cone: NilpotentCone) -> dict:
     }
 
 
-def surface_from_json(data) -> NCDSurface:
+def surface_from_json(data) -> "NCDSurface":
+    from .ncd import DoubleCurve, NCDSurface, SurfacePiece, TriplePoint
+
     if not isinstance(data, dict):
         raise SchemaError("surface must be an object")
     try:
@@ -349,7 +349,9 @@ def parse_family(text):
     return _monomial_map(terms, f"family {text!r}")
 
 
-def triple_from_json(data) -> CurvatureTriple:
+def triple_from_json(data) -> "CurvatureTriple":
+    from .positivity import CurvatureTriple
+
     if not isinstance(data, dict):
         raise SchemaError("triple must be an object")
     try:

@@ -19,7 +19,12 @@ read-offs from the echelon basis.  Linear solves and subspace sums by
 elimination live only here: the library reads such answers off echelon
 bases.  The curvature-triple maps and both sigma contractions by index loops
 over the entries of A, and the lmhs graded dimensions counted from kernel
-bases, are the references for the slice products and the rank counts.
+bases, are the references for the slice products and the rank counts.  The
+graded boundary frames of the metric engine, with pivots from scipy's pivoted
+QR, graded columns chosen by a greedy singular-value loop and one solve per
+free column, are the reference for its one column-pivoting helper and its one
+kernel solve; the polarization form by a double loop over the primitive
+representatives is the reference for its one matrix product.
 """
 
 from __future__ import annotations
@@ -27,14 +32,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
+
 from hodgecharts.cones import farkas_split, relation_space
-from hodgecharts.errors import NotAComplex, NotFiltrationCompatible
+from hodgecharts.errors import NotAComplex, NotFiltrationCompatible, NotPolarized
 from hodgecharts.filtrations import (
     GradedPiece,
     NilpotentCone,
     WeightFiltration,
     _powers,
     index_set,
+    primitive_subspace,
     weight_filtration,
 )
 from hodgecharts.linalg import (
@@ -50,6 +58,7 @@ from hodgecharts.linalg import (
     rank,
     vec,
 )
+from hodgecharts.metrics import SVD_TOL, OrbitSpec, _np_matrix
 from hodgecharts.ncd import GradedDims, WeightComplexes, _require_complex
 from hodgecharts.positivity import CurvatureIdentity, CurvatureTriple, SigmaReport
 
@@ -814,3 +823,109 @@ def kernel_graded_dims(w: WeightComplexes) -> GradedDims:
     i3 = kernel(w.g_odd).dim
     i1 = w.r_odd.rows - rank(w.r_odd)
     return GradedDims((i0, i1, i2, i3, i4))
+
+
+# ---------------------------------------------------------------------------
+# The graded boundary frames with pivoted QR, a greedy singular-value column
+# loop and one solve per free column; the polarization form by a double loop.
+
+
+class QRNestedFrame:
+    """metrics._NestedFrame with scipy's pivoted QR for the frozen pivots."""
+
+    def __init__(self, orbit: OrbitSpec, index, w_base: complex):
+        index = index_set(index)
+        n_i = orbit.cone.n_of(index)
+        filtration = weight_filtration(n_i, orbit.cone.weight)
+        self.orbit = orbit
+        self.n_float = _np_matrix(n_i)
+        self.filtration = filtration
+        # Exact complements of each step, as float constraint matrices.
+        self.constraints = {}
+        for level in filtration.levels():
+            comp = filtration.step(level).orthogonal_complement()
+            self.constraints[level] = _np_matrix(comp.basis)
+        self._freeze(w_base)
+
+    def _coefficient_kernel(self, level: int, frame: np.ndarray, pivots=None):
+        from scipy.linalg import qr
+
+        c = self.constraints[level]
+        m = c @ frame if c.shape[0] else np.zeros((0, frame.shape[1]))
+        if m.shape[0] == 0:
+            return np.eye(frame.shape[1], dtype=complex), ()
+        if pivots is None:
+            _, r, perm = qr(m, pivoting=True)
+            diag = np.abs(np.diag(r)) if min(m.shape) else np.array([])
+            nrank = int(np.sum(diag > SVD_TOL * max(1.0, diag[0] if diag.size else 0)))
+            pivots = tuple(int(p) for p in perm[:nrank])
+        free = [j for j in range(m.shape[1]) if j not in pivots]
+        cols = []
+        a = m[:, list(pivots)]
+        for j in free:
+            sol = np.linalg.lstsq(a, -m[:, j], rcond=None)[0] if pivots else np.zeros(0)
+            col = np.zeros(m.shape[1], dtype=complex)
+            col[j] = 1.0
+            for pi, s in zip(pivots, sol):
+                col[pi] = s
+            cols.append(col)
+        basis = np.column_stack(cols) if cols else np.zeros((m.shape[1], 0), dtype=complex)
+        return basis, pivots
+
+    def _freeze(self, w_base: complex) -> None:
+        frame = self.orbit.limit_frame(w_base)
+        self.pivot_table = {}
+        self.column_choice = {}
+        prev = np.zeros((frame.shape[1], 0), dtype=complex)
+        for level in self.filtration.levels():
+            basis, pivots = self._coefficient_kernel(level, frame)
+            self.pivot_table[level] = pivots
+            chosen = []
+            acc = prev
+            for j in range(basis.shape[1]):
+                cand = np.column_stack([acc, basis[:, j]])
+                svals = np.linalg.svd(cand, compute_uv=False)
+                if cand.shape[1] <= cand.shape[0] and svals[-1] > SVD_TOL:
+                    chosen.append(j)
+                    acc = cand
+            self.column_choice[level] = tuple(chosen)
+            prev = acc
+
+    def log_det(self, w: complex) -> float:
+        """Sum over levels of log|det Q(N^q u_i, conj u_j)| on the level frames."""
+        frame = self.orbit.limit_frame(w)
+        n = self.orbit.cone.weight
+        total = 0.0
+        for level in self.filtration.levels():
+            chosen = self.column_choice[level]
+            if not chosen:
+                continue
+            basis, _ = self._coefficient_kernel(level, frame, self.pivot_table[level])
+            reps = frame @ basis[:, list(chosen)]
+            q_pow = level - n
+            if q_pow < 0:
+                raise NotPolarized(
+                    "top Hodge piece meets a weight level below the center"
+                )
+            mat = np.linalg.matrix_power(self.n_float.astype(complex), q_pow) if q_pow else None
+            paired = (mat @ reps) if mat is not None else reps
+            block = paired.T @ self.orbit.form @ reps.conj()
+            det = np.linalg.det(block)
+            if abs(det) <= 0.0:
+                raise NotPolarized(f"degenerate graded pairing at level {level}")
+            total += float(np.log(abs(det)))
+        return total
+
+
+def loop_polarization_form(cone: NilpotentCone, index, a: int) -> RationalMatrix:
+    """Gram matrix of Q(u, N_I^a v) on the primitive representatives."""
+    prim = primitive_subspace(cone, index, a)
+    n_pow = cone.n_of(index_set(index)).power(a)
+    rows = []
+    for u in prim.representatives.entries:
+        row = []
+        for v in prim.representatives.entries:
+            nv = n_pow.mul_vec(v)
+            row.append(dot(u, cone.form.mul_vec(nv)))
+        rows.append(row)
+    return RationalMatrix.from_rows(rows, cols=prim.representatives.rows)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hodgecharts.filtrations import (
     rwfp_consequence_check,
     weight_filtration,
 )
+from hodgecharts import gallery
 from hodgecharts.gallery import genus2_cone, rank1_cone, symplectic_form_4
 from hodgecharts.linalg import RationalMatrix, Subspace, rank
 
@@ -23,6 +25,7 @@ from .oracles import (
     greedy_graded_pieces,
     intersection_weight_filtration,
     lie_context,
+    loop_polarization_form,
     random_nilpotent,
     solve,
     solve_induced_map,
@@ -314,6 +317,31 @@ def test_polarization_form_examples():
     # a = 0 restricts the form to the primitive part of the middle graded
     g0 = polarization_form(cone, (1,), 0)
     assert g0.rows == 2 and g0.transpose() == g0.scale(-1)  # alternating on Gr_1
+
+
+GALLERY_CONES = (
+    gallery.genus2_cone(),
+    gallery.single_cone(),
+    gallery.rank1_cone(),
+    gallery.equal_pair_cone(),
+    gallery.standard_triple_block_cone(),
+    gallery.weight2_jordan3_cone(),
+    gallery.weight2_twoblock_cone(),
+    gallery.weight2_inert_orbit().cone,
+)
+
+
+def test_polarization_form_matches_double_loop():
+    cases = 0
+    for cone in GALLERY_CONES:
+        for r in range(1, cone.k + 1):
+            for index in itertools.combinations(range(1, cone.k + 1), r):
+                for a in range(cone.weight + 1):
+                    assert polarization_form(cone, index, a) == loop_polarization_form(
+                        cone, index, a
+                    )
+                    cases += 1
+    assert cases == 43
 
 
 def test_polarization_with_cancelling_generators():

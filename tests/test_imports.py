@@ -1,5 +1,7 @@
-"""Import hygiene: the exact subcommands load neither numpy nor scipy, and the
-package's lazy namespace resolves every public name.
+"""Import hygiene: each subcommand loads only the hodgecharts modules it runs,
+the exact subcommands load neither numpy nor scipy, only the curvature modes
+that exponentiate load scipy, and the package's lazy namespace resolves every
+public name.
 
 The subcommand checks run in a fresh interpreter, because the test process has
 numpy loaded already and would hide an eager import.
@@ -25,13 +27,23 @@ def run_fresh(code: str) -> str:
     return proc.stdout.strip()
 
 
+# Modules that only some subcommands run.
+RUNNER_MODULES = ("charts", "cones", "ncd", "positivity", "metrics", "siegel", "gallery")
+
+
+def unused(*libraries, runs=()):
+    return libraries + tuple(f"hodgecharts.{m}" for m in RUNNER_MODULES if m not in runs)
+
+
 @pytest.mark.parametrize(
     "subcommand, fixture, absent",
     [
-        ("charts", "genus2_cone.json", ("numpy", "scipy")),
-        ("lmhs", "ncd_tetrahedron.json", ("numpy", "scipy")),
-        ("positivity", "positivity_sigma1.json", ("numpy", "scipy")),
-        ("siegel", "siegel_cl2.json", ("scipy",)),
+        ("charts", "genus2_cone.json", unused("numpy", "scipy", runs=("charts", "cones"))),
+        ("lmhs", "ncd_tetrahedron.json", unused("numpy", "scipy", runs=("ncd",))),
+        ("positivity", "positivity_sigma1.json", unused("numpy", "scipy", runs=("positivity",))),
+        ("siegel", "siegel_cl2.json", unused("scipy", runs=("siegel",))),
+        ("curvature", "residue_constant.json", unused("scipy", runs=("metrics",))),
+        ("curvature", "orbit_twisted_weight1.json", unused(runs=("metrics",))),
     ],
 )
 def test_subcommand_loads_no_unused_float_library(subcommand, fixture, absent):

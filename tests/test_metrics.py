@@ -1,9 +1,14 @@
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hodgecharts import gallery
 from hodgecharts.errors import NotPolarized, PoorFit
+from hodgecharts.filtrations import weight_filtration
 from hodgecharts.gallery import (
     genus2_orbit,
     genus2_period_matrix,
@@ -16,6 +21,12 @@ from hodgecharts.gallery import (
 from hodgecharts.metrics import (
     EXPANSION_TAUS,
     FlagPoint,
+    OrbitSpec,
+    Twist,
+    _coefficient_kernel,
+    _independent_columns,
+    _NestedFrame,
+    _np_matrix,
     augmented_log_det,
     augmented_weights,
     curvature_limit_check,
@@ -25,6 +36,11 @@ from hodgecharts.metrics import (
     mixed_second_derivative,
     residue_integral,
 )
+from hodgecharts.serialize import orbit_from_json
+
+from .oracles import QRNestedFrame
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_hodge_pieces_genus2_point():
@@ -219,6 +235,164 @@ def test_curvature_limit_twisted_fixture():
     for (t,), err in zip(ts, rep.errors):
         y = -math.log(t) / (2 * math.pi)
         assert abs(err - 0.01 / (2 * y)) < 1e-6
+
+
+def test_curvature_limit_reads_a_generator_of_points_once():
+    orbit = twisted_weight1_orbit(eps=0.1)
+    ts = [(10.0 ** -k,) for k in range(2, 5)]
+    want = curvature_limit_check(orbit, (1,), 0.0, ts)
+    got = curvature_limit_check(orbit, (1,), 0.0, (t for t in ts))
+    assert got == want
+    assert len(got.points) == len(got.interior) == 3
+
+
+@pytest.mark.parametrize("as_generator", [False, True], ids=["tuple", "generator"])
+def test_curvature_limit_refuses_an_empty_sequence(as_generator):
+    ts = (t for t in ()) if as_generator else ()
+    with pytest.raises(ValueError, match="at least one point"):
+        curvature_limit_check(twisted_weight1_orbit(), (1,), 0.0, ts)
+
+
+def _frame_pair(orbit, index, w_base):
+    """The graded frames and the pivoted-QR oracle's at one base point, after
+    checking the frozen pivot sets level by level; the frames are None when
+    both refuse the orbit because F^n meets a weight level below the center."""
+    oracle = QRNestedFrame(orbit, index, w_base)
+    frame = orbit.limit_frame(w_base)
+    for level, c in oracle.constraints.items():
+        m = c @ frame if c.shape[0] else np.zeros((0, frame.shape[1]))
+        assert set(_independent_columns(m)[0]) == set(oracle.pivot_table[level])
+    try:
+        nested = _NestedFrame(orbit, index, w_base)
+    except NotPolarized:
+        with pytest.raises(NotPolarized, match="below the center"):
+            oracle.log_det(w_base)
+        return None, oracle
+    for w in (w_base, w_base + 0.05 - 0.1j):
+        frame = orbit.limit_frame(w)
+        for level, c, pivots, _, _ in nested.levels:
+            want, _ = oracle._coefficient_kernel(level, frame, oracle.pivot_table[level])
+            assert np.abs(_coefficient_kernel(c @ frame, pivots) - want).max() <= 1e-12
+    return nested, oracle
+
+
+def _graded_columns(nested, oracle):
+    new = {level: chosen for level, _, _, chosen, _ in nested.levels}
+    old = {level: list(chosen) for level, chosen in oracle.column_choice.items() if chosen}
+    return new, old
+
+
+def _log_det_or_error(frame, w):
+    try:
+        return frame.log_det(w)
+    except NotPolarized as exc:
+        return str(exc)
+
+
+def _fixture_and_gallery_cases():
+    for name in ("orbit_twisted_weight1.json", "orbit_weight2_caseC_expansion.json"):
+        data = json.loads((FIXTURES / name).read_text())
+        w0 = complex(*data.get("w0", data.get("w", [0.0, 0.0])))
+        yield name, orbit_from_json(data["orbit"]), w0
+    for name in (
+        "genus2_orbit",
+        "twisted_weight1_orbit",
+        "weight2_jordan3_orbit",
+        "weight2_twoblock_orbit",
+        "weight2_inert_orbit",
+    ):
+        yield name, getattr(gallery, name)(), 0.0
+
+
+@pytest.mark.parametrize(
+    "orbit, w0", [pytest.param(o, w, id=n) for n, o, w in _fixture_and_gallery_cases()]
+)
+def test_graded_frames_match_pivoted_qr_on_fixtures_and_gallery(orbit, w0):
+    """Same pivots, graded columns, bases and log-determinants as the pivoted
+    QR and greedy singular-value loop, for every index set and two base points."""
+    k = orbit.cone.k
+    for r in range(1, k + 1):
+        for index in itertools.combinations(range(1, k + 1), r):
+            for w_base in (w0, w0 + 0.1 + 0.05j):
+                nested, oracle = _frame_pair(orbit, index, w_base)
+                assert nested is not None
+                new, old = _graded_columns(nested, oracle)
+                assert new == old
+                for w in (w_base, w_base + 0.05, w_base - 0.1j):
+                    assert _log_det_or_error(nested, w) == _log_det_or_error(oracle, w)
+
+
+def _random_twisted_orbit(rng, cone, index):
+    """F^n spanned by random vectors of random steps W_l(N_I), l >= the weight,
+    mixed by a random matrix, so that products C_l F^n can lose rank; the
+    twist exp(w xi) has xi a random element of the generators' centralizer."""
+    filtration = weight_filtration(cone.n_of(index), cone.weight)
+    steps = [
+        _np_matrix(filtration.step(level).basis)
+        for level in filtration.levels()
+        if level >= cone.weight
+    ]
+    d = int(rng.integers(1, cone.dim))
+    cols = []
+    for _ in range(d):
+        step = steps[rng.integers(len(steps))]
+        cols.append((rng.normal(size=step.shape[0]) + 1j * rng.normal(size=step.shape[0])) @ step)
+    mix = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    eye = np.eye(cone.dim)
+    # xi N - N xi on row-major vec(xi), stacked over the generators
+    commutators = np.vstack(
+        [np.kron(eye, n.T) - np.kron(n, eye) for n in map(_np_matrix, cone.generators)]
+    )
+    _, svals, vh = np.linalg.svd(commutators)
+    centralizer = vh[int(np.sum(svals > 1e-10)) :]
+    xi = (rng.normal(size=centralizer.shape[0]) @ centralizer).reshape(cone.dim, cone.dim)
+    f0 = FlagPoint(cone.weight, {cone.weight: np.column_stack(cols) @ mix})
+    return OrbitSpec(cone, f0, Twist("exp_linear", xi))
+
+
+def test_graded_frames_match_pivoted_qr_on_random_flags():
+    """Pivot sets, on every level, and bases always agree with the oracle.
+    Where a level has several complements to choose from, column pivoting may
+    take another one than the old first-come loop; the two frames then differ
+    by a holomorphic change of basis, so the boundary curvature agrees, not
+    the log-determinant."""
+    rng = np.random.default_rng(20261019)
+    cones = (
+        gallery.genus2_cone(),
+        gallery.rank1_cone(),
+        gallery.standard_triple_block_cone(),
+        gallery.weight2_jordan3_cone(),
+        gallery.weight2_twoblock_cone(),
+        gallery.weight2_inert_orbit().cone,
+    )
+    seen = {"no rows": 0, "rank-deficient": 0, "same columns": 0, "other columns, curved": 0}
+    for trial in range(120):
+        cone = cones[trial % len(cones)]
+        size = int(rng.integers(1, cone.k + 1))
+        index = tuple(sorted(int(i) for i in rng.choice(range(1, cone.k + 1), size, replace=False)))
+        orbit = _random_twisted_orbit(rng, cone, index)
+        w0 = complex(*rng.normal(scale=0.1, size=2))
+        nested, oracle = _frame_pair(orbit, index, w0)
+        frame = orbit.limit_frame(w0)
+        for c in oracle.constraints.values():
+            if c.shape[0] == 0:
+                seen["no rows"] += 1
+            elif np.linalg.matrix_rank(c @ frame) < min(c.shape[0], frame.shape[1]):
+                seen["rank-deficient"] += 1
+        if nested is None:
+            continue
+        new, old = _graded_columns(nested, oracle)
+        assert {lv: len(c) for lv, c in new.items()} == {lv: len(c) for lv, c in old.items()}
+        if new == old:
+            seen["same columns"] += 1
+            for w in (w0, w0 + 0.05):
+                assert _log_det_or_error(nested, w) == _log_det_or_error(oracle, w)
+        else:
+            want = mixed_second_derivative(oracle.log_det, w0)
+            got = mixed_second_derivative(nested.log_det, w0)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            seen["other columns, curved"] += abs(want) > 1e-3
+    assert min(seen.values()) > 0, seen
 
 
 def test_curvature_limit_trivial_twist():
