@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFiltrationCompatible, NotNilpotent
-from .linalg import Rational, RationalMatrix, Subspace, _pivot, _row_space, dot, kernel
+from .linalg import Rational, RationalMatrix, Subspace, _row_space, dot, kernel
 
 IndexSet = tuple[int, ...]
 
@@ -119,6 +119,8 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
     One elimination of each N^j, 0 < j < d, gives the canonical basis of
     ker N^j, and the columns that lead none of its rows are P_j, the
     lexicographically last column basis of N^j, whose columns span im N^j.
+    The step at c+d-2 needs no elimination: its pieces are ker N^{d-1} and
+    im N, which ker N^{d-1} contains since N^d = 0.
     """
     powers = _powers(n)
     d = len(powers) - 1
@@ -127,14 +129,14 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
         return WeightFiltration(center, dim, {center: Subspace.full(dim)})
     kernels, images = {}, {}
     for j in range(1, d):
-        kernels[j] = kernel(powers[j]).basis.entries
-        pivots = sorted(set(range(dim)).difference(map(_pivot, kernels[j])))
+        kernels[j] = kernel(powers[j])
+        pivots = sorted(set(range(dim)).difference(kernels[j].pivots))
         images[j] = pivots, [powers[j].col(p) for p in pivots]
 
     def piece(i: int, j: int):
         """Rows spanning ker N^{i+1} cap im N^j, not in echelon form."""
         if j == 0:
-            return kernels[i + 1]
+            return kernels[i + 1].basis.entries
         pivots, cols = images[j]
         if i + 1 + j >= d:  # im N^j <= ker N^{i+1}
             return cols
@@ -145,8 +147,12 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
         coeffs = kernel(RationalMatrix(dim, len(pivots), at_pivots)).basis.entries
         return [tuple(dot(c, x) for x in zip(*cols)) for c in coeffs]
 
-    steps: dict[int, Subspace] = {center + d - 1: Subspace.full(dim)}  # holds ker N^d
-    for l in range(-(d - 1), d - 1):
+    # W_{c+d-1} holds ker N^d, and W_{c+d-2} is ker N^{d-1}, which holds im N.
+    steps: dict[int, Subspace] = {
+        center + d - 1: Subspace.full(dim),
+        center + d - 2: kernels[d - 1],
+    }
+    for l in range(-(d - 1), d - 2):
         rows = []
         for i in range(max(0, l), d):
             if i - l < d:  # im N^{i-l} = 0 otherwise

@@ -132,10 +132,19 @@ def hodge_decomposition(flag: FlagPoint, form: np.ndarray) -> dict[tuple[int, in
             continue
         gram = (1j) ** (p - q) * (basis.T @ form @ basis.conj())
         herm = 0.5 * (gram + gram.conj().T)
-        if np.linalg.norm(gram - herm) > ALGEBRAIC_TOL * max(1.0, np.linalg.norm(gram)):
-            raise NotPolarized(f"H^{p},{q} pairing is not Hermitian")
-        if np.linalg.eigvalsh(herm).min() <= ALGEBRAIC_TOL:
-            raise NotPolarized(f"H^{p},{q} pairing is not positive definite")
+        deviation = np.linalg.norm(gram - herm)
+        tol = ALGEBRAIC_TOL * max(1.0, np.linalg.norm(gram))
+        if deviation > tol:
+            raise NotPolarized(
+                f"H^{p},{q} pairing is not Hermitian: deviation {deviation:.3g} "
+                f"> tolerance {tol:.3g}"
+            )
+        smallest = np.linalg.eigvalsh(herm).min()
+        if smallest <= ALGEBRAIC_TOL:
+            raise NotPolarized(
+                f"H^{p},{q} pairing is not positive definite: smallest eigenvalue "
+                f"{smallest:.3g} <= tolerance {ALGEBRAIC_TOL:.3g}"
+            )
     return pieces
 
 
@@ -200,7 +209,9 @@ def _hermitian_log_det(gram: np.ndarray, what: str) -> float:
     0 on an empty frame."""
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     if eigs.size and eigs.min() <= 0:
-        raise NotPolarized(f"{what} is not positive definite")
+        raise NotPolarized(
+            f"{what} is not positive definite: smallest eigenvalue {eigs.min():.3g} <= 0"
+        )
     return float(np.sum(np.log(eigs)))
 
 
@@ -298,7 +309,9 @@ def expansion_fit(
             best = (resid, m, float(np.exp(coef[0])))
     resid, m, amp = best
     if resid > residual_threshold:
-        raise PoorFit(f"best growth fit has residual {resid:.3g}")
+        raise PoorFit(
+            f"best growth fit has residual {resid:.3g} > threshold {residual_threshold:.3g}"
+        )
     return ExpansionFit(m, amp, resid)
 
 

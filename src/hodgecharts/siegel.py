@@ -13,9 +13,8 @@ the sampled grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log, sqrt
-
-import numpy as np
+from math import exp, inf, log, sqrt
+from operator import mul
 
 from .errors import NotInDomain, PZero
 from .linalg import RationalMatrix
@@ -112,8 +111,10 @@ class ConeSpec:
         )
 
 
-def orbit_point(cone: ConeSpec, y) -> np.ndarray:
+def orbit_point(cone: ConeSpec, y):
     """The orbit's 2-plane at purely imaginary times, as 4 x 2 columns."""
+    import numpy as np  # a verification helper, off the probe's path
+
     if any(float(v) <= 0 for v in y):
         raise ValueError("parameters must be positive")
     r, p, q = cone.sums(y)
@@ -130,9 +131,14 @@ class SiegelSolution:
     a: float
     d: float | None = None
     beta: float | None = None
-    b: np.ndarray | None = None  # 2x2, maximal parabolic only
+    # Maximal parabolic only: the rows (B1, B2) of the 2 x 2 lower-triangular
+    # B, as a tuple of two float row tuples.
+    b: tuple[tuple[float, float], tuple[float, float]] | None = None
 
-    def point(self) -> np.ndarray:
+    def point(self):
+        """The orbit point these parameters place, as 4 x 2 columns."""
+        import numpy as np  # a verification helper, off the probe's path
+
         if self.parabolic == "minimal":
             e2d, e2a = np.exp(2 * self.d), np.exp(2 * self.a)
             col1 = np.array([-1j * self.beta * e2d, -1j * e2d, 1.0, 0.0])
@@ -141,7 +147,7 @@ class SiegelSolution:
             )
             return np.column_stack([col1, col2])
         e2a = np.exp(2 * self.a)
-        b1, b2 = self.b[0], self.b[1]
+        b1, b2 = np.asarray(self.b)
         col1 = np.array([-1j * e2a * (b1 @ b2), -1j * e2a * (b2 @ b2), 1.0, 0.0])
         col2 = np.array([-1j * e2a * (b1 @ b1), -1j * e2a * (b1 @ b2), 0.0, 1.0])
         return np.column_stack([col1, col2])
@@ -171,13 +177,17 @@ def solve_maximal(cone: ConeSpec, y) -> SiegelSolution:
     if disc <= 0 or p <= 0:
         raise NotInDomain("p(y) q(y) - r(y)^2 must be positive")
     e2a = sqrt(disc)
-    gram = np.array([[q, r], [r, p]]) / e2a  # rows/cols ordered (B1, B2)
-    # Cholesky of the reversed Gram so that B is lower triangular in (B1, B2).
-    l11 = sqrt(gram[0, 0])
-    l21 = gram[1, 0] / l11
-    l22 = sqrt(gram[1, 1] - l21 * l21)
-    b = np.array([[l11, 0.0], [l21, l22]])
-    return SiegelSolution("maximal", a=0.5 * log(e2a), b=b)
+    # Cholesky of the Gram matrix [[q, r], [r, p]] / e^{2a}, rows and columns
+    # ordered (B1, B2), so that B is lower triangular.
+    l11 = sqrt(q / e2a)
+    l21 = r / e2a / l11
+    # Exactly e^{2a} / q, but a difference that rounding can push below 0
+    # when r(y)^2 is within rounding of p(y) q(y).
+    square = p / e2a - l21 * l21
+    if square < 0:
+        raise NotInDomain("p(y) q(y) - r(y)^2 is lost to rounding")
+    l22 = sqrt(square)
+    return SiegelSolution("maximal", a=0.5 * log(e2a), b=((l11, 0.0), (l21, l22)))
 
 
 @dataclass(frozen=True)
@@ -189,11 +199,23 @@ class ProbeReport:
     grid: tuple[float, ...]
 
 
+def _slope(xs, ys) -> float:
+    """The least-squares slope of the points (xs[i], ys[i]), computed exactly
+    and rounded once.  Every float is an integer over a power of two, so over
+    the largest such denominator both sums are ints, and int true division
+    rounds correctly; the common scale cancels in the quotient."""
+    ratios = [v.as_integer_ratio() for v in (*xs, *ys)]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    us, vs = ints[: len(xs)], ints[len(xs) :]
+    n, su, sv = len(us), sum(us), sum(vs)
+    return (n * sum(map(mul, us, vs)) - su * sv) / (n * sum(map(mul, us, us)) - su * su)
+
+
 def _loglog_slope(xs, vals) -> float:
     if not all(0 < v < inf for v in vals):
         raise NotInDomain("monitored parameters must stay positive and finite")
-    ys = np.log(np.asarray(vals))
-    return float(np.polyfit(xs, ys, 1)[0])
+    return _slope(xs, [log(v) for v in vals])
 
 
 def boundedness_probe(
@@ -216,30 +238,27 @@ def boundedness_probe(
     grid = tuple(grid)
     if not all(t > 0 for t in grid):
         raise ValueError("grid values must be positive")
-    xs = np.log(np.asarray(grid))
-    if len(set(xs.tolist())) < 2:
+    xs = [log(t) for t in grid]
+    if len(set(xs)) < 2:
         raise ValueError("a slope fit needs grid values with at least 2 distinct logarithms")
     monitored: dict[str, list[float]] = {}
     for t_val in grid:
         y = family(t_val)
-        if parabolic == "minimal":
-            sol = solve_minimal(cone, y)
-            vals = {
-                "exp_2(a-d)": np.exp(2 * (sol.a - sol.d)),
-                "exp_2d": np.exp(2 * sol.d),
-            }
-        else:
-            sol = solve_maximal(cone, y)
-            # Fourth powers are the scale-invariant ratios q/p and p/q.
-            try:
+        try:
+            if parabolic == "minimal":
+                sol = solve_minimal(cone, y)
+                vals = {"exp_2(a-d)": exp(2 * (sol.a - sol.d)), "exp_2d": exp(2 * sol.d)}
+            else:
+                (b11, b12), (b21, b22) = solve_maximal(cone, y).b
+                # Fourth powers are the scale-invariant ratios q/p and p/q.
                 vals = {
-                    "norm_B1_4": float(sol.b[0] @ sol.b[0]) ** 2,
-                    "norm_B2_4": float(sol.b[1] @ sol.b[1]) ** 2,
+                    "norm_B1_4": (b11 * b11 + b12 * b12) ** 2,
+                    "norm_B2_4": (b21 * b21 + b22 * b22) ** 2,
                 }
-            except OverflowError as exc:
-                raise NotInDomain("|B_i|^4 leaves the float range") from exc
+        except OverflowError as exc:
+            raise NotInDomain("monitored parameters must stay positive and finite") from exc
         for k, v in vals.items():
-            monitored.setdefault(k, []).append(float(v))
+            monitored.setdefault(k, []).append(v)
     slopes = {k: _loglog_slope(xs, v) for k, v in monitored.items()}
     if parabolic == "minimal":
         escapes = any(s < -SLOPE_THRESHOLD for s in slopes.values())

@@ -24,7 +24,10 @@ graded boundary frames of the metric engine, with pivots from scipy's pivoted
 QR, graded columns chosen by a greedy singular-value loop and one solve per
 free column, are the reference for its one column-pivoting helper and its one
 kernel solve; the polarization form by a double loop over the primitive
-representatives is the reference for its one matrix product.
+representatives is the reference for its one matrix product.  The Siegel
+escape probe in numpy (np.log on the grid, np.exp, the Cholesky factor as an
+array and np.polyfit) is the reference for the probe in plain floats with its exact
+least-squares slope.
 """
 
 from __future__ import annotations
@@ -61,6 +64,13 @@ from hodgecharts.linalg import (
 from hodgecharts.metrics import SVD_TOL, OrbitSpec, _np_matrix
 from hodgecharts.ncd import GradedDims, WeightComplexes, _require_complex
 from hodgecharts.positivity import CurvatureIdentity, CurvatureTriple, SigmaReport
+from hodgecharts.siegel import (
+    DEFAULT_GRID,
+    SLOPE_THRESHOLD,
+    ConeSpec,
+    ProbeReport,
+    solve_minimal,
+)
 
 Q = Fraction
 
@@ -929,3 +939,47 @@ def loop_polarization_form(cone: NilpotentCone, index, a: int) -> RationalMatrix
             row.append(dot(u, cone.form.mul_vec(nv)))
         rows.append(row)
     return RationalMatrix.from_rows(rows, cols=prim.representatives.rows)
+
+
+# ---------------------------------------------------------------------------
+# The Siegel escape probe in numpy.
+
+
+def numpy_boundedness_probe(
+    cone: ConeSpec, family, parabolic: str, grid=DEFAULT_GRID
+) -> ProbeReport:
+    """siegel.boundedness_probe on numpy: np.exp of the minimal parabolic's
+    parameters, |B_i|^4 as row products of the maximal parabolic's Cholesky
+    factor held as a numpy array, and slopes by np.polyfit against np.log of
+    the grid.  Valid inputs only: it checks no domain."""
+    grid = tuple(grid)
+    xs = np.log(np.asarray(grid, dtype=float))
+    monitored: dict[str, list[float]] = {}
+    for t_val in grid:
+        y = family(t_val)
+        if parabolic == "minimal":
+            sol = solve_minimal(cone, y)
+            vals = {"exp_2(a-d)": np.exp(2 * (sol.a - sol.d)), "exp_2d": np.exp(2 * sol.d)}
+        else:
+            r, p, q = cone.sums(y)
+            gram = np.array([[q, r], [r, p]]) / np.sqrt(p * q - r * r)
+            l11 = np.sqrt(gram[0, 0])
+            l21 = gram[1, 0] / l11
+            b = np.array([[l11, 0.0], [l21, np.sqrt(gram[1, 1] - l21 * l21)]])
+            vals = {"norm_B1_4": float(b[0] @ b[0]) ** 2, "norm_B2_4": float(b[1] @ b[1]) ** 2}
+        for k, v in vals.items():
+            monitored.setdefault(k, []).append(float(v))
+    slopes = {
+        k: float(np.polyfit(xs, np.log(np.asarray(v)), 1)[0]) for k, v in monitored.items()
+    }
+    if parabolic == "minimal":
+        escapes = any(s < -SLOPE_THRESHOLD for s in slopes.values())
+    else:
+        escapes = any(s > SLOPE_THRESHOLD for s in slopes.values())
+    return ProbeReport(
+        "escapes-every-Siegel-set" if escapes else "contained",
+        parabolic,
+        {k: tuple(v) for k, v in monitored.items()},
+        slopes,
+        tuple(float(t) for t in grid),
+    )

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -488,8 +489,29 @@ def test_exit_code_numeric(tmp_path):
     [
         ("siegel", _fixture_with("siegel_cl2.json", family="y=(T^400,1)")),
         ("siegel", _fixture_with("siegel_cl3.json", cone={"p": [0, 5e-324], "q": [1, 0], "r": [0, 0]})),
+        # p(y) = 5e-324 puts e^{2(a-d)} = q/p beyond the float range.
+        (
+            "siegel",
+            _fixture_with("siegel_cl2.json", cone={"p": [0, 5e-324], "q": [1, 0], "r": [0, 0]}),
+        ),
+        # r^2 = pq in decimals: at T = 100, pq - r^2 rounds to 3.6e-12 > 0, but
+        # the Cholesky factor's last square rounds below 0.
+        (
+            "siegel",
+            {
+                "cone": {"p": [0.4], "q": [4.9], "r": [1.4]},
+                "family": "y=(T)",
+                "parabolic": "maximal",
+                "grid": [100, 1000],
+            },
+        ),
     ],
-    ids=["siegel-family-overflows", "siegel-monitored-overflows"],
+    ids=[
+        "siegel-family-overflows",
+        "siegel-monitored-overflows",
+        "siegel-minimal-monitored-overflows",
+        "siegel-discriminant-lost-to-rounding",
+    ],
 )
 def test_exit_code_numeric_float_range(tmp_path, capsys, subcommand, data):
     bad = tmp_path / "numeric.json"
@@ -497,6 +519,16 @@ def test_exit_code_numeric_float_range(tmp_path, capsys, subcommand, data):
     out = tmp_path / "out.json"
     assert main([subcommand, "--input", str(bad), "--output", str(out)]) == 4
     assert capsys.readouterr().err.startswith("error:") and not out.exists()
+
+
+def test_poor_fit_error_names_the_tol(tmp_path, capsys):
+    """An expansion fit beyond --tol exits 4 on one line naming residual and threshold."""
+    out = tmp_path / "out.json"
+    args = ["--input", str(FIXTURES / "orbit_weight2_caseC_expansion.json"), "--tol", "1e-30"]
+    assert main(["curvature", *args, "--output", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: best growth fit has residual \S+ > threshold 1e-30\n", err)
+    assert not out.exists()
 
 
 def test_exit_code_non_finite_report(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """Import hygiene: each subcommand loads only the hodgecharts modules it runs,
-the exact subcommands load neither numpy nor scipy, only the curvature modes
-that exponentiate load scipy, and the package's lazy namespace resolves every
-public name.
+the exact subcommands and the Siegel probe load neither numpy nor scipy, only
+the curvature modes that exponentiate load scipy, and the package's lazy
+namespace resolves every public name.
 
 The subcommand checks run in a fresh interpreter, because the test process has
 numpy loaded already and would hide an eager import.
@@ -41,9 +41,18 @@ def unused(*libraries, runs=()):
         ("charts", "genus2_cone.json", unused("numpy", "scipy", runs=("charts", "cones"))),
         ("lmhs", "ncd_tetrahedron.json", unused("numpy", "scipy", runs=("ncd",))),
         ("positivity", "positivity_sigma1.json", unused("numpy", "scipy", runs=("positivity",))),
-        ("siegel", "siegel_cl2.json", unused("scipy", runs=("siegel",))),
+        ("siegel", "siegel_cl2.json", unused("numpy", "scipy", runs=("siegel",))),
         ("curvature", "residue_constant.json", unused("scipy", runs=("metrics",))),
         ("curvature", "orbit_twisted_weight1.json", unused(runs=("metrics",))),
+        *(
+            ("siegel", fixture, unused("numpy", "scipy", runs=("siegel",)))
+            for fixture in (
+                "siegel_cl2_swapped.json",
+                "siegel_cl3.json",
+                "siegel_cl3_swapped.json",
+                "siegel_one_variable.json",
+            )
+        ),
     ],
 )
 def test_subcommand_loads_no_unused_float_library(subcommand, fixture, absent):

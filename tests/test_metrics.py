@@ -24,6 +24,7 @@ from hodgecharts.metrics import (
     OrbitSpec,
     Twist,
     _coefficient_kernel,
+    _hermitian_log_det,
     _independent_columns,
     _NestedFrame,
     _np_matrix,
@@ -55,6 +56,28 @@ def test_hodge_pieces_sp4_point():
     h10 = np.array([[1, 0], [0, 1], [0, 1j], [1j, 0]], dtype=complex)
     pieces = hodge_decomposition(FlagPoint(1, {1: h10}), q)
     assert pieces[(1, 0)].shape[1] == 2
+
+
+def test_hodge_pairing_not_hermitian_names_its_deviation():
+    """A symmetric form on a weight-1 point: i Q(u, conj v) is anti-Hermitian."""
+    h10 = np.array([[1, 0], [0, 1], [0, 1j], [1j, 0]], dtype=complex)
+    match = r"not Hermitian: deviation 1\.41 > tolerance 1\.41e-08$"
+    with pytest.raises(NotPolarized, match=match):
+        hodge_decomposition(FlagPoint(1, {1: h10}), np.eye(4))
+
+
+def test_hodge_pairing_not_positive_names_its_smallest_eigenvalue():
+    q = np.array([[float(x) for x in row] for row in sp4_form().entries])
+    h10 = np.array([[1, 0], [0, 1], [0, 1j], [1j, 0]], dtype=complex)
+    match = r"H\^1,0 pairing is not positive definite: smallest eigenvalue -1 <= tolerance 1e-08$"
+    with pytest.raises(NotPolarized, match=match):
+        hodge_decomposition(FlagPoint(1, {1: h10}), -q)
+
+
+def test_log_det_not_positive_names_its_smallest_eigenvalue():
+    match = r"^the Gram is not positive definite: smallest eigenvalue -2 <= 0$"
+    with pytest.raises(NotPolarized, match=match):
+        _hermitian_log_det(np.diag([1.0, -2.0]), "the Gram")
 
 
 def test_hodge_pieces_degenerate_rejected():
@@ -218,7 +241,7 @@ def test_expansion_fit_reads_a_generator_of_taus_once():
 
 def test_expansion_fit_poor_fit():
     orbit = weight2_jordan3_orbit()
-    with pytest.raises(PoorFit):
+    with pytest.raises(PoorFit, match=r"best growth fit has residual \S+ > threshold 1e-18$"):
         expansion_fit(
             orbit, lambda tau: (tau,), 0.0, residual_threshold=1e-18
         )

@@ -1,15 +1,22 @@
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hodgecharts.errors import NotInDomain, PZero
 from hodgecharts.siegel import (
     ConeSpec,
+    _slope,
     boundedness_probe,
     build_setup,
     orbit_point,
     solve_maximal,
     solve_minimal,
 )
+
+from .oracles import numpy_boundedness_probe
 
 
 def sigma_hat():
@@ -71,16 +78,18 @@ def test_solve_minimal():
 
 def test_solve_maximal():
     cl3 = ConeSpec([0, 1], [1, 0], [0, 0])
-    sol = solve_maximal(cl3, [100.0, 1.0])
-    assert abs(float(sol.b[0] @ sol.b[0]) ** 2 - 100.0) < 1e-9
-    unit = solve_maximal(cl3, [1.0, 1.0])
-    assert abs(float(unit.b[0] @ unit.b[0]) - 1.0) < 1e-12
-    assert abs(np.linalg.det(unit.b) - 1.0) < 1e-12
+    (b11, b12), _ = solve_maximal(cl3, [100.0, 1.0]).b
+    assert abs((b11 * b11 + b12 * b12) ** 2 - 100.0) < 1e-9
+    (u11, u12), (u21, u22) = solve_maximal(cl3, [1.0, 1.0]).b
+    assert u12 == 0.0  # lower triangular
+    assert abs(u11 * u11 + u12 * u12 - 1.0) < 1e-12
+    assert abs(u11 * u22 - u12 * u21 - 1.0) < 1e-12
     mixed = ConeSpec([0.5, 0.5], [0.5, 0.5], [0.5, -0.5])
     y = [2.0, 3.0]
     s = solve_maximal(mixed, y)
     r, p, q = mixed.sums(y)
-    gram = np.exp(2 * s.a) * (s.b @ s.b.T)
+    b = np.array(s.b)
+    gram = np.exp(2 * s.a) * (b @ b.T)
     assert np.abs(gram - np.array([[q, r], [r, p]])).max() < 1e-12
     assert np.abs(s.point() - orbit_point(mixed, y)).max() < 1e-10
     with pytest.raises(NotInDomain):
@@ -143,3 +152,83 @@ def test_probe_reads_a_generator_grid_once():
     want = boundedness_probe(sigma_hat(), lambda t: (t, 1.0), "minimal", grid)
     got = boundedness_probe(sigma_hat(), lambda t: (t, 1.0), "minimal", (t for t in grid))
     assert got == want
+
+
+def _fraction_slope(xs, ys) -> float:
+    """The least-squares slope by the centered formula in exact fractions,
+    rounded once."""
+    fx, fy = list(map(Fraction, xs)), list(map(Fraction, ys))
+    mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+    num = sum((x - mx) * (y - my) for x, y in zip(fx, fy))
+    return float(num / sum((x - mx) ** 2 for x in fx))
+
+
+def _point_sets(count: int):
+    """Seeded point sets: 2 to 8 distinct abscissae in +-700, ordinates on a
+    line of slope in +-0.99 plus noise of size 1 down to 1e-16, so that both
+    coordinates stay logarithms of floats."""
+    rng = random.Random(16)
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        xs = [rng.uniform(-700.0, 700.0) for _ in range(n)]
+        slope, noise = rng.uniform(-0.99, 0.99), 10.0 ** -rng.randint(0, 16)
+        yield xs, [slope * x + noise * rng.uniform(-1.0, 1.0) for x in xs]
+
+
+def test_slope_is_the_exact_least_squares_slope_rounded_once():
+    for xs, ys in _point_sets(400):
+        got = _slope(xs, ys)
+        assert got == _fraction_slope(xs, ys), (xs, ys)
+        # np.polyfit rounds in its own way, off the exact slope by ~1e-13.
+        want = float(np.polyfit(xs, ys, 1)[0])
+        assert abs(got - want) <= 1e-12 * abs(want), (xs, ys)
+
+
+def test_slope_on_default_grid_logarithms():
+    xs = [math.log(10.0**k) for k in range(1, 7)]
+    assert _slope(xs, xs) == 1.0
+    assert _slope(xs, [-x for x in xs]) == -1.0
+    assert _slope(xs, [5e-324] * len(xs)) == 0.0
+
+
+def _seeded_probes(count: int):
+    """Seeded cones of 1 to 3 generators, each on the boundary (r^2 = pq,
+    possibly with p or q zero) or inside (r^2 < pq), with monomial families
+    c_j T^{e_j}, c_j in [0.1, 10] and e_j in [0, 3]."""
+    rng = random.Random(23)
+    for _ in range(count):
+        p, q, r = [], [], []
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice((0.0, rng.uniform(-1.5, 1.5))), rng.uniform(0.1, 1.5)
+            if rng.random() < 0.5:
+                a, b = b, a
+            p.append(a * a)
+            q.append(b * b)
+            r.append(a * b * rng.choice((1.0, rng.uniform(-0.99, 0.99))))
+        terms = [(rng.uniform(0.1, 10.0), rng.choice((0, 1, 2, rng.uniform(0.0, 3.0)))) for _ in p]
+
+        def family(t, terms=terms):
+            return tuple(c * t**e for c, e in terms)
+
+        yield ConeSpec(p, q, r), family, rng.choice(("minimal", "maximal"))
+
+
+def test_probe_matches_the_numpy_oracle():
+    """Where the probe decides, the numpy probe decides alike: the monitored
+    values agree to 4 units in the last place (np.exp and math.exp may differ
+    in the last bit) and the slopes to polyfit's rounding."""
+    verdicts = []
+    for cone, family, parabolic in _seeded_probes(300):
+        try:
+            got = boundedness_probe(cone, family, parabolic)
+        except (NotInDomain, PZero):  # a degenerate cone; the oracle checks no domain
+            continue
+        want = numpy_boundedness_probe(cone, family, parabolic)
+        assert got.verdict == want.verdict
+        assert got.grid == want.grid and got.monitored.keys() == want.monitored.keys()
+        for key, values in got.monitored.items():
+            for v, w in zip(values, want.monitored[key], strict=True):
+                assert abs(v - w) <= 4 * math.ulp(w), (key, v, w)
+            assert math.isclose(got.slopes[key], want.slopes[key], rel_tol=1e-9, abs_tol=1e-12)
+        verdicts.append((parabolic, got.verdict))
+    assert len(verdicts) >= 200 and len(set(verdicts)) == 4
