@@ -11,8 +11,7 @@ choice among many.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import SampleInconsistent, SeparationFailure
 from .cones import KIndexMap, RelationData, _relation_data, k_index_map
 from .filtrations import IndexSet, NilpotentCone, index_set
@@ -33,8 +32,7 @@ def monomial_strings(rows, var: str = "t") -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(Record):
     """t -> (t^c) over the exponent rows; rows vanish exactly on K."""
 
     support: IndexSet  # K
@@ -45,8 +43,7 @@ class MonomialMap:
         return monomial_strings(self.exponents, var)
 
 
-@dataclass(frozen=True)
-class BinomialRelationSet:
+class BinomialRelationSet(Record):
     """HNF basis of the lattice of relations z^{u+} = z^{u-}."""
 
     vectors: tuple[tuple[int, ...], ...]
@@ -57,8 +54,7 @@ class BinomialRelationSet:
         return tuple(f"{p} = {n}" for p, n in zip(pos, neg))
 
 
-@dataclass(frozen=True)
-class MonomialAtlas:
+class MonomialAtlas(Record):
     """The assembled chart: one monomial map per K in the image of I -> K_I."""
 
     k_map: KIndexMap
@@ -121,8 +117,7 @@ def binomial_relations(rows) -> BinomialRelationSet:
     return BinomialRelationSet(tuple(tuple(r) for r in integer_kernel(constraints, ncols)))
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(Record):
     """Monomial witnesses showing distinct chart strata have disjoint images."""
 
     witnesses: dict[tuple[IndexSet, IndexSet], int]  # pair -> atlas row index
@@ -176,8 +171,7 @@ def fiber_tangency(mmap: MonomialMap, a, t) -> bool:
     return all(dot(a, row) == 0 for row in mmap.exponents)
 
 
-@dataclass(frozen=True)
-class FiberSample:
+class FiberSample(Record):
     """One sampled point for the decoupled fiber condition.
 
     derivative is the sampled directional derivative of the residual-flag
@@ -190,8 +184,7 @@ class FiberSample:
     derivative: "np.ndarray"
 
 
-@dataclass(frozen=True)
-class DecoupledFiberReport:
+class DecoupledFiberReport(Record):
     exact_tangent: bool  # a lies in the relation space S_I
     sample_tangent: tuple[bool, ...]  # per-sample derivative vanishing
     tangent: tuple[bool, ...]  # conjunction, per sample

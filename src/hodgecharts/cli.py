@@ -1,9 +1,10 @@
 """Command-line frontend: JSON in, JSON (+ optional CSV) out.
 
 Subcommands: charts | lmhs | curvature | siegel | positivity.
-Exit codes: 0 ok, 2 schema or exact input-validation error, 3 generator-count
-cap exceeded, 4 floating-point domain error.  Reports embed the input hash,
-library version, and seed, and are byte-identical for identical inputs.
+Exit codes: 0 ok, 2 schema or exact input-validation error or an unwritable
+report, 3 generator-count cap exceeded, 4 floating-point domain error.
+Reports embed the input hash, library version, and seed, and are
+byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from math import isfinite
 
@@ -69,8 +71,19 @@ def _emit(report: dict, args) -> None:
         raise NumericDomainError(f"report holds a non-finite value: {exc}") from exc
     if args.output:
         _write(args.output, text)
-    else:
+        return
+    # Flushed here, so that a full disk or a closed pipe (ENOSPC, EPIPE) exits
+    # 2 like an unwritable --output, not at the interpreter's final flush.
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # The unwritten text stays buffered, and the flush at exit would fail
+        # again: point stdout's descriptor at the null device for it.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise SchemaError(f"cannot write output: {exc}") from exc
 
 
 def _emit_csv(rows: list[list], header: list[str], path: str | None) -> None:

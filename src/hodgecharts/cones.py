@@ -18,10 +18,10 @@ integers, so there are no tolerance parameters anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 
+from ._record import Field, Record
 from .errors import ConeTooLarge, InvalidSplit
 from .filtrations import (
     IndexSet,
@@ -75,8 +75,7 @@ def _relation_space_of(cone: NilpotentCone, w: WeightFiltration) -> Subspace:
 # Exact linear programming.
 
 
-@dataclass(frozen=True)
-class FarkasAlternative:
+class FarkasAlternative(Record):
     """Either a nonnegative solution x of Ax = b, or a certificate y with
     A^T y >= 0 and y.b < 0.  Exactly one of the two is set."""
 
@@ -158,8 +157,7 @@ def farkas_alternative(a: RationalMatrix, b) -> FarkasAlternative:
     return FarkasAlternative(solution=None, certificate=tuple(-yi for yi in y))
 
 
-@dataclass(frozen=True)
-class FarkasSplit:
+class FarkasSplit(Record):
     """The unique support subset K of Lemma-2.8 type for a subspace S."""
 
     support: IndexSet  # 1-based positions where the S-side witness is positive
@@ -235,8 +233,7 @@ def _positive_basis(s: Subspace, split: FarkasSplit) -> RationalMatrix:
     return RationalMatrix.from_rows(rows, cols=k)
 
 
-@dataclass(frozen=True)
-class RelationData:
+class RelationData(Record):
     """Everything the chart construction needs for one index set."""
 
     index: IndexSet
@@ -258,8 +255,7 @@ def _relation_data(index: IndexSet, s: Subspace, split: FarkasSplit) -> Relation
     return RelationData(index, s, split.support, basis, split.witness, split.cowitness)
 
 
-@dataclass(frozen=True)
-class KIndexMap:
+class KIndexMap(Record):
     """The full table I -> K_I, its image, and the stratum partition.
 
     splits holds S_K and its Farkas split for every K in the image, so that
@@ -269,9 +265,7 @@ class KIndexMap:
     table: dict[IndexSet, IndexSet]
     image: tuple[IndexSet, ...]
     strata: dict[IndexSet, tuple[IndexSet, ...]]
-    splits: dict[IndexSet, tuple[Subspace, FarkasSplit]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    splits: dict[IndexSet, tuple[Subspace, FarkasSplit]] = Field(dict, compare=False)
 
 
 def k_index_map(cone: NilpotentCone) -> KIndexMap:

@@ -10,8 +10,7 @@ from W(N) (Cattani-Kaplan-Schmid), so membership in it is read on V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import NotFiltrationCompatible, NotNilpotent
 from .linalg import Rational, RationalMatrix, Subspace, _row_space, dot, kernel
 
@@ -201,8 +200,7 @@ class NilpotentCone:
         return out
 
 
-@dataclass(frozen=True)
-class AdjointFiltration:
+class AdjointFiltration(Record):
     """W(ad N_I) on the isometry algebra, held as W(N_I) on V.
 
     W(ad N) is induced from W(N) (Cattani-Kaplan-Schmid), so an isometry X
@@ -231,8 +229,7 @@ def adjoint_filtration(cone: NilpotentCone, index) -> AdjointFiltration:
     )
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(Record):
     level: int
     dimension: int
     representatives: RationalMatrix  # rows lift a basis of W_l / W_{l-1}
@@ -280,8 +277,7 @@ def induced_map(
     return out
 
 
-@dataclass(frozen=True)
-class PrimitivePiece:
+class PrimitivePiece(Record):
     """Kernel of the (a+1)-st induced power map on Gr_{a+n}."""
 
     level: int
@@ -313,8 +309,7 @@ def polarization_form(cone: NilpotentCone, index, a: int) -> RationalMatrix:
     return reps @ cone.form @ cone.n_of(index_set(index)).power(a) @ reps.transpose()
 
 
-@dataclass(frozen=True)
-class RwfpReport:
+class RwfpReport(Record):
     """Outcome of the nested-filtration compatibility consequence.
 
     Both filtrations are W on V, centered at the weight; W(ad N_I) is the

@@ -10,11 +10,11 @@ scipy, imported where it is called, so residue mode never loads scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import floor, log, pi
 
 import numpy as np
 
+from ._record import Record
 from .errors import NotPolarized, NumericDomainError, PoorFit
 from .filtrations import NilpotentCone, index_set, weight_filtration
 from .linalg import RationalMatrix
@@ -126,7 +126,10 @@ def hodge_decomposition(flag: FlagPoint, form: np.ndarray) -> dict[tuple[int, in
     combined = np.hstack(stack)
     smin = np.linalg.svd(combined, compute_uv=False)[-1]
     if smin < ALGEBRAIC_TOL:
-        raise NotPolarized("Hodge pieces are not in direct sum")
+        raise NotPolarized(
+            f"Hodge pieces are not in direct sum: smallest singular value "
+            f"{smin:.3g} < tolerance {ALGEBRAIC_TOL:.3g}"
+        )
     for (p, q), basis in pieces.items():
         if basis.shape[1] == 0:
             continue
@@ -148,8 +151,7 @@ def hodge_decomposition(flag: FlagPoint, form: np.ndarray) -> dict[tuple[int, in
     return pieces
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(Record):
     """Boundary twist w -> zeta(w), commuting with every generator."""
 
     kind: str  # "none" | "exp_linear"
@@ -269,8 +271,7 @@ def augmented_log_det(orbit: OrbitSpec, t, w) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ExpansionFit:
+class ExpansionFit(Record):
     """Fitted leading growth h ~ A (log|t|^{-1})^m along a boundary ray."""
 
     power: int
@@ -418,8 +419,7 @@ class _NestedFrame:
         return total
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(Record):
     """Interior curvature values against the graded boundary value."""
 
     points: tuple[tuple[float, ...], ...]  # |t| per step

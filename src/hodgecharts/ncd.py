@@ -16,27 +16,23 @@ a kernel or a cokernel, counted by one rank, with no basis built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Field, Record
 from .errors import Disconnected, IncidenceError, NotAComplex
 from .linalg import RationalMatrix, image, kernel, rank
 
 
-@dataclass(frozen=True)
-class SurfacePiece:
+class SurfacePiece(Record):
     name: str
     h: tuple[int, int, int, int, int]  # h^0 .. h^4
 
 
-@dataclass(frozen=True)
-class DoubleCurve:
+class DoubleCurve(Record):
     ends: tuple[str, str]
     genus: int
     self_intersections: tuple[int, int]  # in ends[0] and ends[1]
 
 
-@dataclass(frozen=True)
-class TriplePoint:
+class TriplePoint(Record):
     ends: tuple[str, str, str]
 
 
@@ -125,8 +121,7 @@ def _cech_sign(position: int) -> int:
     return -1 if position % 2 else 1
 
 
-@dataclass
-class WeightComplexes:
+class WeightComplexes(Record, frozen=False):
     """All matrices of the weight spectral complexes, with basis bookkeeping."""
 
     surface: NCDSurface
@@ -141,7 +136,7 @@ class WeightComplexes:
     # odd-weight pair
     g_odd: RationalMatrix  # H1(X^[2])(-1) -> H3(X^[1])
     r_odd: RationalMatrix  # H1(X^[1]) -> H1(X^[2])
-    h2_layout: dict = field(default_factory=dict)  # component -> (offset, curves, pad)
+    h2_layout: dict = Field(dict)  # component -> (offset, curves, pad)
 
 
 def build_weight_complexes(surface: NCDSurface) -> WeightComplexes:
@@ -234,8 +229,7 @@ def _require_complex(w: WeightComplexes) -> None:
         raise NotAComplex("middle-weight square does not compose to zero")
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(Record):
     """Dimensions of the graded pieces, lowest weight first."""
 
     dims: tuple[int, int, int, int, int]
@@ -257,8 +251,7 @@ def graded_dims(w: WeightComplexes) -> GradedDims:
     return GradedDims((i0, i1, i2, i3, i4))
 
 
-@dataclass(frozen=True)
-class MonodromyReport:
+class MonodromyReport(Record):
     even_iso: bool
     even_matrix: RationalMatrix  # ker G1 -> coker R2 in a complement basis
     odd_iso: bool

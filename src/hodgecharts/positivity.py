@@ -13,8 +13,8 @@ entries are ints, Fractions or "p/q" strings, as for linalg.vec.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from ._record import Record
 from .linalg import Rational, RationalMatrix, dot, rank, vec
 
 
@@ -65,8 +65,7 @@ def _row(v, n: int) -> RationalMatrix:
     return RationalMatrix.from_rows([v], cols=n)
 
 
-@dataclass(frozen=True)
-class CurvatureIdentity:
+class CurvatureIdentity(Record):
     lhs: Rational
     rhs: Rational
     match: bool
@@ -99,8 +98,7 @@ def numerical_dimension(triple: CurvatureTriple, samples: int = 20, seed: int = 
     return rho, triple.dim_w - 1 + rho
 
 
-@dataclass(frozen=True)
-class SigmaReport:
+class SigmaReport(Record):
     matrix: RationalMatrix
     rank: int
     injective: bool

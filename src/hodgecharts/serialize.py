@@ -18,7 +18,6 @@ from math import inf, isfinite
 from sys import float_info
 
 from .errors import ConeTooLarge, HodgeChartsError, NotInDomain, SchemaError
-from .filtrations import NilpotentCone
 from .linalg import Rational, RationalMatrix, _exact
 
 
@@ -120,7 +119,9 @@ def _name_from_json(x, what: str) -> str:
     return str(x)
 
 
-def cone_from_json(data) -> NilpotentCone:
+def cone_from_json(data) -> "NilpotentCone":
+    from .filtrations import NilpotentCone
+
     if not isinstance(data, dict):
         raise SchemaError("cone must be an object")
     try:
@@ -142,7 +143,7 @@ def cone_from_json(data) -> NilpotentCone:
         raise SchemaError(str(exc)) from exc
 
 
-def cone_to_json(cone: NilpotentCone) -> dict:
+def cone_to_json(cone: "NilpotentCone") -> dict:
     return {
         "dim": cone.dim,
         "weight": cone.weight,

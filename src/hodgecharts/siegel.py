@@ -12,10 +12,10 @@ the sampled grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, inf, log, sqrt
 from operator import mul
 
+from ._record import Record
 from .errors import NotInDomain, PZero
 from .linalg import RationalMatrix
 
@@ -29,8 +29,7 @@ def _unit(i: int, j: int) -> RationalMatrix:
     return RationalMatrix.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class Sp4Setup:
+class Sp4Setup(Record):
     """Two commuting standard triples and the antidiagonal symplectic form."""
 
     form: RationalMatrix
@@ -123,8 +122,7 @@ def orbit_point(cone: ConeSpec, y):
     return np.column_stack([col1, col2])
 
 
-@dataclass(frozen=True)
-class SiegelSolution:
+class SiegelSolution(Record):
     """Solvable parameters placing the orbit point in a horospherical slice."""
 
     parabolic: str  # "minimal" | "maximal"
@@ -190,8 +188,7 @@ def solve_maximal(cone: ConeSpec, y) -> SiegelSolution:
     return SiegelSolution("maximal", a=0.5 * log(e2a), b=((l11, 0.0), (l21, l22)))
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Record):
     verdict: str  # "escapes-every-Siegel-set" | "contained"
     parabolic: str
     monitored: dict[str, tuple[float, ...]]

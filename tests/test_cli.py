@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -559,3 +560,40 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["report"]["verdict"] == "escapes-every-Siegel-set"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "sink, unbuffered",
+    [("full", False), ("full", True), ("closed-pipe", False)],
+    ids=["dev-full", "dev-full-unbuffered", "closed-pipe"],
+)
+@pytest.mark.parametrize(
+    "subcommand, fixture", [("siegel", "siegel_cl2.json"), ("charts", "genus2_cone.json")]
+)
+def test_failed_stdout_write_exits_2(subcommand, fixture, sink, unbuffered):
+    """A report that stdout cannot take (ENOSPC on /dev/full, EPIPE on a pipe
+    whose reader is gone) is one error line and exit 2, like an unwritable
+    --output.  Buffered, the short siegel report fails only when flushed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if sink == "full":
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    else:
+        reader, stdout = os.pipe()
+        os.close(reader)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hodgecharts.cli", subcommand, "--input", str(FIXTURES / fixture)],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(stdout)
+    errno = 28 if sink == "full" else 32
+    assert proc.returncode == 2, proc.stderr
+    assert re.fullmatch(rf"error: cannot write output: \[Errno {errno}\] [^\n]*\n", proc.stderr)

@@ -1,7 +1,8 @@
 """Import hygiene: each subcommand loads only the hodgecharts modules it runs,
 the exact subcommands and the Siegel probe load neither numpy nor scipy, only
-the curvature modes that exponentiate load scipy, and the package's lazy
-namespace resolves every public name.
+the curvature modes that exponentiate load scipy, no exact subcommand loads
+dataclasses or inspect, only charts loads the filtration code, and the
+package's lazy namespace resolves every public name.
 
 The subcommand checks run in a fresh interpreter, because the test process has
 numpy loaded already and would hide an eager import.
@@ -51,6 +52,21 @@ def unused(*libraries, runs=()):
                 "siegel_cl3.json",
                 "siegel_cl3_swapped.json",
                 "siegel_one_variable.json",
+            )
+        ),
+        # The records need neither dataclasses nor inspect, and only a cone
+        # needs the filtration code.
+        ("charts", "genus2_cone.json", ("dataclasses", "inspect")),
+        *(
+            (subcommand, fixture, ("dataclasses", "inspect", "hodgecharts.filtrations"))
+            for subcommand, fixture in (
+                ("lmhs", "ncd_tetrahedron.json"),
+                ("positivity", "positivity_sigma1.json"),
+                ("siegel", "siegel_cl2.json"),
+                ("siegel", "siegel_cl2_swapped.json"),
+                ("siegel", "siegel_cl3.json"),
+                ("siegel", "siegel_cl3_swapped.json"),
+                ("siegel", "siegel_one_variable.json"),
             )
         ),
     ],

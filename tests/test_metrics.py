@@ -74,6 +74,16 @@ def test_hodge_pairing_not_positive_names_its_smallest_eigenvalue():
         hodge_decomposition(FlagPoint(1, {1: h10}), -q)
 
 
+def test_hodge_pieces_not_direct_names_the_smallest_singular_value():
+    """F^1 = span (1, i eps): H^{1,0} and H^{0,1} = conj F^1 meet at angle
+    about eps sqrt 2, the smallest singular value of the stacked bases."""
+    h10 = np.array([[1], [1e-9j]], dtype=complex)
+    form = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    match = r"not in direct sum: smallest singular value 1\.41e-09 < tolerance 1e-08$"
+    with pytest.raises(NotPolarized, match=match):
+        hodge_decomposition(FlagPoint(1, {1: h10}), form)
+
+
 def test_log_det_not_positive_names_its_smallest_eigenvalue():
     match = r"^the Gram is not positive definite: smallest eigenvalue -2 <= 0$"
     with pytest.raises(NotPolarized, match=match):
