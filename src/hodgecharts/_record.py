@@ -8,42 +8,26 @@ class FrozenRecordError(AttributeError):
     """A field of a frozen record was assigned or deleted."""
 
 
-class Field:
-    """A default made per instance by factory; compare=False keeps the field
-    out of eq, hash and repr."""
-
-    def __init__(self, factory, compare: bool = True):
-        self.factory, self.compare = factory, compare
-
-
 class Record:
-    """Fields are the annotated names in order; a class attribute is a default.
-    Subclassing with frozen=False gives a mutable, unhashable record."""
+    """The annotated names, in order, are the fields; a class attribute is a
+    default.  Every record is frozen.  A default is one object shared by every
+    instance that takes it, so it must be immutable (None or a tuple)."""
 
-    def __init_subclass__(cls, frozen: bool = True):
-        fields = tuple(cls.__dict__.get("__annotations__", ()))
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
         defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
-        made = {f for f, d in defaults.items() if isinstance(d, Field)}
-        cls._compared = tuple(f for f in fields if f not in made or defaults[f].compare)
         # Only __init__ is compiled, with one parameter per field: a generic
         # loop over *args builds a record 1.5-3 times slower, and the atlas
         # builds records per LP and per index set.
         params = ", ".join(f"{f}=_d[{f!r}]" if f in defaults else f for f in fields)
-        values = (
-            f"_d[{f!r}].factory() if {f} is _d[{f!r}] else {f}" if f in made else f
-            for f in fields
-        )
-        body = "".join(f"\n _set(self, {f!r}, {v})" for f, v in zip(fields, values))
+        body = "".join(f"\n _set(self, {f!r}, {f})" for f in fields)
         namespace: dict = {}
         source = f"def __init__(self, {params}):{body or ' pass'}"
         exec(source, {"_set": object.__setattr__, "_d": defaults}, namespace)
         cls.__init__ = namespace["__init__"]
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._compared)
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -54,7 +38,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def _frozen(self, name, *value):

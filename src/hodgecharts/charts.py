@@ -15,7 +15,7 @@ from ._record import Record
 from .errors import SampleInconsistent, SeparationFailure
 from .cones import KIndexMap, RelationData, _relation_data, k_index_map
 from .filtrations import IndexSet, NilpotentCone, index_set
-from .linalg import RationalMatrix, _primitive_integer, dot, integer_kernel, vec
+from .linalg import _primitive_integer, dot, integer_kernel, vec
 
 FIBER_TOL = 1e-9  # sup norm below which a sampled derivative counts as zero
 
@@ -87,10 +87,6 @@ class MonomialAtlas(Record):
         return tuple(rows)
 
 
-def _int_rows(m: RationalMatrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in m.entries)
-
-
 def build_atlas(cone: NilpotentCone) -> MonomialAtlas:
     """Assemble the per-K monomial maps from the relation-space pipeline."""
     km = k_index_map(cone)
@@ -99,7 +95,7 @@ def build_atlas(cone: NilpotentCone) -> MonomialAtlas:
     for k in km.image:
         data = _relation_data(k, *km.splits[k])
         table[k] = data
-        charts.append(MonomialMap(k, _int_rows(data.basis), cone.k))
+        charts.append(MonomialMap(k, data.basis.entries, cone.k))
     return MonomialAtlas(km, tuple(charts), table)
 
 
@@ -132,24 +128,23 @@ def separation_check(atlas: MonomialAtlas) -> SeparationReport:
     of J iff J is not contained in K_c, and is nowhere zero on it otherwise.
     A missing witness indicates duplicated strata and raises SeparationFailure.
     """
-    rows = atlas.exponents
-    supports = [chart.support for chart in atlas.charts for _ in chart.exponents]
-    witnesses: dict[tuple[IndexSet, IndexSet], int] = {}
+    # All rows of a chart share its support, so the first witnessing row is
+    # the first row of the first nonempty chart that witnesses the pair.
     ks = [chart.support for chart in atlas.charts]
+    sets = [frozenset(k) for k in ks]
+    firsts, at = [], 0  # (support set, index of its first row) per nonempty chart
+    for chart, kc in zip(atlas.charts, sets):
+        if chart.exponents:
+            firsts.append((kc, at))
+            at += len(chart.exponents)
+    witnesses: dict[tuple[IndexSet, IndexSet], int] = {}
     for a in range(len(ks)):
         for b in range(a + 1, len(ks)):
-            k1, k2 = ks[a], ks[b]
-            found = None
-            for idx in range(len(rows)):
-                kc = supports[idx]
-                vanishes_on_1 = not set(k1) <= set(kc)
-                vanishes_on_2 = not set(k2) <= set(kc)
-                if vanishes_on_1 != vanishes_on_2:
-                    found = idx
-                    break
+            k1, k2 = sets[a], sets[b]
+            found = next((idx for kc, idx in firsts if (k1 <= kc) != (k2 <= kc)), None)
             if found is None:
-                raise SeparationFailure(f"strata {k1} and {k2} are not separated")
-            witnesses[(k1, k2)] = found
+                raise SeparationFailure(f"strata {ks[a]} and {ks[b]} are not separated")
+            witnesses[(ks[a], ks[b])] = found
     return SeparationReport(witnesses, True)
 
 

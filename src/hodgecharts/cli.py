@@ -27,7 +27,6 @@ from .serialize import (
     _rational_from_json,
     cone_from_json,
     dual_graph_from_json,
-    int_matrix_to_json,
     matrix_from_json,
     matrix_to_json,
     orbit_from_json,
@@ -103,21 +102,23 @@ def run_charts(data, args) -> tuple[dict, list, list]:
     relations = atlas.relations()
     separation = separation_check(atlas)
     cert_rows = atlas.certificate_chart()
-    table = []
-    for index in sorted(km.table, key=lambda t: (len(t), t)):
-        entry = atlas.relation_table.get(km.table[index])
-        table.append(
-            {
-                "I": list(index),
-                "K": list(km.table[index]),
-                "S_basis": matrix_to_json(entry.space.basis),
-                "C": int_matrix_to_json(entry.basis.entries),
-                "certificates": {
-                    "v": [str(x) for x in entry.witness],
-                    "v_tilde": [str(x) for x in entry.cowitness],
-                },
-            }
-        )
+    # One fragment per K, shared by the rows of every index set in its stratum.
+    fragments = {
+        k: {
+            "K": list(k),
+            "S_basis": matrix_to_json(entry.space.basis),
+            "C": [list(r) for r in entry.basis.entries],
+            "certificates": {
+                "v": [str(x) for x in entry.witness],
+                "v_tilde": [str(x) for x in entry.cowitness],
+            },
+        }
+        for k, entry in atlas.relation_table.items()
+    }
+    table = [
+        {"I": list(index), **fragments[km.table[index]]}
+        for index in sorted(km.table, key=lambda t: (len(t), t))
+    ]
     report = {
         "relation_table": table,
         "atlas": {

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-from ._record import Field, Record
+from ._record import Record
 from .errors import ConeTooLarge, InvalidSplit
 from .filtrations import (
     IndexSet,
@@ -265,7 +265,7 @@ class KIndexMap(Record):
     table: dict[IndexSet, IndexSet]
     image: tuple[IndexSet, ...]
     strata: dict[IndexSet, tuple[IndexSet, ...]]
-    splits: dict[IndexSet, tuple[Subspace, FarkasSplit]] = Field(dict, compare=False)
+    splits: dict[IndexSet, tuple[Subspace, FarkasSplit]]
 
 
 def k_index_map(cone: NilpotentCone) -> KIndexMap:

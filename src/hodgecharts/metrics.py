@@ -10,7 +10,7 @@ scipy, imported where it is called, so residue mode never loads scipy.
 
 from __future__ import annotations
 
-from math import floor, log, pi
+from math import floor, isfinite, log, pi
 
 import numpy as np
 
@@ -460,11 +460,15 @@ def residue_integral(coefficients: dict[tuple[int, int], complex], t: complex) -
 
     Parametrizing x = exp(s + i theta), the integrand |g(x, t/x)|^2 is smooth
     and the integral is over s in [log|t|, 0], theta in [0, 2pi); the g = 1
-    value is exactly 2 pi log(1/|t|).
+    value is exactly 2 pi log(1/|t|).  g must be a polynomial: a negative
+    exponent raises ValueError.  A panel whose value leaves the float range
+    raises NumericDomainError naming t.
     """
-    t = complex(t)
+    t_in, t = t, complex(t)
     if not 0 < abs(t) < 1:
         raise ValueError("t must satisfy 0 < |t| < 1")
+    if any(min(ij) < 0 for ij in coefficients):
+        raise ValueError("exponents of g must be nonnegative")
     s_lo = log(abs(t))
     deg = max((max(i, j) for i, j in coefficients), default=0)
     n_theta = max(MIN_THETA_NODES, 4 * deg + 8)
@@ -480,8 +484,11 @@ def residue_integral(coefficients: dict[tuple[int, int], complex], t: complex) -
         x = np.exp(s_nodes[:, None] + 1j * thetas[None, :])
         y = t / x
         g = np.zeros_like(x)
-        for (i, j), c in coefficients.items():
-            g = g + c * x**i * y**j
-        vals = (np.abs(g) ** 2).sum(axis=1) * (2 * pi / n_theta)
-        total += float(np.sum(vals * s_weights))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (i, j), c in coefficients.items():
+                g = g + c * x**i * y**j
+            vals = (np.abs(g) ** 2).sum(axis=1) * (2 * pi / n_theta)
+            total += float(np.sum(vals * s_weights))
+        if not isfinite(total):
+            raise NumericDomainError(f"the residue integral at t = {t_in!r} leaves the float range")
     return total

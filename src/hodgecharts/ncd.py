@@ -16,7 +16,7 @@ a kernel or a cokernel, counted by one rank, with no basis built.
 
 from __future__ import annotations
 
-from ._record import Field, Record
+from ._record import Record
 from .errors import Disconnected, IncidenceError, NotAComplex
 from .linalg import RationalMatrix, image, kernel, rank
 
@@ -121,7 +121,7 @@ def _cech_sign(position: int) -> int:
     return -1 if position % 2 else 1
 
 
-class WeightComplexes(Record, frozen=False):
+class WeightComplexes(Record):
     """All matrices of the weight spectral complexes, with basis bookkeeping."""
 
     surface: NCDSurface
@@ -136,7 +136,7 @@ class WeightComplexes(Record, frozen=False):
     # odd-weight pair
     g_odd: RationalMatrix  # H1(X^[2])(-1) -> H3(X^[1])
     r_odd: RationalMatrix  # H1(X^[1]) -> H1(X^[2])
-    h2_layout: dict = Field(dict)  # component -> (offset, curves, pad)
+    h2_layout: dict  # component -> (offset, curves, pad)
 
 
 def build_weight_complexes(surface: NCDSurface) -> WeightComplexes:

@@ -29,10 +29,6 @@ def matrix_to_json(m: RationalMatrix) -> list[list[str]]:
     return [[rational_to_json(x) for x in row] for row in m.entries]
 
 
-def int_matrix_to_json(rows) -> list[list[int]]:
-    return [[int(x) for x in row] for row in rows]
-
-
 # ASCII digits only: \d and int() also take other scripts' digits and "1_000".
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -277,13 +273,15 @@ def _monomial_map(terms, what: str):
 
 
 def residue_coefficients_from_json(data) -> dict[tuple[int, int], complex]:
-    """Residue-mode polynomial g(x, y): an object mapping "i,j" to the complex
-    coefficient of x^i y^j."""
+    """Residue-mode polynomial g(x, y): an object mapping "i,j" (i, j >= 0) to
+    the complex coefficient of x^i y^j."""
     if not isinstance(data, dict):
         raise SchemaError('coefficients must be an object keyed by "i,j"')
     coeffs = {}
     for key, val in data.items():
         i, j = _array_from_json(key.split(","), f"coefficient key {key!r}", _int_from_json, 2)
+        if min(i, j) < 0:
+            raise SchemaError(f"coefficient key {key!r}: g is a polynomial, so exponents are >= 0")
         if max(i, j) > MAX_RESIDUE_EXPONENT:
             raise ConeTooLarge(
                 f"coefficient key {key!r} exceeds the exponent cap {MAX_RESIDUE_EXPONENT}"

@@ -27,7 +27,9 @@ kernel solve; the polarization form by a double loop over the primitive
 representatives is the reference for its one matrix product.  The Siegel
 escape probe in numpy (np.log on the grid, np.exp, the Cholesky factor as an
 array and np.polyfit) is the reference for the probe in plain floats with its exact
-least-squares slope.
+least-squares slope.  The separation scan over every atlas row and the
+relation table encoded once per index set are the references for the scan
+over charts and the one encoding per stratum.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ from functools import cache
 import numpy as np
 
 from hodgecharts.cones import farkas_split, relation_space
-from hodgecharts.errors import NotAComplex, NotFiltrationCompatible, NotPolarized
+from hodgecharts.errors import (
+    NotAComplex, NotFiltrationCompatible, NotPolarized, SeparationFailure,
+)
 from hodgecharts.filtrations import (
     GradedPiece,
     NilpotentCone,
@@ -64,6 +68,7 @@ from hodgecharts.linalg import (
 from hodgecharts.metrics import SVD_TOL, OrbitSpec, _np_matrix
 from hodgecharts.ncd import GradedDims, WeightComplexes, _require_complex
 from hodgecharts.positivity import CurvatureIdentity, CurvatureTriple, SigmaReport
+from hodgecharts.serialize import matrix_to_json
 from hodgecharts.siegel import (
     DEFAULT_GRID,
     SLOPE_THRESHOLD,
@@ -983,3 +988,54 @@ def numpy_boundedness_probe(
         slopes,
         tuple(float(t) for t in grid),
     )
+
+
+# ---------------------------------------------------------------------------
+# The charts path row by row.
+
+
+def row_scan_witnesses(atlas) -> dict:
+    """separation_check's witnesses by a scan over every atlas row, with the
+    support sets rebuilt per row: the first row whose chart support K_c
+    contains exactly one of K and K'."""
+    rows = atlas.exponents
+    supports = [chart.support for chart in atlas.charts for _ in chart.exponents]
+    witnesses = {}
+    ks = [chart.support for chart in atlas.charts]
+    for a in range(len(ks)):
+        for b in range(a + 1, len(ks)):
+            k1, k2 = ks[a], ks[b]
+            found = None
+            for idx in range(len(rows)):
+                kc = supports[idx]
+                vanishes_on_1 = not set(k1) <= set(kc)
+                vanishes_on_2 = not set(k2) <= set(kc)
+                if vanishes_on_1 != vanishes_on_2:
+                    found = idx
+                    break
+            if found is None:
+                raise SeparationFailure(f"strata {k1} and {k2} are not separated")
+            witnesses[(k1, k2)] = found
+    return witnesses
+
+
+def per_index_set_relation_table(atlas) -> list[dict]:
+    """The charts report's relation table with every index set's row encoded
+    anew from its stratum's entry, and C's entries passed through int."""
+    km = atlas.k_map
+    table = []
+    for index in sorted(km.table, key=lambda t: (len(t), t)):
+        entry = atlas.relation_table.get(km.table[index])
+        table.append(
+            {
+                "I": list(index),
+                "K": list(km.table[index]),
+                "S_basis": matrix_to_json(entry.space.basis),
+                "C": [[int(x) for x in row] for row in entry.basis.entries],
+                "certificates": {
+                    "v": [str(x) for x in entry.witness],
+                    "v_tilde": [str(x) for x in entry.cowitness],
+                },
+            }
+        )
+    return table

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,15 +8,30 @@ import pytest
 from hodgecharts.charts import (
     FiberSample,
     MonomialAtlas,
+    MonomialMap,
     binomial_relations,
     build_atlas,
     decoupled_fiber_check,
     fiber_tangency,
     separation_check,
 )
+from hodgecharts.cli import run_charts
 from hodgecharts.errors import SampleInconsistent, SeparationFailure
 from hodgecharts.gallery import equal_pair_cone, genus2_cone, single_cone
 from hodgecharts.linalg import hnf_rows
+from hodgecharts.serialize import cone_from_json, cone_to_json
+
+from .oracles import per_index_set_relation_table, row_scan_witnesses
+from .test_cones import (
+    _gallery_cones,
+    _graphic_cones,
+    _pointed_k3_cone,
+    _polarized_type_cones,
+    _random_abelian_cone,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+CHARTS_FIXTURES = ("genus2_cone.json", "rank1_cone.json", "single_cone.json")
 
 SEED = 913
 
@@ -191,3 +208,60 @@ def test_decoupled_respects_stratum_relation_space():
     assert rep.tangent == (True,)
     rep2 = decoupled_fiber_check(cone, (1,), [0, 1, 1], [0.0], [sample])
     assert rep2.tangent == (False,)
+
+
+def _scaled_cones():
+    """Seeded graphic, abelian sp(2g) and pointed K3-type cones up to k = 8."""
+    rng = random.Random(SEED + 5)
+    yield from _graphic_cones(rng)
+    for g, k in ((2, 6), (2, 8), (3, 7)):
+        yield _random_abelian_cone(rng, g, k)
+    for b, k in ((3, 6), (4, 8)):
+        yield _pointed_k3_cone(rng, b, k)
+
+
+def test_separation_matches_the_row_scan():
+    """Scanning charts gives the witnesses of the scan over every row, on
+    gallery cones (single_cone's K = (1,) has no rows) and on seeded sp and
+    K3-type cones; both refuse a duplicated stratum."""
+    empty = 0
+    for cone in (*_gallery_cones(), *_polarized_type_cones(), *_scaled_cones()):
+        atlas = build_atlas(cone)
+        assert list(separation_check(atlas).witnesses.items()) == list(
+            row_scan_witnesses(atlas).items()
+        )
+        empty += any(not chart.exponents for chart in atlas.charts)
+    assert empty
+    # A built atlas has an empty chart only for K = {1..k}, which witnesses no
+    # pair; a hand-built one can put an empty chart first that would.
+    charts = (
+        MonomialMap((1,), (), 2),
+        MonomialMap((), ((1, 1),), 2),
+        MonomialMap((2,), ((1, 0),), 2),
+    )
+    hand_built = MonomialAtlas(None, charts, {})
+    assert separation_check(hand_built).witnesses == row_scan_witnesses(hand_built)
+    atlas = build_atlas(genus2_cone())
+    duplicated = MonomialAtlas(
+        atlas.k_map, (atlas.charts[1], atlas.charts[1]), atlas.relation_table
+    )
+    for check in (separation_check, row_scan_witnesses):
+        with pytest.raises(SeparationFailure):
+            check(duplicated)
+
+
+def test_charts_table_matches_per_index_set_encoding():
+    """One encoding per stratum writes the bytes of one encoding per index
+    set, and the chart rows are plain ints, on the charts fixtures and on
+    seeded cones up to k = 8."""
+    inputs = [json.loads((FIXTURES / name).read_text()) for name in CHARTS_FIXTURES]
+    inputs += [cone_to_json(cone) for cone in _scaled_cones()]
+    for data in inputs:
+        report = run_charts(data, None)[0]  # charts reads no option
+        atlas = build_atlas(cone_from_json(data))
+        assert all(type(x) is int for row in atlas.exponents for x in row)
+        oracle = per_index_set_relation_table(atlas)
+        assert json.dumps(report, sort_keys=True, indent=2) == json.dumps(
+            {**report, "relation_table": oracle}, sort_keys=True, indent=2
+        )
+    assert max(len(data["generators"]) for data in inputs) == 8

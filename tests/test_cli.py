@@ -318,6 +318,8 @@ _SURFACE_NEGATIVE_GENUS["double_curves"][0]["genus"] = -1
                 taus=[1e-5, 1.0000000000000003e-5, 1.0000000000000008e-5],
             ),
         ),
+        ("curvature", _fixture_with("residue_constant.json", coefficients={"-1,0": 1})),
+        ("curvature", _fixture_with("residue_constant.json", coefficients={"-100000,0": 1})),
     ],
     ids=[
         "residue-t-outside-disc",
@@ -367,6 +369,8 @@ _SURFACE_NEGATIVE_GENUS["double_curves"][0]["genus"] = -1
         "siegel-grid-equal-logarithms",
         "residue-t-equal-logarithms",
         "expansion-taus-equal-rates",
+        "residue-key-negative-exponent",
+        "residue-key-large-negative-exponent",
     ],
 )
 def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
@@ -520,6 +524,25 @@ def test_exit_code_numeric_float_range(tmp_path, capsys, subcommand, data):
     out = tmp_path / "out.json"
     assert main([subcommand, "--input", str(bad), "--output", str(out)]) == 4
     assert capsys.readouterr().err.startswith("error:") and not out.exists()
+
+
+def test_residue_overflow_exits_4_on_one_line(tmp_path):
+    """|g|^2 beyond the float range: one error line naming t, exit 4, and no
+    numpy warning on stderr."""
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps({"mode": "residue", "coefficients": {"0,0": 1e308}}))
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgecharts.cli", "curvature", "--input", str(bad)]
+        + ["--output", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 4 and not out.exists()
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "t = 0.01" in lines[0]
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_poor_fit_error_names_the_tol(tmp_path, capsys):

@@ -434,7 +434,7 @@ def _pointed_k3_cone(rng, b, k):
     return _k3_cone([-1] * b, lambdas)
 
 
-def _oracle_cones():
+def _gallery_cones():
     from hodgecharts.gallery import (
         standard_triple_block_cone,
         weight2_inert_orbit,
@@ -442,7 +442,7 @@ def _oracle_cones():
         weight2_twoblock_cone,
     )
 
-    yield from (
+    return (
         genus2_cone(),
         rank1_cone(),
         single_cone(),
@@ -452,6 +452,10 @@ def _oracle_cones():
         weight2_twoblock_cone(),
         weight2_inert_orbit().cone,
     )
+
+
+def _oracle_cones():
+    yield from _gallery_cones()
     rng = random.Random(SEED + 2)
     for g, k in ((2, 3), (2, 4), (3, 3)):
         yield _random_abelian_cone(rng, g, k)

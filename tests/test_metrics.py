@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hodgecharts import gallery
-from hodgecharts.errors import NotPolarized, PoorFit
+from hodgecharts.errors import NotPolarized, NumericDomainError, PoorFit
 from hodgecharts.filtrations import weight_filtration
 from hodgecharts.gallery import (
     genus2_orbit,
@@ -490,6 +490,22 @@ def test_residue_integral_cases():
         {(0, 0): 1.0}, 1e-3
     )
     assert abs(ratio - 4.0) < 1e-12
+
+
+def test_residue_integral_overflow_names_t():
+    """|g|^2 beyond the float range raises NumericDomainError naming t, and
+    numpy warns of nothing (pytest turns warnings into errors)."""
+    with pytest.raises(NumericDomainError, match=r"t = 0\.01 "):
+        residue_integral({(0, 0): 1e308}, 0.01)
+    with pytest.raises(NumericDomainError, match=r"t = 1e-05 "):
+        residue_integral({(0, 0): 1.0, (0, 1): 1e200}, 1e-5)
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (-100000, 0)])
+def test_residue_integral_rejects_negative_exponents(key):
+    """g is a polynomial: x^-1 is not one of its terms."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        residue_integral({key: 1.0}, 0.01)
 
 
 def test_residue_slope_normalization():

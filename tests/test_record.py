@@ -1,6 +1,6 @@
 """The record base behind the library's records: construction, frozenness,
 eq, hash and repr, checked against the standard library's frozen dataclass
-with the same fields."""
+with the same fields.  Every record is frozen and compares all its fields."""
 
 import dataclasses
 
@@ -86,25 +86,38 @@ def test_records_of_different_classes_never_compare_equal():
     assert FarkasSplit((1,), (1, 0), (0, 1)) != Split((1,), (1, 0), (0, 1))
 
 
-def test_k_index_map_ignores_splits():
+def test_k_index_map_compares_and_shows_splits():
     a = KIndexMap({(): ()}, ((),), {(): ((),)}, {(): "one split"})
     b = KIndexMap({(): ()}, ((),), {(): ((),)}, {(): "another"})
-    assert a == b and "splits" not in repr(a)
-    assert KIndexMap({}, (), {}).splits == {}
-    with pytest.raises(TypeError):  # a dict field is unhashable, as in the dataclass
-        hash(a)
+    assert a != b and a == KIndexMap({(): ()}, ((),), {(): ((),)}, {(): "one split"})
+    assert "splits={(): 'one split'}" in repr(a)
+    with pytest.raises(TypeError):  # splits is required
+        KIndexMap({}, (), {})
 
 
-def test_weight_complexes_stay_mutable_and_unhashable():
+def test_weight_complexes_are_frozen_and_need_h2_layout():
     fields = [f"m{i}" for i in range(9)]
-    a, b = WeightComplexes(*fields), WeightComplexes(*fields)
-    assert a == b and a.h2_layout == {} and a.h2_layout is not b.h2_layout
-    a.h2_layout["X1"] = (0, (), 0)
-    assert b.h2_layout == {}
-    a.r1 = "changed"
-    assert a != b
-    del a.r1
+    a = WeightComplexes(*fields, {"X1": (0, (), 0)})
+    for mutate in (lambda: setattr(a, "r1", "changed"), lambda: delattr(a, "r1")):
+        with pytest.raises(FrozenRecordError):
+            mutate()
+    assert a.r1 == "m1"
     with pytest.raises(TypeError):
-        hash(b)
-    assert WeightComplexes.__hash__ is None
+        WeightComplexes(*fields)
 
+
+def test_records_holding_dicts_are_unhashable():
+    """hash of a record hashes its fields, and a dict field refuses."""
+    km = KIndexMap({(): ()}, ((),), {(): ((),)}, {})
+    complexes = WeightComplexes(*[f"m{i}" for i in range(9)], {})
+    for record in (km, complexes):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_records_take_no_class_options():
+    """Every record is frozen: the base accepts no frozen=False."""
+    with pytest.raises(TypeError):
+
+        class Loose(Record, frozen=False):
+            x: int
