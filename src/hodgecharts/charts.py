@@ -166,31 +166,20 @@ def fiber_tangency(mmap: MonomialMap, a, t) -> bool:
     return all(dot(a, row) == 0 for row in mmap.exponents)
 
 
-class FiberSample(Record):
-    """One sampled point for the decoupled fiber condition.
-
-    derivative is the sampled directional derivative of the residual-flag
-    generator along the candidate vector (d x k complex arrays are accepted
-    as nested lists or numpy arrays).
-    """
-
-    t: tuple[complex, ...]
-    w: tuple[complex, ...]
-    derivative: "np.ndarray"
-
-
 class DecoupledFiberReport(Record):
     exact_tangent: bool  # a lies in the relation space S_I
     sample_tangent: tuple[bool, ...]  # per-sample derivative vanishing
     tangent: tuple[bool, ...]  # conjunction, per sample
 
 
-def decoupled_fiber_check(cone: NilpotentCone, index, a, b, samples) -> DecoupledFiberReport:
+def decoupled_fiber_check(cone: NilpotentCone, index, a, derivatives) -> DecoupledFiberReport:
     """Check the split fiber condition at user-supplied samples.
 
-    The candidate tangent vector has t-part a (exact rationals) and w-part b.
-    It is tangent iff a lies in S_I (exact) and the sampled derivative of the
-    residual generator vanishes (numeric, FIBER_TOL).  A sampled derivative with
+    The candidate tangent vector has t-part a (exact rationals).  Each entry of
+    derivatives is a sampled directional derivative, along that vector, of the
+    residual-flag generator: a dim x dim complex array (nested lists or numpy).
+    The vector is tangent iff a lies in S_I (exact) and the sampled derivative
+    vanishes (numeric, FIBER_TOL).  A sampled derivative with
     a nonzero component inside span{N_i} contradicts the split coordinates, in
     which that component vanishes identically, and raises SampleInconsistent.
     """
@@ -207,9 +196,8 @@ def decoupled_fiber_check(cone: NilpotentCone, index, a, b, samples) -> Decouple
     span = gens.reshape(cone.k, -1).T  # columns span {N_i} in flattened form
     pinv = np.linalg.pinv(span)
     numeric = []
-    for sample in samples:
-        deriv = np.asarray(sample.derivative, dtype=complex)
-        flat = deriv.reshape(-1)
+    for deriv in derivatives:
+        flat = np.asarray(deriv, dtype=complex).reshape(-1)
         inside = span @ (pinv @ flat)
         if np.linalg.norm(inside, ord=np.inf) > FIBER_TOL:
             raise SampleInconsistent(

@@ -207,14 +207,20 @@ def positive_basis(s: Subspace, support) -> RationalMatrix:
 
 
 def _positive_basis(s: Subspace, split: FarkasSplit) -> RationalMatrix:
-    """positive_basis for the support of an already computed farkas_split(s)."""
+    """positive_basis for the support K of an already computed farkas_split(s),
+    with s read as S_K: S^perp vanishes at i exactly when e_i lies in S, that
+    is when N_i lies in W_{-1}(ad N_K).  A cone that is not strictly convex
+    can fail this; the error names K and the first such i in K that fails."""
     support = split.support
     perp = s.orthogonal_complement()
     k = s.ambient_dim
     off = [i for i in range(k) if (i + 1) not in support]
-    for row in perp.basis.entries:
-        if any(row[i - 1] != 0 for i in support):
-            raise InvalidSplit("S^perp does not vanish on the support positions")
+    for i in support:
+        if any(row[i - 1] for row in perp.basis.entries):
+            raise InvalidSplit(
+                f"stratum K={support}: N_{i} is not in W_-1(ad N_K), "
+                "so S_K^perp does not vanish on K"
+            )
     h = lattice_basis(perp)
     if h.rows == 0:
         return RationalMatrix(0, k, ())

@@ -87,7 +87,7 @@ def twisted_weight1_orbit(eps: float = 0.1) -> OrbitSpec:
     t_mat = np.array([[0.0, eps], [eps, 1.0]])
     xi = np.zeros((4, 4), dtype=complex)
     xi[:2, 2:] = t_mat
-    return OrbitSpec(cone, FlagPoint(1, {1: f1}), Twist("exp_linear", xi))
+    return OrbitSpec(cone, FlagPoint(1, {1: f1}), Twist(xi))
 
 
 # ---------------------------------------------------------------------------

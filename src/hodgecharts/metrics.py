@@ -84,21 +84,12 @@ class FlagPoint:
         return FlagPoint(self.weight, {p: g @ m for p, m in self.levels.items()})
 
 
-def _nullspace(m: np.ndarray) -> np.ndarray:
-    if m.shape[0] == 0:
-        return np.eye(m.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(m)
-    cutoff = SVD_TOL * max(1.0, s[0] if s.size else 0.0)
-    nrank = int(np.sum(s > cutoff))
-    return vh[nrank:].conj().T
-
-
 def _intersect_spans(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Columns spanning span(a) cap span(b)."""
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    null = _nullspace(np.hstack([a, -b]))
-    return a @ null[: a.shape[1]]
+    """Orthonormal columns spanning span(a) cap span(b): the images a x of the
+    kernel vectors (x, y) of [a | -b]."""
+    m = np.hstack([a, -b])
+    null = _coefficient_kernel(m, _independent_columns(m)[0])
+    return _independent_columns(a @ null[: a.shape[1]])[1]
 
 
 def hodge_decomposition(flag: FlagPoint, form: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -109,21 +100,13 @@ def hodge_decomposition(flag: FlagPoint, form: np.ndarray) -> dict[tuple[int, in
     """
     n = flag.weight
     dim = form.shape[0]
-    pieces: dict[tuple[int, int], np.ndarray] = {}
-    total = 0
-    stack = []
-    for p in range(n, -1, -1):
-        q = n - p
-        basis = _intersect_spans(flag.level(p), flag.level(q).conj())
-        if basis.shape[1]:
-            basis, _ = np.linalg.qr(basis)
-        pieces[(p, q)] = basis
-        total += basis.shape[1]
-        if basis.shape[1]:
-            stack.append(basis)
-    if total != dim:
-        raise NotPolarized(f"Hodge pieces span dimension {total} of {dim}")
-    combined = np.hstack(stack)
+    pieces = {
+        (p, n - p): _intersect_spans(flag.level(p), flag.level(n - p).conj())
+        for p in range(n, -1, -1)
+    }
+    combined = np.hstack(list(pieces.values()))
+    if combined.shape[1] != dim:
+        raise NotPolarized(f"Hodge pieces span dimension {combined.shape[1]} of {dim}")
     smin = np.linalg.svd(combined, compute_uv=False)[-1]
     if smin < ALGEBRAIC_TOL:
         raise NotPolarized(
@@ -152,17 +135,15 @@ def hodge_decomposition(flag: FlagPoint, form: np.ndarray) -> dict[tuple[int, in
 
 
 class Twist(Record):
-    """Boundary twist w -> zeta(w), commuting with every generator."""
+    """Boundary twist w -> zeta(w) = exp(w xi), commuting with every generator;
+    no generator xi means no twist."""
 
-    kind: str  # "none" | "exp_linear"
     generator: np.ndarray | None = None
 
     def matrix(self, w: complex, dim: int) -> np.ndarray:
-        if self.kind == "none":
+        if self.generator is None:
             return np.eye(dim, dtype=complex)
-        if self.kind == "exp_linear":
-            return _finite(_expm(complex(w) * self.generator), f"twist exp(w xi) at w = {w}")
-        raise ValueError(f"unknown twist kind {self.kind!r}")
+        return _finite(_expm(complex(w) * self.generator), f"twist exp(w xi) at w = {w}")
 
 
 class OrbitSpec:
@@ -171,10 +152,10 @@ class OrbitSpec:
     def __init__(self, cone: NilpotentCone, f0: FlagPoint, twist: Twist | None = None):
         self.cone = cone
         self.f0 = f0
-        self.twist = twist or Twist("none")
+        self.twist = twist or Twist()
         self.form = _np_matrix(cone.form)
         self.gens = [_np_matrix(n) for n in cone.generators]
-        if self.twist.kind != "none":
+        if self.twist.generator is not None:
             xi = np.asarray(self.twist.generator, dtype=complex)
             for i, n in enumerate(self.gens):
                 comm = xi @ n - n @ xi
@@ -243,15 +224,8 @@ def augmented_log_det(orbit: OrbitSpec, t, w) -> float:
     flag = orbit.f0.transform(g)
     pieces = hodge_decomposition(flag, orbit.form)
     n = orbit.weight
-    stack = [b for b in pieces.values() if b.shape[1]]
-    weights = np.concatenate(
-        [
-            np.full(b.shape[1], (1j) ** (p - q))
-            for (p, q), b in pieces.items()
-            if b.shape[1]
-        ]
-    )
-    basis = np.hstack(stack)
+    basis = np.hstack(list(pieces.values()))
+    weights = np.concatenate([np.full(b.shape[1], (1j) ** (p - q)) for (p, q), b in pieces.items()])
     weil = basis @ np.diag(weights) @ np.linalg.inv(basis)
 
     def gram_log_det(frame: np.ndarray) -> float:

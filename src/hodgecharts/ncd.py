@@ -5,13 +5,14 @@ The cohomology of each surface piece is modeled as the span of its
 double-curve classes (assumed independent, so h^2 must be at least the number
 of curves on the piece) plus an orthogonal remainder that all combinatorial
 maps kill.  Restriction maps carry Cech alternating signs in the component
-order; Gysin maps are the transposes of the dual restriction maps.  With this
-convention the middle-weight square is a complex exactly when the triple point
-formula D^2|_{X_i} + D^2|_{X_j} + #(triple points on D_ij) = 0 holds for every
-double curve, and the two outer complexes are mutually transposed, so the
-outer graded dimensions match in dual pairs by construction.  Genera and
-cohomology dimensions must be nonnegative.  Each graded dimension is that of
-a kernel or a cokernel, counted by one rank, with no basis built.
+order; the even Gysin maps are the transposes of the dual restriction maps, so
+only the restrictions are held.  With this convention the middle-weight square
+is a complex exactly when the triple point formula
+D^2|_{X_i} + D^2|_{X_j} + #(triple points on D_ij) = 0 holds for every double
+curve, and the outer graded dimensions match in dual pairs by construction:
+one rank serves both.  Genera and cohomology dimensions must be nonnegative.
+Each graded dimension is that of a kernel or a cokernel, counted by one rank,
+with no basis built.
 """
 
 from __future__ import annotations
@@ -122,21 +123,18 @@ def _cech_sign(position: int) -> int:
 
 
 class WeightComplexes(Record):
-    """All matrices of the weight spectral complexes, with basis bookkeeping."""
+    """The matrices of the weight spectral complexes.  The even Gysin pair
+    H0(X^[3])(-2) -> H2(X^[2])(-1) -> H4(X^[1]) is (r2^T, r1^T)."""
 
-    surface: NCDSurface
-    # even-weight outer pair (mutually transposed)
+    # even-weight restrictions
     r1: RationalMatrix  # H0(X^[1]) -> H0(X^[2])
     r2: RationalMatrix  # H0(X^[2]) -> H0(X^[3])
-    g1: RationalMatrix  # H0(X^[3])(-2) -> H2(X^[2])(-1), = r2^T
-    g2: RationalMatrix  # H2(X^[2])(-1) -> H4(X^[1]), = r1^T
     # middle-weight square
     g_mid: RationalMatrix  # H0(X^[2])(-1) -> H2(X^[1])
     r_mid: RationalMatrix  # H2(X^[1]) -> H2(X^[2])
     # odd-weight pair
     g_odd: RationalMatrix  # H1(X^[2])(-1) -> H3(X^[1])
     r_odd: RationalMatrix  # H1(X^[1]) -> H1(X^[2])
-    h2_layout: dict  # component -> (offset, curves, pad)
 
 
 def build_weight_complexes(surface: NCDSurface) -> WeightComplexes:
@@ -163,20 +161,19 @@ def build_weight_complexes(surface: NCDSurface) -> WeightComplexes:
         r2_rows.append(row)
     r2 = RationalMatrix.from_rows(r2_rows, cols=n2)
 
-    # H2(X^[1]) basis: per component, its curve classes then remainder padding.
-    h2_layout: dict[str, tuple[int, tuple[int, ...], int]] = {}
+    # H2(X^[1]) basis: per component, its curve classes then remainder padding;
+    # layout maps a component to (offset, curves on it).
+    layout: dict[str, tuple[int, tuple[int, ...]]] = {}
     offset = 0
     for comp in comps:
-        on_comp = tuple(i for i, c in enumerate(curves) if comp.name in c.ends)
-        pad = comp.h[2] - len(on_comp)
-        h2_layout[comp.name] = (offset, on_comp, pad)
+        layout[comp.name] = (offset, tuple(i for i, c in enumerate(curves) if comp.name in c.ends))
         offset += comp.h[2]
     h2_dim = offset
 
     g_mid_rows = [[0] * n2 for _ in range(h2_dim)]
     for ci, c in enumerate(curves):
         for end, sign in zip(c.ends, (1, -1)):
-            off, on_comp, _ = h2_layout[end]
+            off, on_comp = layout[end]
             g_mid_rows[off + on_comp.index(ci)][ci] = sign
     g_mid = RationalMatrix.from_rows(g_mid_rows, cols=n2)
 
@@ -190,7 +187,7 @@ def build_weight_complexes(surface: NCDSurface) -> WeightComplexes:
     r_mid_rows = [[0] * h2_dim for _ in range(n2)]
     for target_ci, c in enumerate(curves):
         for end, sign in zip(c.ends, (1, -1)):
-            off, on_comp, _ = h2_layout[end]
+            off, on_comp = layout[end]
             for slot, source_ci in enumerate(on_comp):
                 r_mid_rows[target_ci][off + slot] = sign * curve_product(end, source_ci, target_ci)
     r_mid = RationalMatrix.from_rows(r_mid_rows, cols=h2_dim)
@@ -209,22 +206,17 @@ def build_weight_complexes(surface: NCDSurface) -> WeightComplexes:
     elif (r_odd.rows, r_odd.cols) != (h1_x2, h1_x1):
         raise IncidenceError("odd restriction matrix has the wrong shape")
 
-    return WeightComplexes(
-        surface, r1, r2, r2.transpose(), r1.transpose(), g_mid, r_mid, g_odd, r_odd,
-        h2_layout,
-    )
+    return WeightComplexes(r1, r2, g_mid, r_mid, g_odd, r_odd)
 
 
 def friedman_check(w: WeightComplexes) -> bool:
     """Whether the middle-weight square composes to zero."""
-    return (w.r_mid @ w.g_mid + w.g1 @ w.r2).is_zero()
+    return (w.r_mid @ w.g_mid + w.r2.transpose() @ w.r2).is_zero()
 
 
 def _require_complex(w: WeightComplexes) -> None:
     if not (w.r2 @ w.r1).is_zero():
         raise NotAComplex("restriction complex does not compose to zero")
-    if not (w.g2 @ w.g1).is_zero():
-        raise NotAComplex("Gysin complex does not compose to zero")
     if not friedman_check(w):
         raise NotAComplex("middle-weight square does not compose to zero")
 
@@ -240,11 +232,10 @@ class GradedDims(Record):
 
 def graded_dims(w: WeightComplexes) -> GradedDims:
     _require_complex(w)
-    i4 = w.g1.cols - rank(w.g1)
-    i0 = w.r2.rows - rank(w.r2)
+    i0 = i4 = w.r2.rows - rank(w.r2)  # coker r2 and ker r2^T
     first = w.g_mid.stack(w.r2)  # H0(X^[2]) -> H2(X^[1]) + H0(X^[3])
-    # [R_mid | G1] : H2(X^[1]) + H0(X^[3]) -> H2(X^[2]), ranked as its transpose
-    second_t = w.r_mid.transpose().stack(w.g1.transpose())
+    # [R_mid | r2^T] : H2(X^[1]) + H0(X^[3]) -> H2(X^[2]), ranked as its transpose
+    second_t = w.r_mid.transpose().stack(w.r2)
     i2 = second_t.rows - rank(second_t) - rank(first)
     i3 = w.g_odd.cols - rank(w.g_odd)
     i1 = w.r_odd.rows - rank(w.r_odd)
@@ -253,7 +244,7 @@ def graded_dims(w: WeightComplexes) -> GradedDims:
 
 class MonodromyReport(Record):
     even_iso: bool
-    even_matrix: RationalMatrix  # ker G1 -> coker R2 in a complement basis
+    even_matrix: RationalMatrix  # ker r2^T -> coker r2 in a complement basis
     odd_iso: bool
     odd_matrix: RationalMatrix
 
@@ -276,7 +267,7 @@ def monodromy_graded_maps(w: WeightComplexes) -> MonodromyReport:
     """Check that the induced maps from top kernels to bottom cokernels are
     isomorphisms, in both the even and the odd chain."""
     _require_complex(w)
-    even_iso, even_mat = _kernel_to_cokernel(w.g1, w.r2)
+    even_iso, even_mat = _kernel_to_cokernel(w.r2.transpose(), w.r2)
     odd_iso, odd_mat = _kernel_to_cokernel(w.g_odd, w.r_odd)
     return MonodromyReport(even_iso, even_mat, odd_iso, odd_mat)
 

@@ -242,18 +242,20 @@ def orbit_from_json(data) -> "OrbitSpec":
         raise SchemaError("twist must be an object")
     kind = twist_data.get("kind", "none")
     if kind == "none":
-        twist = Twist("none")
+        twist = None
     elif kind == "exp_linear":
         generator = complex_matrix_from_json(twist_data.get("generator"), "twist generator")
         if generator.shape != (cone.dim, cone.dim):
             raise SchemaError(f"twist generator must be {cone.dim} x {cone.dim}")
-        twist = Twist("exp_linear", generator)
+        twist = Twist(generator)
     else:
         raise SchemaError(f"unknown twist kind {kind!r}")
     try:
-        return OrbitSpec(cone, FlagPoint(cone.weight, levels), twist)
+        orbit = OrbitSpec(cone, FlagPoint(cone.weight, levels), twist)
+        orbit.check_horizontal()
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+    return orbit
 
 
 def _monomial_map(terms, what: str):

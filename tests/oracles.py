@@ -24,7 +24,9 @@ graded boundary frames of the metric engine, with pivots from scipy's pivoted
 QR, graded columns chosen by a greedy singular-value loop and one solve per
 free column, are the reference for its one column-pivoting helper and its one
 kernel solve; the polarization form by a double loop over the primitive
-representatives is the reference for its one matrix product.  The Siegel
+representatives is the reference for its one matrix product.  The span
+intersection by an SVD kernel with its own rank cut, orthonormalized by QR,
+is the reference for the Hodge pieces from the one column-pivoting cut.  The Siegel
 escape probe in numpy (np.log on the grid, np.exp, the Cholesky factor as an
 array and np.polyfit) is the reference for the probe in plain floats with its exact
 least-squares slope.  The separation scan over every atlas row and the
@@ -825,14 +827,15 @@ def loop_sigma_weight2(triple: CurvatureTriple, q_form: RationalMatrix) -> Sigma
 def kernel_graded_dims(w: WeightComplexes) -> GradedDims:
     """Graded dimensions with a kernel basis built for each kernel counted."""
     _require_complex(w)
-    i4 = kernel(w.g1).dim
+    g1 = w.r2.transpose()  # the Gysin map H0(X^[3])(-2) -> H2(X^[2])(-1)
+    i4 = kernel(g1).dim
     i0 = w.r2.rows - rank(w.r2)
     first = w.g_mid.stack(w.r2)  # H0(X^[2]) -> H2(X^[1]) + H0(X^[3])
-    if w.g1.rows != w.r_mid.rows:
+    if g1.rows != w.r_mid.rows:
         raise NotAComplex("block shapes are inconsistent")
-    second_rows = tuple(a + b for a, b in zip(w.r_mid.entries, w.g1.entries))
+    second_rows = tuple(a + b for a, b in zip(w.r_mid.entries, g1.entries))
     second = RationalMatrix(
-        w.r_mid.rows, w.r_mid.cols + w.g1.cols, second_rows
+        w.r_mid.rows, w.r_mid.cols + g1.cols, second_rows
     )
     i2 = kernel(second).dim - rank(first)
     i3 = kernel(w.g_odd).dim
@@ -930,6 +933,18 @@ class QRNestedFrame:
                 raise NotPolarized(f"degenerate graded pairing at level {level}")
             total += float(np.log(abs(det)))
         return total
+
+
+def svd_intersect_spans(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning span(a) cap span(b): the kernel of [a | -b]
+    from an SVD cut at SVD_TOL * max(1, largest singular value), then QR.
+    The QR gives a basis only when a has independent columns."""
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        return np.zeros((a.shape[0], 0), dtype=complex)
+    _, s, vh = np.linalg.svd(np.hstack([a, -b]))
+    nrank = int(np.sum(s > SVD_TOL * max(1.0, s[0] if s.size else 0.0)))
+    basis = a @ vh[nrank:].conj().T[: a.shape[1]]
+    return np.linalg.qr(basis)[0] if basis.shape[1] else basis
 
 
 def loop_polarization_form(cone: NilpotentCone, index, a: int) -> RationalMatrix:

@@ -225,7 +225,7 @@ def test_criterion_5_lmhs_complexes():
             assert all(triple_point_check(surface).values())
             w = build_weight_complexes(surface)
             assert friedman_check(w)
-            assert (w.r_mid @ w.g_mid + w.g1 @ w.r2).is_zero()
+            assert (w.r_mid @ w.g_mid + w.r2.transpose() @ w.r2).is_zero()
             dims = graded_dims(w)
             assert dims[4] == dims[0] and dims[3] == dims[1]
         # negative control: perturbed self-intersection breaks the square

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hodgecharts.charts import (
-    FiberSample,
     MonomialAtlas,
     MonomialMap,
     binomial_relations,
@@ -16,7 +15,7 @@ from hodgecharts.charts import (
     separation_check,
 )
 from hodgecharts.cli import run_charts
-from hodgecharts.errors import SampleInconsistent, SeparationFailure
+from hodgecharts.errors import InvalidSplit, SampleInconsistent, SeparationFailure
 from hodgecharts.gallery import equal_pair_cone, genus2_cone, single_cone
 from hodgecharts.linalg import hnf_rows
 from hodgecharts.serialize import cone_from_json, cone_to_json
@@ -25,6 +24,7 @@ from .oracles import per_index_set_relation_table, row_scan_witnesses
 from .test_cones import (
     _gallery_cones,
     _graphic_cones,
+    _oracle_cones,
     _pointed_k3_cone,
     _polarized_type_cones,
     _random_abelian_cone,
@@ -140,23 +140,32 @@ def test_fiber_tangency_rejects_a_point_of_wrong_length(t):
 
 def test_decoupled_fiber_check_cases():
     cone = genus2_cone()
-    zero = np.zeros((4, 4))
-    sample = FiberSample((0.1, 0.1, 0.1), (0.0,), zero)
-    rep = decoupled_fiber_check(cone, (), [0, 0, 0], [0.0], [sample])
+    rep = decoupled_fiber_check(cone, (), [0, 0, 0], [np.zeros((4, 4))])
     assert rep.exact_tangent and rep.tangent == (True,)
 
     # derivative along an independent direction: not tangent
     xi = np.zeros((4, 4))
     xi[2, 0] = 1.0  # lower-left block, outside span{N_i}
-    moving = FiberSample((0.1, 0.1, 0.1), (0.0,), 0.7 * xi)
-    rep2 = decoupled_fiber_check(cone, (), [0, 0, 0], [1.0], [moving])
+    rep2 = decoupled_fiber_check(cone, (), [0, 0, 0], [0.7 * xi])
     assert rep2.exact_tangent and rep2.tangent == (False,)
 
     # nonzero component along the nilpotent span contradicts the split form
     n1 = np.array([[float(x) for x in r] for r in cone.generators[0].entries])
-    bad = FiberSample((0.1, 0.1, 0.1), (0.0,), 0.3 * n1)
     with pytest.raises(SampleInconsistent):
-        decoupled_fiber_check(cone, (), [0, 0, 0], [1.0], [bad])
+        decoupled_fiber_check(cone, (), [0, 0, 0], [(0.3 * n1).tolist()])
+
+
+def test_atlas_names_the_stratum_of_a_cone_that_is_not_strictly_convex():
+    """With N_3 = -N_1, N_K = 0 on K = (1, 3), so W_-1(ad N_K) = 0 misses N_1
+    and S_K^perp does not vanish on K: the atlas refuses, naming K and N_1."""
+    cones = list(_oracle_cones())
+    for cone in (cones[11], cones[13]):
+        assert cone.generators[2] == -cone.generators[0]
+        with pytest.raises(InvalidSplit) as caught:
+            build_atlas(cone)
+        assert str(caught.value) == (
+            "stratum K=(1, 3): N_1 is not in W_-1(ad N_K), so S_K^perp does not vanish on K"
+        )
 
 
 def test_atlas_deterministic():
@@ -203,10 +212,9 @@ def test_pipeline_on_four_generator_cone():
 def test_decoupled_respects_stratum_relation_space():
     cone = genus2_cone()
     zero = np.zeros((4, 4))
-    sample = FiberSample((0.0, 0.1, 0.1), (0.0,), zero)
-    rep = decoupled_fiber_check(cone, (1,), [0, 1, -1], [0.0], [sample])
+    rep = decoupled_fiber_check(cone, (1,), [0, 1, -1], [zero])
     assert rep.tangent == (True,)
-    rep2 = decoupled_fiber_check(cone, (1,), [0, 1, 1], [0.0], [sample])
+    rep2 = decoupled_fiber_check(cone, (1,), [0, 1, 1], [zero])
     assert rep2.tangent == (False,)
 
 

@@ -258,6 +258,12 @@ _CURVE_NEGATIVE_GENUS = _fixture_with(
 _SURFACE_NEGATIVE_GENUS = _fixture_with("ncd_two_components.json")
 _SURFACE_NEGATIVE_GENUS["double_curves"][0]["genus"] = -1
 
+# F^1 = span(e1, e3) holds F^2 = span(e3), but N e3 = e2 leaves it.
+_EXPANSION_NOT_HORIZONTAL = _fixture_with("orbit_weight2_caseC_expansion.json")
+_EXPANSION_NOT_HORIZONTAL["orbit"]["flag"]["1"] = [
+    [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+]
+
 
 @pytest.mark.parametrize(
     "subcommand, data",
@@ -320,6 +326,7 @@ _SURFACE_NEGATIVE_GENUS["double_curves"][0]["genus"] = -1
         ),
         ("curvature", _fixture_with("residue_constant.json", coefficients={"-1,0": 1})),
         ("curvature", _fixture_with("residue_constant.json", coefficients={"-100000,0": 1})),
+        ("curvature", _EXPANSION_NOT_HORIZONTAL),
     ],
     ids=[
         "residue-t-outside-disc",
@@ -371,6 +378,7 @@ _SURFACE_NEGATIVE_GENUS["double_curves"][0]["genus"] = -1
         "expansion-taus-equal-rates",
         "residue-key-negative-exponent",
         "residue-key-large-negative-exponent",
+        "expansion-flag-not-horizontal",
     ],
 )
 def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
@@ -379,6 +387,19 @@ def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
     assert main([subcommand, "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_charts_cone_not_strictly_convex_names_the_stratum(tmp_path, capsys):
+    data = _fixture_with("single_cone.json")
+    n = data["generators"][0]
+    data["generators"] = [n, [[x if x == "0" else f"-{x}" for x in row] for row in n]]
+    bad = tmp_path / "opposite.json"
+    bad.write_text(json.dumps(data))
+    assert main(["charts", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: stratum K=(1, 2): N_1 is not in W_-1(ad N_K), so S_K^perp does not vanish on K\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -230,10 +230,10 @@ def test_positive_basis_matches_solve_oracle():
 
 
 def test_positive_basis_validates_support():
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(InvalidSplit, match=r"^support \(1,\) does not match the split \(\)$"):
         positive_basis(Subspace.zero(2), (1,))
-    with pytest.raises(InvalidSplit):
-        # K = {1,2} but S^perp does not vanish there
+    # K = {1,2} but S^perp does not vanish there
+    with pytest.raises(InvalidSplit, match=r"^stratum K=\(1, 2\): N_1 is not in W_-1"):
         positive_basis(Subspace.from_vectors(2, [[1, 1]]), (1, 2))
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hodgecharts import gallery
+from hodgecharts import gallery, metrics
 from hodgecharts.errors import NotPolarized, NumericDomainError, PoorFit
 from hodgecharts.filtrations import weight_filtration
 from hodgecharts.gallery import (
@@ -39,7 +39,7 @@ from hodgecharts.metrics import (
 )
 from hodgecharts.serialize import orbit_from_json
 
-from .oracles import QRNestedFrame
+from .oracles import QRNestedFrame, svd_intersect_spans
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -56,6 +56,9 @@ def test_hodge_pieces_sp4_point():
     h10 = np.array([[1, 0], [0, 1], [0, 1j], [1j, 0]], dtype=complex)
     pieces = hodge_decomposition(FlagPoint(1, {1: h10}), q)
     assert pieces[(1, 0)].shape[1] == 2
+    # a frame with a repeated column spans the same F^1
+    again = hodge_decomposition(FlagPoint(1, {1: np.hstack([h10, h10[:, :1]])}), q)
+    assert {pq: b.shape[1] for pq, b in again.items()} == {(1, 0): 2, (0, 1): 2}
 
 
 def test_hodge_pairing_not_hermitian_names_its_deviation():
@@ -194,6 +197,96 @@ def test_augmented_weight3_synthetic():
         return float(np.linalg.slogdet(0.5 * (m + m.conj().T))[1])
     expected = 2 * gram_ld(f3) + 1 * (gram_ld(f2) - gram_ld(f3))
     assert abs(total - expected) < 1e-9
+
+
+def _projector(basis: np.ndarray) -> np.ndarray:
+    return basis @ basis.conj().T
+
+
+def _svd_oracle_pair(monkeypatch, compute):
+    """compute() with the library's span intersection, then with the SVD
+    oracle's; an error counts as its type."""
+
+    def run():
+        try:
+            return compute()
+        except (NotPolarized, KeyError) as exc:
+            return type(exc)
+
+    got = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "_intersect_spans", svd_intersect_spans)
+        want = run()
+    return got, want
+
+
+def test_hodge_pieces_match_svd_oracle_on_gallery_orbits(monkeypatch):
+    """The pieces from the one column-pivoting cut have the projectors, and
+    augmented_log_det the value, of the SVD kernel with QR, at seeded (t, w)."""
+    rng = np.random.default_rng(20261019)
+    compared = 0
+    for make in (
+        genus2_orbit,
+        twisted_weight1_orbit,
+        weight2_jordan3_orbit,
+        weight2_twoblock_orbit,
+        weight2_inert_orbit,
+    ):
+        orbit = make()
+        for _ in range(5):
+            radii = 10.0 ** rng.uniform(-4, -1, size=orbit.cone.k)
+            t = tuple(radii * np.exp(2j * np.pi * rng.uniform(size=orbit.cone.k)))
+            w = complex(*rng.normal(scale=0.1, size=2))
+            flag = orbit.flag_at(t, w)
+            got, want = _svd_oracle_pair(
+                monkeypatch, lambda: hodge_decomposition(flag, orbit.form)
+            )
+            if isinstance(want, type):
+                assert got is want
+                continue
+            assert got.keys() == want.keys()
+            for pq, basis in got.items():
+                assert basis.shape == want[pq].shape
+                assert np.abs(_projector(basis) - _projector(want[pq])).max() <= 1e-9
+            got, want = _svd_oracle_pair(monkeypatch, lambda: augmented_log_det(orbit, t, w))
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            compared += 1
+    assert compared == 20  # the inert orbit gives no F^1, so both refuse it
+
+
+def test_span_intersections_match_svd_oracle_on_random_flags():
+    """The random top flags of the graded-frame test, met with their own
+    conjugates and with the weight steps they were drawn from.  QR turns the
+    oracle's kernel images into a basis only for independent columns, so
+    only such frames are compared."""
+    rng = np.random.default_rng(20261020)
+    cones = (
+        gallery.genus2_cone(),
+        gallery.rank1_cone(),
+        gallery.standard_triple_block_cone(),
+        gallery.weight2_jordan3_cone(),
+        gallery.weight2_twoblock_cone(),
+        gallery.weight2_inert_orbit().cone,
+    )
+    dims = []
+    for trial in range(120):
+        cone = cones[trial % len(cones)]
+        index = (int(rng.integers(1, cone.k + 1)),)
+        frame = _random_twisted_orbit(rng, cone, index).f0.level(cone.weight)
+        filtration = weight_filtration(cone.n_of(index), cone.weight)
+        others = [frame.conj()] + [
+            _np_matrix(filtration.step(level).basis).T.astype(complex)
+            for level in filtration.levels()
+        ]
+        for other in others:
+            if any(np.linalg.matrix_rank(m) < m.shape[1] for m in (frame, other)):
+                continue
+            got = metrics._intersect_spans(frame, other)
+            want = svd_intersect_spans(frame, other)
+            assert got.shape == want.shape
+            assert np.abs(_projector(got) - _projector(want)).max() <= 1e-9
+            dims.append(got.shape[1])
+    assert len(dims) > 500 and set(dims) == set(range(6)), (len(dims), set(dims))
 
 
 def test_mixed_second_derivative_examples():
@@ -380,7 +473,7 @@ def _random_twisted_orbit(rng, cone, index):
     centralizer = vh[int(np.sum(svals > 1e-10)) :]
     xi = (rng.normal(size=centralizer.shape[0]) @ centralizer).reshape(cone.dim, cone.dim)
     f0 = FlagPoint(cone.weight, {cone.weight: np.column_stack(cols) @ mix})
-    return OrbitSpec(cone, f0, Twist("exp_linear", xi))
+    return OrbitSpec(cone, f0, Twist(xi))
 
 
 def test_graded_frames_match_pivoted_qr_on_random_flags():
@@ -454,6 +547,15 @@ def test_shipped_orbits_are_horizontal():
         weight2_inert_orbit(),
     ):
         orbit.check_horizontal()
+
+
+def test_twist_is_its_generator():
+    """No generator means no twist: zeta(w) is the identity for every w."""
+    assert Twist._fields == ("generator",)
+    assert np.array_equal(Twist().matrix(0.3 + 0.1j, 3), np.eye(3))
+    xi = np.zeros((2, 2))
+    xi[0, 1] = 1.0
+    assert np.allclose(Twist(xi).matrix(2.0, 2), [[1.0, 2.0], [0.0, 1.0]])
 
 
 def test_twist_at_zero_matches_untwisted():

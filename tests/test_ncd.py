@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hodgecharts.errors import Disconnected, IncidenceError, NotAComplex
-from hodgecharts.linalg import RationalMatrix, rank
+from hodgecharts.linalg import RationalMatrix, kernel, rank
 from hodgecharts.ncd import (
     DoubleCurve,
     NCDSurface,
@@ -93,7 +93,7 @@ def test_two_component_complexes():
 def test_tetrahedron_complexes():
     w = build_weight_complexes(tetrahedron_surface())
     assert friedman_check(w)
-    assert (w.r2 @ w.r1).is_zero() and (w.g2 @ w.g1).is_zero()
+    assert (w.r2 @ w.r1).is_zero()
     dims = graded_dims(w)
     assert dims.dims == (1, 0, 4, 0, 1)
     rep = monodromy_graded_maps(w)
@@ -103,9 +103,10 @@ def test_tetrahedron_complexes():
 def test_duality_of_outer_dims():
     for surf in (two_component_surface(), tetrahedron_surface()):
         w = build_weight_complexes(surf)
-        assert w.g1 == w.r2.transpose() and w.g2 == w.r1.transpose()
         dims = graded_dims(w)
         assert dims[4] == dims[0] and dims[3] == dims[1]
+        # Gr_4 is ker of the Gysin map r2^T, here counted from a kernel basis
+        assert dims[4] == kernel(w.r2.transpose()).dim
 
 
 def test_friedman_negative_control():
@@ -268,7 +269,7 @@ def test_graded_dims_match_kernel_oracle():
 
 
 def test_graded_dims_build_no_kernel_basis(monkeypatch):
-    """Six ranks and no kernel basis."""
+    """Five ranks and no kernel basis: one rank of r2 serves Gr_0 and Gr_4."""
     import hodgecharts.ncd as ncd
 
     calls = []
@@ -276,4 +277,4 @@ def test_graded_dims_build_no_kernel_basis(monkeypatch):
     monkeypatch.setattr(RationalMatrix, "rref", lambda m: calls.append(m) or original(m))
     monkeypatch.setattr(ncd, "kernel", None)
     assert graded_dims(build_weight_complexes(tetrahedron_surface())).dims == (1, 0, 4, 0, 1)
-    assert len(calls) == 6
+    assert len(calls) == 5

@@ -95,24 +95,23 @@ def test_k_index_map_compares_and_shows_splits():
         KIndexMap({}, (), {})
 
 
-def test_weight_complexes_are_frozen_and_need_h2_layout():
-    fields = [f"m{i}" for i in range(9)]
-    a = WeightComplexes(*fields, {"X1": (0, (), 0)})
+def test_weight_complexes_hold_six_matrices():
+    """The even Gysin pair is (r2^T, r1^T), so only the restrictions are held."""
+    assert WeightComplexes._fields == ("r1", "r2", "g_mid", "r_mid", "g_odd", "r_odd")
+    fields = [f"m{i}" for i in range(6)]
+    a = WeightComplexes(*fields)
     for mutate in (lambda: setattr(a, "r1", "changed"), lambda: delattr(a, "r1")):
         with pytest.raises(FrozenRecordError):
             mutate()
-    assert a.r1 == "m1"
+    assert a.r1 == "m0" and a.r_odd == "m5"
     with pytest.raises(TypeError):
-        WeightComplexes(*fields)
+        WeightComplexes(*fields, "m6")
 
 
 def test_records_holding_dicts_are_unhashable():
     """hash of a record hashes its fields, and a dict field refuses."""
-    km = KIndexMap({(): ()}, ((),), {(): ((),)}, {})
-    complexes = WeightComplexes(*[f"m{i}" for i in range(9)], {})
-    for record in (km, complexes):
-        with pytest.raises(TypeError):
-            hash(record)
+    with pytest.raises(TypeError):
+        hash(KIndexMap({(): ()}, ((),), {(): ((),)}, {}))
 
 
 def test_records_take_no_class_options():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hodgecharts.errors import SchemaError
-from hodgecharts.gallery import genus2_cone, twisted_weight1_orbit
+from hodgecharts.gallery import genus2_cone, twisted_weight1_orbit, weight2_jordan3_orbit
 from hodgecharts.serialize import (
     _int_from_json,
     complex_matrix_from_json,
@@ -120,6 +120,24 @@ def test_orbit_schema_errors():
         orbit_from_json(
             {**base, "twist": {"kind": "exp_linear", "generator": cmat(bad)}}
         )
+
+
+def test_orbit_flag_must_be_horizontal():
+    """F^1 = span(e1, e3) holds F^2 = span(e3), but N e3 = e2 leaves it."""
+    orbit = weight2_jordan3_orbit()
+
+    def cmat(m):
+        return [[complex_to_json(x) for x in row] for row in np.asarray(m)]
+
+    data = {
+        "cone": cone_to_json(orbit.cone),
+        "flag": {"2": cmat(orbit.f0.level(2)), "1": cmat(orbit.f0.level(1))},
+        "twist": {"kind": "none"},
+    }
+    assert orbit_from_json(data).twist.generator is None
+    data["flag"]["1"] = cmat(np.eye(3)[:, [0, 2]])
+    with pytest.raises(SchemaError, match=r"^generator 1 moves F\^2 outside F\^1$"):
+        orbit_from_json(data)
 
 
 def test_surface_schema_errors():
