@@ -29,7 +29,6 @@ _EXPORTS = {
         "farkas_split",
         "k_index_map",
         "positive_basis",
-        "relation_data",
         "relation_space",
     ),
     "filtrations": (
@@ -50,7 +49,6 @@ _EXPORTS = {
         "kernel",
         "lattice_basis",
         "rank",
-        "restrict_map",
     ),
     "metrics": (
         "ExpansionFit",
@@ -86,10 +84,7 @@ _EXPORTS = {
     ),
     "siegel": (
         "ConeSpec",
-        "Sp4Setup",
         "boundedness_probe",
-        "build_setup",
-        "orbit_point",
         "solve_maximal",
         "solve_minimal",
     ),

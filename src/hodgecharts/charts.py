@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import SampleInconsistent, SeparationFailure
-from .cones import KIndexMap, RelationData, _relation_data, k_index_map
+from .cones import KIndexMap, RelationData, k_index_map, positive_basis
 from .filtrations import IndexSet, NilpotentCone, index_set
 from .linalg import _primitive_integer, dot, integer_kernel, vec
 
@@ -93,9 +93,10 @@ def build_atlas(cone: NilpotentCone) -> MonomialAtlas:
     table: dict[IndexSet, RelationData] = {}
     charts = []
     for k in km.image:
-        data = _relation_data(k, *km.splits[k])
-        table[k] = data
-        charts.append(MonomialMap(k, data.basis.entries, cone.k))
+        s, split = km.splits[k]
+        basis = positive_basis(s, split)
+        table[k] = RelationData(k, s, split.support, basis, split.witness, split.cowitness)
+        charts.append(MonomialMap(k, basis.entries, cone.k))
     return MonomialAtlas(km, tuple(charts), table)
 
 

@@ -31,8 +31,8 @@ from .filtrations import (
     weight_filtration,
 )
 from .linalg import (
-    Rational, RationalMatrix, Subspace, _exact, _primitive_integer, dot,
-    kernel, lattice_basis, vec,
+    Rational, RationalMatrix, Subspace, _exact, _primitive_integer, kernel,
+    lattice_basis, vec,
 )
 
 MAX_GENERATORS = 12
@@ -191,26 +191,19 @@ def farkas_split(s: Subspace) -> FarkasSplit:
     return FarkasSplit(tuple(support), tuple(v), tuple(v_tilde))
 
 
-def positive_basis(s: Subspace, support) -> RationalMatrix:
-    """Integer basis of S^perp that vanishes on K and is positive elsewhere.
+def positive_basis(s: Subspace, split: FarkasSplit) -> RationalMatrix:
+    """Integer basis of S^perp that vanishes on K and is positive elsewhere,
+    for the support K of split = farkas_split(s).
 
     Rows are a Q-basis of S^perp drawn from the saturated lattice: the
     Hermite-normal-form lattice basis, shifted by the minimal nonnegative
     multiple of the strictly-positive certificate (the integerized cowitness),
     which replaces the first lattice row it depends on.
-    """
-    support = index_set(support)
-    split = farkas_split(s)
-    if support != split.support:
-        raise InvalidSplit(f"support {support} does not match the split {split.support}")
-    return _positive_basis(s, split)
 
-
-def _positive_basis(s: Subspace, split: FarkasSplit) -> RationalMatrix:
-    """positive_basis for the support K of an already computed farkas_split(s),
-    with s read as S_K: S^perp vanishes at i exactly when e_i lies in S, that
+    s is read as S_K: S^perp vanishes at i exactly when e_i lies in S, that
     is when N_i lies in W_{-1}(ad N_K).  A cone that is not strictly convex
-    can fail this; the error names K and the first such i in K that fails."""
+    can fail this; the InvalidSplit error names K and the first such i in K.
+    """
     support = split.support
     perp = s.orthogonal_complement()
     k = s.ambient_dim
@@ -248,17 +241,6 @@ class RelationData(Record):
     basis: RationalMatrix  # positive integer basis of S_I^perp
     witness: tuple[Rational, ...]
     cowitness: tuple[Rational, ...]
-
-
-def relation_data(cone: NilpotentCone, index) -> RelationData:
-    index = index_set(index)
-    s = relation_space(cone, index)
-    return _relation_data(index, s, farkas_split(s))
-
-
-def _relation_data(index: IndexSet, s: Subspace, split: FarkasSplit) -> RelationData:
-    basis = _positive_basis(s, split)
-    return RelationData(index, s, split.support, basis, split.witness, split.cowitness)
 
 
 class KIndexMap(Record):

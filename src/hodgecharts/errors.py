@@ -26,16 +26,13 @@ class NotNilpotent(HodgeChartsError):
     """A matrix required to be nilpotent is not."""
 
 
-class NotInvariant(HodgeChartsError):
-    """A map does not carry the given domain subspace into the codomain."""
-
-
 class NotFiltrationCompatible(HodgeChartsError):
     """A map does not shift the filtration steps as required."""
 
 
 class InvalidSplit(HodgeChartsError):
-    """The support subset passed along with S is not the one S determines."""
+    """A stratum K whose S_K^perp does not vanish on K: some N_i with i in K
+    is not in W_-1(ad N_K), so the cone is not strictly convex."""
 
 
 class SeparationFailure(HodgeChartsError):

@@ -161,9 +161,9 @@ def sp4_form() -> RationalMatrix:
 
 
 def standard_triple_block_cone() -> NilpotentCone:
-    """Cone generated by the two commuting lowering elements of the rank-two
-    symplectic setup (used for monotonicity properties on triple-built cones)."""
-    from .siegel import build_setup
-
-    setup = build_setup()
-    return NilpotentCone(4, 1, setup.form, setup.n_hat)
+    """Cone generated by the two commuting lowering elements -E_14 and -E_23
+    of the rank-two symplectic setup (used for monotonicity properties on
+    triple-built cones)."""
+    n1 = RationalMatrix.from_rows([[0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    n2 = RationalMatrix.from_rows([[0, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    return NilpotentCone(4, 1, sp4_form(), [n1, n2])

@@ -8,9 +8,9 @@ immutable, dense, row-major; a product adds up the rows of B scaled by the
 nonzero entries of A, and M v sums only the nonzero entries of v, so zero
 entries cost nothing.  Subspaces of Q^n are canonicalized as reduced row
 echelon bases, so subspace equality is syntactic equality of bases; a kernel
-is one elimination, of M with reversed columns.  Membership, coordinates in a
-subspace and coordinates in Q^n/S are read off the echelon basis, with no
-further elimination, so the library has no general linear solve.
+is one elimination, of M with reversed columns.  Membership and coordinates
+in Q^n/S are read off the echelon basis, with no further elimination, so the
+library has no general linear solve.
 A subspace computes its pivot columns and its orthogonal complement at most
 once each, and links itself to its complement, since the complement of the
 complement is the subspace itself.
@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-from .errors import NotInvariant
 
 Rational = int | Fraction
 
@@ -348,21 +346,6 @@ def _pivot(row) -> int:
 def image(m: RationalMatrix) -> Subspace:
     """Column space of M, returned in the row-vector convention."""
     return Subspace.from_vectors(m.rows, tuple(zip(*m.entries)) if m.rows and m.cols else ())
-
-
-def restrict_map(m: RationalMatrix, s_domain: Subspace, s_codomain: Subspace) -> RationalMatrix:
-    """Matrix of M restricted to s_domain, in the two given bases.
-
-    Requires M . s_domain <= s_codomain; raises NotInvariant otherwise.  The
-    result R satisfies M d_j = sum_i R[i][j] c_i for the basis rows d_j, c_i:
-    an RREF row c_i is 1 at its own pivot and 0 at the others, so R[i][j] is
-    the pivot entry of M d_j.
-    """
-    images = [m.mul_vec(d) for d in s_domain.basis.entries]
-    if any(map(any, s_codomain.residues(images))):
-        raise NotInvariant("image vector leaves the codomain subspace")
-    rows = tuple(tuple(y[p] for y in images) for p in s_codomain.pivots)
-    return RationalMatrix(s_codomain.dim, s_domain.dim, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ class FlagPoint:
         dim = next(iter(self.levels.values())).shape[0]
         if p <= 0:
             return np.eye(dim, dtype=complex)
-        raise KeyError(f"flag level {p} not provided")
+        raise ValueError(f"flag level {p} not provided")
 
     def transform(self, g: np.ndarray) -> "FlagPoint":
         return FlagPoint(self.weight, {p: g @ m for p, m in self.levels.items()})

@@ -139,16 +139,6 @@ def cone_from_json(data) -> "NilpotentCone":
         raise SchemaError(str(exc)) from exc
 
 
-def cone_to_json(cone: "NilpotentCone") -> dict:
-    return {
-        "dim": cone.dim,
-        "weight": cone.weight,
-        "symmetry": "symmetric" if cone.weight % 2 == 0 else "alternating",
-        "form": matrix_to_json(cone.form),
-        "generators": [matrix_to_json(n) for n in cone.generators],
-    }
-
-
 def surface_from_json(data) -> "NCDSurface":
     from .ncd import DoubleCurve, NCDSurface, SurfacePiece, TriplePoint
 
@@ -213,11 +203,6 @@ def complex_matrix_from_json(data, what: str = "matrix") -> "np.ndarray":
     if not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise SchemaError(f"{what} rows must be nonempty and of equal length")
     return np.array(rows)
-
-
-def complex_to_json(x: complex) -> list[float]:
-    x = complex(x)
-    return [x.real, x.imag]
 
 
 def orbit_from_json(data) -> "OrbitSpec":

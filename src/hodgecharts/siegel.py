@@ -1,13 +1,14 @@
 """Siegel-domain escape probes for two-variable boundary-degenerate orbits on
 the rank-two symplectic group.
 
-The setup fixes two commuting standard triples in sp(4), the boundary normal
-form (p_j, q_j, r_j) with r_j^2 = p_j q_j for the cone generators, and the
-explicit solvable-parameter systems of the minimal and maximal parabolic
-horospherical decompositions.  A family escapes every Siegel domain of a
-parabolic when one of the monitored solvable parameters is unbounded in the
-wrong direction along the family; this is decided by a log-log slope fit over
-the sampled grid.
+A cone is given by its boundary data (p_j, q_j, r_j), one triple per
+generator, with r_j^2 <= p_j q_j (equality is the boundary-nilpotent normal
+form).  Along a family y(T) the orbit point is placed in the horospherical
+decomposition of the minimal or the maximal parabolic by solving the explicit
+solvable-parameter systems in plain floats.  A family escapes every Siegel
+domain of a parabolic when one of the monitored solvable parameters is
+unbounded in the wrong direction along the family; this is decided by a
+log-log slope fit over the sampled grid.
 """
 
 from __future__ import annotations
@@ -17,51 +18,10 @@ from operator import mul
 
 from ._record import Record
 from .errors import NotInDomain, PZero
-from .linalg import RationalMatrix
 
 SLOPE_THRESHOLD = 0.5
 DEFAULT_GRID = tuple(10.0**k for k in range(1, 7))
-CONE_TOL = 1e-12  # slack in r^2 <= pq and in the boundary test r^2 = pq
-
-
-def _unit(i: int, j: int) -> RationalMatrix:
-    rows = [[int(r == i and c == j) for c in range(4)] for r in range(4)]
-    return RationalMatrix.from_rows(rows)
-
-
-class Sp4Setup(Record):
-    """Two commuting standard triples and the antidiagonal symplectic form."""
-
-    form: RationalMatrix
-    n_hat: tuple[RationalMatrix, RationalMatrix]
-    y: tuple[RationalMatrix, RationalMatrix]
-    n_hat_plus: tuple[RationalMatrix, RationalMatrix]
-
-
-def build_setup() -> Sp4Setup:
-    """Construct the setup and verify all bracket identities exactly."""
-    form = RationalMatrix.from_rows(
-        [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
-    )
-    n1, n2 = _unit(0, 3).scale(-1), _unit(1, 2).scale(-1)
-    y1 = _unit(3, 3) - _unit(0, 0)
-    y2 = _unit(2, 2) - _unit(1, 1)
-    # Raising elements carry a sign making [N^+, N] = Y close exactly.
-    np1, np2 = _unit(3, 0).scale(-1), _unit(2, 1).scale(-1)
-
-    def bracket(a, b):
-        return a @ b - b @ a
-
-    for n, y, npl in ((n1, y1, np1), (n2, y2, np2)):
-        assert bracket(y, n) == n.scale(-2), "lowering bracket failed"
-        assert bracket(y, npl) == npl.scale(2), "raising bracket failed"
-        assert bracket(npl, n) == y, "triple bracket failed"
-        assert (n.transpose() @ form + form @ n).is_zero(), "form not preserved"
-    for a in (n1, y1, np1):
-        for b in (n2, y2, np2):
-            assert bracket(a, b).is_zero(), "triples do not commute"
-    assert form.transpose() == form.scale(-1), "form must be alternating"
-    return Sp4Setup(form, (n1, n2), (y1, y2), (np1, np2))
+CONE_TOL = 1e-12  # slack in r^2 <= pq
 
 
 class ConeSpec:
@@ -85,20 +45,6 @@ class ConeSpec:
         self.p, self.q, self.r = p, q, r
         self.size = len(p)
 
-    def boundary_generators(self) -> tuple[bool, ...]:
-        """Which generators lie on the nilpotent-boundary orbit r^2 = pq."""
-        return tuple(
-            abs(rj * rj - pj * qj) <= CONE_TOL
-            for pj, qj, rj in zip(self.p, self.q, self.r)
-        )
-
-    def normalized(self) -> bool:
-        return (
-            abs(sum(self.p) - 1) < 1e-9
-            and abs(sum(self.q) - 1) < 1e-9
-            and abs(sum(self.r)) < 1e-9
-        )
-
     def sums(self, y) -> tuple[float, float, float]:
         y = tuple(map(float, y))
         if len(y) != self.size:
@@ -108,18 +54,6 @@ class ConeSpec:
             sum(pj * yj for pj, yj in zip(self.p, y)),
             sum(qj * yj for qj, yj in zip(self.q, y)),
         )
-
-
-def orbit_point(cone: ConeSpec, y):
-    """The orbit's 2-plane at purely imaginary times, as 4 x 2 columns."""
-    import numpy as np  # a verification helper, off the probe's path
-
-    if any(float(v) <= 0 for v in y):
-        raise ValueError("parameters must be positive")
-    r, p, q = cone.sums(y)
-    col1 = np.array([-1j * r, -1j * p, 1.0, 0.0])
-    col2 = np.array([-1j * q, -1j * r, 0.0, 1.0])
-    return np.column_stack([col1, col2])
 
 
 class SiegelSolution(Record):
@@ -132,23 +66,6 @@ class SiegelSolution(Record):
     # Maximal parabolic only: the rows (B1, B2) of the 2 x 2 lower-triangular
     # B, as a tuple of two float row tuples.
     b: tuple[tuple[float, float], tuple[float, float]] | None = None
-
-    def point(self):
-        """The orbit point these parameters place, as 4 x 2 columns."""
-        import numpy as np  # a verification helper, off the probe's path
-
-        if self.parabolic == "minimal":
-            e2d, e2a = np.exp(2 * self.d), np.exp(2 * self.a)
-            col1 = np.array([-1j * self.beta * e2d, -1j * e2d, 1.0, 0.0])
-            col2 = np.array(
-                [-1j * (e2a + self.beta**2 * e2d), -1j * self.beta * e2d, 0.0, 1.0]
-            )
-            return np.column_stack([col1, col2])
-        e2a = np.exp(2 * self.a)
-        b1, b2 = np.asarray(self.b)
-        col1 = np.array([-1j * e2a * (b1 @ b2), -1j * e2a * (b2 @ b2), 1.0, 0.0])
-        col2 = np.array([-1j * e2a * (b1 @ b1), -1j * e2a * (b1 @ b2), 0.0, 1.0])
-        return np.column_stack([col1, col2])
 
 
 def solve_minimal(cone: ConeSpec, y) -> SiegelSolution:

@@ -12,14 +12,14 @@ kernel vector), all-Fraction elimination and two-elimination kernel are kept
 here verbatim as references for the elimination-sparing, integer-pivoting,
 direct, int-when-integral and one-elimination versions; matrix products are
 checked against the dot-product definition.  Subspace membership by a
-stacked rank, restrict_map by one solve per domain vector, the positive
-basis with its dropped lattice row found by solve, and the greedy graded
-pieces with the induced maps solved against them are the references for the
-read-offs from the echelon basis.  Linear solves and subspace sums by
-elimination live only here: the library reads such answers off echelon
-bases.  The curvature-triple maps and both sigma contractions by index loops
-over the entries of A, and the lmhs graded dimensions counted from kernel
-bases, are the references for the slice products and the rank counts.  The
+stacked rank, the positive basis with its dropped lattice row found by
+solve, and the greedy graded pieces with the induced maps solved against
+them are the references for the read-offs from the echelon basis.  Linear
+solves and subspace sums by elimination live only here: the library reads
+such answers off echelon bases.  The curvature-triple maps and both sigma
+contractions by index loops over the entries of A, and the lmhs graded
+dimensions counted from kernel bases, are the references for the slice
+products and the rank counts.  The
 graded boundary frames of the metric engine, with pivots from scipy's pivoted
 QR, graded columns chosen by a greedy singular-value loop and one solve per
 free column, are the reference for its one column-pivoting helper and its one
@@ -29,9 +29,14 @@ intersection by an SVD kernel with its own rank cut, orthonormalized by QR,
 is the reference for the Hodge pieces from the one column-pivoting cut.  The Siegel
 escape probe in numpy (np.log on the grid, np.exp, the Cholesky factor as an
 array and np.polyfit) is the reference for the probe in plain floats with its exact
-least-squares slope.  The separation scan over every atlas row and the
-relation table encoded once per index set are the references for the scan
-over charts and the one encoding per stratum.
+least-squares slope, and the orbit point in numpy, from the cone data and
+from a solution's solvable parameters, checks that each parameter solve
+places the point it was given.  The separation scan over every atlas row and
+the relation table encoded once per index set are the references for the
+scan over charts and the one encoding per stratum.  The closure of I in the
+matroid of the generators' images is the reference for the whole K-map of
+graphic and positive semidefinite sp(2g) cones.  The JSON writers for cones
+and complex scalars build test inputs; the CLI only reads them.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ from hodgecharts.siegel import (
     SLOPE_THRESHOLD,
     ConeSpec,
     ProbeReport,
+    SiegelSolution,
     solve_minimal,
 )
 
@@ -429,9 +435,34 @@ def unkeyed_k_index_map(cone: NilpotentCone):
         s = relation_space(cone, index)
         splits[index] = (s, farkas_split(s))
     table = {index: split.support for index, (_, split) in splits.items()}
+    return (*_image_and_strata(table), splits)
+
+
+def matroid_closure_k_map(images, dim: int):
+    """(table, image, strata) of k_index_map with K_I the closure of I in the
+    matroid of the generators' images: j lies in K_I when the span of images[j]
+    (vectors in Q^dim spanning generator j + 1's image) lies in the span of the
+    images of I, that is when adding j keeps the rank.  One rank per subset."""
+    k = len(images)
+    ranks = [
+        rank(RationalMatrix.from_rows(
+            [v for j in range(k) if mask >> j & 1 for v in images[j]], cols=dim
+        ))
+        for mask in range(1 << k)
+    ]
+    table = {
+        tuple(i + 1 for i in range(k) if mask >> i & 1): tuple(
+            j + 1 for j in range(k) if ranks[mask | 1 << j] == ranks[mask]
+        )
+        for mask in range(1 << k)
+    }
+    return _image_and_strata(table)
+
+
+def _image_and_strata(table):
     image = tuple(sorted(set(table.values()), key=_by_size))
     strata = {k: tuple(sorted((i for i in table if table[i] == k), key=_by_size)) for k in image}
-    return table, image, strata, splits
+    return table, image, strata
 
 
 def _by_size(index) -> tuple:
@@ -599,28 +630,14 @@ def solve_kernel_to_cokernel(g: RationalMatrix, r: RationalMatrix):
 
 
 # ---------------------------------------------------------------------------
-# Read-offs by elimination: membership by a stacked rank, coordinates by one
-# solve per vector, and the positive basis's dropped row j0 by solve.
+# Read-offs by elimination: membership by a stacked rank and the positive
+# basis's dropped row j0 by solve.
 
 
 def stacked_rank_contains(s: Subspace, v) -> bool:
     """v lies in S exactly when stacking it under S's basis keeps the rank."""
     stacked = s.basis.stack(RationalMatrix.from_rows([vec(v)], cols=s.ambient_dim))
     return rank(stacked) == s.dim
-
-
-def solve_restrict_map(m: RationalMatrix, s_domain: Subspace, s_codomain: Subspace):
-    """restrict_map with one solve per domain vector; None when some image
-    vector leaves the codomain."""
-    cod_t = s_codomain.basis.transpose()
-    cols = []
-    for d in s_domain.basis.entries:
-        coeffs = solve(cod_t, m.mul_vec(d))
-        if coeffs is None:
-            return None
-        cols.append(coeffs)
-    out_rows = tuple(zip(*cols)) if cols else tuple(() for _ in range(s_codomain.dim))
-    return RationalMatrix(s_codomain.dim, s_domain.dim, tuple(tuple(r) for r in out_rows))
 
 
 def solve_first_dependency(h: RationalMatrix, cert) -> int:
@@ -630,7 +647,7 @@ def solve_first_dependency(h: RationalMatrix, cert) -> int:
 
 
 def solve_positive_basis(s: Subspace, split) -> RationalMatrix:
-    """cones._positive_basis for a valid split, with j0 found by solve."""
+    """cones.positive_basis for a valid split, with j0 found by solve."""
     k = s.ambient_dim
     off = [i for i in range(k) if (i + 1) not in split.support]
     h = lattice_basis(s.orthogonal_complement())
@@ -1005,6 +1022,30 @@ def numpy_boundedness_probe(
     )
 
 
+def orbit_point(cone: ConeSpec, y) -> np.ndarray:
+    """The orbit's 2-plane at purely imaginary times, as 4 x 2 columns."""
+    if any(float(v) <= 0 for v in y):
+        raise ValueError("parameters must be positive")
+    r, p, q = cone.sums(y)
+    col1 = np.array([-1j * r, -1j * p, 1.0, 0.0])
+    col2 = np.array([-1j * q, -1j * r, 0.0, 1.0])
+    return np.column_stack([col1, col2])
+
+
+def solution_point(sol: SiegelSolution) -> np.ndarray:
+    """The orbit point that a solution's parameters place, as 4 x 2 columns."""
+    if sol.parabolic == "minimal":
+        e2d, e2a = np.exp(2 * sol.d), np.exp(2 * sol.a)
+        col1 = np.array([-1j * sol.beta * e2d, -1j * e2d, 1.0, 0.0])
+        col2 = np.array([-1j * (e2a + sol.beta**2 * e2d), -1j * sol.beta * e2d, 0.0, 1.0])
+        return np.column_stack([col1, col2])
+    e2a = np.exp(2 * sol.a)
+    b1, b2 = np.asarray(sol.b)
+    col1 = np.array([-1j * e2a * (b1 @ b2), -1j * e2a * (b2 @ b2), 1.0, 0.0])
+    col2 = np.array([-1j * e2a * (b1 @ b1), -1j * e2a * (b1 @ b2), 0.0, 1.0])
+    return np.column_stack([col1, col2])
+
+
 # ---------------------------------------------------------------------------
 # The charts path row by row.
 
@@ -1054,3 +1095,22 @@ def per_index_set_relation_table(atlas) -> list[dict]:
             }
         )
     return table
+
+
+# ---------------------------------------------------------------------------
+# JSON writers for test inputs.
+
+
+def cone_to_json(cone: NilpotentCone) -> dict:
+    return {
+        "dim": cone.dim,
+        "weight": cone.weight,
+        "symmetry": "symmetric" if cone.weight % 2 == 0 else "alternating",
+        "form": matrix_to_json(cone.form),
+        "generators": [matrix_to_json(n) for n in cone.generators],
+    }
+
+
+def complex_to_json(x: complex) -> list[float]:
+    x = complex(x)
+    return [x.real, x.imag]

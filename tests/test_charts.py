@@ -18,9 +18,9 @@ from hodgecharts.cli import run_charts
 from hodgecharts.errors import InvalidSplit, SampleInconsistent, SeparationFailure
 from hodgecharts.gallery import equal_pair_cone, genus2_cone, single_cone
 from hodgecharts.linalg import hnf_rows
-from hodgecharts.serialize import cone_from_json, cone_to_json
+from hodgecharts.serialize import cone_from_json
 
-from .oracles import per_index_set_relation_table, row_scan_witnesses
+from .oracles import cone_to_json, per_index_set_relation_table, row_scan_witnesses
 from .test_cones import (
     _gallery_cones,
     _graphic_cones,

@@ -196,6 +196,48 @@ def test_positivity_modes(tmp_path):
     assert report2["report"]["numerical_dimension"] == 3
 
 
+def _sigma2_input(entries, quadric):
+    return {
+        "mode": "sigma2",
+        "quadric": quadric,
+        "triple": {"dim_t": len(entries), "dim_w": 2, "dim_u": 2, "entries": entries},
+    }
+
+
+_SIGMA2_ENTRIES = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]  # A injective: T -> Hom(W, U)
+
+
+def test_positivity_sigma2_matches_library(tmp_path):
+    from hodgecharts.positivity import sigma_weight2
+    from hodgecharts.serialize import matrix_from_json, triple_from_json
+
+    data = _sigma2_input(_SIGMA2_ENTRIES, [[2, 1], [1, 0]])
+    path = tmp_path / "sigma2.json"
+    path.write_text(json.dumps(data))
+    code, report = run_cli(["positivity", "--input", str(path)], tmp_path)
+    assert code == 0
+    want = sigma_weight2(triple_from_json(data["triple"]), matrix_from_json(data["quadric"]))
+    assert report["report"] == {"mode": "sigma2", "rank": want.rank, "injective": want.injective}
+    assert want.injective and want.rank == 2
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_sigma2_input([[[1, 0], [0, 0]], [[1, 0], [0, 0]]], [[1, 0], [0, 1]]), "injective"),
+        (_sigma2_input(_SIGMA2_ENTRIES, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "symmetric on W"),
+    ],
+    ids=["a-not-injective", "quadric-wrong-size"],
+)
+def test_positivity_sigma2_refusals(tmp_path, capsys, data, message):
+    bad = tmp_path / "sigma2.json"
+    bad.write_text(json.dumps(data))
+    assert main(["positivity", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_schema(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")

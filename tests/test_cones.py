@@ -5,13 +5,11 @@ import pytest
 
 from hodgecharts.cones import (
     _phase_one,
-    _positive_basis,
     _relation_space_of,
     farkas_alternative,
     farkas_split,
     k_index_map,
     positive_basis,
-    relation_data,
     relation_space,
 )
 from hodgecharts.errors import ConeTooLarge, InvalidSplit
@@ -35,6 +33,7 @@ from .oracles import (
     farkas_branch_infeasible,
     fraction_phase_one,
     inexact_values,
+    matroid_closure_k_map,
     solve_first_dependency,
     solve_positive_basis,
     split_supports,
@@ -175,10 +174,14 @@ def test_farkas_split_unique_support_random():
 def test_positive_basis_examples():
     cone = genus2_cone()
     s1 = relation_space(cone, (1,))
-    basis = positive_basis(s1, (1,))
+    split = farkas_split(s1)
+    assert split.support == (1,)
+    basis = positive_basis(s1, split)
     assert [[int(x) for x in r] for r in basis.entries] == [[0, 1, 1]]
-    assert positive_basis(Subspace.full(3), (1, 2, 3)).rows == 0
-    b0 = positive_basis(Subspace.zero(3), ())
+    full = Subspace.full(3)
+    assert positive_basis(full, farkas_split(full)).rows == 0
+    zero = Subspace.zero(3)
+    b0 = positive_basis(zero, farkas_split(zero))
     assert b0.rows == 3
     assert all(x > 0 for row in b0.entries for x in row)
     assert Subspace.from_vectors(3, b0.entries) == Subspace.full(3)
@@ -217,7 +220,7 @@ def test_positive_basis_matches_solve_oracle():
     dropped = refused = 0
     for s, split in pairs:
         try:
-            basis = _positive_basis(s, split)
+            basis = positive_basis(s, split)
         except InvalidSplit:
             refused += 1
             continue
@@ -230,11 +233,12 @@ def test_positive_basis_matches_solve_oracle():
 
 
 def test_positive_basis_validates_support():
-    with pytest.raises(InvalidSplit, match=r"^support \(1,\) does not match the split \(\)$"):
-        positive_basis(Subspace.zero(2), (1,))
     # K = {1,2} but S^perp does not vanish there
+    s = Subspace.from_vectors(2, [[1, 1]])
+    split = farkas_split(s)
+    assert split.support == (1, 2)
     with pytest.raises(InvalidSplit, match=r"^stratum K=\(1, 2\): N_1 is not in W_-1"):
-        positive_basis(Subspace.from_vectors(2, [[1, 1]]), (1, 2))
+        positive_basis(s, split)
 
 
 def test_k_index_map_genus2():
@@ -319,7 +323,10 @@ def test_nested_index_properties():
 
 
 def test_relation_data_bundle():
-    data = relation_data(genus2_cone(), (2,))
+    from hodgecharts.charts import build_atlas
+
+    data = build_atlas(genus2_cone()).relation_table[(2,)]
+    assert data.index == (2,)
     assert data.support == (2,)
     assert [[int(x) for x in r] for r in data.basis.entries] == [[1, 0, 1]]
     assert data.space.contains_vector(data.witness)
@@ -348,16 +355,21 @@ def _random_sym(rng, g, lo=-2, hi=2):
     return [[upper[min(i, j)][max(i, j)] for j in range(g)] for i in range(g)]
 
 
-def _random_abelian_cone(rng, g, k):
-    """k generators [[0, A A^T], [0, 0]] of sp(2g) (positive semidefinite
-    blocks), conjugated by a random isometry."""
+def _psd_blocks(rng, g, k):
+    """k nonzero positive semidefinite blocks A A^T, with A a g x 2 matrix."""
     blocks = []
     while len(blocks) < k:
         a = [[rng.randint(-1, 1) for _ in range(2)] for _ in range(g)]
         s = [[sum(x * y for x, y in zip(a[i], a[j])) for j in range(g)] for i in range(g)]
         if any(any(row) for row in s):
             blocks.append(s)
-    return _conjugated_sp_cone(rng, g, blocks)
+    return blocks
+
+
+def _random_abelian_cone(rng, g, k):
+    """k generators [[0, A A^T], [0, 0]] of sp(2g) (positive semidefinite
+    blocks), conjugated by a random isometry."""
+    return _conjugated_sp_cone(rng, g, _psd_blocks(rng, g, k))
 
 
 def _conjugated_sp_cone(rng, g, blocks):
@@ -382,6 +394,20 @@ GRAPHS = {
     "banana": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],  # four parallel edges
     "k4": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (-1, 0, 1), (0, -1, -1)],
 }
+
+
+def _random_graph_gammas(rng, vertices, edges):
+    """Cycle vectors gamma_e of a random connected bridgeless multigraph
+    without loops: the columns of a basis of its cycle space, the kernel of
+    the incidence matrix.  A disconnected graph, or a bridge (gamma_e = 0),
+    is drawn again."""
+    while True:
+        ends = [rng.sample(range(vertices), 2) for _ in range(edges)]
+        incidence = [[(u == v) - (w == v) for u, w in ends] for v in range(vertices)]
+        cycles = kernel(RationalMatrix.from_rows(incidence)).basis.entries
+        gammas = list(zip(*cycles))
+        if len(cycles) == edges - vertices + 1 and all(map(any, gammas)):
+            return gammas
 
 
 def _graphic_cone(rng, gammas):
@@ -492,14 +518,11 @@ def test_relation_space_of_eliminates_once(monkeypatch):
 def test_index_sets_reject_entries_that_are_not_ints():
     """A float, string or bool entry is an error, never truncated or parsed."""
     cone = genus2_cone()
-    s = relation_space(cone, (1,))
     for bad in (1.7, 1.0, "2", True):
         with pytest.raises(ValueError, match="must be ints"):
             relation_space(cone, [bad])
         with pytest.raises(ValueError, match="must be ints"):
             adjoint_filtration(cone, [1, bad])
-        with pytest.raises(ValueError, match="must be ints"):
-            positive_basis(s, [bad])
     assert relation_space(cone, [2, 1, 2]) == relation_space(cone, (1, 2))
 
 
@@ -551,6 +574,32 @@ def test_k_map_closure_laws_on_polarized_cones():
             for larger, larger_support in table.items():
                 if set(index) <= set(larger):
                     assert set(support) <= set(larger_support), (index, larger)
+
+
+def test_k_index_map_is_the_matroid_closure():
+    """On graphic cones and on sp(2g) cones with positive semidefinite
+    blocks, K_I is the closure of I in the matroid of the generators' images:
+    gamma_e for the edge e of a graph, the row space of S_i for the block S_i.
+    A generator N = [[0, S], [0, 0]] has W(N) = (im N <= ker N <= V), fixed by
+    im S, and for semidefinite blocks im sum S_i = sum im S_i, so S_I and K_I
+    depend on I only through that span; the equality with the closure is
+    observed here, not proved.  K3-type cones lie outside the statement.
+    Conjugating by an isometry changes no image's matroid."""
+    rng = random.Random(SEED + 7)
+    cases = []
+    for vertices, edges in ((3, 5), (5, 8), (7, 10), (9, 12)):
+        gammas = _random_graph_gammas(rng, vertices, edges)
+        blocks = [[[a * b for b in gam] for a in gam] for gam in gammas]
+        cases.append((_conjugated_sp_cone(rng, len(gammas[0]), blocks), [[g] for g in gammas]))
+    for g, k in ((3, 6), (4, 6)):
+        blocks = _psd_blocks(rng, g, k)
+        cases.append((_conjugated_sp_cone(rng, g, blocks), blocks))
+    for cone, images in cases:
+        km = k_index_map(cone)
+        table, image, strata = matroid_closure_k_map(images, cone.dim // 2)
+        assert list(km.table.items()) == list(table.items())
+        assert km.image == image
+        assert km.strata == strata
 
 
 def _atlas_summary(cone):

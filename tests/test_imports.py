@@ -103,3 +103,14 @@ def test_package_names_follow_submodule_rebinding(monkeypatch):
     assert hodgecharts.kernel is replacement
     monkeypatch.undo()
     assert hodgecharts.kernel is linalg.kernel
+
+
+def test_siegel_module_loads_no_linear_algebra():
+    """The probe runs in plain floats: its module loads neither numpy nor the
+    exact linear algebra."""
+    code = """
+import sys
+import hodgecharts.siegel
+print(sorted(m for m in ("numpy", "hodgecharts.linalg") if m in sys.modules))
+"""
+    assert run_fresh(code) == "[]"

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from hodgecharts.cones import _phase_one
-from hodgecharts.errors import NotInvariant
 from hodgecharts.filtrations import weight_filtration
 from hodgecharts.linalg import (
     RationalMatrix,
@@ -19,7 +18,6 @@ from hodgecharts.linalg import (
     kernel,
     lattice_basis,
     rank,
-    restrict_map,
 )
 
 from .oracles import (
@@ -30,7 +28,6 @@ from .oracles import (
     inexact_values,
     random_nilpotent,
     solve,
-    solve_restrict_map,
     stacked_rank_contains,
     two_elimination_kernel,
 )
@@ -425,30 +422,6 @@ def test_integer_kernel_defining_properties():
                 assert all(c.denominator == 1 for c in coords)
 
 
-def test_restrict_map():
-    m = RationalMatrix.from_rows([[2, 0], [0, 3]])
-    s = Subspace.from_vectors(2, [[1, 0]])
-    r = restrict_map(m, s, s)
-    assert r.entries == ((Fraction(2),),)
-    with pytest.raises(NotInvariant):
-        restrict_map(
-            RationalMatrix.from_rows([[0, 1], [1, 0]]),
-            Subspace.from_vectors(2, [[1, 0]]),
-            Subspace.from_vectors(2, [[1, 0]]),
-        )
-
-
-def test_restrict_map_on_genus2_filtration():
-    from hodgecharts.filtrations import weight_filtration
-    from hodgecharts.gallery import genus2_cone
-
-    cone = genus2_cone()
-    n1 = cone.generators[0]
-    w = weight_filtration(n1, 1)
-    r = restrict_map(n1, w.step(2), w.step(0))
-    assert r.rows == w.step(0).dim and r.cols == w.step(2).dim
-
-
 def test_mul_vec_matches_dot_product_definition():
     """M v, summed over the nonzero entries of v only, equals the product
     with v as a column, down to zero columns; integral entries are ints, and a
@@ -517,40 +490,8 @@ def test_residues_match_stacked_rank_membership():
     assert min(seen.values()) >= 300, seen
 
 
-def test_restrict_map_matches_solve_oracle():
-    """restrict_map reads its coordinates off the codomain's pivots and equals
-    one solve per domain vector, and both refuse a map that leaves the
-    codomain."""
-    rng = random.Random(SEED + 12)
-    refused = 0
-    for _ in range(150):
-        n = rng.randint(1, 6)
-        m = _mixed_matrix(rng, n, n)
-        domain = Subspace.from_vectors(
-            n, [[_mixed(rng) for _ in range(n)] for _ in range(rng.randint(0, n))]
-        )
-        images = [m.mul_vec(d) for d in domain.basis.entries]
-        extra = [[_mixed(rng) for _ in range(n)] for _ in range(rng.randint(0, 2))]
-        if rng.random() < 0.3 and images:
-            codomain = Subspace.from_vectors(n, images[1:] + extra)
-        else:
-            codomain = Subspace.from_vectors(n, images + extra)
-        want = solve_restrict_map(m, domain, codomain)
-        if want is None:
-            refused += 1
-            with pytest.raises(NotInvariant):
-                restrict_map(m, domain, codomain)
-        else:
-            got = restrict_map(m, domain, codomain)
-            assert got == want
-            assert (got.rows, got.cols) == (codomain.dim, domain.dim)
-            assert not inexact_values(got)
-    assert refused >= 10
-
-
 def test_read_offs_run_no_elimination(monkeypatch):
-    """contains_vector, residues and restrict_map read the RREF basis and
-    never eliminate."""
+    """contains_vector and residues read the RREF basis and never eliminate."""
     from hodgecharts.filtrations import weight_filtration
     from hodgecharts.gallery import genus2_cone
 
@@ -571,8 +512,4 @@ def test_read_offs_run_no_elimination(monkeypatch):
             w.step(level - 2).contains_vector(n1.mul_vec(row))
             for row in w.step(level).basis.entries
         )
-    restrict_map(n1, w.step(2), w.step(0))
-    restrict_map(n1, w.step(1), w.step(-1))
-    with pytest.raises(NotInvariant):
-        restrict_map(n1, w.step(2), w.step(-1))
     assert not calls

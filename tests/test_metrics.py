@@ -99,6 +99,16 @@ def test_hodge_pieces_degenerate_rejected():
         hodge_decomposition(orbit.flag_at((1.0, 1.0, 1.0), 0.0), orbit.form)
 
 
+def test_missing_flag_level_is_named():
+    """The inert orbit's flag gives F^2 only, so its Hodge pieces need the
+    missing F^1: a ValueError that names the level, as for a malformed flag."""
+    orbit = weight2_inert_orbit()
+    with pytest.raises(ValueError, match="flag level 1"):
+        hodge_decomposition(orbit.f0, orbit.form)
+    with pytest.raises(ValueError, match="flag level 1"):
+        augmented_log_det(orbit, (0.5,), 0.0)
+
+
 def test_log_det_against_period_matrix():
     orbit = genus2_orbit()
     for t in [(1e-3, 1e-3, 1e-3), (1e-2, 3e-3, 5e-4), (1e-4, 1e-5, 1e-3)]:
@@ -210,7 +220,7 @@ def _svd_oracle_pair(monkeypatch, compute):
     def run():
         try:
             return compute()
-        except (NotPolarized, KeyError) as exc:
+        except (NotPolarized, ValueError) as exc:
             return type(exc)
 
     got = run()

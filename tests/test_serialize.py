@@ -6,15 +6,15 @@ from hodgecharts.gallery import genus2_cone, twisted_weight1_orbit, weight2_jord
 from hodgecharts.serialize import (
     _int_from_json,
     complex_matrix_from_json,
-    complex_to_json,
     cone_from_json,
-    cone_to_json,
     matrix_from_json,
     matrix_to_json,
     orbit_from_json,
     siegel_cone_from_json,
     surface_from_json,
 )
+
+from .oracles import complex_to_json, cone_to_json
 
 
 def test_cone_roundtrip():

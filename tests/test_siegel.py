@@ -10,26 +10,15 @@ from hodgecharts.siegel import (
     ConeSpec,
     _slope,
     boundedness_probe,
-    build_setup,
-    orbit_point,
     solve_maximal,
     solve_minimal,
 )
 
-from .oracles import numpy_boundedness_probe
+from .oracles import numpy_boundedness_probe, orbit_point, solution_point
 
 
 def sigma_hat():
     return ConeSpec([1, 0], [0, 1], [0, 0])
-
-
-def test_setup_brackets_exact():
-    setup = build_setup()  # all identities asserted inside
-    for n, y in zip(setup.n_hat, setup.y):
-        assert (y @ n - n @ y) == n.scale(-2)
-    n1, n2 = setup.n_hat
-    assert (n1 @ n2 - n2 @ n1).is_zero()
-    assert (n1.transpose() @ setup.form + setup.form @ n1).is_zero()
 
 
 def test_cone_spec_validation():
@@ -37,10 +26,9 @@ def test_cone_spec_validation():
         ConeSpec([1], [1], [2])  # r^2 > pq
     with pytest.raises(ValueError):
         ConeSpec([-1], [1], [0])
-    cone = ConeSpec([0.5, 0.5], [0.5, 0.5], [0.5, -0.5])
-    assert cone.normalized()
-    assert cone.boundary_generators() == (True, True)
-    assert ConeSpec([1], [1], [0]).boundary_generators() == (False,)
+    with pytest.raises(ValueError):
+        ConeSpec([1, 0], [1], [0])  # unequal lengths
+    assert ConeSpec([0.5, 0.5], [0.5, 0.5], [0.5, -0.5]).size == 2
 
 
 def test_orbit_point_examples():
@@ -63,7 +51,7 @@ def test_orbit_point_examples():
 def test_solve_minimal():
     sol = solve_minimal(sigma_hat(), [1, 1])
     assert sol.a == sol.d == sol.beta == 0.0
-    assert np.abs(sol.point() - orbit_point(sigma_hat(), [1, 1])).max() < 1e-10
+    assert np.abs(solution_point(sol) - orbit_point(sigma_hat(), [1, 1])).max() < 1e-10
     big = solve_minimal(sigma_hat(), [100.0, 1.0])
     assert abs(np.exp(2 * (big.a - big.d)) - 1 / 100.0) < 1e-12
     one = ConeSpec([1], [1], [0])
@@ -91,7 +79,7 @@ def test_solve_maximal():
     b = np.array(s.b)
     gram = np.exp(2 * s.a) * (b @ b.T)
     assert np.abs(gram - np.array([[q, r], [r, p]])).max() < 1e-12
-    assert np.abs(s.point() - orbit_point(mixed, y)).max() < 1e-10
+    assert np.abs(solution_point(s) - orbit_point(mixed, y)).max() < 1e-10
     with pytest.raises(NotInDomain):
         solve_maximal(ConeSpec([1], [1], [1]), [2.0])
 
