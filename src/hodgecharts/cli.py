@@ -39,9 +39,7 @@ from .serialize import (
 )
 
 
-def _load_input(path: str | None) -> tuple[dict, str]:
-    if not path:
-        raise SchemaError("an input file is required (--input or --cone)")
+def _load_input(path: str) -> tuple[dict, str]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -161,6 +159,8 @@ def run_lmhs(data, args) -> tuple[dict, list, list]:
     )
 
     kind = data.get("kind", "surface") if isinstance(data, dict) else "surface"
+    if kind not in ("surface", "curve"):
+        raise SchemaError(f"unknown lmhs kind {kind!r}")
     if kind == "curve":
         vertices, edges = dual_graph_from_json(data)
         gr = curve_lmhs(vertices, edges)
@@ -286,19 +286,19 @@ def run_siegel(data, args) -> tuple[dict, list, list]:
 
     if not isinstance(data, dict):
         raise SchemaError("siegel input must be an object")
-    cone = siegel_cone_from_json(data.get("cone", data))
-    family_text = args.family or data.get("family")
+    cone = siegel_cone_from_json(data.get("cone"))
+    family_text = data.get("family")
     if not family_text:
-        raise SchemaError("siegel needs a family (flag --family or input field)")
+        raise SchemaError("siegel needs a family field")
     family = parse_family(family_text)
     components = len(family(1.0))
     if components != cone.size:
         raise SchemaError(
             f"family {family_text!r} has {components} components, the cone {cone.size}"
         )
-    parabolic = args.parabolic or data.get("parabolic")
+    parabolic = data.get("parabolic")
     if parabolic not in ("minimal", "maximal"):
-        raise SchemaError("siegel needs --parabolic minimal|maximal")
+        raise SchemaError("siegel needs a parabolic field, minimal or maximal")
     grid = _array_from_json(data.get("grid", DEFAULT_GRID), "grid", _float_from_json)
     try:
         rep = boundedness_probe(cone, family, parabolic, grid)
@@ -329,7 +329,7 @@ def run_positivity(data, args) -> tuple[dict, list, list]:
 
     if not isinstance(data, dict):
         raise SchemaError("positivity input must be an object")
-    mode = args.mode or data.get("mode")
+    mode = data.get("mode")
     if mode in ("sigma1", "sigma2"):
         quadric = matrix_from_json(data.get("quadric"), "quadric")
         triple = triple_from_json(data.get("triple")) if mode == "sigma2" else None
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _RUNNERS:
         p = sub.add_parser(name)
-        p.add_argument("--input", required=(name != "siegel"), help="input JSON path")
+        p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", help="report JSON path (default stdout)")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
         if name in ("curvature", "siegel"):
@@ -381,14 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "curvature":
             p.add_argument(
                 "--tol", type=float, default=None, help="expansion-fit residual threshold"
-            )
-        if name == "siegel":
-            p.add_argument("--cone", dest="input", help="alias for --input")
-            p.add_argument("--family", help='family string, e.g. "y=(T,1)"')
-            p.add_argument("--parabolic", choices=["minimal", "maximal"])
-        if name == "positivity":
-            p.add_argument(
-                "--mode", choices=["sigma1", "sigma2", "ndim", "identity"]
             )
     return parser
 

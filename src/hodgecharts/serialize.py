@@ -38,7 +38,7 @@ MAX_RESIDUE_EXPONENT = 1000
 # curves size the matrices of the weight complexes; with all four at 200 an
 # lmhs run takes well under a second.
 MAX_LMHS_DIM = 200
-# positivity --mode ndim takes one rank per sample.
+# positivity in ndim mode takes one rank per sample.
 MAX_NDIM_SAMPLES = 1000
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 from hodgecharts.cli import main, parse_family
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -75,11 +77,27 @@ def test_charts_deterministic(tmp_path):
         ("lmhs", "ncd_tetrahedron.json", "--csv", "f.csv"),
         ("curvature", "residue_constant.json", "--tol", "0.5"),
         ("curvature", "orbit_weight2_caseC_expansion.json", "--csv", "f.csv"),
+        ("siegel", "siegel_cl2.json", "--cone", str(FIXTURES / "siegel_cl2.json")),
+        ("siegel", "siegel_cl2.json", "--family", "y=(1,T)"),
+        ("siegel", "siegel_cl2.json", "--parabolic", "maximal"),
+        ("positivity", "positivity_sigma1.json", "--mode", "sigma1"),
     ],
-    ids=["charts-jobs", "charts-tol", "lmhs-csv", "residue-tol", "expansion-csv"],
+    ids=[
+        "charts-jobs",
+        "charts-tol",
+        "lmhs-csv",
+        "residue-tol",
+        "expansion-csv",
+        "siegel-cone",
+        "siegel-family",
+        "siegel-parabolic",
+        "positivity-mode",
+    ],
 )
 def test_rejected_flag(tmp_path, capsys, subcommand, fixture, flag, value):
-    """A flag that the subcommand (or its input's mode) does not read exits 2."""
+    """A flag that the subcommand (or its input's mode) does not read exits 2.
+    Every value a report depends on comes from the input file or --seed, so
+    no flag repeats an input field."""
     if flag == "--csv":
         value = str(tmp_path / value)
     out = tmp_path / "out.json"
@@ -155,23 +173,6 @@ def test_siegel_fixtures(tmp_path):
         code, report = run_cli(["siegel", "--input", str(FIXTURES / name)], tmp_path)
         assert code == 0
         assert report["report"]["verdict"] == verdict
-
-
-def test_siegel_flag_overrides(tmp_path):
-    code, report = run_cli(
-        [
-            "siegel",
-            "--input",
-            str(FIXTURES / "siegel_cl2.json"),
-            "--family",
-            "y=(1,T)",
-            "--parabolic",
-            "minimal",
-        ],
-        tmp_path,
-    )
-    assert code == 0
-    assert report["report"]["verdict"] == "contained"  # reversed family stays inside
 
 
 def test_parse_family():
@@ -306,6 +307,10 @@ _EXPANSION_NOT_HORIZONTAL["orbit"]["flag"]["1"] = [
     [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
 ]
 
+# The cone's p, q, r beside the family, not under "cone".
+_SIEGEL_CONE_AT_TOP_LEVEL = _fixture_with("siegel_cl2.json")
+_SIEGEL_CONE_AT_TOP_LEVEL.update(_SIEGEL_CONE_AT_TOP_LEVEL.pop("cone"))
+
 
 @pytest.mark.parametrize(
     "subcommand, data",
@@ -369,6 +374,9 @@ _EXPANSION_NOT_HORIZONTAL["orbit"]["flag"]["1"] = [
         ("curvature", _fixture_with("residue_constant.json", coefficients={"-1,0": 1})),
         ("curvature", _fixture_with("residue_constant.json", coefficients={"-100000,0": 1})),
         ("curvature", _EXPANSION_NOT_HORIZONTAL),
+        ("lmhs", _fixture_with("ncd_tetrahedron.json", kind="curvee")),
+        ("lmhs", _fixture_with("ncd_tetrahedron.json", kind=5)),
+        ("siegel", _SIEGEL_CONE_AT_TOP_LEVEL),
     ],
     ids=[
         "residue-t-outside-disc",
@@ -421,6 +429,9 @@ _EXPANSION_NOT_HORIZONTAL["orbit"]["flag"]["1"] = [
         "residue-key-negative-exponent",
         "residue-key-large-negative-exponent",
         "expansion-flag-not-horizontal",
+        "lmhs-kind-misspelled",
+        "lmhs-kind-not-a-string",
+        "siegel-cone-at-top-level",
     ],
 )
 def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
@@ -646,6 +657,22 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["report"]["verdict"] == "escapes-every-Siegel-set"
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
+    """Every command of the README's CLI block runs, from the repository root,
+    with exit 0; its CSV goes under tmp_path."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("hodgecharts ")]
+    assert len(commands) >= 5
+    monkeypatch.chdir(ROOT)
+    for _, *argv in commands:
+        if "--csv" in argv:
+            at = argv.index("--csv") + 1
+            argv[at] = str(tmp_path / Path(argv[at]).name)
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -1,11 +1,12 @@
 """Import hygiene: each subcommand loads only the hodgecharts modules it runs,
 the exact subcommands and the Siegel probe load neither numpy nor scipy, only
 the curvature modes that exponentiate load scipy, no exact subcommand loads
-dataclasses or inspect, only charts loads the filtration code, and the
-package's lazy namespace resolves every public name.
+dataclasses or inspect, only charts loads the filtration code, and importing
+the package loads no submodule and binds no public name but ``__version__``:
+each public name has one import path, its defining submodule.
 
-The subcommand checks run in a fresh interpreter, because the test process has
-numpy loaded already and would hide an eager import.
+The checks run in a fresh interpreter, because the test process has numpy
+and the submodules loaded already and would hide an eager import.
 """
 
 import os
@@ -82,27 +83,15 @@ print(sorted(m for m in {absent!r} if m in sys.modules))
     assert run_fresh(code) == "[]"
 
 
-def test_public_names_resolve():
+def test_package_import_loads_and_binds_nothing_else():
     code = """
+import sys
 import hodgecharts
-unresolved = [n for n in hodgecharts.__all__ if not hasattr(hodgecharts, n)]
-namespace = {}
-exec("from hodgecharts import *", namespace)
-unbound = [n for n in hodgecharts.__all__ if namespace.get(n) is not getattr(hodgecharts, n)]
-print(unresolved, unbound, hasattr(hodgecharts, "no_such_name"), hodgecharts.__version__)
+loaded = [m for m in sys.modules if m.startswith("hodgecharts.") or m in ("numpy", "scipy")]
+public = [n for n in vars(hodgecharts) if not n.startswith("_")]
+print(sorted(loaded), sorted(public), hodgecharts.__version__)
 """
-    assert run_fresh(code) == "[] [] False 0.1.0"
-
-
-def test_package_names_follow_submodule_rebinding(monkeypatch):
-    import hodgecharts
-    import hodgecharts.linalg as linalg
-
-    replacement = object()
-    monkeypatch.setattr(linalg, "kernel", replacement)
-    assert hodgecharts.kernel is replacement
-    monkeypatch.undo()
-    assert hodgecharts.kernel is linalg.kernel
+    assert run_fresh(code) == "[] [] 0.1.0"
 
 
 def test_siegel_module_loads_no_linear_algebra():
