@@ -12,12 +12,10 @@ choice among many.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import SampleInconsistent, SeparationFailure
+from .errors import SeparationFailure
 from .cones import KIndexMap, RelationData, k_index_map, positive_basis
-from .filtrations import IndexSet, NilpotentCone, index_set
-from .linalg import _primitive_integer, dot, integer_kernel, vec
-
-FIBER_TOL = 1e-9  # sup norm below which a sampled derivative counts as zero
+from .filtrations import IndexSet, NilpotentCone
+from .linalg import _primitive_integer, integer_kernel
 
 
 def monomial_strings(rows, var: str = "t") -> tuple[str, ...]:
@@ -37,7 +35,6 @@ class MonomialMap(Record):
 
     support: IndexSet  # K
     exponents: tuple[tuple[int, ...], ...]
-    ambient: int  # number of t-coordinates
 
     def monomial_strings(self, var: str = "t") -> tuple[str, ...]:
         return monomial_strings(self.exponents, var)
@@ -95,8 +92,8 @@ def build_atlas(cone: NilpotentCone) -> MonomialAtlas:
     for k in km.image:
         s, split = km.splits[k]
         basis = positive_basis(s, split)
-        table[k] = RelationData(k, s, split.support, basis, split.witness, split.cowitness)
-        charts.append(MonomialMap(k, basis.entries, cone.k))
+        table[k] = RelationData(s, split.support, basis, split.witness, split.cowitness)
+        charts.append(MonomialMap(k, basis.entries))
     return MonomialAtlas(km, tuple(charts), table)
 
 
@@ -147,64 +144,3 @@ def separation_check(atlas: MonomialAtlas) -> SeparationReport:
                 raise SeparationFailure(f"strata {ks[a]} and {ks[b]} are not separated")
             witnesses[(ks[a], ks[b])] = found
     return SeparationReport(witnesses, True)
-
-
-def fiber_tangency(mmap: MonomialMap, a, t) -> bool:
-    """Whether the log vector field with coefficients a is tangent to the
-    monomial fibers through t.
-
-    Requires t_j != 0 off the support stratum, where all chart monomials are
-    nonvanishing; tangency is then the exact condition a . c = 0 per row.
-    """
-    a = vec(a)
-    if len(a) != mmap.ambient:
-        raise ValueError("coefficient vector has wrong length")
-    if len(t) != mmap.ambient:
-        raise ValueError("point t has wrong length")
-    for j in range(mmap.ambient):
-        if (j + 1) not in mmap.support and abs(complex(t[j])) == 0.0:
-            raise ValueError(f"t_{j + 1} must be nonzero off the stratum")
-    return all(dot(a, row) == 0 for row in mmap.exponents)
-
-
-class DecoupledFiberReport(Record):
-    exact_tangent: bool  # a lies in the relation space S_I
-    sample_tangent: tuple[bool, ...]  # per-sample derivative vanishing
-    tangent: tuple[bool, ...]  # conjunction, per sample
-
-
-def decoupled_fiber_check(cone: NilpotentCone, index, a, derivatives) -> DecoupledFiberReport:
-    """Check the split fiber condition at user-supplied samples.
-
-    The candidate tangent vector has t-part a (exact rationals).  Each entry of
-    derivatives is a sampled directional derivative, along that vector, of the
-    residual-flag generator: a dim x dim complex array (nested lists or numpy).
-    The vector is tangent iff a lies in S_I (exact) and the sampled derivative
-    vanishes (numeric, FIBER_TOL).  A sampled derivative with
-    a nonzero component inside span{N_i} contradicts the split coordinates, in
-    which that component vanishes identically, and raises SampleInconsistent.
-    """
-    import numpy as np
-
-    from .cones import relation_space
-
-    index = index_set(index)
-    a = vec(a)
-    exact_ok = relation_space(cone, index).contains_vector(a)
-    gens = np.array(
-        [[[float(x) for x in row] for row in n.entries] for n in cone.generators]
-    )
-    span = gens.reshape(cone.k, -1).T  # columns span {N_i} in flattened form
-    pinv = np.linalg.pinv(span)
-    numeric = []
-    for deriv in derivatives:
-        flat = np.asarray(deriv, dtype=complex).reshape(-1)
-        inside = span @ (pinv @ flat)
-        if np.linalg.norm(inside, ord=np.inf) > FIBER_TOL:
-            raise SampleInconsistent(
-                "sampled derivative has a component along the nilpotent span"
-            )
-        numeric.append(bool(np.linalg.norm(flat, ord=np.inf) <= FIBER_TOL))
-    return DecoupledFiberReport(
-        exact_ok, tuple(numeric), tuple(exact_ok and n for n in numeric)
-    )

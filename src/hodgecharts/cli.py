@@ -179,7 +179,7 @@ def run_lmhs(data, args) -> tuple[dict, list, list]:
     if report["friedman"]:
         dims = graded_dims(complexes)
         mono = monodromy_graded_maps(complexes)
-        report["graded_dims"] = list(dims.dims)
+        report["graded_dims"] = list(dims)
         report["monodromy"] = {"even_iso": mono.even_iso, "odd_iso": mono.odd_iso}
     return report, [], []
 

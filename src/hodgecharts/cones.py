@@ -233,18 +233,17 @@ def positive_basis(s: Subspace, split: FarkasSplit) -> RationalMatrix:
 
 
 class RelationData(Record):
-    """Everything the chart construction needs for one index set."""
+    """Everything the chart construction needs for one stratum K."""
 
-    index: IndexSet
-    space: Subspace
-    support: IndexSet  # K_I
-    basis: RationalMatrix  # positive integer basis of S_I^perp
+    space: Subspace  # S_K
+    support: IndexSet  # K
+    basis: RationalMatrix  # positive integer basis of S_K^perp
     witness: tuple[Rational, ...]
     cowitness: tuple[Rational, ...]
 
 
 class KIndexMap(Record):
-    """The full table I -> K_I, its image, and the stratum partition.
+    """The full table I -> K_I and its image.
 
     splits holds S_K and its Farkas split for every K in the image, so that
     the atlas reuses them instead of solving the same LPs again.
@@ -252,7 +251,6 @@ class KIndexMap(Record):
 
     table: dict[IndexSet, IndexSet]
     image: tuple[IndexSet, ...]
-    strata: dict[IndexSet, tuple[IndexSet, ...]]
     splits: dict[IndexSet, tuple[Subspace, FarkasSplit]]
 
 
@@ -290,8 +288,4 @@ def k_index_map(cone: NilpotentCone) -> KIndexMap:
         index: split.support for index, (_, split) in results.items()
     }
     image = tuple(sorted(set(table.values()), key=lambda t: (len(t), t)))
-    strata = {
-        k: tuple(sorted((i for i in table if table[i] == k), key=lambda t: (len(t), t)))
-        for k in image
-    }
-    return KIndexMap(table, image, strata, {k: results[k] for k in image})
+    return KIndexMap(table, image, {k: results[k] for k in image})

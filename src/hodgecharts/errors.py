@@ -70,7 +70,3 @@ class PZero(NumericDomainError):
 
 class NotInDomain(NumericDomainError):
     """A point fails the open-domain inequalities of a parameter solve."""
-
-
-class SampleInconsistent(NumericDomainError):
-    """Exact and sampled data disagree about a quantity that must vanish."""

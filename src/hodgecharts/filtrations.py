@@ -229,21 +229,6 @@ def adjoint_filtration(cone: NilpotentCone, index) -> AdjointFiltration:
     )
 
 
-class GradedPiece(Record):
-    level: int
-    dimension: int
-    representatives: RationalMatrix  # rows lift a basis of W_l / W_{l-1}
-
-
-def graded_pieces(filtration: WeightFiltration) -> list[GradedPiece]:
-    out = []
-    for level in filtration.levels():
-        lifts, _ = filtration.graded_lifts(level)
-        reprs = RationalMatrix(len(lifts), filtration.ambient_dim, tuple(lifts))
-        out.append(GradedPiece(level, len(lifts), reprs))
-    return out
-
-
 def _maps_into(m: RationalMatrix, filtration: WeightFiltration, shift: int) -> bool:
     """Whether M . W_l <= W_{l+shift} for every l, read as residues."""
     return not any(
@@ -261,9 +246,9 @@ def induced_map(
     """Per-level matrices Gr_a -> Gr_{a+shift} induced by M.
 
     Requires M . W_l <= W_{l+shift} for all l; raises NotFiltrationCompatible
-    otherwise.  Matrices are written in the graded_pieces representative
-    bases: column j holds the residues of M r_j modulo W_{a+shift-1} at the
-    pivots of the target representatives.
+    otherwise.  Matrices are written in the graded_lifts bases: column j
+    holds the residues of M r_j modulo W_{a+shift-1} at the pivots of the
+    target lifts.
     """
     if not _maps_into(m, filtration, shift):
         raise NotFiltrationCompatible(f"M does not map each W_l into W_(l{shift:+d})")
@@ -281,7 +266,7 @@ class PrimitivePiece(Record):
     """Kernel of the (a+1)-st induced power map on Gr_{a+n}."""
 
     level: int
-    graded_subspace: Subspace  # in graded_pieces representative coordinates
+    graded_subspace: Subspace  # in graded_lifts coordinates
     representatives: RationalMatrix  # rows in the ambient space
 
 
@@ -321,8 +306,6 @@ class RwfpReport(Record):
     premise: bool  # N_{I'} in W_{-1}(ad N_I)
     filtrations_equal: bool  # W(N_I) = W(N_{I'}) on V
     holds: bool  # premise implies equality
-    filtration: WeightFiltration  # W(N_I) on V, centered at the weight
-    filtration_larger: WeightFiltration  # W(N_{I'}) on V, centered at the weight
 
 
 def rwfp_consequence_check(cone: NilpotentCone, index, index_larger) -> RwfpReport:
@@ -336,7 +319,4 @@ def rwfp_consequence_check(cone: NilpotentCone, index, index_larger) -> RwfpRepo
     )
     premise = w_small.contains(cone.n_of(index_larger), -1)
     equal = w_small.filtration == w_large.filtration
-    return RwfpReport(
-        index, index_larger, premise, equal, (not premise) or equal,
-        w_small.filtration, w_large.filtration,
-    )
+    return RwfpReport(index, index_larger, premise, equal, (not premise) or equal)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .filtrations import NilpotentCone
 from .linalg import RationalMatrix
-from .metrics import FlagPoint, OrbitSpec, Twist
+from .metrics import FlagPoint, OrbitSpec
 
 
 def _sym_block(s) -> RationalMatrix:
@@ -68,10 +68,10 @@ def genus2_period_matrix(t) -> np.ndarray:
     return sum(log_coord(tj) * s for tj, s in zip(t, s_mats, strict=True))
 
 
-def genus2_orbit(twist: Twist | None = None) -> OrbitSpec:
+def genus2_orbit() -> OrbitSpec:
     """Weight-1 orbit with F0 the span of the columns of [[0], [I]]."""
     f1 = np.vstack([np.zeros((2, 2)), np.eye(2)]).astype(complex)
-    return OrbitSpec(genus2_cone(), FlagPoint(1, {1: f1}), twist)
+    return OrbitSpec(genus2_cone(), FlagPoint(1, {1: f1}))
 
 
 def twisted_weight1_orbit(eps: float = 0.1) -> OrbitSpec:
@@ -87,7 +87,7 @@ def twisted_weight1_orbit(eps: float = 0.1) -> OrbitSpec:
     t_mat = np.array([[0.0, eps], [eps, 1.0]])
     xi = np.zeros((4, 4), dtype=complex)
     xi[:2, 2:] = t_mat
-    return OrbitSpec(cone, FlagPoint(1, {1: f1}), Twist(xi))
+    return OrbitSpec(cone, FlagPoint(1, {1: f1}), xi)
 
 
 # ---------------------------------------------------------------------------

@@ -134,33 +134,31 @@ def hodge_decomposition(flag: FlagPoint, form: np.ndarray) -> dict[tuple[int, in
     return pieces
 
 
-class Twist(Record):
-    """Boundary twist w -> zeta(w) = exp(w xi), commuting with every generator;
-    no generator xi means no twist."""
-
-    generator: np.ndarray | None = None
-
-    def matrix(self, w: complex, dim: int) -> np.ndarray:
-        if self.generator is None:
-            return np.eye(dim, dtype=complex)
-        return _finite(_expm(complex(w) * self.generator), f"twist exp(w xi) at w = {w}")
-
-
 class OrbitSpec:
-    """Twisted nilpotent orbit exp(sum l(t_i) N_i) . zeta(w) . F0."""
+    """Twisted nilpotent orbit exp(sum l(t_i) N_i) . zeta(w) . F0.
 
-    def __init__(self, cone: NilpotentCone, f0: FlagPoint, twist: Twist | None = None):
+    The boundary twist zeta(w) = exp(w xi) commutes with every generator; no
+    xi means no twist.
+    """
+
+    def __init__(self, cone: NilpotentCone, f0: FlagPoint, xi: np.ndarray | None = None):
         self.cone = cone
         self.f0 = f0
-        self.twist = twist or Twist()
+        self.xi = xi
         self.form = _np_matrix(cone.form)
         self.gens = [_np_matrix(n) for n in cone.generators]
-        if self.twist.generator is not None:
-            xi = np.asarray(self.twist.generator, dtype=complex)
+        if xi is not None:
+            xi = np.asarray(xi, dtype=complex)
             for i, n in enumerate(self.gens):
                 comm = xi @ n - n @ xi
                 if np.linalg.norm(comm, ord=np.inf) > COMMUTE_TOL:
                     raise ValueError(f"twist does not commute with generator {i + 1}")
+
+    def zeta(self, w) -> np.ndarray:
+        """zeta(w) = exp(w xi); the identity when there is no xi."""
+        if self.xi is None:
+            return np.eye(self.form.shape[0], dtype=complex)
+        return _finite(_expm(complex(w) * self.xi), f"twist exp(w xi) at w = {w}")
 
     @property
     def weight(self) -> int:
@@ -168,14 +166,14 @@ class OrbitSpec:
 
     def group_element(self, t, w) -> np.ndarray:
         z = sum((log_coord(ti) * n for ti, n in zip(t, self.gens, strict=True)), 0 * self.form)
-        return _expm(z) @ self.twist.matrix(w, self.form.shape[0])
+        return _expm(z) @ self.zeta(w)
 
     def flag_at(self, t, w) -> FlagPoint:
         return self.f0.transform(self.group_element(t, w))
 
     def limit_frame(self, w) -> np.ndarray:
         """Columns zeta(w) . F0^n; the t-direction factor removed."""
-        return self.twist.matrix(w, self.form.shape[0]) @ self.f0.level(self.weight)
+        return self.zeta(w) @ self.f0.level(self.weight)
 
     def check_horizontal(self) -> None:
         """Verify N_j . F0^p <= F0^{p-1} on every pair of provided flag levels."""

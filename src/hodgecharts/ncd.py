@@ -221,16 +221,8 @@ def _require_complex(w: WeightComplexes) -> None:
         raise NotAComplex("middle-weight square does not compose to zero")
 
 
-class GradedDims(Record):
+def graded_dims(w: WeightComplexes) -> tuple[int, int, int, int, int]:
     """Dimensions of the graded pieces, lowest weight first."""
-
-    dims: tuple[int, int, int, int, int]
-
-    def __getitem__(self, i: int) -> int:
-        return self.dims[i]
-
-
-def graded_dims(w: WeightComplexes) -> GradedDims:
     _require_complex(w)
     i0 = i4 = w.r2.rows - rank(w.r2)  # coker r2 and ker r2^T
     first = w.g_mid.stack(w.r2)  # H0(X^[2]) -> H2(X^[1]) + H0(X^[3])
@@ -239,18 +231,17 @@ def graded_dims(w: WeightComplexes) -> GradedDims:
     i2 = second_t.rows - rank(second_t) - rank(first)
     i3 = w.g_odd.cols - rank(w.g_odd)
     i1 = w.r_odd.rows - rank(w.r_odd)
-    return GradedDims((i0, i1, i2, i3, i4))
+    return (i0, i1, i2, i3, i4)
 
 
 class MonodromyReport(Record):
-    even_iso: bool
-    even_matrix: RationalMatrix  # ker r2^T -> coker r2 in a complement basis
-    odd_iso: bool
-    odd_matrix: RationalMatrix
+    even_iso: bool  # ker r2^T -> coker r2
+    odd_iso: bool  # ker g_odd -> coker r_odd
 
 
-def _kernel_to_cokernel(g: RationalMatrix, r: RationalMatrix):
-    """Induced map ker(g) -> target/im(r), with g acting on the space r maps to."""
+def _kernel_to_cokernel(g: RationalMatrix, r: RationalMatrix) -> bool:
+    """Whether the induced map ker(g) -> target/im(r) is an isomorphism, with
+    g acting on the space r maps to."""
     ker = kernel(g)
     im = image(r)
     # The non-pivot standard vectors complement im(r), and a kernel vector's
@@ -258,18 +249,16 @@ def _kernel_to_cokernel(g: RationalMatrix, r: RationalMatrix):
     cols = im.residues(ker.basis.entries)
     free = im.ambient_dim - im.dim
     rows = tuple(zip(*cols)) if cols else tuple(() for _ in range(free))
-    mat = RationalMatrix(free, ker.dim, rows)
-    iso = ker.dim == free and rank(mat) == ker.dim
-    return iso, mat
+    return ker.dim == free and rank(RationalMatrix(free, ker.dim, rows)) == ker.dim
 
 
 def monodromy_graded_maps(w: WeightComplexes) -> MonodromyReport:
     """Check that the induced maps from top kernels to bottom cokernels are
     isomorphisms, in both the even and the odd chain."""
     _require_complex(w)
-    even_iso, even_mat = _kernel_to_cokernel(w.r2.transpose(), w.r2)
-    odd_iso, odd_mat = _kernel_to_cokernel(w.g_odd, w.r_odd)
-    return MonodromyReport(even_iso, even_mat, odd_iso, odd_mat)
+    return MonodromyReport(
+        _kernel_to_cokernel(w.r2.transpose(), w.r2), _kernel_to_cokernel(w.g_odd, w.r_odd)
+    )
 
 
 def curve_lmhs(vertices, edges) -> tuple[int, int, int]:

@@ -206,7 +206,7 @@ def complex_matrix_from_json(data, what: str = "matrix") -> "np.ndarray":
 
 
 def orbit_from_json(data) -> "OrbitSpec":
-    from .metrics import FlagPoint, OrbitSpec, Twist
+    from .metrics import FlagPoint, OrbitSpec
 
     if not isinstance(data, dict):
         raise SchemaError("orbit must be an object")
@@ -227,16 +227,15 @@ def orbit_from_json(data) -> "OrbitSpec":
         raise SchemaError("twist must be an object")
     kind = twist_data.get("kind", "none")
     if kind == "none":
-        twist = None
+        xi = None
     elif kind == "exp_linear":
-        generator = complex_matrix_from_json(twist_data.get("generator"), "twist generator")
-        if generator.shape != (cone.dim, cone.dim):
+        xi = complex_matrix_from_json(twist_data.get("generator"), "twist generator")
+        if xi.shape != (cone.dim, cone.dim):
             raise SchemaError(f"twist generator must be {cone.dim} x {cone.dim}")
-        twist = Twist(generator)
     else:
         raise SchemaError(f"unknown twist kind {kind!r}")
     try:
-        orbit = OrbitSpec(cone, FlagPoint(cone.weight, levels), twist)
+        orbit = OrbitSpec(cone, FlagPoint(cone.weight, levels), xi)
         orbit.check_horizontal()
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc

@@ -51,7 +51,6 @@ from hodgecharts.errors import (
     NotAComplex, NotFiltrationCompatible, NotPolarized, SeparationFailure,
 )
 from hodgecharts.filtrations import (
-    GradedPiece,
     NilpotentCone,
     WeightFiltration,
     _powers,
@@ -73,7 +72,7 @@ from hodgecharts.linalg import (
     vec,
 )
 from hodgecharts.metrics import SVD_TOL, OrbitSpec, _np_matrix
-from hodgecharts.ncd import GradedDims, WeightComplexes, _require_complex
+from hodgecharts.ncd import WeightComplexes, _require_complex
 from hodgecharts.positivity import CurvatureIdentity, CurvatureTriple, SigmaReport
 from hodgecharts.serialize import matrix_to_json
 from hodgecharts.siegel import (
@@ -427,7 +426,7 @@ def adjoint_relation_space(cone: NilpotentCone, index) -> Subspace:
 
 
 def unkeyed_k_index_map(cone: NilpotentCone):
-    """(table, image, strata, splits) of k_index_map, with relation_space and
+    """(table, image, splits) of k_index_map, with relation_space and
     farkas_split computed afresh for every index set; splits covers every I."""
     splits = {}
     for mask in range(1 << cone.k):
@@ -435,11 +434,11 @@ def unkeyed_k_index_map(cone: NilpotentCone):
         s = relation_space(cone, index)
         splits[index] = (s, farkas_split(s))
     table = {index: split.support for index, (_, split) in splits.items()}
-    return (*_image_and_strata(table), splits)
+    return table, _image(table), splits
 
 
 def matroid_closure_k_map(images, dim: int):
-    """(table, image, strata) of k_index_map with K_I the closure of I in the
+    """(table, image) of k_index_map with K_I the closure of I in the
     matroid of the generators' images: j lies in K_I when the span of images[j]
     (vectors in Q^dim spanning generator j + 1's image) lies in the span of the
     images of I, that is when adding j keeps the rank.  One rank per subset."""
@@ -456,13 +455,11 @@ def matroid_closure_k_map(images, dim: int):
         )
         for mask in range(1 << k)
     }
-    return _image_and_strata(table)
+    return table, _image(table)
 
 
-def _image_and_strata(table):
-    image = tuple(sorted(set(table.values()), key=_by_size))
-    strata = {k: tuple(sorted((i for i in table if table[i] == k), key=_by_size)) for k in image}
-    return table, image, strata
+def _image(table) -> tuple:
+    return tuple(sorted(set(table.values()), key=_by_size))
 
 
 def _by_size(index) -> tuple:
@@ -604,8 +601,9 @@ def inexact_values(values) -> list:
 # The lmhs map from top kernels to bottom cokernels, one solve per vector.
 
 
-def solve_kernel_to_cokernel(g: RationalMatrix, r: RationalMatrix):
-    """Induced map ker(g) -> target/im(r), with g acting on the space r maps to."""
+def solve_kernel_to_cokernel(g: RationalMatrix, r: RationalMatrix) -> bool:
+    """Whether the induced map ker(g) -> target/im(r) is an isomorphism, with
+    g acting on the space r maps to."""
     ker = kernel(g)
     im = image(r)
     n = g.cols
@@ -625,8 +623,7 @@ def solve_kernel_to_cokernel(g: RationalMatrix, r: RationalMatrix):
         cols.append(coeffs[im.dim :])
     rows = tuple(zip(*cols)) if cols else tuple(() for _ in free)
     mat = RationalMatrix(len(free), ker.dim, tuple(tuple(r_) for r_ in rows))
-    iso = ker.dim == len(free) and rank(mat) == ker.dim
-    return iso, mat
+    return ker.dim == len(free) and rank(mat) == ker.dim
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +666,9 @@ def solve_positive_basis(s: Subspace, split) -> RationalMatrix:
 # Graded pieces picked greedily, and induced maps solved against them.
 
 
-def greedy_graded_pieces(filtration: WeightFiltration) -> list[GradedPiece]:
+def greedy_graded_pieces(filtration: WeightFiltration) -> list[tuple[int, RationalMatrix]]:
+    """(level, rows lifting a basis of Gr_level) per level, each row the next
+    step basis row outside the span so far."""
     out = []
     for level in filtration.levels():
         below = filtration.step(level - 1)
@@ -679,13 +678,7 @@ def greedy_graded_pieces(filtration: WeightFiltration) -> list[GradedPiece]:
             if not span.contains_vector(row):
                 reprs.append(row)
                 span = subspace_sum(span, Subspace.from_vectors(filtration.ambient_dim, [row]))
-        out.append(
-            GradedPiece(
-                level,
-                len(reprs),
-                RationalMatrix.from_rows(reprs, cols=filtration.ambient_dim),
-            )
-        )
+        out.append((level, RationalMatrix.from_rows(reprs, cols=filtration.ambient_dim)))
     return out
 
 
@@ -705,18 +698,18 @@ def solve_induced_map(
                 raise NotFiltrationCompatible(
                     f"M W_{level} is not contained in W_{level + shift}"
                 )
-    pieces = {p.level: p for p in greedy_graded_pieces(filtration)}
+    pieces = dict(greedy_graded_pieces(filtration))
     out: dict[int, RationalMatrix] = {}
-    for level, piece in pieces.items():
+    for level, reprs in pieces.items():
         target_level = level + shift
         target_reprs = pieces.get(target_level)
-        tdim = target_reprs.dimension if target_reprs else 0
+        tdim = target_reprs.rows if target_reprs else 0
         cols = []
-        for row in piece.representatives.entries:
+        for row in reprs.entries:
             y = m.mul_vec(row)
             if tdim:
                 below = filtration.step(target_level - 1)
-                stacked = target_reprs.representatives.stack(below.basis).transpose()
+                stacked = target_reprs.stack(below.basis).transpose()
                 coeffs = solve(stacked, y)
                 if coeffs is None:  # pragma: no cover - containment already checked
                     raise AssertionError("containment check missed a vector")
@@ -724,7 +717,7 @@ def solve_induced_map(
             else:
                 cols.append(())
         rows = tuple(zip(*cols)) if cols and tdim else ()
-        out[level] = RationalMatrix(tdim, piece.dimension, tuple(tuple(r) for r in rows))
+        out[level] = RationalMatrix(tdim, reprs.rows, tuple(tuple(r) for r in rows))
     return out
 
 
@@ -841,7 +834,7 @@ def loop_sigma_weight2(triple: CurvatureTriple, q_form: RationalMatrix) -> Sigma
     return SigmaReport(mat, rk, rk == triple.dim_t)
 
 
-def kernel_graded_dims(w: WeightComplexes) -> GradedDims:
+def kernel_graded_dims(w: WeightComplexes) -> tuple[int, int, int, int, int]:
     """Graded dimensions with a kernel basis built for each kernel counted."""
     _require_complex(w)
     g1 = w.r2.transpose()  # the Gysin map H0(X^[3])(-2) -> H2(X^[2])(-1)
@@ -857,7 +850,7 @@ def kernel_graded_dims(w: WeightComplexes) -> GradedDims:
     i2 = kernel(second).dim - rank(first)
     i3 = kernel(w.g_odd).dim
     i1 = w.r_odd.rows - rank(w.r_odd)
-    return GradedDims((i0, i1, i2, i3, i4))
+    return (i0, i1, i2, i3, i4)
 
 
 # ---------------------------------------------------------------------------

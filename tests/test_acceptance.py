@@ -9,12 +9,19 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from hodgecharts.charts import binomial_relations, build_atlas
 from hodgecharts.cones import farkas_alternative, farkas_split, k_index_map, relation_space
-from hodgecharts.filtrations import adjoint_filtration, weight_filtration
+from hodgecharts.filtrations import (
+    adjoint_filtration,
+    polarization_form,
+    primitive_subspace,
+    rwfp_consequence_check,
+    weight_filtration,
+)
 from hodgecharts.gallery import (
     genus2_cone,
     twisted_weight1_orbit,
@@ -48,6 +55,7 @@ from .oracles import (
     split_supports,
     subspace_sum,
 )
+from .test_cones import _gallery_cones, _oracle_cones, _polarized_type_cones
 
 
 @contextmanager
@@ -317,3 +325,83 @@ def test_criterion_10_positivity_checks():
             e = [Fraction(rng.randint(-3, 3)) for _ in range(dw)]
             xi = [Fraction(rng.randint(-3, 3)) for _ in range(dt)]
             assert curvature_identity_check(triple, e, xi).match
+
+
+def _nonempty_index_sets(k: int):
+    return [index for size in range(1, k + 1) for index in combinations(range(1, k + 1), size)]
+
+
+def test_criterion_11_polarization_on_primitive_pieces():
+    """On the primitive piece P of Gr_{n+a} W(N_I), Q(u, N_I^a v) is
+    (-1)^{n+a}-symmetric and nondegenerate, so its Gram matrix has rank dim P.
+    This is sl2 algebra and holds for every nilpotent isometry, so the
+    indefinite K3-type draws of the oracle cones are included."""
+    with criterion(11, "polarization form on primitive pieces", 1.0):
+        cases = nonzero = 0
+        for cone in _oracle_cones():
+            for index in _nonempty_index_sets(cone.k):
+                for a in range(cone.weight + 1):
+                    form = polarization_form(cone, index, a)
+                    assert form.transpose() == form.scale((-1) ** (cone.weight + a))
+                    dim = primitive_subspace(cone, index, a).representatives.rows
+                    assert rank(form) == dim
+                    cases += 1
+                    nonzero += dim > 0
+        assert cases == 185 and nonzero > cases // 2
+
+
+def test_criterion_12_rwfp_consequence():
+    """Relative weight filtration property (Cattani-Kaplan-Schmid): for
+    nonempty I <= I' with N_{I'} in W_{-1}(ad N_I), W(N_I) = W(N_{I'}).
+    Checked on a seeded half of the 1483 nested pairs of the gallery and
+    polarized-type cones, where the premise holds on 801 of them.  It fails
+    on the indefinite K3-type draws of the oracle cones (entries 11-14 of
+    _oracle_cones: 6 of their 217 nested pairs), which are not polarized, so
+    those cones are left out."""
+    with criterion(12, "RWFP consequence on nested index sets", 1.5):
+        pairs = [
+            (cone, index, larger)
+            for cone in (*_gallery_cones(), *_polarized_type_cones())
+            for index in _nonempty_index_sets(cone.k)
+            for larger in _nonempty_index_sets(cone.k)
+            if set(index) <= set(larger)
+        ]
+        assert len(pairs) == 1483
+        premises = set()
+        for cone, index, larger in random.Random(12).sample(pairs, len(pairs) // 2):
+            report = rwfp_consequence_check(cone, index, larger)
+            assert report.holds, (index, larger)
+            premises.add(report.premise)
+        assert premises == {True, False}
+
+
+def test_criterion_13_chart_fibers_are_relation_directions():
+    """The chart of a stratum K is t -> (t^c) over the rows c of C_K, so the
+    log vector field with coefficients a is tangent to its fibers exactly
+    when C_K a = 0.  Those directions are S_K: C_K kills S_K and has rank
+    k - dim S_K.  Seeded integer vectors a, two per stratum: a point of S_K,
+    and one shifted by a random step in {-1, 0, 1}^k, lie in S_K exactly
+    when C_K a = 0; both outcomes occur."""
+    rng = random.Random(13)
+    with criterion(13, "chart fibers are the S_K directions", 1.0):
+        outcomes = set()
+        for cone in (*_gallery_cones(), *_polarized_type_cones()):
+            atlas = build_atlas(cone)
+            for chart in atlas.charts:
+                space = atlas.relation_table[chart.support].space
+                c = RationalMatrix.from_rows(chart.exponents, cols=cone.k)
+                assert not any(x for v in space.basis.entries for x in c.mul_vec(v))
+                assert rank(c) == cone.k - space.dim
+                for step in (False, True):
+                    a = [0] * cone.k
+                    for row in space.basis.entries:
+                        coeff = rng.randint(-3, 3)
+                        a = [x + coeff * y for x, y in zip(a, row)]
+                    scale = math.lcm(*(Fraction(x).denominator for x in a))
+                    a = [int(x * scale) for x in a]
+                    if step:
+                        a = [x + rng.randint(-1, 1) for x in a]
+                    inside = space.contains_vector(a)
+                    assert inside is not any(c.mul_vec(a))
+                    outcomes.add(inside)
+        assert outcomes == {True, False}

@@ -249,9 +249,8 @@ def test_k_index_map_genus2():
     for pair in ((1, 2), (1, 3), (2, 3), (1, 2, 3)):
         assert km.table[pair] == (1, 2, 3)
     assert km.image == ((), (1,), (2,), (3,), (1, 2, 3))
-    assert km.strata[(1, 2, 3)] == ((1, 2, 3), (1, 2), (1, 3), (2, 3))[
-        ::-1
-    ] or set(km.strata[(1, 2, 3)]) == {(1, 2), (1, 3), (2, 3), (1, 2, 3)}
+    stratum = {index for index, support in km.table.items() if support == (1, 2, 3)}
+    assert stratum == {(1, 2), (1, 3), (2, 3), (1, 2, 3)}
 
 
 def test_k_index_map_small_cones():
@@ -326,7 +325,6 @@ def test_relation_data_bundle():
     from hodgecharts.charts import build_atlas
 
     data = build_atlas(genus2_cone()).relation_table[(2,)]
-    assert data.index == (2,)
     assert data.support == (2,)
     assert [[int(x) for x in r] for r in data.basis.entries] == [[1, 0, 1]]
     assert data.space.contains_vector(data.witness)
@@ -533,17 +531,16 @@ def _graphic_cones(rng):
 
 def test_k_index_map_matches_unkeyed_path():
     """Keying S_I and its split by W(N_I), and W(N_I) by the matrix N_I,
-    changes no table, image, stratum or split: every index set recomputed with
+    changes no table, image or split: every index set recomputed with
     relation_space and farkas_split.  Some cones repeat a matrix N_I, so the
     memo on N_I is exercised."""
     rng = random.Random(SEED + 3)
     repeated = 0
     for cone in (*_oracle_cones(), *_graphic_cones(rng)):
         km = k_index_map(cone)
-        table, image, strata, splits = unkeyed_k_index_map(cone)
+        table, image, splits = unkeyed_k_index_map(cone)
         assert list(km.table.items()) == list(table.items())
         assert km.image == image
-        assert km.strata == strata
         assert km.splits == {k: splits[k] for k in image}
         nonempty = [index for index in table if index]
         repeated += len({cone.n_of(index) for index in nonempty}) < len(nonempty)
@@ -596,10 +593,9 @@ def test_k_index_map_is_the_matroid_closure():
         cases.append((_conjugated_sp_cone(rng, g, blocks), blocks))
     for cone, images in cases:
         km = k_index_map(cone)
-        table, image, strata = matroid_closure_k_map(images, cone.dim // 2)
+        table, image = matroid_closure_k_map(images, cone.dim // 2)
         assert list(km.table.items()) == list(table.items())
         assert km.image == image
-        assert km.strata == strata
 
 
 def _atlas_summary(cone):
@@ -610,7 +606,7 @@ def _atlas_summary(cone):
     held = [(d.space, d.basis, d.witness, d.cowitness) for d in atlas.relation_table.values()]
     assert not inexact_values(held)
     return (
-        list(km.table.items()), km.image, km.strata, [c.exponents for c in atlas.charts],
+        list(km.table.items()), km.image, [c.exponents for c in atlas.charts],
         atlas.relations(), atlas.certificate_chart(),
     )
 
@@ -620,7 +616,7 @@ def test_atlas_unchanged_by_non_integral_rescaling_and_conjugation():
     atlas, unchanged: scaling the generators by 2/3, or conjugating them by the
     non-unimodular isometry diag(D, D^-1) of sp(2g), drives non-integral
     values through the atlas path and must give the same table, image,
-    strata, chart exponents, relations and certificate chart."""
+    chart exponents, relations and certificate chart."""
     rng = random.Random(SEED + 6)
     abelian = (_random_abelian_cone(rng, g, k) for g, k in ((2, 3), (3, 3), (3, 4)))
     for cone in (*_graphic_cones(rng), *abelian):

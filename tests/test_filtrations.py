@@ -8,7 +8,6 @@ from hodgecharts.errors import NotFiltrationCompatible, NotNilpotent
 from hodgecharts.filtrations import (
     NilpotentCone,
     adjoint_filtration,
-    graded_pieces,
     induced_map,
     polarization_form,
     primitive_subspace,
@@ -258,11 +257,10 @@ def test_adjoint_membership_difference():
 def test_graded_pieces_dimensions():
     cone = genus2_cone()
     w = weight_filtration(cone.n_of((1, 2, 3)), 1)
-    pieces = graded_pieces(w)
-    assert [p.dimension for p in pieces] == [2, 0, 2]
-    assert sum(p.dimension for p in pieces) == 4
+    dims = [len(w.graded_lifts(level)[0]) for level in w.levels()]
+    assert dims == [2, 0, 2] == [w.graded_dim(level) for level in w.levels()]
     w0 = weight_filtration(RationalMatrix.zeros(3, 3), 2)
-    assert [p.dimension for p in graded_pieces(w0)] == [3]
+    assert [len(w0.graded_lifts(level)[0]) for level in w0.levels()] == [3]
 
 
 def test_induced_map_identity_and_errors():
@@ -515,23 +513,22 @@ def test_graded_read_off_matches_greedy_and_solve_oracles():
     changed = same = refused = 0
     for w, maps in cases:
         dim = w.ambient_dim
-        greedy = {p.level: p for p in greedy_graded_pieces(w)}
-        pieces = graded_pieces(w)
-        assert [p.level for p in pieces] == list(greedy) == list(w.levels())
+        greedy = dict(greedy_graded_pieces(w))
+        assert list(greedy) == list(w.levels())
         change, coincide = {}, set()
-        for piece in pieces:
-            level, lifts = piece.level, piece.representatives.entries
+        for level in w.levels():
+            lifts = w.graded_lifts(level)[0]
+            reps = RationalMatrix(len(lifts), dim, tuple(lifts))
             below = w.step(level - 1)
-            assert piece.dimension == len(lifts) == w.graded_dim(level)
-            assert piece.dimension == greedy[level].dimension
+            assert len(lifts) == w.graded_dim(level) == greedy[level].rows
             assert all(w.step(level).contains_vector(r) for r in lifts)
-            assert rank(piece.representatives.stack(below.basis)) == below.dim + len(lifts)
+            assert rank(reps.stack(below.basis)) == below.dim + len(lifts)
             # column j: the greedy representative g_j on the lifts
-            cols = _coordinates(lifts, below, greedy[level].representatives.entries)
+            cols = _coordinates(lifts, below, greedy[level].entries)
             change[level] = RationalMatrix(
                 len(lifts), len(lifts), tuple(zip(*cols)) if cols else ()
             )
-            if piece.representatives == greedy[level].representatives:
+            if reps == greedy[level]:
                 coincide.add(level)
             else:
                 changed += 1
@@ -582,7 +579,7 @@ def test_graded_read_off_matches_greedy_and_solve_oracles():
 
 
 def test_graded_read_off_runs_no_elimination(monkeypatch):
-    """graded_pieces and induced_map read the step bases and never
+    """graded_lifts and induced_map read the step bases and never
     eliminate; the primitive subspace and its polarization take W (three
     eliminations on genus2_cone) plus one kernel."""
     cases = list(_gallery_filtrations())
@@ -591,7 +588,8 @@ def test_graded_read_off_runs_no_elimination(monkeypatch):
     original = RationalMatrix.rref
     monkeypatch.setattr(RationalMatrix, "rref", lambda m: calls.append(m) or original(m))
     for w, maps in cases:
-        graded_pieces(w)
+        for level in w.levels():
+            w.graded_lifts(level)
         for m, shift in maps:
             induced_map(m, w, shift)
     assert not calls

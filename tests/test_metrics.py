@@ -22,7 +22,6 @@ from hodgecharts.metrics import (
     EXPANSION_TAUS,
     FlagPoint,
     OrbitSpec,
-    Twist,
     _coefficient_kernel,
     _hermitian_log_det,
     _independent_columns,
@@ -483,7 +482,7 @@ def _random_twisted_orbit(rng, cone, index):
     centralizer = vh[int(np.sum(svals > 1e-10)) :]
     xi = (rng.normal(size=centralizer.shape[0]) @ centralizer).reshape(cone.dim, cone.dim)
     f0 = FlagPoint(cone.weight, {cone.weight: np.column_stack(cols) @ mix})
-    return OrbitSpec(cone, f0, Twist(xi))
+    return OrbitSpec(cone, f0, xi)
 
 
 def test_graded_frames_match_pivoted_qr_on_random_flags():
@@ -560,12 +559,12 @@ def test_shipped_orbits_are_horizontal():
 
 
 def test_twist_is_its_generator():
-    """No generator means no twist: zeta(w) is the identity for every w."""
-    assert Twist._fields == ("generator",)
-    assert np.array_equal(Twist().matrix(0.3 + 0.1j, 3), np.eye(3))
-    xi = np.zeros((2, 2))
-    xi[0, 1] = 1.0
-    assert np.allclose(Twist(xi).matrix(2.0, 2), [[1.0, 2.0], [0.0, 1.0]])
+    """zeta(w) = exp(w xi), and no generator xi means no twist: zeta(w) is
+    then the identity for every w."""
+    assert genus2_orbit().xi is None
+    assert np.array_equal(genus2_orbit().zeta(0.3 + 0.1j), np.eye(4))
+    orbit = twisted_weight1_orbit(eps=0.2)  # xi^2 = 0, so exp(w xi) = 1 + w xi
+    assert np.allclose(orbit.zeta(2.0), np.eye(4) + 2.0 * orbit.xi)
 
 
 def test_twist_at_zero_matches_untwisted():

@@ -95,7 +95,7 @@ def test_tetrahedron_complexes():
     assert friedman_check(w)
     assert (w.r2 @ w.r1).is_zero()
     dims = graded_dims(w)
-    assert dims.dims == (1, 0, 4, 0, 1)
+    assert dims == (1, 0, 4, 0, 1)
     rep = monodromy_graded_maps(w)
     assert rep.even_iso and rep.odd_iso
 
@@ -141,7 +141,7 @@ def test_empty_double_locus():
     surf = NCDSurface([SurfacePiece("A", (1, 0, 5, 0, 1))], [])
     w = build_weight_complexes(surf)
     dims = graded_dims(w)
-    assert dims.dims == (0, 0, 5, 0, 0)
+    assert dims == (0, 0, 5, 0, 0)
 
 
 def test_user_supplied_odd_maps():
@@ -199,18 +199,20 @@ def _low_rank(rng, rows, cols, rank):
 
 def test_kernel_to_cokernel_matches_solve_oracle():
     """Reading cokernel coordinates off the RREF basis of im(r) gives the same
-    map and verdict as one solve per kernel vector, for r = 0, rank-deficient
-    and full-rank r."""
+    verdict as one solve per kernel vector, for r = 0, rank-deficient and
+    full-rank r, and both verdicts occur."""
     rng = random.Random(20261018)
-    kinds = set()
+    kinds, verdicts = set(), set()
     for _ in range(150):
         n = rng.randint(1, 7)
         r_cols, g_rows = rng.randint(0, 7), rng.randint(0, 7)
         r = _low_rank(rng, n, r_cols, rng.randint(0, min(n, r_cols)))
         g = _low_rank(rng, g_rows, n, rng.randint(0, min(n, g_rows)))
         kinds.add("zero" if r.is_zero() else "full" if rank(r) == min(n, r_cols) else "deficient")
-        assert _kernel_to_cokernel(g, r) == solve_kernel_to_cokernel(g, r)
-    assert kinds == {"zero", "deficient", "full"}
+        verdict = _kernel_to_cokernel(g, r)
+        assert verdict is solve_kernel_to_cokernel(g, r)
+        verdicts.add(verdict)
+    assert kinds == {"zero", "deficient", "full"} and verdicts == {True, False}
 
 
 def test_negative_genus_is_an_incidence_error():
@@ -276,5 +278,5 @@ def test_graded_dims_build_no_kernel_basis(monkeypatch):
     original = RationalMatrix.rref
     monkeypatch.setattr(RationalMatrix, "rref", lambda m: calls.append(m) or original(m))
     monkeypatch.setattr(ncd, "kernel", None)
-    assert graded_dims(build_weight_complexes(tetrahedron_surface())).dims == (1, 0, 4, 0, 1)
+    assert graded_dims(build_weight_complexes(tetrahedron_surface())) == (1, 0, 4, 0, 1)
     assert len(calls) == 5

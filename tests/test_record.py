@@ -87,12 +87,12 @@ def test_records_of_different_classes_never_compare_equal():
 
 
 def test_k_index_map_compares_and_shows_splits():
-    a = KIndexMap({(): ()}, ((),), {(): ((),)}, {(): "one split"})
-    b = KIndexMap({(): ()}, ((),), {(): ((),)}, {(): "another"})
-    assert a != b and a == KIndexMap({(): ()}, ((),), {(): ((),)}, {(): "one split"})
+    a = KIndexMap({(): ()}, ((),), {(): "one split"})
+    b = KIndexMap({(): ()}, ((),), {(): "another"})
+    assert a != b and a == KIndexMap({(): ()}, ((),), {(): "one split"})
     assert "splits={(): 'one split'}" in repr(a)
     with pytest.raises(TypeError):  # splits is required
-        KIndexMap({}, (), {})
+        KIndexMap({}, ())
 
 
 def test_weight_complexes_hold_six_matrices():
@@ -111,7 +111,7 @@ def test_weight_complexes_hold_six_matrices():
 def test_records_holding_dicts_are_unhashable():
     """hash of a record hashes its fields, and a dict field refuses."""
     with pytest.raises(TypeError):
-        hash(KIndexMap({(): ()}, ((),), {(): ((),)}, {}))
+        hash(KIndexMap({(): ()}, ((),), {}))
 
 
 def test_records_take_no_class_options():

@@ -86,7 +86,7 @@ def test_orbit_roundtrip_evaluates():
     data = {
         "cone": cone_to_json(orbit.cone),
         "flag": {"1": cmat(orbit.f0.level(1))},
-        "twist": {"kind": "exp_linear", "generator": cmat(orbit.twist.generator)},
+        "twist": {"kind": "exp_linear", "generator": cmat(orbit.xi)},
     }
     back = orbit_from_json(data)
     from hodgecharts.metrics import log_det_lambda
@@ -134,7 +134,7 @@ def test_orbit_flag_must_be_horizontal():
         "flag": {"2": cmat(orbit.f0.level(2)), "1": cmat(orbit.f0.level(1))},
         "twist": {"kind": "none"},
     }
-    assert orbit_from_json(data).twist.generator is None
+    assert orbit_from_json(data).xi is None
     data["flag"]["1"] = cmat(np.eye(3)[:, [0, 2]])
     with pytest.raises(SchemaError, match=r"^generator 1 moves F\^2 outside F\^1$"):
         orbit_from_json(data)
