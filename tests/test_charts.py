@@ -124,13 +124,24 @@ def test_fiber_tangency():
     charts = {c.support: c for c in atlas.charts}
     for k, a, tangent in (
         ((1,), (1, 0, 0), True),
-        ((1,), (0, 1, -1), True),
-        ((1,), (0, 1, 1), False),
         ((), (1, 0, 0), False),
         ((), (0, 0, 0), True),
     ):
-        assert all(sum(x * c for x, c in zip(a, row)) == 0 for row in charts[k].exponents) is tangent
-        assert atlas.relation_table[k].space.contains_vector(a) is tangent
+        _assert_tangency(atlas, charts[k], a, tangent)
+
+
+def _assert_tangency(atlas, chart, a, tangent):
+    assert all(sum(x * c for x, c in zip(a, row)) == 0 for row in chart.exponents) is tangent
+    assert atlas.relation_table[chart.support].space.contains_vector(a) is tangent
+
+
+def test_decoupled_respects_stratum_relation_space():
+    """On the genus-2 stratum K = (1,), the direction (0, 1, -1) lies in S_K
+    and is tangent to the fibers of its chart; (0, 1, 1) is neither."""
+    atlas = build_atlas(genus2_cone())
+    chart = next(c for c in atlas.charts if c.support == (1,))
+    _assert_tangency(atlas, chart, (0, 1, -1), True)
+    _assert_tangency(atlas, chart, (0, 1, 1), False)
 
 
 def test_atlas_names_the_stratum_of_a_cone_that_is_not_strictly_convex():
