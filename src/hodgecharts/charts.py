@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import SeparationFailure
-from .cones import KIndexMap, RelationData, k_index_map, positive_basis
+from .cones import KIndexMap, k_index_map, positive_basis
 from .filtrations import IndexSet, NilpotentCone
-from .linalg import _primitive_integer, integer_kernel
+from .linalg import Rational, RationalMatrix, Subspace, _primitive_integer, integer_kernel
 
 
 def monomial_strings(rows, var: str = "t") -> tuple[str, ...]:
@@ -30,14 +30,19 @@ def monomial_strings(rows, var: str = "t") -> tuple[str, ...]:
     return tuple(out)
 
 
-class MonomialMap(Record):
-    """t -> (t^c) over the exponent rows; rows vanish exactly on K."""
+class Chart(Record):
+    """One stratum K: its relation space, Farkas split and monomial map
+    t -> (t^c) over the rows c of C_K, which vanish exactly on K."""
 
     support: IndexSet  # K
-    exponents: tuple[tuple[int, ...], ...]
+    space: Subspace  # S_K
+    basis: RationalMatrix  # C_K: the positive integer basis of S_K^perp
+    witness: tuple[Rational, ...]  # in S_K, nonnegative, support exactly K
+    cowitness: tuple[Rational, ...]  # in S_K^perp, nonnegative, support K^c
 
-    def monomial_strings(self, var: str = "t") -> tuple[str, ...]:
-        return monomial_strings(self.exponents, var)
+    @property
+    def exponents(self) -> tuple[tuple[int, ...], ...]:
+        return self.basis.entries
 
 
 class BinomialRelationSet(Record):
@@ -52,19 +57,19 @@ class BinomialRelationSet(Record):
 
 
 class MonomialAtlas(Record):
-    """The assembled chart: one monomial map per K in the image of I -> K_I."""
+    """The assembled chart: one Chart per K, in k_map.image order, which the
+    atlas row indices and the separation witnesses follow."""
 
     k_map: KIndexMap
-    charts: tuple[MonomialMap, ...]
-    relation_table: dict[IndexSet, RelationData]
+    charts: tuple[Chart, ...]
+
+    @property
+    def relation_table(self) -> dict[IndexSet, Chart]:
+        return {chart.support: chart for chart in self.charts}
 
     @property
     def exponents(self) -> tuple[tuple[int, ...], ...]:
         return tuple(row for chart in self.charts for row in chart.exponents)
-
-    @property
-    def size(self) -> int:
-        return len(self.exponents)
 
     def relations(self) -> BinomialRelationSet:
         return binomial_relations(self.exponents)
@@ -77,24 +82,20 @@ class MonomialAtlas(Record):
         is z1*z2*z3 = z4^2.
         """
         rows = []
-        for k in sorted(self.k_map.image, key=lambda t: (-len(t), t)):
-            data = self.relation_table[k]
-            if any(x != 0 for x in data.cowitness):
-                rows.append(tuple(_primitive_integer(data.cowitness)))
+        for chart in sorted(self.charts, key=lambda c: (-len(c.support), c.support)):
+            if any(chart.cowitness):
+                rows.append(tuple(_primitive_integer(chart.cowitness)))
         return tuple(rows)
 
 
 def build_atlas(cone: NilpotentCone) -> MonomialAtlas:
-    """Assemble the per-K monomial maps from the relation-space pipeline."""
+    """Assemble one chart per K from the relation-space pipeline."""
     km = k_index_map(cone)
-    table: dict[IndexSet, RelationData] = {}
     charts = []
     for k in km.image:
         s, split = km.splits[k]
-        basis = positive_basis(s, split)
-        table[k] = RelationData(s, split.support, basis, split.witness, split.cowitness)
-        charts.append(MonomialMap(k, basis.entries))
-    return MonomialAtlas(km, tuple(charts), table)
+        charts.append(Chart(k, s, positive_basis(s, split), split.witness, split.cowitness))
+    return MonomialAtlas(km, tuple(charts))
 
 
 def binomial_relations(rows) -> BinomialRelationSet:

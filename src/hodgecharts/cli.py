@@ -102,16 +102,16 @@ def run_charts(data, args) -> tuple[dict, list, list]:
     cert_rows = atlas.certificate_chart()
     # One fragment per K, shared by the rows of every index set in its stratum.
     fragments = {
-        k: {
-            "K": list(k),
-            "S_basis": matrix_to_json(entry.space.basis),
-            "C": [list(r) for r in entry.basis.entries],
+        c.support: {
+            "K": list(c.support),
+            "S_basis": matrix_to_json(c.space.basis),
+            "C": [list(r) for r in c.exponents],
             "certificates": {
-                "v": [str(x) for x in entry.witness],
-                "v_tilde": [str(x) for x in entry.cowitness],
+                "v": [str(x) for x in c.witness],
+                "v_tilde": [str(x) for x in c.cowitness],
             },
         }
-        for k, entry in atlas.relation_table.items()
+        for c in atlas.charts
     }
     table = [
         {"I": list(index), **fragments[km.table[index]]}
@@ -125,8 +125,8 @@ def run_charts(data, args) -> tuple[dict, list, list]:
                 for c in atlas.charts
             ],
             "relations": [list(u) for u in relations.vectors],
-            "monomials": [m for c in atlas.charts for m in c.monomial_strings()],
-            "size": atlas.size,
+            "monomials": list(monomial_strings(atlas.exponents)),
+            "size": len(atlas.exponents),
         },
         "binomial_relations": {
             "vectors": [list(u) for u in relations.vectors],

@@ -232,16 +232,6 @@ def positive_basis(s: Subspace, split: FarkasSplit) -> RationalMatrix:
     return RationalMatrix.from_rows(rows, cols=k)
 
 
-class RelationData(Record):
-    """Everything the chart construction needs for one stratum K."""
-
-    space: Subspace  # S_K
-    support: IndexSet  # K
-    basis: RationalMatrix  # positive integer basis of S_K^perp
-    witness: tuple[Rational, ...]
-    cowitness: tuple[Rational, ...]
-
-
 class KIndexMap(Record):
     """The full table I -> K_I and its image.
 

@@ -68,6 +68,9 @@ class FlagPoint:
         self.weight = weight
         self.levels = {p: np.asarray(m, dtype=complex) for p, m in levels.items()}
         ps = sorted(self.levels, reverse=True)
+        for p in ps:
+            if not 1 <= p <= weight:
+                raise ValueError(f"flag level {p} lies outside 1..{weight}")
         for a, b in zip(ps, ps[1:]):
             if _outside_span(self.levels[b], self.levels[a], SVD_TOL):
                 raise ValueError(f"F^{a} is not contained in F^{b}")

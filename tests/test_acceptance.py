@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line per
 criterion including the elapsed time against its budget.
 """
 
+import cmath
 import math
 import random
 import time
@@ -12,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from hodgecharts.charts import binomial_relations, build_atlas
 from hodgecharts.cones import farkas_alternative, farkas_split, k_index_map, relation_space
@@ -30,7 +32,13 @@ from hodgecharts.gallery import (
     weight2_twoblock_orbit,
 )
 from hodgecharts.linalg import RationalMatrix, Subspace, hnf_rows, rank
-from hodgecharts.metrics import curvature_limit_check, expansion_fit, residue_integral
+from hodgecharts.metrics import (
+    augmented_log_det,
+    curvature_limit_check,
+    expansion_fit,
+    log_det_lambda,
+    residue_integral,
+)
 from hodgecharts.ncd import (
     DoubleCurve,
     NCDSurface,
@@ -45,6 +53,7 @@ from hodgecharts.positivity import (
     CurvatureTriple,
     curvature_identity_check,
     sigma_weight1,
+    sigma_weight2,
 )
 from hodgecharts.siegel import ConeSpec, boundedness_probe
 
@@ -56,6 +65,7 @@ from .oracles import (
     subspace_sum,
 )
 from .test_cones import _gallery_cones, _oracle_cones, _polarized_type_cones
+from .test_metrics import weight3_orbit
 
 
 @contextmanager
@@ -292,17 +302,24 @@ def test_criterion_9_siegel_probes():
         assert boundedness_probe(one, lambda t: (t,), "minimal").verdict == "contained"
 
 
+def _random_symmetric(rng, dim: int) -> RationalMatrix:
+    rows = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
+    return RationalMatrix.from_rows(
+        [[rows[i][j] + rows[j][i] for j in range(dim)] for i in range(dim)], cols=dim
+    )
+
+
 def test_criterion_10_positivity_checks():
+    """sigma_weight1 is injective exactly on nonsingular quadrics.
+    sigma_weight2 on a triple with independent slices and a nonsingular
+    symmetric q is injective of rank dim_t, and a triple with dependent
+    slices is refused.  The curvature identity holds exactly."""
     with criterion(10, "quadric contraction ranks and curvature identity", 10.0):
         rng = random.Random(20260811)
         injective_seen = 0
         while injective_seen < 50:
             dim = rng.choice((2, 3))
-            rows = [
-                [Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)
-            ]
-            sym = [[rows[i][j] + rows[j][i] for j in range(dim)] for i in range(dim)]
-            q = RationalMatrix.from_rows(sym, cols=dim)
+            q = _random_symmetric(rng, dim)
             if rank(q) == dim:
                 assert sigma_weight1(q).injective
                 injective_seen += 1
@@ -315,6 +332,27 @@ def test_criterion_10_positivity_checks():
                 [[Fraction(diag[i]) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
             )
             assert not sigma_weight1(q).injective
+        injective_seen = refused = 0
+        while injective_seen < 50:
+            dt, dw, du = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+            entries = [
+                [[Fraction(rng.randint(-2, 2)) for _ in range(du)] for _ in range(dw)]
+                for _ in range(dt)
+            ]
+            triple = CurvatureTriple(dt, dw, du, entries)
+            q = _random_symmetric(rng, dw)
+            if rank(q) < dw:
+                continue
+            slices = RationalMatrix.from_rows([sum(sl, []) for sl in entries], cols=dw * du)
+            if rank(slices) < dt:
+                with pytest.raises(ValueError):
+                    sigma_weight2(triple, q)
+                refused += 1
+                continue
+            rep = sigma_weight2(triple, q)
+            assert rep.injective and rep.rank == dt
+            injective_seen += 1
+        assert refused
         for _ in range(100):
             dt, dw, du = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
             entries = [
@@ -388,7 +426,7 @@ def test_criterion_13_chart_fibers_are_relation_directions():
         for cone in (*_gallery_cones(), *_polarized_type_cones()):
             atlas = build_atlas(cone)
             for chart in atlas.charts:
-                space = atlas.relation_table[chart.support].space
+                space = chart.space
                 c = RationalMatrix.from_rows(chart.exponents, cols=cone.k)
                 assert not any(x for v in space.basis.entries for x in c.mul_vec(v))
                 assert rank(c) == cone.k - space.dim
@@ -405,3 +443,21 @@ def test_criterion_13_chart_fibers_are_relation_directions():
                     assert inside is not any(c.mul_vec(a))
                     outcomes.add(inside)
         assert outcomes == {True, False}
+
+
+def test_criterion_14_augmented_bundle_sees_the_degeneration():
+    """The augmented Hodge bundle in closed form at weight 3.  Along the orbit
+    of test_metrics.weight3_orbit, with y = log(1/|t|)/2 pi,
+    augmented_log_det = log 8 + log(1 + y^2), while log_det_lambda stays
+    log 2: the augmented bundle sees the degeneration and the top Hodge
+    bundle does not.  28 points: |t| from 0.9 down to 1e-12, four arguments
+    each."""
+    with criterion(14, "augmented Hodge bundle in closed form at weight 3", 1.0):
+        orbit = weight3_orbit()
+        for r in (0.9, 0.5, 1e-1, 1e-2, 1e-3, 1e-6, 1e-12):
+            y = math.log(1 / r) / (2 * math.pi)
+            for arg in range(4):
+                t = (r * cmath.exp(1j * (0.3 + arg * math.pi / 2)),)
+                augmented = augmented_log_det(orbit, t, 0.0)
+                assert abs(augmented - math.log(8) - math.log(1 + y * y)) < 1e-12
+                assert abs(log_det_lambda(orbit, t, 0.0) - math.log(2)) < 1e-12

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from hodgecharts.charts import (
+    Chart,
     MonomialAtlas,
-    MonomialMap,
     binomial_relations,
     build_atlas,
     separation_check,
@@ -14,7 +14,7 @@ from hodgecharts.charts import (
 from hodgecharts.cli import run_charts
 from hodgecharts.errors import InvalidSplit, SeparationFailure
 from hodgecharts.gallery import equal_pair_cone, genus2_cone, single_cone
-from hodgecharts.linalg import hnf_rows
+from hodgecharts.linalg import RationalMatrix, hnf_rows
 from hodgecharts.serialize import cone_from_json
 
 from .oracles import cone_to_json, per_index_set_relation_table, row_scan_witnesses
@@ -38,7 +38,7 @@ MAIN_TEXT_CHART = [(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 
 def test_atlas_genus2_lattice():
     atlas = build_atlas(genus2_cone())
-    assert atlas.size == 6
+    assert len(atlas.exponents) == 6
     mine = hnf_rows([list(r) for r in atlas.exponents])
     printed = hnf_rows([list(r) for r in PAPER_SIX_CHART])
     assert mine == printed
@@ -48,8 +48,7 @@ def test_atlas_genus2_lattice():
     assert all(e >= 0 for row in atlas.exponents for e in row)
     # rows of each chart annihilate the relation space exactly
     for chart in atlas.charts:
-        space = atlas.relation_table[chart.support].space
-        for a in space.basis.entries:
+        for a in chart.space.basis.entries:
             for c in chart.exponents:
                 assert sum(ai * ci for ai, ci in zip(a, c)) == 0
 
@@ -104,13 +103,9 @@ def test_separation_genus2_and_negative_control():
     atlas = build_atlas(genus2_cone())
     report = separation_check(atlas)
     assert report.separated and len(report.witnesses) == 10
-    single = MonomialAtlas(
-        atlas.k_map, (atlas.charts[0],), atlas.relation_table
-    )
+    single = MonomialAtlas(atlas.k_map, (atlas.charts[0],))
     assert separation_check(single).separated  # vacuous
-    duplicated = MonomialAtlas(
-        atlas.k_map, (atlas.charts[1], atlas.charts[1]), atlas.relation_table
-    )
+    duplicated = MonomialAtlas(atlas.k_map, (atlas.charts[1], atlas.charts[1]))
     with pytest.raises(SeparationFailure):
         separation_check(duplicated)
 
@@ -120,28 +115,26 @@ def test_fiber_tangency():
     the chart of K exactly when a . c = 0 for every exponent row c, which
     holds exactly when a lies in S_K (acceptance criterion 13 checks this on
     every stratum of the seeded cones)."""
-    atlas = build_atlas(genus2_cone())
-    charts = {c.support: c for c in atlas.charts}
+    charts = build_atlas(genus2_cone()).relation_table
     for k, a, tangent in (
         ((1,), (1, 0, 0), True),
         ((), (1, 0, 0), False),
         ((), (0, 0, 0), True),
     ):
-        _assert_tangency(atlas, charts[k], a, tangent)
+        _assert_tangency(charts[k], a, tangent)
 
 
-def _assert_tangency(atlas, chart, a, tangent):
+def _assert_tangency(chart, a, tangent):
     assert all(sum(x * c for x, c in zip(a, row)) == 0 for row in chart.exponents) is tangent
-    assert atlas.relation_table[chart.support].space.contains_vector(a) is tangent
+    assert chart.space.contains_vector(a) is tangent
 
 
 def test_decoupled_respects_stratum_relation_space():
     """On the genus-2 stratum K = (1,), the direction (0, 1, -1) lies in S_K
     and is tangent to the fibers of its chart; (0, 1, 1) is neither."""
-    atlas = build_atlas(genus2_cone())
-    chart = next(c for c in atlas.charts if c.support == (1,))
-    _assert_tangency(atlas, chart, (0, 1, -1), True)
-    _assert_tangency(atlas, chart, (0, 1, 1), False)
+    chart = build_atlas(genus2_cone()).relation_table[(1,)]
+    _assert_tangency(chart, (0, 1, -1), True)
+    _assert_tangency(chart, (0, 1, 1), False)
 
 
 def test_atlas_names_the_stratum_of_a_cone_that_is_not_strictly_convex():
@@ -186,8 +179,7 @@ def test_pipeline_on_four_generator_cone():
     assert separation_check(atlas).separated
     for chart in atlas.charts:
         assert all(e >= 0 for row in chart.exponents for e in row)
-        space = atlas.relation_table[chart.support].space
-        for a in space.basis.entries:
+        for a in chart.space.basis.entries:
             for c in chart.exponents:
                 assert sum(ai * ci for ai, ci in zip(a, c)) == 0
     for u in atlas.relations().vectors:
@@ -222,17 +214,15 @@ def test_separation_matches_the_row_scan():
     assert empty
     # A built atlas has an empty chart only for K = {1..k}, which witnesses no
     # pair; a hand-built one can put an empty chart first that would.
-    charts = (
-        MonomialMap((1,), ()),
-        MonomialMap((), ((1, 1),)),
-        MonomialMap((2,), ((1, 0),)),
+    # Separation reads only each chart's support and exponent rows.
+    charts = tuple(
+        Chart(k, None, RationalMatrix.from_rows(rows, cols=2), (), ())
+        for k, rows in (((1,), ()), ((), ((1, 1),)), ((2,), ((1, 0),)))
     )
-    hand_built = MonomialAtlas(None, charts, {})
+    hand_built = MonomialAtlas(None, charts)
     assert separation_check(hand_built).witnesses == row_scan_witnesses(hand_built)
     atlas = build_atlas(genus2_cone())
-    duplicated = MonomialAtlas(
-        atlas.k_map, (atlas.charts[1], atlas.charts[1]), atlas.relation_table
-    )
+    duplicated = MonomialAtlas(atlas.k_map, (atlas.charts[1], atlas.charts[1]))
     for check in (separation_check, row_scan_witnesses):
         with pytest.raises(SeparationFailure):
             check(duplicated)

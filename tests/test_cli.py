@@ -312,6 +312,15 @@ _SIEGEL_CONE_AT_TOP_LEVEL = _fixture_with("siegel_cl2.json")
 _SIEGEL_CONE_AT_TOP_LEVEL.update(_SIEGEL_CONE_AT_TOP_LEVEL.pop("cone"))
 
 
+def _weight1_orbit_with_flag_level(level):
+    """The weight-1 orbit with one more flag level, spanned by the second
+    column i e2 + e4 of its F^1, which N kills: F^2 would be horizontal, and
+    F^0 would miss F^1."""
+    data = _fixture_with("orbit_twisted_weight1.json")
+    data["orbit"]["flag"][level] = [row[1:] for row in data["orbit"]["flag"]["1"]]
+    return data
+
+
 @pytest.mark.parametrize(
     "subcommand, data",
     [
@@ -377,6 +386,8 @@ _SIEGEL_CONE_AT_TOP_LEVEL.update(_SIEGEL_CONE_AT_TOP_LEVEL.pop("cone"))
         ("lmhs", _fixture_with("ncd_tetrahedron.json", kind="curvee")),
         ("lmhs", _fixture_with("ncd_tetrahedron.json", kind=5)),
         ("siegel", _SIEGEL_CONE_AT_TOP_LEVEL),
+        ("curvature", _weight1_orbit_with_flag_level("2")),
+        ("curvature", _weight1_orbit_with_flag_level("0")),
     ],
     ids=[
         "residue-t-outside-disc",
@@ -432,6 +443,8 @@ _SIEGEL_CONE_AT_TOP_LEVEL.update(_SIEGEL_CONE_AT_TOP_LEVEL.pop("cone"))
         "lmhs-kind-misspelled",
         "lmhs-kind-not-a-string",
         "siegel-cone-at-top-level",
+        "flag-level-above-weight",
+        "flag-level-zero",
     ],
 )
 def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):

@@ -322,10 +322,14 @@ def test_nested_index_properties():
 
 
 def test_relation_data_bundle():
+    """relation_table finds a stratum's chart by K; its exponent rows are the
+    rows of its positive basis, held once."""
     from hodgecharts.charts import build_atlas
 
-    data = build_atlas(genus2_cone()).relation_table[(2,)]
-    assert data.support == (2,)
+    atlas = build_atlas(genus2_cone())
+    data = atlas.relation_table[(2,)]
+    assert data in atlas.charts and data.support == (2,)
+    assert data.exponents is data.basis.entries
     assert [[int(x) for x in r] for r in data.basis.entries] == [[1, 0, 1]]
     assert data.space.contains_vector(data.witness)
 
@@ -603,7 +607,7 @@ def _atlas_summary(cone):
 
     atlas = build_atlas(cone)
     km = atlas.k_map
-    held = [(d.space, d.basis, d.witness, d.cowitness) for d in atlas.relation_table.values()]
+    held = [(c.space, c.basis, c.witness, c.cowitness) for c in atlas.charts]
     assert not inexact_values(held)
     return (
         list(km.table.items()), km.image, [c.exponents for c in atlas.charts],

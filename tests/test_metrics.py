@@ -158,33 +158,38 @@ def test_augmented_weights_and_agreement():
     ) < 1e-10
 
 
-def test_augmented_weight3_synthetic():
-    """Weight-3 flag with unit metric blocks: weights (2, 1) count the levels."""
-    # Build a polarized weight-3 Hodge structure on C^4 with h = (1,1,1,1).
-    q = np.zeros((4, 4))
-    q[0, 3], q[1, 2], q[2, 1], q[3, 0] = 1, -1, 1, -1
+def weight3_orbit() -> OrbitSpec:
+    """A polarized weight-3 Hodge structure on C^4 with h = (1, 1, 1, 1) and
+    the antidiagonal Q, moved by N = E_21 + E_43: F^3 = <e0 - i e3>,
+    F^2 = F^3 + <e1 - i e2> and F^1 = F^2 + <e1 + i e2>."""
+    from hodgecharts.filtrations import NilpotentCone
+    from hodgecharts.linalg import RationalMatrix
+
     e = np.eye(4, dtype=complex)
     u30 = (e[:, 0] - 1j * e[:, 3]).reshape(4, 1)
     u21 = (e[:, 1] - 1j * e[:, 2]).reshape(4, 1)
-    # check the two lines have i^{p-q} Q(u, conj u) > 0
-    for u, p, qq in ((u30, 3, 0), (u21, 2, 1)):
-        val = ((1j) ** (p - qq) * (u.T @ q @ u.conj()))[0, 0]
-        assert val.real > 0 and abs(val.imag) < 1e-12
-    from hodgecharts.filtrations import NilpotentCone
-    from hodgecharts.linalg import RationalMatrix
-    from hodgecharts.metrics import OrbitSpec
-
     n = RationalMatrix.from_rows(
         [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
     )
     qm = RationalMatrix.from_rows(
         [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
     )
-    cone = NilpotentCone(4, 3, qm, [n])
     flag = FlagPoint(
         3, {3: u30, 2: np.hstack([u30, u21]), 1: np.hstack([u30, u21, u21.conj()])}
     )
-    orbit = OrbitSpec(cone, flag)
+    return OrbitSpec(NilpotentCone(4, 3, qm, [n]), flag)
+
+
+def test_augmented_weight3_synthetic():
+    """Weight-3 flag with unit metric blocks: weights (2, 1) count the levels."""
+    orbit = weight3_orbit()
+    q = orbit.form
+    u30 = orbit.f0.level(3)
+    u21 = orbit.f0.level(2)[:, 1:]
+    # check the two lines have i^{p-q} Q(u, conj u) > 0
+    for u, p, qq in ((u30, 3, 0), (u21, 2, 1)):
+        val = ((1j) ** (p - qq) * (u.T @ q @ u.conj()))[0, 0]
+        assert val.real > 0 and abs(val.imag) < 1e-12
     t = (1e-3,)
     total = augmented_log_det(orbit, t, 0.0)
     # hand value: 2 * logdet Gr^3 + 1 * logdet Gr^2 of the transported frames
