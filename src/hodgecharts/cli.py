@@ -190,8 +190,6 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
     if not isinstance(data, dict):
         raise SchemaError("curvature input must be an object")
     mode = data.get("mode", "limit")
-    if args.tol is not None and mode != "expansion":
-        raise SchemaError("--tol applies to expansion mode only")
     if args.csv and mode == "expansion":
         raise SchemaError("--csv: expansion mode writes no table")
     if mode == "residue":
@@ -230,11 +228,8 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
             raise SchemaError(f"taus must lie in (0, 1), not {taus!r}")
         if not all(0 < abs(t) < 1 for tau in taus for t in ray(tau)):
             raise SchemaError("every ray point t(tau) must satisfy 0 < |t_j| < 1")
-        if args.tol is not None and not args.tol > 0:
-            raise SchemaError(f"--tol must be positive, not {args.tol!r}")
-        kwargs = {} if args.tol is None else {"residual_threshold": args.tol}
         try:
-            fit = expansion_fit(orbit, ray, w, taus, **kwargs)
+            fit = expansion_fit(orbit, ray, w, taus)
         except ValueError as exc:  # fewer than 3 distinct rates
             raise SchemaError(str(exc)) from exc
         return (
@@ -378,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
         if name in ("curvature", "siegel"):
             p.add_argument("--csv", help="optional CSV path for tabular output")
-        if name == "curvature":
-            p.add_argument(
-                "--tol", type=float, default=None, help="expansion-fit residual threshold"
-            )
     return parser
 
 

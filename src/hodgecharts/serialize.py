@@ -32,7 +32,8 @@ def matrix_to_json(m: RationalMatrix) -> list[list[str]]:
 # ASCII digits only: \d and int() also take other scripts' digits and "1_000".
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-# Residue mode sizes its quadrature by the largest exponent (4 deg + 8 angles).
+# The documented bound on residue-mode exponents.  The closed-form integral is
+# exact at any degree, so the cap sizes nothing; it only bounds the input.
 MAX_RESIDUE_EXPONENT = 1000
 # The summed h^1, h^2, h^3 of the components and 2 * genus of the double
 # curves size the matrices of the weight complexes; with all four at 200 an
@@ -214,10 +215,12 @@ def orbit_from_json(data) -> "OrbitSpec":
     flag_data = data.get("flag")
     if not isinstance(flag_data, dict) or not flag_data:
         raise SchemaError("orbit needs a flag object keyed by level")
-    levels = {
-        _int_from_json(key, "flag level key"): complex_matrix_from_json(mat, f"flag level {key}")
-        for key, mat in flag_data.items()
-    }
+    levels = {}
+    for key, mat in flag_data.items():
+        p = _int_from_json(key, "flag level key")
+        if p in levels:
+            raise SchemaError(f"flag level key {key!r} repeats level {p}")
+        levels[p] = complex_matrix_from_json(mat, f"flag level {key}")
     if cone.weight not in levels:
         raise SchemaError(f"flag needs its top level {cone.weight}")
     if any(m.shape[0] != cone.dim for m in levels.values()):
@@ -272,6 +275,8 @@ def residue_coefficients_from_json(data) -> dict[tuple[int, int], complex]:
             raise ConeTooLarge(
                 f"coefficient key {key!r} exceeds the exponent cap {MAX_RESIDUE_EXPONENT}"
             )
+        if (i, j) in coeffs:
+            raise SchemaError(f"coefficient key {key!r} repeats the exponent pair {i},{j}")
         coeffs[(i, j)] = _complex_from_json(val, f"coefficient {key!r}")
     return coeffs
 

@@ -76,6 +76,7 @@ def test_charts_deterministic(tmp_path):
         ("charts", "genus2_cone.json", "--tol", "0.5"),
         ("lmhs", "ncd_tetrahedron.json", "--csv", "f.csv"),
         ("curvature", "residue_constant.json", "--tol", "0.5"),
+        ("curvature", "orbit_weight2_caseC_expansion.json", "--tol", "0.5"),
         ("curvature", "orbit_weight2_caseC_expansion.json", "--csv", "f.csv"),
         ("siegel", "siegel_cl2.json", "--cone", str(FIXTURES / "siegel_cl2.json")),
         ("siegel", "siegel_cl2.json", "--family", "y=(1,T)"),
@@ -87,6 +88,7 @@ def test_charts_deterministic(tmp_path):
         "charts-tol",
         "lmhs-csv",
         "residue-tol",
+        "expansion-tol",
         "expansion-csv",
         "siegel-cone",
         "siegel-family",
@@ -311,6 +313,10 @@ _EXPANSION_NOT_HORIZONTAL["orbit"]["flag"]["1"] = [
 _SIEGEL_CONE_AT_TOP_LEVEL = _fixture_with("siegel_cl2.json")
 _SIEGEL_CONE_AT_TOP_LEVEL.update(_SIEGEL_CONE_AT_TOP_LEVEL.pop("cone"))
 
+# Flag level 1 under the keys "1" and " 1", which read as the same level.
+_FLAG_LEVEL_KEY_REPEATED = _fixture_with("orbit_twisted_weight1.json")
+_FLAG_LEVEL_KEY_REPEATED["orbit"]["flag"][" 1"] = _FLAG_LEVEL_KEY_REPEATED["orbit"]["flag"]["1"]
+
 
 def _weight1_orbit_with_flag_level(level):
     """The weight-1 orbit with one more flag level, spanned by the second
@@ -388,6 +394,8 @@ def _weight1_orbit_with_flag_level(level):
         ("siegel", _SIEGEL_CONE_AT_TOP_LEVEL),
         ("curvature", _weight1_orbit_with_flag_level("2")),
         ("curvature", _weight1_orbit_with_flag_level("0")),
+        ("curvature", _fixture_with("residue_constant.json", coefficients={"0,0": 1, "0, 0": 5})),
+        ("curvature", _FLAG_LEVEL_KEY_REPEATED),
     ],
     ids=[
         "residue-t-outside-disc",
@@ -445,6 +453,8 @@ def _weight1_orbit_with_flag_level(level):
         "siegel-cone-at-top-level",
         "flag-level-above-weight",
         "flag-level-zero",
+        "residue-key-repeats-an-exponent-pair",
+        "flag-level-key-repeats-a-level",
     ],
 )
 def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
@@ -508,7 +518,7 @@ def test_exit_code_size_cap(tmp_path, monkeypatch):
 
 
 def test_exit_code_residue_exponent_cap(tmp_path, capsys):
-    """The largest exponent sizes the residue quadrature, so it is capped."""
+    """Residue-mode exponents are capped at the documented input bound."""
     data = _fixture_with("residue_constant.json", coefficients={"2000000,0": 1.0})
     bad = tmp_path / "residue_degree.json"
     bad.write_text(json.dumps(data))
@@ -633,12 +643,25 @@ def test_residue_overflow_exits_4_on_one_line(tmp_path):
 
 
 def test_poor_fit_error_names_the_tol(tmp_path, capsys):
-    """An expansion fit beyond --tol exits 4 on one line naming residual and threshold."""
+    """An expansion fit beyond FIT_TOL exits 4 on one line naming residual and
+    threshold.  The genus-2 orbit with t_2 = t_3 = 1/2 held fixed (tau^1e-300
+    rounds to 1) and taus far from 0 fits no growth order."""
+    half = {"scale": 0.5, "power": 1e-300}
+    data = {
+        "mode": "expansion",
+        "orbit": {
+            "cone": _fixture_with("genus2_cone.json"),
+            "flag": {"1": [[0, 0], [0, 0], [1, 0], [0, 1]]},
+        },
+        "ray": [{}, half, half],
+        "taus": [0.9, 0.7, 0.5],
+    }
+    bad = tmp_path / "poor_fit.json"
+    bad.write_text(json.dumps(data))
     out = tmp_path / "out.json"
-    args = ["--input", str(FIXTURES / "orbit_weight2_caseC_expansion.json"), "--tol", "1e-30"]
-    assert main(["curvature", *args, "--output", str(out)]) == 4
+    assert main(["curvature", "--input", str(bad), "--output", str(out)]) == 4
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: best growth fit has residual \S+ > threshold 1e-30\n", err)
+    assert re.fullmatch(r"error: best growth fit has residual \S+ > threshold 0\.01\n", err)
     assert not out.exists()
 
 

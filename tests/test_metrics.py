@@ -38,7 +38,7 @@ from hodgecharts.metrics import (
 )
 from hodgecharts.serialize import orbit_from_json
 
-from .oracles import QRNestedFrame, svd_intersect_spans
+from .oracles import QRNestedFrame, quadrature_residue_integral, svd_intersect_spans
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -357,11 +357,10 @@ def test_expansion_fit_reads_a_generator_of_taus_once():
 
 
 def test_expansion_fit_poor_fit():
-    orbit = weight2_jordan3_orbit()
-    with pytest.raises(PoorFit, match=r"best growth fit has residual \S+ > threshold 1e-18$"):
-        expansion_fit(
-            orbit, lambda tau: (tau,), 0.0, residual_threshold=1e-18
-        )
+    """With t_2 = t_3 = 1/2 held fixed and taus far from 0, no growth order
+    fits the genus-2 orbit: the best residual is 0.0557 > FIT_TOL."""
+    with pytest.raises(PoorFit, match=r"best growth fit has residual \S+ > threshold 0\.01$"):
+        expansion_fit(genus2_orbit(), lambda tau: (tau, 0.5, 0.5), 0.0, (0.9, 0.7, 0.5))
 
 
 def test_curvature_limit_twisted_fixture():
@@ -609,10 +608,12 @@ def test_residue_integral_cases():
 
 
 def test_residue_integral_overflow_names_t():
-    """|g|^2 beyond the float range raises NumericDomainError naming t, and
-    numpy warns of nothing (pytest turns warnings into errors)."""
+    """|g|^2 beyond the float range raises NumericDomainError naming t, also
+    where abs() of a coefficient would raise OverflowError."""
     with pytest.raises(NumericDomainError, match=r"t = 0\.01 "):
         residue_integral({(0, 0): 1e308}, 0.01)
+    with pytest.raises(NumericDomainError, match=r"t = 0\.5 "):
+        residue_integral({(2, 0): complex(1.7e308, 1.7e308)}, 0.5)
     with pytest.raises(NumericDomainError, match=r"t = 1e-05 "):
         residue_integral({(0, 0): 1.0, (0, 1): 1e200}, 1e-5)
 
@@ -622,6 +623,53 @@ def test_residue_integral_rejects_negative_exponents(key):
     """g is a polynomial: x^-1 is not one of its terms."""
     with pytest.raises(ValueError, match="nonnegative"):
         residue_integral({key: 1.0}, 0.01)
+
+
+def test_residue_integral_matches_the_quadrature():
+    """The closed form against the earlier quadrature on seeded polynomials of
+    degree at most 20, where the quadrature is good to about 1e-14."""
+    rng = np.random.default_rng(25)
+    for _ in range(30):
+        coefficients = {
+            (int(i), int(j)): complex(*rng.normal(size=2))
+            for i, j in rng.integers(0, 21, size=(rng.integers(1, 6), 2))
+        }
+        t = 10 ** rng.uniform(-4, -0.05) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        want = quadrature_residue_integral(coefficients, t)
+        assert residue_integral(coefficients, t) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_residue_integral_matches_mpmath():
+    """x^5 y^2 + x^2 y^5 at t = 0.6i against a 2-D mpmath quadrature."""
+    import mpmath
+
+    t = 0.6j
+
+    def g_squared(s, theta):
+        x = mpmath.exp(s + 1j * theta)
+        y = t / x
+        return abs(x**5 * y**2 + x**2 * y**5) ** 2
+
+    want = float(mpmath.quad(g_squared, [math.log(0.6), 0], [0, 2 * mpmath.pi]))
+    got = residue_integral({(5, 2): 1.0, (2, 5): 1.0}, t)
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize(
+    "coefficients, t, want",
+    [
+        ({(200, 0): 1.0}, 0.5, 2 * math.pi * (1 - 2.0**-400) / 400),
+        ({(1000, 0): 1.0}, 0.01, 2 * math.pi / 2000),
+        ({(1000, 0): 1.0, (0, 1000): 1.0, (500, 499): 1 + 2j}, 0.01, 2 * math.pi / 1000),
+    ],
+    ids=["x200", "x1000", "degree-1000-mixed"],
+)
+def test_residue_integral_high_degree(coefficients, t, want):
+    """High degrees the input accepts get their elementary values, and
+    swapping x^i y^j for x^j y^i leaves the value unchanged."""
+    got = residue_integral(coefficients, t)
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
+    assert residue_integral({(j, i): c for (i, j), c in coefficients.items()}, t) == got
 
 
 def test_residue_slope_normalization():
