@@ -24,6 +24,7 @@ from .serialize import (
     _complex_from_json,
     _float_from_json,
     _int_from_json,
+    _object_from_json,
     _rational_from_json,
     cone_from_json,
     dual_graph_from_json,
@@ -39,6 +40,16 @@ from .serialize import (
 )
 
 
+def _object_without_repeats(pairs: list) -> dict:
+    """A JSON object from its pairs, refused if it repeats a key (json.loads keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise SchemaError(f"an input object repeats the key {repeated!r}")
+    return obj
+
+
 def _load_input(path: str) -> tuple[dict, str]:
     try:
         with open(path, "rb") as fh:
@@ -47,7 +58,7 @@ def _load_input(path: str) -> tuple[dict, str]:
         raise SchemaError(f"cannot read input: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        return json.loads(raw), digest
+        return json.loads(raw, object_pairs_hook=_object_without_repeats), digest
     # ValueError: bad JSON, bad UTF-8 or too many digits; RecursionError: deep nesting
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
@@ -187,12 +198,11 @@ def run_lmhs(data, args) -> tuple[dict, list, list]:
 def run_curvature(data, args) -> tuple[dict, list, list]:
     from .metrics import EXPANSION_TAUS, curvature_limit_check, expansion_fit, residue_integral
 
-    if not isinstance(data, dict):
-        raise SchemaError("curvature input must be an object")
-    mode = data.get("mode", "limit")
+    mode = data.get("mode", "limit") if isinstance(data, dict) else "limit"
     if args.csv and mode == "expansion":
         raise SchemaError("--csv: expansion mode writes no table")
     if mode == "residue":
+        _object_from_json(data, "curvature input", (), ("mode", "coefficients", "t_values"))
         coeffs = residue_coefficients_from_json(data.get("coefficients", {}))
         t_values = _array_from_json(
             data.get("t_values", [10.0**-k for k in range(2, 6)]), "t_values", _float_from_json
@@ -216,7 +226,13 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
         }
         rows = [[t, v] for t, v in zip(t_values, values)]
         return report, rows, ["t", "integral"]
-    orbit = orbit_from_json(data.get("orbit"))
+    if mode == "expansion":
+        _object_from_json(data, "curvature input", ("orbit",), ("mode", "ray", "w", "taus"))
+    elif mode == "limit":
+        _object_from_json(data, "curvature input", ("orbit", "t_sequence"), ("mode", "index", "w0"))
+    else:
+        raise SchemaError(f"unknown curvature mode {mode!r}")
+    orbit = orbit_from_json(data["orbit"])
     k = orbit.cone.k
     if mode == "expansion":
         if k == 0:
@@ -242,14 +258,12 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
             [],
             [],
         )
-    if mode != "limit":
-        raise SchemaError(f"unknown curvature mode {mode!r}")
     index = _array_from_json(data.get("index", list(range(1, k + 1))), "index", _int_from_json)
     if not all(1 <= i <= k for i in index):
         raise SchemaError(f"index {list(index)} leaves the generator range 1..{k}")
     w0 = _complex_from_json(data.get("w0", 0.0), "w0")
     t_seq = _array_from_json(
-        data.get("t_sequence"),
+        data["t_sequence"],
         "t_sequence",
         lambda t, what: _array_from_json(t, f"{what} point", _complex_from_json, k),
     )
@@ -279,21 +293,18 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
 def run_siegel(data, args) -> tuple[dict, list, list]:
     from .siegel import DEFAULT_GRID, boundedness_probe
 
-    if not isinstance(data, dict):
-        raise SchemaError("siegel input must be an object")
-    cone = siegel_cone_from_json(data.get("cone"))
-    family_text = data.get("family")
-    if not family_text:
-        raise SchemaError("siegel needs a family field")
+    _object_from_json(data, "siegel input", ("cone", "family", "parabolic"), ("grid",))
+    cone = siegel_cone_from_json(data["cone"])
+    family_text = data["family"]
     family = parse_family(family_text)
     components = len(family(1.0))
     if components != cone.size:
         raise SchemaError(
             f"family {family_text!r} has {components} components, the cone {cone.size}"
         )
-    parabolic = data.get("parabolic")
+    parabolic = data["parabolic"]
     if parabolic not in ("minimal", "maximal"):
-        raise SchemaError("siegel needs a parabolic field, minimal or maximal")
+        raise SchemaError(f"parabolic must be minimal or maximal, not {parabolic!r}")
     grid = _array_from_json(data.get("grid", DEFAULT_GRID), "grid", _float_from_json)
     try:
         rep = boundedness_probe(cone, family, parabolic, grid)
@@ -322,19 +333,20 @@ def run_positivity(data, args) -> tuple[dict, list, list]:
         sigma_weight2,
     )
 
-    if not isinstance(data, dict):
-        raise SchemaError("positivity input must be an object")
-    mode = data.get("mode")
+    mode = data.get("mode") if isinstance(data, dict) else None
     if mode in ("sigma1", "sigma2"):
-        quadric = matrix_from_json(data.get("quadric"), "quadric")
-        triple = triple_from_json(data.get("triple")) if mode == "sigma2" else None
+        required = ("mode", "quadric", "triple") if mode == "sigma2" else ("mode", "quadric")
+        _object_from_json(data, "positivity input", required)
+        quadric = matrix_from_json(data["quadric"], "quadric")
+        triple = triple_from_json(data["triple"]) if mode == "sigma2" else None
         try:
             rep = sigma_weight1(quadric) if triple is None else sigma_weight2(triple, quadric)
         except ValueError as exc:  # quadric not symmetric, or A not injective
             raise SchemaError(str(exc)) from exc
         return {"mode": mode, "rank": rep.rank, "injective": rep.injective}, [], []
     if mode == "ndim":
-        triple = triple_from_json(data.get("triple"))
+        _object_from_json(data, "positivity input", ("mode", "triple"), ("samples",))
+        triple = triple_from_json(data["triple"])
         samples = _int_from_json(data.get("samples", 20), "samples")
         if samples < 1:
             raise SchemaError(f"samples must be at least 1, not {samples}")
@@ -342,13 +354,14 @@ def run_positivity(data, args) -> tuple[dict, list, list]:
             raise ConeTooLarge(f"samples is {samples}, above the cap {MAX_NDIM_SAMPLES}")
         rho, n = numerical_dimension(triple, samples=samples, seed=args.seed)
         return {"mode": mode, "rho": rho, "numerical_dimension": n}, [], []
-    if mode == "identity":
-        triple = triple_from_json(data.get("triple"))
-        e = _array_from_json(data.get("e"), "e", _rational_from_json, triple.dim_w)
-        xi = _array_from_json(data.get("xi"), "xi", _rational_from_json, triple.dim_t)
-        chk = curvature_identity_check(triple, e, xi)
-        return {"mode": mode, "lhs": str(chk.lhs), "rhs": str(chk.rhs), "match": chk.match}, [], []
-    raise SchemaError(f"unknown positivity mode {mode!r}")
+    if mode != "identity":
+        raise SchemaError(f"unknown positivity mode {mode!r}")
+    _object_from_json(data, "positivity input", ("mode", "triple", "e", "xi"))
+    triple = triple_from_json(data["triple"])
+    e = _array_from_json(data["e"], "e", _rational_from_json, triple.dim_w)
+    xi = _array_from_json(data["xi"], "xi", _rational_from_json, triple.dim_t)
+    chk = curvature_identity_check(triple, e, xi)
+    return {"mode": mode, "lhs": str(chk.lhs), "rhs": str(chk.rhs), "match": chk.match}, [], []
 
 
 _RUNNERS = {

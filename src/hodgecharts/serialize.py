@@ -5,9 +5,9 @@ JSON literals are accepted on input.  Complex scalars travel as [re, im]
 pairs.  Matrices are arrays of row arrays.
 
 Every JSON value is converted by one private reader per kind (_int_, _rational_,
-_float_, _complex_ and _array_from_json), which raises SchemaError on anything
-else; the CLI reads its own fields with them too.  They stay private, so a
-tracer of the public functions records one span per object, not per entry.
+_float_, _complex_, _array_ and _object_from_json, the last with an object's keys),
+raising SchemaError on anything else; the CLI uses them too.  They stay private,
+so a tracer of the public functions records one span per object, not per entry.
 """
 
 from __future__ import annotations
@@ -116,18 +116,26 @@ def _name_from_json(x, what: str) -> str:
     return str(x)
 
 
+def _object_from_json(data, what: str, required: tuple, optional: tuple = ()) -> None:
+    """A JSON object holding every required key and no key outside the two."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{what} must be an object")
+    for key in required:
+        if key not in data:
+            raise SchemaError(f"{what} is missing field {key!r}")
+    for key in data:
+        if key not in required and key not in optional:
+            raise SchemaError(f"{what} has unknown field {key!r}")
+
+
 def cone_from_json(data) -> "NilpotentCone":
     from .filtrations import NilpotentCone
 
-    if not isinstance(data, dict):
-        raise SchemaError("cone must be an object")
-    try:
-        dim = _int_from_json(data["dim"], "dim")
-        weight = _int_from_json(data["weight"], "weight")
-        form = matrix_from_json(data["form"], "form")
-        gens = _array_from_json(data["generators"], "generators", matrix_from_json)
-    except KeyError as exc:
-        raise SchemaError(f"cone is missing field {exc}") from exc
+    _object_from_json(data, "cone", ("dim", "weight", "form", "generators"), ("symmetry",))
+    dim = _int_from_json(data["dim"], "dim")
+    weight = _int_from_json(data["weight"], "weight")
+    form = matrix_from_json(data["form"], "form")
+    gens = _array_from_json(data["generators"], "generators", matrix_from_json)
     symmetry = data.get("symmetry")
     expected = "symmetric" if weight % 2 == 0 else "alternating"
     if symmetry is not None and symmetry != expected:
@@ -143,27 +151,28 @@ def cone_from_json(data) -> "NilpotentCone":
 def surface_from_json(data) -> "NCDSurface":
     from .ncd import DoubleCurve, NCDSurface, SurfacePiece, TriplePoint
 
-    if not isinstance(data, dict):
-        raise SchemaError("surface must be an object")
-    try:
-        comps = [
-            SurfacePiece(str(c["name"]), _array_from_json(c["h"], "h", _int_from_json, 5))
-            for c in data["components"]
-        ]
-        curves = [
-            DoubleCurve(
-                _array_from_json(c["components"], "curve components", _name_from_json, 2),
-                _int_from_json(c["genus"], "genus"),
-                _array_from_json(c["self_intersections"], "self_intersections", _int_from_json, 2),
-            )
-            for c in data["double_curves"]
-        ]
-        triples = [
-            TriplePoint(_array_from_json(t, "triple point", _name_from_json))
-            for t in data.get("triple_points", [])
-        ]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad surface data: {exc}") from exc
+    optional = ("kind", "triple_points", "odd_gysin", "odd_restriction")
+    _object_from_json(data, "surface", ("components", "double_curves"), optional)
+
+    def piece(c, what: str) -> SurfacePiece:
+        _object_from_json(c, "component", ("name", "h"))
+        return SurfacePiece(str(c["name"]), _array_from_json(c["h"], "h", _int_from_json, 5))
+
+    def curve(c, what: str) -> DoubleCurve:
+        _object_from_json(c, "double curve", ("components", "genus", "self_intersections"))
+        return DoubleCurve(
+            _array_from_json(c["components"], "curve components", _name_from_json, 2),
+            _int_from_json(c["genus"], "genus"),
+            _array_from_json(c["self_intersections"], "self_intersections", _int_from_json, 2),
+        )
+
+    comps = _array_from_json(data["components"], "components", piece)
+    curves = _array_from_json(data["double_curves"], "double_curves", curve)
+    triples = _array_from_json(
+        data.get("triple_points", ()),
+        "triple_points",
+        lambda t, what: TriplePoint(_array_from_json(t, "triple point", _name_from_json)),
+    )
     sizes = {
         "summed h^1 of the components": sum(c.h[1] for c in comps),
         "summed h^2 of the components": sum(c.h[2] for c in comps),
@@ -185,13 +194,16 @@ def surface_from_json(data) -> "NCDSurface":
 
 
 def dual_graph_from_json(data):
-    if not isinstance(data, dict):
-        raise SchemaError("dual graph must be an object")
-    try:
-        vertices = [(str(v["name"]), _int_from_json(v["genus"], "genus")) for v in data["vertices"]]
-        edges = [_array_from_json(e, "edge", _name_from_json, 2) for e in data["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad dual graph: {exc}") from exc
+    _object_from_json(data, "dual graph", ("vertices", "edges"), ("kind",))
+
+    def vertex(v, what: str) -> tuple[str, int]:
+        _object_from_json(v, "vertex", ("name", "genus"))
+        return str(v["name"]), _int_from_json(v["genus"], "genus")
+
+    vertices = _array_from_json(data["vertices"], "vertices", vertex)
+    edges = _array_from_json(
+        data["edges"], "edges", lambda e, what: _array_from_json(e, "edge", _name_from_json, 2)
+    )
     return vertices, edges
 
 
@@ -209,10 +221,9 @@ def complex_matrix_from_json(data, what: str = "matrix") -> "np.ndarray":
 def orbit_from_json(data) -> "OrbitSpec":
     from .metrics import FlagPoint, OrbitSpec
 
-    if not isinstance(data, dict):
-        raise SchemaError("orbit must be an object")
-    cone = cone_from_json(data.get("cone"))
-    flag_data = data.get("flag")
+    _object_from_json(data, "orbit", ("cone", "flag"), ("twist",))
+    cone = cone_from_json(data["cone"])
+    flag_data = data["flag"]
     if not isinstance(flag_data, dict) or not flag_data:
         raise SchemaError("orbit needs a flag object keyed by level")
     levels = {}
@@ -225,14 +236,14 @@ def orbit_from_json(data) -> "OrbitSpec":
         raise SchemaError(f"flag needs its top level {cone.weight}")
     if any(m.shape[0] != cone.dim for m in levels.values()):
         raise SchemaError(f"flag levels must have {cone.dim} rows")
-    twist_data = data.get("twist", {"kind": "none"})
-    if not isinstance(twist_data, dict):
-        raise SchemaError("twist must be an object")
-    kind = twist_data.get("kind", "none")
+    twist = data.get("twist", {})
+    kind = twist.get("kind", "none") if isinstance(twist, dict) else "none"
     if kind == "none":
+        _object_from_json(twist, "twist", (), ("kind",))
         xi = None
     elif kind == "exp_linear":
-        xi = complex_matrix_from_json(twist_data.get("generator"), "twist generator")
+        _object_from_json(twist, "twist", ("kind", "generator"))
+        xi = complex_matrix_from_json(twist["generator"], "twist generator")
         if xi.shape != (cone.dim, cone.dim):
             raise SchemaError(f"twist generator must be {cone.dim} x {cone.dim}")
     else:
@@ -286,8 +297,7 @@ def ray_from_json(data, k: int):
     power > 0), returned as the map tau -> (scale_j * tau^power_j)_j."""
 
     def term(c, what: str) -> tuple[float, float]:
-        if not isinstance(c, dict):
-            raise SchemaError(f"{what} must be an array of {{scale, power}} objects")
+        _object_from_json(c, f"{what} term", (), ("scale", "power"))
         power = _float_from_json(c.get("power", 1.0), "ray power")
         if power <= 0:
             raise SchemaError(f"ray power must be positive, not {power!r}")
@@ -299,12 +309,8 @@ def ray_from_json(data, k: int):
 def siegel_cone_from_json(data) -> "ConeSpec":
     from .siegel import ConeSpec
 
-    if not isinstance(data, dict):
-        raise SchemaError("cone must be an object with p, q, r arrays")
-    try:
-        p, q, r = (_array_from_json(data[key], key, _float_from_json) for key in "pqr")
-    except KeyError as exc:
-        raise SchemaError(f"cone is missing field {exc}") from exc
+    _object_from_json(data, "cone", ("p", "q", "r"))
+    p, q, r = (_array_from_json(data[key], key, _float_from_json) for key in "pqr")
     try:
         return ConeSpec(p, q, r)
     except ValueError as exc:
@@ -342,13 +348,9 @@ def parse_family(text):
 def triple_from_json(data) -> "CurvatureTriple":
     from .positivity import CurvatureTriple
 
-    if not isinstance(data, dict):
-        raise SchemaError("triple must be an object")
-    try:
-        dims = [_int_from_json(data[key], key) for key in ("dim_t", "dim_w", "dim_u")]
-        slices = data["entries"]
-    except KeyError as exc:
-        raise SchemaError(f"triple is missing field {exc}") from exc
+    _object_from_json(data, "triple", ("dim_t", "dim_w", "dim_u", "entries"), ("metric",))
+    dims = [_int_from_json(data[key], key) for key in ("dim_t", "dim_w", "dim_u")]
+    slices = data["entries"]
     if not isinstance(slices, list) or not all(isinstance(sl, list) for sl in slices):
         raise SchemaError("entries must be a dim_t x dim_w x dim_u array")
     entries = [[_array_from_json(row, "entries", _rational_from_json) for row in sl] for sl in slices]

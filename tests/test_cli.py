@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -290,8 +291,10 @@ def _orbit_fixture_with(name, **fields):
 
 
 def _identity_input(**fields):
-    """The ndim fixture's triple (dim_t = dim_w = 2) in identity mode."""
-    return _fixture_with("positivity_ndim.json", mode="identity", **fields)
+    """The ndim fixture's triple (dim_t = dim_w = 2) in identity mode, which
+    has no samples."""
+    triple = _fixture_with("positivity_ndim.json")["triple"]
+    return {"mode": "identity", "triple": triple, **fields}
 
 
 _EXPANSION_WITHOUT_GENERATORS = _fixture_with("orbit_weight2_caseC_expansion.json")
@@ -463,6 +466,91 @@ def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
     assert main([subcommand, "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    # Each input is refused for its value, not for a key its object lacks.
+    assert "unknown field" not in err
+
+
+def _fixture_with_key(name, path, key, value=1):
+    """The fixture as JSON text, with key set to value in the object at path."""
+    data = _fixture_with(name)
+    obj = data
+    for step in path:
+        obj = obj[step]
+    obj[key] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, error",
+    [
+        (
+            "curvature",
+            '{"mode": "residue", "coeficients": {"1,0": [1, 0]}, "t_value": [0.5, 0.25]}',
+            "curvature input has unknown field 'coeficients'",
+        ),
+        (
+            "curvature",
+            '{"mode": "residue", "coefficients": {"0,0": [1, 0], "0,0": [5, 0]}}',
+            "an input object repeats the key '0,0'",
+        ),
+        (
+            "positivity",
+            '{"mode": "ndim", "triple": {"dim_t": 1, "dim_w": 1, "dim_u": 1, "entries": [[[1]]]},'
+            ' "sample": 5}',
+            "positivity input has unknown field 'sample'",
+        ),
+        (
+            "curvature",
+            _fixture_with_key("orbit_twisted_weight1.json", ("orbit", "twist"), "generater"),
+            "twist has unknown field 'generater'",
+        ),
+        (
+            "curvature",
+            _fixture_with_key("orbit_weight2_caseC_expansion.json", ("ray", 0), "scal"),
+            "ray term has unknown field 'scal'",
+        ),
+        (
+            "positivity",
+            _fixture_with_key("positivity_ndim.json", ("triple",), "metrc", [[1, 0], [0, 1]]),
+            "triple has unknown field 'metrc'",
+        ),
+        (
+            "lmhs",
+            _fixture_with_key("ncd_two_components.json", ("double_curves", 0), "genu"),
+            "double curve has unknown field 'genu'",
+        ),
+        (
+            "curvature",
+            _fixture_with_key(
+                "orbit_weight2_caseC_expansion.json",
+                ("orbit", "twist"),
+                "generator",
+                [[[0, 0]] * 3] * 3,
+            ),
+            "twist has unknown field 'generator'",
+        ),
+    ],
+    ids=[
+        "residue-keys-misspelt",
+        "residue-coefficient-key-repeated",
+        "ndim-samples-misspelt",
+        "twist-key-misspelt",
+        "ray-term-key-misspelt",
+        "triple-key-misspelt",
+        "double-curve-key-misspelt",
+        "generator-under-twist-kind-none",
+    ],
+)
+def test_exit_code_schema_unknown_or_repeated_key(tmp_path, capsys, subcommand, text, error):
+    """A key that no reader of its object declares, or a key written twice in
+    one object, is one error line naming the key: before, the first kind was
+    ignored and the second lost all but its last value, each with exit 0."""
+    bad = tmp_path / "bad_key.json"
+    bad.write_text(text)
+    out = tmp_path / "out.json"
+    assert main([subcommand, "--input", str(bad), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
 
 
 def test_charts_cone_not_strictly_convex_names_the_stratum(tmp_path, capsys):
@@ -709,6 +797,84 @@ def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
             argv[at] = str(tmp_path / Path(argv[at]).name)
         assert main(argv) == 0, argv
         assert capsys.readouterr().err == ""
+
+
+# The README's JSON examples, in order, and the subcommand each is an input of.
+README_EXAMPLE_SUBCOMMANDS = [
+    "charts", "lmhs", "lmhs", "curvature", "curvature", "siegel", "positivity"
+]
+
+
+def test_readme_json_examples_run(tmp_path, capsys):
+    """Every JSON example of the README is a complete input that runs with
+    exit 0: none holds a key its objects do not declare."""
+    readme = (ROOT / "README.md").read_text()
+    examples = re.findall(r"^```json\n(.*?)^```", readme, re.M | re.S)
+    assert len(examples) == len(README_EXAMPLE_SUBCOMMANDS)
+    for subcommand, text in zip(README_EXAMPLE_SUBCOMMANDS, examples):
+        example = tmp_path / "example.json"
+        example.write_text(text)
+        args = [subcommand, "--input", str(example), "--output", str(tmp_path / "out.json")]
+        assert main(args) == 0, text
+        assert capsys.readouterr().err == ""
+
+
+# The inline inputs of the CI workflow: subcommand and expected exit code.
+CI_INPUTS = {
+    "residue_degree_1000.json": ("curvature", 0),
+    "malformed.json": ("positivity", 2),
+    "many_samples.json": ("positivity", 3),
+    "one_point.json": ("siegel", 2),
+    "tiny_p.json": ("siegel", 4),
+    "residue_overflow.json": ("curvature", 4),
+    "negative_exponent.json": ("curvature", 2),
+    "opposite_cone.json": ("charts", 2),
+    "not_horizontal.json": ("curvature", 2),
+    "misspelt_key.json": ("curvature", 2),
+    "repeated_key.json": ("curvature", 2),
+}
+# The CI inputs whose refusal is their key, and the error naming it.
+CI_KEY_ERRORS = {
+    "misspelt_key.json": "error: curvature input has unknown field 'coeficients'\n",
+    "repeated_key.json": "error: an input object repeats the key '0,0'\n",
+}
+
+
+def test_ci_inline_inputs_exit_as_expected(tmp_path, capsys):
+    """Each JSON input the CI workflow writes inline exits with the code CI
+    expects, with one error line; only the two written to test it fail on a key."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    written = re.findall(r"echo '(.*)' > (\S+\.json)$", workflow, re.M)
+    inputs = {name: text for text, name in written}
+    assert inputs.keys() == CI_INPUTS.keys()
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+        subcommand, code = CI_INPUTS[name]
+        args = [subcommand, "--input", str(tmp_path / name), "--output", str(tmp_path / "out.json")]
+        assert main(args) == code, name
+        err = capsys.readouterr().err
+        if name in CI_KEY_ERRORS:
+            assert err == CI_KEY_ERRORS[name]
+        elif code:
+            assert re.fullmatch(r"error: [^\n]*\n", err), name
+            assert not re.search("unknown field|missing field|repeats the key", err), name
+        else:
+            assert err == ""
+
+
+def test_generated_benchmark_cones_pass_the_cone_reader():
+    """The cones perfbench's charts workloads generate (one round each, and
+    the warm-up cone) hold only the keys a cone declares.  The 16 fixtures
+    are read in test_fixture_digests, which requires exit 0 for each."""
+    from hodgecharts.serialize import cone_from_json
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    for workload in (workloads.charts_wide(), workloads.charts_deep()):
+        cones = [make(random.Random(0)) for make in workload.mix] + [workload.warm_up_input]
+        for data in cones:
+            assert cone_from_json(data).k == len(data["generators"])
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
