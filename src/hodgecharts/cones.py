@@ -7,13 +7,14 @@ the one induced from W = W(N) on V, and it restricts to the isometry algebra
 because an sl2-triple through N can be chosen there (Cattani-Kaplan-Schmid,
 Degeneration of Hodge structures, Ann. Math. 123, 1986).  So S_I is computed
 on V alone: a lies in S_I exactly when sum a_i N_i maps every W_l(N_I) into
-W_{l-1}(N_I).
+W_{l-1}(N_I), which hard Lefschetz reduces to the levels l >= center.
 
 Each subspace S of Q^k determines a unique support subset K carrying
 complementary nonnegative witnesses in S and S^perp; the witnesses are
-produced by one exact Farkas alternative per coordinate.  All feasibility
-questions are settled by an exact simplex with Bland's rule, pivoting over the
-integers, so there are no tolerance parameters anywhere in this module.
+produced by one exact Farkas alternative per coordinate, the k of them
+extending one integer tableau of S^perp.  All feasibility questions are
+settled by an exact simplex with Bland's rule, pivoting over the integers, so
+there are no tolerance parameters anywhere in this module.
 """
 
 from __future__ import annotations
@@ -57,13 +58,15 @@ def _relation_space_of(cone: NilpotentCone, w: WeightFiltration) -> Subspace:
     """S_I for nonempty I, from W = W(N_I) alone.
 
     The criterion of relation_space holds because W(ad N) is induced from
-    W(N) (Cattani-Kaplan-Schmid).  The rows of W_{l-1} already met the
-    stronger condition one level down, so only the lifts v of a basis of
-    Gr_l (WeightFiltration.graded_lifts) give conditions: each residue of
-    N_i v modulo W_{l-1} is linear in a, and sum a_i res(N_i v) = 0.
+    W(N) (Cattani-Kaplan-Schmid).  X = sum a_i N_i commutes with N_I, so it
+    preserves W and lies in W_{-1}(ad N_I) exactly when Gr X = 0 on each
+    Gr_l: when the residue of X v modulo W_{l-1}, linear in a, vanishes for the
+    lifts v of Gr_l (WeightFiltration.graded_lifts).  N_I^j maps Gr_{c+j}
+    onto Gr_{c-j} (hard Lefschetz, c the center) and commutes with Gr X, so
+    only the levels l >= c give conditions.
     """
     rows = []
-    for level in w.levels():
+    for level in range(max(w.low, w.center), w.high + 1):
         lifts, _ = w.graded_lifts(level)
         res = w.step(level - 1).residues([n.mul_vec(v) for v in lifts for n in cone.generators])
         for at in range(0, len(res), cone.k):  # one lift's k images
@@ -88,13 +91,10 @@ def _phase_one(a_rows: list[list[Rational]], b: list[Rational], n: int):
 
     Returns (value, x, y): value is the artificial optimum (0 iff feasible),
     x a feasible point when value = 0, and y the simplex multipliers of the
-    sign-normalized system otherwise.  Bland's rule throughout, so the
-    iteration terminates.
+    sign-normalized system otherwise, read back for Ax = b.
 
     Integer pivoting (Bareiss; the lrs simplex): each row, artificial entry
     included, is scaled to integers, which leaves the tableau B^-1 M as it is.
-    The tableau and the reduced-cost row are kept as integers over den, the
-    determinant of the current basis, so every update divides exactly.
     """
     m = len(b)
     rows = [r + [bi] if bi >= 0 else [-x for x in r] + [-bi] for r, bi in zip(a_rows, b)]
@@ -103,10 +103,21 @@ def _phase_one(a_rows: list[list[Rational]], b: list[Rational], n: int):
     den = prod(lcm(*(x.denominator for x in r)) for r in rows)
     ints = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
     tab = [r[:n] + [den if j == i else 0 for j in range(m)] + r[n:] for i, r in enumerate(ints)]
+    value, x, y = _bland(tab, den, n)
+    return value, x, tuple(yi if bi >= 0 else -yi for yi, bi in zip(y, b))
+
+
+def _bland(tab: list[list[int]], den: int, n: int):
+    """Phase one on the integer tableau den [A | I | b], b >= 0, from its
+    artificial basis, by Bland's rule, so the iteration terminates.  The
+    tableau and the reduced-cost row stay integers over den, the determinant
+    of the current basis, so every update divides exactly.  The rows of tab
+    are replaced, never changed in place.  Returns (value, x, y) as
+    _phase_one does, y for this system."""
+    m = len(tab)
     basis = [n + i for i in range(m)]
     # Reduced cost row for min(sum of artificials); artificial columns start at 0.
-    obj = [-sum(tab[i][j] for i in range(m)) for j in range(n)] + [0] * m
-
+    obj = [-sum(r[j] for r in tab) for j in range(n)] + [0] * m
     while True:
         enter = next((j for j in range(n + m) if obj[j] < 0), None)
         if enter is None:
@@ -140,9 +151,8 @@ def _phase_one(a_rows: list[list[Rational]], b: list[Rational], n: int):
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = _exact(Fraction(tab[i][-1], den))
-    # Multipliers for the normalized system: y_i = 1 - reduced cost of the
-    # i-th artificial column; undo the sign normalization afterwards.
-    y = [_exact(Fraction(den - obj[n + i], den if b[i] >= 0 else -den)) for i in range(m)]
+    # Multipliers: y_i = 1 - reduced cost of the i-th artificial column.
+    y = [_exact(Fraction(den - obj[n + i], den)) for i in range(m)]
     return value, tuple(x), tuple(y)
 
 
@@ -166,28 +176,32 @@ class FarkasSplit(Record):
 
 
 def farkas_split(s: Subspace) -> FarkasSplit:
+    """The split of S, from one Farkas alternative per coordinate i: the LP
+    {x >= 0 : S^perp x = 0, x_i = 1} is feasible exactly when i lies in K.
+    Its tableau is _phase_one's: the rows of S^perp are scaled to integers
+    once for all k LPs, and each LP adds its row e_i."""
     k = s.ambient_dim
     mu = s.orthogonal_complement().basis
     ns = mu.rows
-    b = [0] * ns + [1]
+    den = prod(lcm(*(x.denominator for x in r)) for r in mu.entries)
+    base = [  # den [S^perp | I | 0], the identity's last column left to e_i
+        [x.numerator * (den // x.denominator) for x in r] + [den * (j == i) for j in range(ns + 2)]
+        for i, r in enumerate(mu.entries)
+    ]
     support: list[int] = []
     v = [0] * k
     v_tilde = [0] * k
     for i in range(k):
-        e_i = [0] * k
-        e_i[i] = 1
-        a_i = RationalMatrix(ns + 1, k, mu.entries + (tuple(e_i),))
-        res = farkas_alternative(a_i, b)
-        if res.solution is not None:
+        e_row = [0] * (k + ns + 2)
+        e_row[i] = e_row[-2] = e_row[-1] = den
+        value, x, y = _bland(base + [e_row], den, k)
+        if value == 0:
             support.append(i + 1)
-            v = [_exact(a + c) for a, c in zip(v, res.solution)]
-        else:
-            y = res.certificate
-            x_tilde = [0] * k
-            for coef, row in zip(y[:ns], mu.entries):
+            v = [_exact(a + c) for a, c in zip(v, x)]
+        else:  # the certificate is -y, and its part on S^perp is -y[:ns] . mu
+            for coef, row in zip(y, mu.entries):
                 if coef:
-                    x_tilde = [_exact(a + coef * c) for a, c in zip(x_tilde, row)]
-            v_tilde = [_exact(a + c) for a, c in zip(v_tilde, x_tilde)]
+                    v_tilde = [_exact(a - coef * c) for a, c in zip(v_tilde, row)]
     return FarkasSplit(tuple(support), tuple(v), tuple(v_tilde))
 
 

@@ -177,12 +177,13 @@ class NilpotentCone:
             if n.is_zero():
                 raise ValueError(f"generator {i + 1} is zero")
             nilpotency_index(n)
-            if not (n.transpose() @ form + form @ n).is_zero():
+            qn = form @ n  # N^T Q + Q N = 0 reads (QN)^T = -sign QN, as Q^T = sign Q
+            if qn.transpose() != qn.scale(-sign):
                 raise ValueError(f"generator {i + 1} does not preserve the form")
         for i in range(len(generators)):
             for j in range(i + 1, len(generators)):
                 a, b = generators[i], generators[j]
-                if not (a @ b - b @ a).is_zero():
+                if a @ b != b @ a:
                     raise ValueError(f"generators {i + 1} and {j + 1} do not commute")
         self.dim = dim
         self.weight = weight

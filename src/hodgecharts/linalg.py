@@ -197,8 +197,12 @@ class RationalMatrix:
             pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
             if pivot is None:
                 continue
+            if m[pivot][c] not in (1, -1):  # a unit pivot needs no division
+                pivot = next((i for i in range(pivot + 1, nrows) if m[i][c] in (1, -1)), pivot)
             m[r], m[pivot] = m[pivot], m[r]
-            if m[r][c] != 1:
+            if m[r][c] == -1:
+                m[r] = [-x for x in m[r]]
+            elif m[r][c] != 1:
                 inv = Fraction(1, m[r][c])  # never 1 / p: on ints that is a float
                 m[r] = [_exact(x * inv) if x else x for x in m[r]]
             for i in range(nrows):

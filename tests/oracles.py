@@ -4,8 +4,12 @@ These deliberately avoid the code paths they check: feasibility questions go
 through Fourier-Motzkin elimination instead of the simplex, weight
 filtrations are verified against the two defining properties directly, and
 relation spaces and adjoint membership are recomputed from W(ad N_I) on the
-isometry algebra, which the library never builds.  The relation table is
-rebuilt index set by index set, without the memo on W(N_I).  The library's
+isometry algebra, which the library never builds; relation spaces are
+also recomputed from the conditions of every level of W(N_I), where the
+library takes the levels at and above the center.  The relation table is
+rebuilt index set by index set, without the memo on W(N_I), and the Farkas
+split by one Farkas alternative per coordinate, each scaling its own
+tableau, where the library scales the rows of S^perp once per split.  The library's
 earlier weight filtration (one kernel, image and intersection per piece),
 phase-one simplex (a Fraction tableau), lmhs cokernel map (one solve per
 kernel vector), all-Fraction elimination and two-elimination kernel are kept
@@ -49,7 +53,7 @@ from functools import cache
 
 import numpy as np
 
-from hodgecharts.cones import farkas_split, relation_space
+from hodgecharts.cones import FarkasSplit, farkas_alternative, farkas_split, relation_space
 from hodgecharts.errors import (
     NotAComplex, NotFiltrationCompatible, NotPolarized, SeparationFailure,
 )
@@ -428,6 +432,18 @@ def adjoint_relation_space(cone: NilpotentCone, index) -> Subspace:
     return kernel(comp.basis @ m) if comp.dim else Subspace.full(cone.k)
 
 
+def all_levels_relation_space(cone: NilpotentCone, w: WeightFiltration) -> Subspace:
+    """S_I for nonempty I with W = W(N_I), from the conditions of every level
+    of W: the residue modulo W_{l-1} of N_i v for each lift v of Gr_l."""
+    rows = []
+    for level in w.levels():
+        lifts, _ = w.graded_lifts(level)
+        res = w.step(level - 1).residues([n.mul_vec(v) for v in lifts for n in cone.generators])
+        for at in range(0, len(res), cone.k):  # one lift's k images
+            rows.extend(row for row in zip(*res[at : at + cone.k]) if any(row))
+    return kernel(RationalMatrix(len(rows), cone.k, tuple(rows)))
+
+
 def unkeyed_k_index_map(cone: NilpotentCone):
     """(table, image, splits) of k_index_map, with relation_space and
     farkas_split computed afresh for every index set; splits covers every I."""
@@ -524,6 +540,34 @@ def fraction_phase_one(a_rows: list[list[Fraction]], b: list[Fraction], n: int):
     y = [signs[i] * (Q(1) - obj[n + i]) for i in range(m)]
     return value, tuple(x), tuple(y)
 
+
+def per_lp_farkas_split(s: Subspace) -> FarkasSplit:
+    """farkas_split with one farkas_alternative per coordinate i, each on the
+    matrix of S^perp stacked on e_i, so that every LP builds and scales its
+    own tableau."""
+    k = s.ambient_dim
+    mu = s.orthogonal_complement().basis
+    ns = mu.rows
+    b = [0] * ns + [1]
+    support: list[int] = []
+    v = [0] * k
+    v_tilde = [0] * k
+    for i in range(k):
+        e_i = [0] * k
+        e_i[i] = 1
+        a_i = RationalMatrix(ns + 1, k, mu.entries + (tuple(e_i),))
+        res = farkas_alternative(a_i, b)
+        if res.solution is not None:
+            support.append(i + 1)
+            v = [_exact(a + c) for a, c in zip(v, res.solution)]
+        else:
+            y = res.certificate
+            x_tilde = [0] * k
+            for coef, row in zip(y[:ns], mu.entries):
+                if coef:
+                    x_tilde = [_exact(a + coef * c) for a, c in zip(x_tilde, row)]
+            v_tilde = [_exact(a + c) for a, c in zip(v_tilde, x_tilde)]
+    return FarkasSplit(tuple(support), tuple(v), tuple(v_tilde))
 
 
 # ---------------------------------------------------------------------------

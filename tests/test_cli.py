@@ -12,6 +12,8 @@ import pytest
 
 from hodgecharts.cli import main, parse_family
 
+from .test_filtrations import REFUSED_CONES
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 
@@ -261,6 +263,22 @@ def test_exit_code_schema(tmp_path):
         )
     )
     assert main(["charts", "--input", str(noncommuting)]) == 2
+
+
+@pytest.mark.parametrize("weight, form, generators, message", REFUSED_CONES)
+def test_exit_code_refused_cone(tmp_path, capsys, weight, form, generators, message):
+    """A generator that does not preserve the form, for an even and an odd
+    weight, and a pair that does not commute each exit 2, naming it."""
+    bad = tmp_path / "refused.json"
+    bad.write_text(json.dumps({
+        "dim": len(form),
+        "weight": weight,
+        "form": [[str(x) for x in row] for row in form],
+        "generators": [[[str(x) for x in row] for row in g] for g in generators],
+    }))
+    assert main(["charts", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize(

@@ -30,10 +30,12 @@ from hodgecharts.linalg import (
 
 from .oracles import (
     adjoint_relation_space,
+    all_levels_relation_space,
     farkas_branch_infeasible,
     fraction_phase_one,
     inexact_values,
     matroid_closure_k_map,
+    per_lp_farkas_split,
     solve_first_dependency,
     solve_positive_basis,
     split_supports,
@@ -169,6 +171,33 @@ def test_farkas_split_unique_support_random():
         assert sum(a * b for a, b in zip(sp.witness, sp.cowitness)) == 0
         # exhaustive uniqueness
         assert split_supports(s) == [sp.support]
+
+
+def test_farkas_split_matches_per_lp_path():
+    """One integer tableau per split, with each coordinate's row e_i added to
+    the scaled rows of S^perp, gives the support, witness and cowitness of
+    one farkas_alternative per coordinate: the same tableau, so the same
+    pivots.  Random spans, half with non-integral entries, mostly split all
+    or nothing; the kernels of random lattices with a positive row split
+    properly.  Both often give S^perp a basis whose denominators scale the
+    e_i row too."""
+    rng = random.Random(SEED + 9)
+    spaces = [s for s, _ in _positive_lattice_splits(rng, 150)]
+    for trial in range(300):
+        dim = rng.randint(1, 6)
+        spanning = [
+            [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)) if trial % 2 else 1)
+             for _ in range(dim)]
+            for _ in range(rng.randint(0, dim))
+        ]
+        spaces.append(Subspace.from_vectors(dim, spanning))
+    scaled = proper = 0
+    for s in spaces:
+        split = farkas_split(s)
+        assert split == per_lp_farkas_split(s)
+        scaled += any(type(x) is Fraction for x in s.orthogonal_complement().basis.flatten())
+        proper += 0 < len(split.support) < s.ambient_dim
+    assert scaled > 120 and proper > 90, (scaled, proper)
 
 
 def test_positive_basis_examples():
@@ -491,14 +520,59 @@ def _oracle_cones():
         yield _random_k3_cone(rng, b, k)
 
 
+def _weight3_cone():
+    """Weight-3 cone on Q^4 + Q^2.  N e_i = e_(i+1) on Q^4 preserves
+    Q(e_1, e_4) = -1, Q(e_2, e_3) = 1, and N^3 != 0 = N^4, so W(N) has three
+    levels below the center; M e_5 = e_6 preserves Q(e_5, e_6) = -1.  The
+    generators N, N^3 + M and M - 2N are conjugated by two transvections
+    x -> x + Q(v, x) v, of matrix I + v v^T Q and inverse I - v v^T Q, which
+    are isometries of Q."""
+    form = RationalMatrix.from_rows([
+        [0, 0, 0, -1, 0, 0], [0, 0, 1, 0, 0, 0], [0, -1, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, -1], [0, 0, 0, 0, 1, 0],
+    ])
+    n = RationalMatrix.from_rows([[int(i == j + 1 and i < 4) for j in range(6)] for i in range(6)])
+    m = RationalMatrix.from_rows([[int((i, j) == (5, 4)) for j in range(6)] for i in range(6)])
+    one = RationalMatrix.identity(6)
+    iso, inv = one, one
+    for v in ([1, 0, 1, 0, 1, 0], [0, 1, -1, 1, 0, 2]):
+        vv = RationalMatrix.from_rows([[a * b for b in v] for a in v]) @ form
+        iso, inv = iso @ (one + vv), (one - vv) @ inv
+    assert iso @ inv == one and iso.transpose() @ form @ iso == form
+    gens = [n, n.power(3) + m, m - n.scale(2)]
+    return NilpotentCone(6, 3, form, [iso @ g @ inv for g in gens])
+
+
+def _non_orbit_k3_cone():
+    """An indefinite K3-type draw whose interior points N_1 + N_2 + N_3 and
+    2 N_1 + N_2 + N_3 have different weight filtrations: W is constant on
+    the interior of a nilpotent orbit's cone (Cattani-Kaplan), so this cone
+    is none."""
+    rng = random.Random(SEED + 8)
+    while True:
+        cone = _random_k3_cone(rng, 4, 3)
+        inner = cone.n_of((1, 2, 3))
+        if weight_filtration(inner, 2) != weight_filtration(inner + cone.generators[0], 2):
+            return cone
+
+
 def test_relation_space_matches_adjoint_oracle():
-    """The V-side criterion agrees with W_{-1}(ad N_I) on every index set."""
-    for cone in _oracle_cones():
+    """S_I from the levels at and above the center of W(N_I) equals S_I from
+    every level, and W_{-1}(ad N_I) built on the isometry algebra, on every
+    index set of the oracle cones, a weight-3 cone with three levels below
+    the center, and an indefinite K3-type cone that is no nilpotent orbit."""
+    below = set()
+    for cone in (*_oracle_cones(), _weight3_cone(), _non_orbit_k3_cone()):
         for mask in range(1, 1 << cone.k):
             index = tuple(i + 1 for i in range(cone.k) if mask >> i & 1)
-            assert relation_space(cone, index) == adjoint_relation_space(cone, index), (
+            w = weight_filtration(cone.n_of(index), cone.weight)
+            s = _relation_space_of(cone, w)
+            assert s == all_levels_relation_space(cone, w), (cone.dim, cone.weight, index)
+            assert s == relation_space(cone, index) == adjoint_relation_space(cone, index), (
                 cone.dim, cone.weight, index,
             )
+            below.add(w.center - w.low)
+    assert below == {0, 1, 2, 3}
 
 
 def test_relation_space_of_eliminates_once(monkeypatch):

@@ -120,6 +120,46 @@ def test_not_nilpotent_rejected():
         weight_filtration(RationalMatrix.identity(2), 0)
 
 
+_SP4 = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+
+# (weight, form, generators, message) of cones that NilpotentCone refuses.
+# Q^T = sign Q with sign = (-1)^weight, so N^T Q + Q N = 0 reads
+# (QN)^T = -sign QN; the refused generator of each of the first two has
+# (QN)^T = sign QN instead, so either sign alone would accept it.
+REFUSED_CONES = [
+    (
+        2, [[0, 0, 1], [0, -1, 0], [1, 0, 0]],
+        [[[0, 1, 0], [0, 0, 1], [0, 0, 0]], [[0, 1, 0], [0, 0, -1], [0, 0, 0]]],
+        "generator 2 does not preserve the form",
+    ),
+    (
+        1, _SP4, [[[0, 0, 0, 1], [0, 0, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]],
+        "generator 1 does not preserve the form",
+    ),
+    (
+        1, _SP4,
+        [[[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+         [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]]],
+        "generators 1 and 2 do not commute",
+    ),
+]
+
+
+@pytest.mark.parametrize("weight, form, generators, message", REFUSED_CONES)
+def test_cone_refuses_generators_off_the_form_or_not_commuting(weight, form, generators, message):
+    """A generator outside the isometry algebra of a symmetric (even weight)
+    or alternating (odd weight) form is refused, and so is a pair of
+    generators that do not commute; each passes the other checks."""
+    q = RationalMatrix.from_rows(form)
+    gens = [RationalMatrix.from_rows(g) for g in generators]
+    sign = (-1) ** weight
+    for n in gens:
+        qn = q @ n
+        assert qn.transpose() in (qn.scale(sign), qn.scale(-sign))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        NilpotentCone(len(form), weight, q, gens)
+
+
 def test_jordan_block_2():
     n = RationalMatrix.from_rows([[0, 1], [0, 0]])
     w = weight_filtration(n, 0)

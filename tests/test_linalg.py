@@ -140,14 +140,30 @@ def _mixed_matrices(rng, count):
             yield _mixed_matrix(rng, rows, cols)
 
 
+def _unit_pivot_matrices(rng, count):
+    """Integer matrices whose first column starts with -1, or with a non-unit
+    that has a 1 or -1 below it, so rref negates the row or swaps the unit
+    up."""
+    for trial in range(count):
+        rows, cols = rng.randint(2, 6), rng.randint(1, 7)
+        m = [[rng.choice((-3, -2, -1, 0, 0, 1, 2, 3)) for _ in range(cols)] for _ in range(rows)]
+        if trial % 2:
+            m[0][0] = rng.choice((-3, -2, 2, 3))
+            m[rng.randrange(1, rows)][0] = rng.choice((-1, 1))
+        else:
+            m[0][0] = -1
+        yield RationalMatrix.from_rows(m)
+
+
 def test_rref_matches_fraction_and_sympy_oracles():
     """Elimination with ints where values are integral gives the all-Fraction
-    elimination's form and pivots, and sympy's."""
+    elimination's form and pivots, and sympy's: on mixed matrices, and on
+    integer matrices where a unit pivot is -1 or lies below a non-unit."""
     import sympy
 
     rng = random.Random(SEED + 6)
     kinds = {"full": 0, "deficient": 0, "zero": 0}
-    for m in _mixed_matrices(rng, 150):
+    for m in (*_mixed_matrices(rng, 150), *_unit_pivot_matrices(rng, 120)):
         red, pivots = m.rref()
         assert (red, pivots) == fraction_rref(m)
         flat = [sympy.Rational(x.numerator, x.denominator) for x in m.flatten()]
