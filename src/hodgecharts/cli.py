@@ -14,9 +14,9 @@ import hashlib
 import json
 import os
 import sys
-from math import isfinite
+from math import isfinite, log, pi
 
-from . import __version__
+from . import __version__, _slope
 from .errors import ConeTooLarge, HodgeChartsError, NumericDomainError, SchemaError
 from .serialize import (
     MAX_NDIM_SAMPLES,
@@ -210,19 +210,17 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
         for t in t_values:
             if not 0 < abs(t) < 1 or not isfinite(1 / t):
                 raise SchemaError(f"t_values must satisfy 0 < |t| < 1 with 1/t finite, not {t!r}")
-        import numpy as np
-
-        logs = [float(np.log(1 / abs(t))) for t in t_values]
+        logs = [log(1 / abs(t)) for t in t_values]
         if len(set(logs)) < 2:
             raise SchemaError("a slope fit needs t_values with at least 2 distinct log(1/|t|)")
         values = [residue_integral(coeffs, t) for t in t_values]
-        slope = float(np.polyfit(logs, values, 1)[0])
+        slope = _slope(logs, values)
         report = {
             "mode": "residue",
             "t_values": t_values,
             "integrals": values,
             "slope": slope,
-            "normalized_slope": slope / (2 * float(np.pi)),
+            "normalized_slope": slope / (2 * pi),
         }
         rows = [[t, v] for t, v in zip(t_values, values)]
         return report, rows, ["t", "integral"]

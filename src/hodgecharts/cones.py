@@ -86,25 +86,22 @@ class FarkasAlternative(Record):
     certificate: tuple[Rational, ...] | None
 
 
-def _phase_one(a_rows: list[list[Rational]], b: list[Rational], n: int):
-    """Exact phase-one simplex for {x >= 0 : Ax = b}.
+def _integer_tableau(rows, n: int, m: int) -> tuple[list[list[int]], int]:
+    """The integer tableau den [A | I | b] of the rows [A | b], A with n
+    columns and I with m >= len(rows) columns, the last m - len(rows) of them
+    left to rows added later.
 
-    Returns (value, x, y): value is the artificial optimum (0 iff feasible),
-    x a feasible point when value = 0, and y the simplex multipliers of the
-    sign-normalized system otherwise, read back for Ax = b.
-
-    Integer pivoting (Bareiss; the lrs simplex): each row, artificial entry
-    included, is scaled to integers, which leaves the tableau B^-1 M as it is.
+    Integer pivoting (Bareiss; the lrs simplex): row i scaled by the lcm L_i
+    of its denominators makes the artificial basis diag(L_i), of determinant
+    den = prod L_i, and den times each row is integral; scaling leaves the
+    tableau B^-1 M as it is.
     """
-    m = len(b)
-    rows = [r + [bi] if bi >= 0 else [-x for x in r] + [-bi] for r, bi in zip(a_rows, b)]
-    # Row i scaled by the lcm L_i of its denominators makes the artificial
-    # basis diag(L_i), of determinant den; den times each row is integral.
     den = prod(lcm(*(x.denominator for x in r)) for r in rows)
-    ints = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
-    tab = [r[:n] + [den if j == i else 0 for j in range(m)] + r[n:] for i, r in enumerate(ints)]
-    value, x, y = _bland(tab, den, n)
-    return value, x, tuple(yi if bi >= 0 else -yi for yi, bi in zip(y, b))
+    tab = []
+    for i, r in enumerate(rows):
+        ints = [x.numerator * (den // x.denominator) for x in r]
+        tab.append(ints[:n] + [den * (j == i) for j in range(m)] + ints[n:])
+    return tab, den
 
 
 def _bland(tab: list[list[int]], den: int, n: int):
@@ -112,8 +109,9 @@ def _bland(tab: list[list[int]], den: int, n: int):
     artificial basis, by Bland's rule, so the iteration terminates.  The
     tableau and the reduced-cost row stay integers over den, the determinant
     of the current basis, so every update divides exactly.  The rows of tab
-    are replaced, never changed in place.  Returns (value, x, y) as
-    _phase_one does, y for this system."""
+    are replaced, never changed in place.  Returns (value, x, y): value is
+    the artificial optimum (0 iff feasible), x a feasible point when value =
+    0, and y the simplex multipliers of this system otherwise."""
     m = len(tab)
     basis = [n + i for i in range(m)]
     # Reduced cost row for min(sum of artificials); artificial columns start at 0.
@@ -157,14 +155,19 @@ def _bland(tab: list[list[int]], den: int, n: int):
 
 
 def farkas_alternative(a: RationalMatrix, b) -> FarkasAlternative:
-    """Exact Farkas alternative for Ax = b, x >= 0."""
-    b = list(vec(b))
+    """Exact Farkas alternative for Ax = b, x >= 0, by phase one on the rows
+    [A | b] with b_i < 0 negated; the multipliers of the rows read back for
+    Ax = b give the certificate."""
+    b = vec(b)
     if len(b) != a.rows:
         raise ValueError("right-hand side has wrong length")
-    value, x, y = _phase_one([list(r) for r in a.entries], b, a.cols)
+    rows = [(*r, bi) if bi >= 0 else tuple(-x for x in (*r, bi)) for r, bi in zip(a.entries, b)]
+    value, x, y = _bland(*_integer_tableau(rows, a.cols, a.rows), a.cols)
     if value == 0:
         return FarkasAlternative(solution=x, certificate=None)
-    return FarkasAlternative(solution=None, certificate=tuple(-yi for yi in y))
+    return FarkasAlternative(
+        solution=None, certificate=tuple(-yi if bi >= 0 else yi for yi, bi in zip(y, b))
+    )
 
 
 class FarkasSplit(Record):
@@ -178,16 +181,13 @@ class FarkasSplit(Record):
 def farkas_split(s: Subspace) -> FarkasSplit:
     """The split of S, from one Farkas alternative per coordinate i: the LP
     {x >= 0 : S^perp x = 0, x_i = 1} is feasible exactly when i lies in K.
-    Its tableau is _phase_one's: the rows of S^perp are scaled to integers
-    once for all k LPs, and each LP adds its row e_i."""
+    Its tableau is farkas_alternative's: the rows of S^perp are scaled to
+    integers once for all k LPs, and each LP adds its row e_i."""
     k = s.ambient_dim
     mu = s.orthogonal_complement().basis
     ns = mu.rows
-    den = prod(lcm(*(x.denominator for x in r)) for r in mu.entries)
-    base = [  # den [S^perp | I | 0], the identity's last column left to e_i
-        [x.numerator * (den // x.denominator) for x in r] + [den * (j == i) for j in range(ns + 2)]
-        for i, r in enumerate(mu.entries)
-    ]
+    # den [S^perp | I | 0], the identity's last column left to e_i
+    base, den = _integer_tableau([(*r, 0) for r in mu.entries], k, ns + 1)
     support: list[int] = []
     v = [0] * k
     v_tilde = [0] * k

@@ -302,8 +302,6 @@ class RwfpReport(Record):
     filtration that W(N_I) induces on the isometry algebra.
     """
 
-    index: IndexSet
-    index_larger: IndexSet
     premise: bool  # N_{I'} in W_{-1}(ad N_I)
     filtrations_equal: bool  # W(N_I) = W(N_{I'}) on V
     holds: bool  # premise implies equality
@@ -320,4 +318,4 @@ def rwfp_consequence_check(cone: NilpotentCone, index, index_larger) -> RwfpRepo
     )
     premise = w_small.contains(cone.n_of(index_larger), -1)
     equal = w_small.filtration == w_large.filtration
-    return RwfpReport(index, index_larger, premise, equal, (not premise) or equal)
+    return RwfpReport(premise, equal, (not premise) or equal)

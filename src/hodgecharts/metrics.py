@@ -2,8 +2,10 @@
 
 Evaluates metrics on the top Hodge piece and its augmented variant, fits
 logarithmic growth orders along boundary rays, and compares finite-difference
-curvature against the graded boundary value computed from the exact weight
-filtration.  The residue pairing on xy = t is evaluated in closed form.
+curvature against the graded boundary value: the graded frames of F^n along
+the exact weight filtration, solved once on the untwisted limit flag, since
+the twist preserves every weight step.  The residue pairing on xy = t is
+evaluated in closed form.
 Everything runs in double precision; each tolerance is a module constant,
 noted with what it governs.  Only the matrix exponential comes from scipy,
 imported where it is called, so residue mode never loads scipy.
@@ -173,10 +175,6 @@ class OrbitSpec:
     def flag_at(self, t, w) -> FlagPoint:
         return self.f0.transform(self.group_element(t, w))
 
-    def limit_frame(self, w) -> np.ndarray:
-        """Columns zeta(w) . F0^n; the t-direction factor removed."""
-        return self.zeta(w) @ self.f0.level(self.weight)
-
     def check_horizontal(self) -> None:
         """Verify N_j . F0^p <= F0^{p-1} on every pair of provided flag levels."""
         for p in sorted(self.f0.levels, reverse=True):
@@ -336,53 +334,53 @@ def _coefficient_kernel(m: np.ndarray, pivots: list[int]) -> np.ndarray:
     return basis
 
 
-class _NestedFrame:
-    """Holomorphically-varying graded frames of the limit flag along W(N_I).
+def _graded_frames(orbit: OrbitSpec, index) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Graded frames of the limit flag along W = W(N_I): (l, K_l, N_I^(l - n))
+    for each level l that contributes, with F0^n K_l lifting a basis of
+    (F^n cap W_l) / (F^n cap W_{l-1}).
 
-    Pivot patterns are frozen at a base point so that nearby evaluations give
-    holomorphic bases; the induced basis-change factors are then pluriharmonic
-    and drop out of mixed second derivatives of the block log-determinants.
     The coefficients of F^n cap W_l solve C_l x = 0, with C_l the exact
     complement of W_l; each level keeps the columns of that kernel basis that
-    extend the kernel of the level below.
+    extend the kernel of the level below.  The twist zeta(w) = exp(w xi)
+    commutes with every N_i, so it preserves each W_l, and the x with
+    zeta(w) F0^n x in W_l do not depend on w: K_l is solved once, on the
+    untwisted frame, and the frames zeta(w) F0^n K_l vary holomorphically.
+    Their basis-change factors are then pluriharmonic and drop out of mixed
+    second derivatives of the block log-determinants.
     """
+    n_i = orbit.cone.n_of(index_set(index))
+    filtration = weight_filtration(n_i, orbit.cone.weight)
+    n_float = _np_matrix(n_i).astype(complex)
+    frame = orbit.f0.level(orbit.weight)
+    span = np.zeros((frame.shape[1], 0), dtype=complex)
+    frames = []
+    for level in filtration.levels():
+        m = _np_matrix(filtration.step(level).orthogonal_complement().basis) @ frame
+        basis = _coefficient_kernel(m, _independent_columns(m)[0])
+        chosen, new = _independent_columns(basis - span @ (span.conj().T @ basis))
+        span = np.column_stack([span, new])
+        if not chosen:
+            continue
+        if level < orbit.weight:
+            raise NotPolarized("top Hodge piece meets a weight level below the center")
+        power = np.linalg.matrix_power(n_float, level - orbit.weight)
+        frames.append((level, basis[:, sorted(chosen)], power))
+    return frames
 
-    def __init__(self, orbit: OrbitSpec, index, w_base: complex):
-        n_i = orbit.cone.n_of(index_set(index))
-        filtration = weight_filtration(n_i, orbit.cone.weight)
-        n_float = _np_matrix(n_i).astype(complex)
-        self.orbit = orbit
-        # (level, C_l, frozen pivots, graded columns, N_I^(l - n)) per level
-        # that contributes a graded column.
-        self.levels = []
-        frame = orbit.limit_frame(w_base)
-        span = np.zeros((frame.shape[1], 0), dtype=complex)
-        for level in filtration.levels():
-            constraints = _np_matrix(filtration.step(level).orthogonal_complement().basis)
-            m = constraints @ frame
-            pivots, _ = _independent_columns(m)
-            basis = _coefficient_kernel(m, pivots)
-            chosen, new = _independent_columns(basis - span @ (span.conj().T @ basis))
-            span = np.column_stack([span, new])
-            if not chosen:
-                continue
-            if level < orbit.weight:
-                raise NotPolarized("top Hodge piece meets a weight level below the center")
-            power = np.linalg.matrix_power(n_float, level - orbit.weight)
-            self.levels.append((level, constraints, pivots, sorted(chosen), power))
 
-    def log_det(self, w: complex) -> float:
-        """Sum over levels of log|det Q(N^q u_i, conj u_j)| on the level frames."""
-        frame = self.orbit.limit_frame(w)
-        total = 0.0
-        for level, constraints, pivots, chosen, power in self.levels:
-            reps = frame @ _coefficient_kernel(constraints @ frame, pivots)[:, chosen]
-            block = (power @ reps).T @ self.orbit.form @ reps.conj()
-            det = np.linalg.det(block)
-            if abs(det) <= 0.0:
-                raise NotPolarized(f"degenerate graded pairing at level {level}")
-            total += float(np.log(abs(det)))
-        return total
+def _graded_log_det(orbit: OrbitSpec, frames, w: complex) -> float:
+    """Sum over the graded frames R_l = (zeta(w) F0^n) K_l of
+    log|det Q(N^q R_l, conj R_l)|."""
+    frame = orbit.zeta(w) @ orbit.f0.level(orbit.weight)
+    total = 0.0
+    for level, coefficients, power in frames:
+        reps = frame @ coefficients
+        block = (power @ reps).T @ orbit.form @ reps.conj()
+        det = np.linalg.det(block)
+        if abs(det) <= 0.0:
+            raise NotPolarized(f"degenerate graded pairing at level {level}")
+        total += float(np.log(abs(det)))
+    return total
 
 
 class CurvatureReport(Record):
@@ -403,8 +401,8 @@ def curvature_limit_check(orbit: OrbitSpec, index, w0: complex, t_sequence) -> C
     t_sequence = tuple(t_sequence)
     if not t_sequence:
         raise ValueError("a curvature limit check needs at least one point t")
-    nested = _NestedFrame(orbit, index, w0)
-    boundary = mixed_second_derivative(nested.log_det, w0)
+    frames = _graded_frames(orbit, index)
+    boundary = mixed_second_derivative(lambda w: _graded_log_det(orbit, frames, w), w0)
     interior = [
         mixed_second_derivative(lambda w: log_det_lambda(orbit, t, w), w0) for t in t_sequence
     ]

@@ -273,7 +273,7 @@ def curve_lmhs(vertices, edges) -> tuple[int, int, int]:
         raise IncidenceError("vertex genera must be nonnegative")
     names = [v[0] for v in vertices]
     if len(set(names)) != len(names):
-        raise Disconnected("vertex names must be unique")
+        raise IncidenceError("vertex names must be unique")
     parent = {n: n for n in names}
 
     def find(x):
@@ -284,7 +284,7 @@ def curve_lmhs(vertices, edges) -> tuple[int, int, int]:
 
     for a, b in edges:
         if a not in parent or b not in parent:
-            raise Disconnected(f"edge ({a}, {b}) uses an unknown vertex")
+            raise IncidenceError(f"edge ({a}, {b}) uses an unknown vertex")
         parent[find(a)] = find(b)
     if len({find(n) for n in names}) != 1:
         raise Disconnected("dual graph is not connected")

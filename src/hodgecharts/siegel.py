@@ -14,8 +14,8 @@ log-log slope fit over the sampled grid.
 from __future__ import annotations
 
 from math import exp, inf, log, sqrt
-from operator import mul
 
+from . import _slope
 from ._record import Record
 from .errors import NotInDomain, PZero
 
@@ -111,19 +111,6 @@ class ProbeReport(Record):
     monitored: dict[str, tuple[float, ...]]
     slopes: dict[str, float]
     grid: tuple[float, ...]
-
-
-def _slope(xs, ys) -> float:
-    """The least-squares slope of the points (xs[i], ys[i]), computed exactly
-    and rounded once.  Every float is an integer over a power of two, so over
-    the largest such denominator both sums are ints, and int true division
-    rounds correctly; the common scale cancels in the quotient."""
-    ratios = [v.as_integer_ratio() for v in (*xs, *ys)]
-    scale = max(d for _, d in ratios)
-    ints = [n * (scale // d) for n, d in ratios]
-    us, vs = ints[: len(xs)], ints[len(xs) :]
-    n, su, sv = len(us), sum(us), sum(vs)
-    return (n * sum(map(mul, us, vs)) - su * sv) / (n * sum(map(mul, us, us)) - su * su)
 
 
 def _loglog_slope(xs, vals) -> float:

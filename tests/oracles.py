@@ -25,9 +25,10 @@ contractions by index loops over the entries of A, and the lmhs graded
 dimensions counted from kernel bases, are the references for the slice
 products and the rank counts.  The
 graded boundary frames of the metric engine, with pivots from scipy's pivoted
-QR, graded columns chosen by a greedy singular-value loop and one solve per
-free column, are the reference for its one column-pivoting helper and its one
-kernel solve; the polarization form by a double loop over the primitive
+QR frozen at a base point, graded columns chosen by a greedy singular-value
+loop and one solve per free column at every w, are the reference for its one
+column-pivoting helper and its kernel solved once on the untwisted frame; the
+polarization form by a double loop over the primitive
 representatives is the reference for its one matrix product.  The span
 intersection by an SVD kernel with its own rank cut, orthonormalized by QR,
 is the reference for the Hodge pieces from the one column-pivoting cut.  The
@@ -53,7 +54,9 @@ from functools import cache
 
 import numpy as np
 
-from hodgecharts.cones import FarkasSplit, farkas_alternative, farkas_split, relation_space
+from hodgecharts.cones import (
+    FarkasAlternative, FarkasSplit, farkas_alternative, farkas_split, relation_space,
+)
 from hodgecharts.errors import (
     NotAComplex, NotFiltrationCompatible, NotPolarized, SeparationFailure,
 )
@@ -541,6 +544,15 @@ def fraction_phase_one(a_rows: list[list[Fraction]], b: list[Fraction], n: int):
     return value, tuple(x), tuple(y)
 
 
+def fraction_farkas_alternative(a_rows: list[list[Fraction]], b: list[Fraction], n: int):
+    """The Farkas alternative for Ax = b, x >= 0 read off fraction_phase_one:
+    its point when the artificial optimum is 0, else its negated multipliers."""
+    value, x, y = fraction_phase_one(a_rows, b, n)
+    if value == 0:
+        return FarkasAlternative(solution=x, certificate=None)
+    return FarkasAlternative(solution=None, certificate=tuple(-yi for yi in y))
+
+
 def per_lp_farkas_split(s: Subspace) -> FarkasSplit:
     """farkas_split with one farkas_alternative per coordinate i, each on the
     matrix of S^perp stacked on e_i, so that every LP builds and scales its
@@ -906,7 +918,8 @@ def kernel_graded_dims(w: WeightComplexes) -> tuple[int, int, int, int, int]:
 
 
 class QRNestedFrame:
-    """metrics._NestedFrame with scipy's pivoted QR for the frozen pivots."""
+    """The graded boundary frames with pivots frozen at a base point by
+    scipy's pivoted QR, and the coefficient kernel re-solved at every w."""
 
     def __init__(self, orbit: OrbitSpec, index, w_base: complex):
         index = index_set(index)
@@ -948,7 +961,7 @@ class QRNestedFrame:
         return basis, pivots
 
     def _freeze(self, w_base: complex) -> None:
-        frame = self.orbit.limit_frame(w_base)
+        frame = self.orbit.zeta(w_base) @ self.orbit.f0.level(self.orbit.weight)
         self.pivot_table = {}
         self.column_choice = {}
         prev = np.zeros((frame.shape[1], 0), dtype=complex)
@@ -968,7 +981,7 @@ class QRNestedFrame:
 
     def log_det(self, w: complex) -> float:
         """Sum over levels of log|det Q(N^q u_i, conj u_j)| on the level frames."""
-        frame = self.orbit.limit_frame(w)
+        frame = self.orbit.zeta(w) @ self.orbit.f0.level(self.orbit.weight)
         n = self.orbit.cone.weight
         total = 0.0
         for level in self.filtration.levels():

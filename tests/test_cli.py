@@ -13,6 +13,7 @@ import pytest
 from hodgecharts.cli import main, parse_family
 
 from .test_filtrations import REFUSED_CONES
+from .test_siegel import _fraction_slope
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -166,6 +167,26 @@ def test_curvature_residue(tmp_path):
     )
     assert code == 0
     assert abs(report["report"]["normalized_slope"] - 1) < 0.02
+
+
+def test_residue_slope_is_the_exact_slope_of_its_points(tmp_path):
+    """Two t whose logarithms differ in the last bit: the slope is the exact
+    least-squares slope of the reported points, with nothing on stderr.
+    np.polyfit warned that the fit was poorly conditioned and read pi, where
+    the points' slope is 8."""
+    path = tmp_path / "close_t.json"
+    data = {"mode": "residue", "coefficients": {"0,0": 1}, "t_values": [0.5, 0.5000000000000001]}
+    path.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgecharts.cli", "curvature", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    body = json.loads(proc.stdout)["report"]
+    logs = [math.log(1 / t) for t in body["t_values"]]
+    assert body["slope"] == _fraction_slope(logs, body["integrals"]) == 8.0
 
 
 def test_siegel_fixtures(tmp_path):
@@ -840,6 +861,7 @@ def test_readme_json_examples_run(tmp_path, capsys):
 # The inline inputs of the CI workflow: subcommand and expected exit code.
 CI_INPUTS = {
     "residue_degree_1000.json": ("curvature", 0),
+    "residue_close_t.json": ("curvature", 0),
     "malformed.json": ("positivity", 2),
     "many_samples.json": ("positivity", 3),
     "one_point.json": ("siegel", 2),

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from hodgecharts.cones import (
-    _phase_one,
     _relation_space_of,
     farkas_alternative,
     farkas_split,
@@ -32,7 +31,7 @@ from .oracles import (
     adjoint_relation_space,
     all_levels_relation_space,
     farkas_branch_infeasible,
-    fraction_phase_one,
+    fraction_farkas_alternative,
     inexact_values,
     matroid_closure_k_map,
     per_lp_farkas_split,
@@ -125,15 +124,16 @@ def _random_lp(rng, kind: str):
 
 
 def test_phase_one_matches_fraction_oracle():
-    """Integer pivoting takes the Fraction tableau's pivot sequence: the same
-    value, point and multipliers on feasible, infeasible and tied LPs."""
+    """farkas_alternative's integer pivoting takes the Fraction tableau's
+    pivot sequence: the same point, or the certificate from the same
+    multipliers, on feasible, infeasible and tied LPs."""
     rng = random.Random(SEED + 5)
     outcomes = {True: 0, False: 0}
     for trial in range(2400):
         a, b, n = _random_lp(rng, ("feasible", "ties", "random")[trial % 3])
-        got = _phase_one([list(r) for r in a], list(b), n)
-        assert got == fraction_phase_one([list(r) for r in a], list(b), n)
-        outcomes[got[0] == 0] += 1
+        got = farkas_alternative(RationalMatrix(len(a), n, tuple(map(tuple, a))), b)
+        assert got == fraction_farkas_alternative([list(r) for r in a], list(b), n)
+        outcomes[got.solution is not None] += 1
     assert min(outcomes.values()) > 400
 
 

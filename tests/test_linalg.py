@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hodgecharts.cones import _phase_one
+from hodgecharts.cones import farkas_alternative
 from hodgecharts.filtrations import weight_filtration
 from hodgecharts.linalg import (
     RationalMatrix,
@@ -23,7 +23,7 @@ from hodgecharts.linalg import (
 from .oracles import (
     dot_product_matmul,
     filtration_satisfies_defining_properties,
-    fraction_phase_one,
+    fraction_farkas_alternative,
     fraction_rref,
     inexact_values,
     random_nilpotent,
@@ -233,7 +233,7 @@ def test_null_rows_of_weight_filtration_steps_span_the_complement():
 def test_exact_values_are_ints_when_integral():
     """No float anywhere, and every integral value an int, in the outputs of
     rref, @, +, mul_vec, dot, kernel, solve, weight_filtration steps and
-    _phase_one, on inputs that mix ints with non-integral Fractions."""
+    farkas_alternative, on inputs that mix ints with non-integral Fractions."""
     half = RationalMatrix.from_rows([["1/2", "3/2"]])
     assert [type(x) for x in (half + half).flatten()] == [int, int]
     assert [type(x) for x in (half.transpose() @ half.scale(4)).flatten()] == [int] * 4
@@ -262,9 +262,9 @@ def test_exact_values_are_ints_when_integral():
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
         a = [[_mixed(rng) for _ in range(ncols)] for _ in range(nrows)]
         b = [_mixed(rng) for _ in range(nrows)]
-        got = _phase_one(a, b, ncols)
-        assert not inexact_values(list(got))
-        assert got == fraction_phase_one(a, b, ncols)
+        got = farkas_alternative(RationalMatrix(nrows, ncols, tuple(map(tuple, a))), b)
+        assert not inexact_values([got.solution or got.certificate])
+        assert got == fraction_farkas_alternative(a, b, ncols)
 
 
 def _sparse_mixed_matrix(rng, rows: int, cols: int, axis: int) -> RationalMatrix:

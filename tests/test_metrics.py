@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,10 @@ from hodgecharts.metrics import (
     FlagPoint,
     OrbitSpec,
     _coefficient_kernel,
+    _graded_frames,
+    _graded_log_det,
     _hermitian_log_det,
     _independent_columns,
-    _NestedFrame,
     _np_matrix,
     augmented_log_det,
     augmented_weights,
@@ -268,13 +270,9 @@ def test_hodge_pieces_match_svd_oracle_on_gallery_orbits(monkeypatch):
     assert compared == 20  # the inert orbit gives no F^1, so both refuse it
 
 
-def test_span_intersections_match_svd_oracle_on_random_flags():
-    """The random top flags of the graded-frame test, met with their own
-    conjugates and with the weight steps they were drawn from.  QR turns the
-    oracle's kernel images into a basis only for independent columns, so
-    only such frames are compared."""
-    rng = np.random.default_rng(20261020)
-    cones = (
+def _random_flag_cones():
+    """The gallery cones the random-flag tests draw from."""
+    return (
         gallery.genus2_cone(),
         gallery.rank1_cone(),
         gallery.standard_triple_block_cone(),
@@ -282,6 +280,15 @@ def test_span_intersections_match_svd_oracle_on_random_flags():
         gallery.weight2_twoblock_cone(),
         gallery.weight2_inert_orbit().cone,
     )
+
+
+def test_span_intersections_match_svd_oracle_on_random_flags():
+    """The random top flags of the graded-frame test, met with their own
+    conjugates and with the weight steps they were drawn from.  QR turns the
+    oracle's kernel images into a basis only for independent columns, so
+    only such frames are compared."""
+    rng = np.random.default_rng(20261020)
+    cones = _random_flag_cones()
     dims = []
     for trial in range(120):
         cone = cones[trial % len(cones)]
@@ -392,38 +399,61 @@ def test_curvature_limit_refuses_an_empty_sequence(as_generator):
         curvature_limit_check(twisted_weight1_orbit(), (1,), 0.0, ts)
 
 
+def _limit_frame(orbit, w):
+    """zeta(w) F0^n: the frame whose graded pieces are taken at w."""
+    return orbit.zeta(w) @ orbit.f0.level(orbit.weight)
+
+
 def _frame_pair(orbit, index, w_base):
-    """The graded frames and the pivoted-QR oracle's at one base point, after
-    checking the frozen pivot sets level by level; the frames are None when
-    both refuse the orbit because F^n meets a weight level below the center."""
+    """The graded frames, and the pivoted-QR oracle's frozen at w_base after
+    checking that column pivoting takes QR's pivot set on every level there;
+    the frames are None when both refuse the orbit because F^n meets a weight
+    level below the center."""
     oracle = QRNestedFrame(orbit, index, w_base)
-    frame = orbit.limit_frame(w_base)
+    frame = _limit_frame(orbit, w_base)
     for level, c in oracle.constraints.items():
         m = c @ frame if c.shape[0] else np.zeros((0, frame.shape[1]))
         assert set(_independent_columns(m)[0]) == set(oracle.pivot_table[level])
     try:
-        nested = _NestedFrame(orbit, index, w_base)
+        frames = _graded_frames(orbit, index)
     except NotPolarized:
         with pytest.raises(NotPolarized, match="below the center"):
             oracle.log_det(w_base)
         return None, oracle
-    for w in (w_base, w_base + 0.05 - 0.1j):
-        frame = orbit.limit_frame(w)
-        for level, c, pivots, _, _ in nested.levels:
-            want, _ = oracle._coefficient_kernel(level, frame, oracle.pivot_table[level])
-            assert np.abs(_coefficient_kernel(c @ frame, pivots) - want).max() <= 1e-12
-    return nested, oracle
+    return frames, oracle
 
 
-def _graded_columns(nested, oracle):
-    new = {level: chosen for level, _, _, chosen, _ in nested.levels}
+def _untwisted_kernels(orbit, index):
+    """Per level of W(N_I): C_l, and its pivots and coefficient kernel on the
+    untwisted frame F0^n, solved as the graded frames solve them."""
+    filtration = weight_filtration(orbit.cone.n_of(index), orbit.cone.weight)
+    frame = orbit.f0.level(orbit.weight)
+    kernels = {}
+    for level in filtration.levels():
+        c = _np_matrix(filtration.step(level).orthogonal_complement().basis)
+        pivots = _independent_columns(c @ frame)[0]
+        kernels[level] = c, pivots, _coefficient_kernel(c @ frame, pivots)
+    return kernels
+
+
+def _graded_columns(orbit, index, frames, oracle):
+    """The columns of the untwisted kernel basis that each K_l takes, and the
+    oracle's graded columns."""
+    kernels = _untwisted_kernels(orbit, index)
+    new = {}
+    for level, coefficients, _ in frames:
+        basis = kernels[level][2]
+        new[level] = [
+            next(j for j in range(basis.shape[1]) if np.array_equal(basis[:, j], col))
+            for col in coefficients.T
+        ]
     old = {level: list(chosen) for level, chosen in oracle.column_choice.items() if chosen}
     return new, old
 
 
-def _log_det_or_error(frame, w):
+def _log_det_or_error(log_det, w):
     try:
-        return frame.log_det(w)
+        return log_det(w)
     except NotPolarized as exc:
         return str(exc)
 
@@ -447,18 +477,20 @@ def _fixture_and_gallery_cases():
     "orbit, w0", [pytest.param(o, w, id=n) for n, o, w in _fixture_and_gallery_cases()]
 )
 def test_graded_frames_match_pivoted_qr_on_fixtures_and_gallery(orbit, w0):
-    """Same pivots, graded columns, bases and log-determinants as the pivoted
-    QR and greedy singular-value loop, for every index set and two base points."""
+    """Same pivots, graded columns and log-determinants as the pivoted QR and
+    greedy singular-value loop, which re-solve the kernel at every w from
+    pivots frozen at a base point: for every index set and two base points."""
     k = orbit.cone.k
     for r in range(1, k + 1):
         for index in itertools.combinations(range(1, k + 1), r):
             for w_base in (w0, w0 + 0.1 + 0.05j):
-                nested, oracle = _frame_pair(orbit, index, w_base)
-                assert nested is not None
-                new, old = _graded_columns(nested, oracle)
+                frames, oracle = _frame_pair(orbit, index, w_base)
+                assert frames is not None
+                new, old = _graded_columns(orbit, index, frames, oracle)
                 assert new == old
+                log_det = partial(_graded_log_det, orbit, frames)
                 for w in (w_base, w_base + 0.05, w_base - 0.1j):
-                    assert _log_det_or_error(nested, w) == _log_det_or_error(oracle, w)
+                    assert _log_det_or_error(log_det, w) == _log_det_or_error(oracle.log_det, w)
 
 
 def _random_twisted_orbit(rng, cone, index):
@@ -490,20 +522,15 @@ def _random_twisted_orbit(rng, cone, index):
 
 
 def test_graded_frames_match_pivoted_qr_on_random_flags():
-    """Pivot sets, on every level, and bases always agree with the oracle.
-    Where a level has several complements to choose from, column pivoting may
-    take another one than the old first-come loop; the two frames then differ
-    by a holomorphic change of basis, so the boundary curvature agrees, not
-    the log-determinant."""
+    """Pivot sets, on every level, agree with the oracle's at a random base
+    point w0.  On the same graded columns the log-determinants agree to
+    rounding: K_l is solved once, where the oracle re-solves the kernel at
+    every w.  Where a level has several complements to choose from, column
+    pivoting may take another one than the old first-come loop; the two frames
+    then differ by a holomorphic change of basis, so the boundary curvature
+    agrees, not the log-determinant."""
     rng = np.random.default_rng(20261019)
-    cones = (
-        gallery.genus2_cone(),
-        gallery.rank1_cone(),
-        gallery.standard_triple_block_cone(),
-        gallery.weight2_jordan3_cone(),
-        gallery.weight2_twoblock_cone(),
-        gallery.weight2_inert_orbit().cone,
-    )
+    cones = _random_flag_cones()
     seen = {"no rows": 0, "rank-deficient": 0, "same columns": 0, "other columns, curved": 0}
     for trial in range(120):
         cone = cones[trial % len(cones)]
@@ -511,27 +538,59 @@ def test_graded_frames_match_pivoted_qr_on_random_flags():
         index = tuple(sorted(int(i) for i in rng.choice(range(1, cone.k + 1), size, replace=False)))
         orbit = _random_twisted_orbit(rng, cone, index)
         w0 = complex(*rng.normal(scale=0.1, size=2))
-        nested, oracle = _frame_pair(orbit, index, w0)
-        frame = orbit.limit_frame(w0)
+        frames, oracle = _frame_pair(orbit, index, w0)
+        frame = _limit_frame(orbit, w0)
         for c in oracle.constraints.values():
             if c.shape[0] == 0:
                 seen["no rows"] += 1
             elif np.linalg.matrix_rank(c @ frame) < min(c.shape[0], frame.shape[1]):
                 seen["rank-deficient"] += 1
-        if nested is None:
+        if frames is None:
             continue
-        new, old = _graded_columns(nested, oracle)
+        new, old = _graded_columns(orbit, index, frames, oracle)
         assert {lv: len(c) for lv, c in new.items()} == {lv: len(c) for lv, c in old.items()}
+        log_det = partial(_graded_log_det, orbit, frames)
         if new == old:
             seen["same columns"] += 1
             for w in (w0, w0 + 0.05):
-                assert _log_det_or_error(nested, w) == _log_det_or_error(oracle, w)
+                want = oracle.log_det(w)
+                assert abs(log_det(w) - want) <= 1e-12 * max(1.0, abs(want))
         else:
             want = mixed_second_derivative(oracle.log_det, w0)
-            got = mixed_second_derivative(nested.log_det, w0)
+            got = mixed_second_derivative(log_det, w0)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
             seen["other columns, curved"] += abs(want) > 1e-3
     assert min(seen.values()) > 0, seen
+
+
+def test_graded_coefficients_do_not_depend_on_the_twist():
+    """zeta(w) commutes with N_I, so it preserves every W_l(N_I): at seeded w
+    on random twisted orbits, the kernel of C_l zeta(w) F0^n solved with the
+    pivots of the untwisted frame is the untwisted kernel to 1e-12, and each
+    K_l is made of columns of that kernel."""
+    rng = np.random.default_rng(20261021)
+    cones = _random_flag_cones()
+    compared = 0
+    for trial in range(60):
+        cone = cones[trial % len(cones)]
+        size = int(rng.integers(1, cone.k + 1))
+        index = tuple(sorted(int(i) for i in rng.choice(range(1, cone.k + 1), size, replace=False)))
+        orbit = _random_twisted_orbit(rng, cone, index)
+        kernels = _untwisted_kernels(orbit, index)
+        try:
+            frames = _graded_frames(orbit, index)
+        except NotPolarized:
+            frames = []
+        for level, coefficients, _ in frames:
+            basis = kernels[level][2]
+            assert all(any(np.array_equal(col, b) for b in basis.T) for col in coefficients.T)
+        for w in rng.normal(scale=0.5, size=(3, 2)) @ np.array([1, 1j]):
+            frame = _limit_frame(orbit, w)
+            for c, pivots, basis in kernels.values():
+                drift = np.abs(_coefficient_kernel(c @ frame, pivots) - basis)
+                assert drift.max(initial=0.0) <= 1e-12
+                compared += basis.size > 0 and c.shape[0] > 0
+    assert compared > 200, compared
 
 
 def test_curvature_limit_trivial_twist():

@@ -179,6 +179,24 @@ def test_curve_lmhs_examples():
     assert sum(gr) == 2 * (1 + 2 + 1)  # p_a = sum g + b_1
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, error, message",
+    [
+        ([("a", 0), ("a", 1)], [], IncidenceError, "vertex names must be unique"),
+        ([("a", 0)], [("a", "b")], IncidenceError, r"edge \(a, b\) uses an unknown vertex"),
+        ([("a", 0), ("b", 0)], [], Disconnected, "dual graph is not connected"),
+    ],
+    ids=["repeated-name", "unknown-vertex", "disconnected"],
+)
+def test_curve_lmhs_error_classes(vertices, edges, error, message):
+    """A repeated or unknown vertex name is an incidence error, as a repeated
+    or unknown component name of an NCDSurface is; only a graph in pieces is
+    Disconnected.  Each exits 2."""
+    with pytest.raises(error, match=f"^{message}$") as info:
+        curve_lmhs(vertices, edges)
+    assert type(info.value) is error and info.value.exit_code == 2
+
+
 def test_curve_lmhs_reads_iterators_once():
     """Vertices and edges given as one-shot iterators give the same graded
     dimensions as lists: each is read once."""

@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hodgecharts import _slope
 from hodgecharts.errors import NotInDomain, PZero
 from hodgecharts.siegel import (
     ConeSpec,
-    _slope,
     boundedness_probe,
     solve_maximal,
     solve_minimal,
