@@ -214,7 +214,10 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
         if len(set(logs)) < 2:
             raise SchemaError("a slope fit needs t_values with at least 2 distinct log(1/|t|)")
         values = [residue_integral(coeffs, t) for t in t_values]
-        slope = _slope(logs, values)
+        try:
+            slope = _slope(logs, values)
+        except OverflowError as exc:  # int division rounding beyond the float range
+            raise NumericDomainError("the residue slope leaves the float range") from exc
         report = {
             "mode": "residue",
             "t_values": t_values,

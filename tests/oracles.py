@@ -919,7 +919,8 @@ def kernel_graded_dims(w: WeightComplexes) -> tuple[int, int, int, int, int]:
 
 class QRNestedFrame:
     """The graded boundary frames with pivots frozen at a base point by
-    scipy's pivoted QR, and the coefficient kernel re-solved at every w."""
+    scipy's pivoted QR, and the coefficient kernel re-solved at every w, or
+    solved on the frame at one given point."""
 
     def __init__(self, orbit: OrbitSpec, index, w_base: complex):
         index = index_set(index)
@@ -960,8 +961,11 @@ class QRNestedFrame:
         basis = np.column_stack(cols) if cols else np.zeros((m.shape[1], 0), dtype=complex)
         return basis, pivots
 
+    def _frame(self, w: complex) -> np.ndarray:
+        return self.orbit.zeta(w) @ self.orbit.f0.level(self.orbit.weight)
+
     def _freeze(self, w_base: complex) -> None:
-        frame = self.orbit.zeta(w_base) @ self.orbit.f0.level(self.orbit.weight)
+        frame = self._frame(w_base)
         self.pivot_table = {}
         self.column_choice = {}
         prev = np.zeros((frame.shape[1], 0), dtype=complex)
@@ -979,16 +983,19 @@ class QRNestedFrame:
             self.column_choice[level] = tuple(chosen)
             prev = acc
 
-    def log_det(self, w: complex) -> float:
-        """Sum over levels of log|det Q(N^q u_i, conj u_j)| on the level frames."""
-        frame = self.orbit.zeta(w) @ self.orbit.f0.level(self.orbit.weight)
+    def log_det(self, w: complex, kernel_at: complex | None = None) -> float:
+        """Sum over levels of log|det Q(N^q u_i, conj u_j)| on the level frames
+        at w, with the coefficient kernel solved on the frame at kernel_at (at
+        w itself by default)."""
+        frame = self._frame(w)
+        solve_on = frame if kernel_at is None else self._frame(kernel_at)
         n = self.orbit.cone.weight
         total = 0.0
         for level in self.filtration.levels():
             chosen = self.column_choice[level]
             if not chosen:
                 continue
-            basis, _ = self._coefficient_kernel(level, frame, self.pivot_table[level])
+            basis, _ = self._coefficient_kernel(level, solve_on, self.pivot_table[level])
             reps = frame @ basis[:, list(chosen)]
             q_pow = level - n
             if q_pow < 0:

@@ -769,6 +769,28 @@ def test_residue_overflow_exits_4_on_one_line(tmp_path):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_residue_slope_overflow_exits_4_on_one_line(tmp_path):
+    """Both integrals are finite (about 6e306 and 1.3e307), but the exact slope
+    2 pi 1e308 of the two points is beyond the float range: one error line
+    naming the slope, exit 4, and no traceback."""
+    bad = tmp_path / "overflow.json"
+    bad.write_text(
+        json.dumps({"mode": "residue", "coefficients": {"0,0": 1e154}, "t_values": [0.99, 0.98]})
+    )
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgecharts.cli", "curvature", "--input", str(bad)]
+        + ["--output", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 4 and not out.exists()
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "slope" in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
 def test_poor_fit_error_names_the_tol(tmp_path, capsys):
     """An expansion fit beyond FIT_TOL exits 4 on one line naming residual and
     threshold.  The genus-2 orbit with t_2 = t_3 = 1/2 held fixed (tau^1e-300

@@ -522,13 +522,16 @@ def _random_twisted_orbit(rng, cone, index):
 
 
 def test_graded_frames_match_pivoted_qr_on_random_flags():
-    """Pivot sets, on every level, agree with the oracle's at a random base
-    point w0.  On the same graded columns the log-determinants agree to
-    rounding: K_l is solved once, where the oracle re-solves the kernel at
-    every w.  Where a level has several complements to choose from, column
-    pivoting may take another one than the old first-come loop; the two frames
-    then differ by a holomorphic change of basis, so the boundary curvature
-    agrees, not the log-determinant."""
+    """Pivot sets, on every level, agree with the oracle's at w = 0 and at a
+    random base point w0.  On the graded columns of the oracle frozen at
+    w = 0, the log-determinants are equal: at w = 0, where both solve the
+    kernel on the untwisted frame, and at w0 and w0 + 0.05 with the oracle's
+    kernel solved at 0, as K_l is.  That this kernel is the one re-solved at w
+    is test_graded_coefficients_do_not_depend_on_the_twist.  Where a level has
+    several complements to choose from, column pivoting may take another one
+    than the old first-come loop; the two frames then differ by a holomorphic
+    change of basis, so the boundary curvature agrees with the oracle's
+    re-solved at every w, not the log-determinant."""
     rng = np.random.default_rng(20261019)
     cones = _random_flag_cones()
     seen = {"no rows": 0, "rank-deficient": 0, "same columns": 0, "other columns, curved": 0}
@@ -547,14 +550,15 @@ def test_graded_frames_match_pivoted_qr_on_random_flags():
                 seen["rank-deficient"] += 1
         if frames is None:
             continue
-        new, old = _graded_columns(orbit, index, frames, oracle)
+        _, untwisted = _frame_pair(orbit, index, 0.0)
+        new, old = _graded_columns(orbit, index, frames, untwisted)
         assert {lv: len(c) for lv, c in new.items()} == {lv: len(c) for lv, c in old.items()}
         log_det = partial(_graded_log_det, orbit, frames)
         if new == old:
             seen["same columns"] += 1
+            assert log_det(0.0) == untwisted.log_det(0.0)
             for w in (w0, w0 + 0.05):
-                want = oracle.log_det(w)
-                assert abs(log_det(w) - want) <= 1e-12 * max(1.0, abs(want))
+                assert log_det(w) == untwisted.log_det(w, kernel_at=0.0)
         else:
             want = mixed_second_derivative(oracle.log_det, w0)
             got = mixed_second_derivative(log_det, w0)
