@@ -1,11 +1,12 @@
 """Floating-point Hodge metrics along twisted nilpotent orbits.
 
-Evaluates metrics on the top Hodge piece and its augmented variant, fits
-logarithmic growth orders along boundary rays, and compares finite-difference
-curvature against the graded boundary value: the graded frames of F^n along
-the exact weight filtration, solved once on the untwisted limit flag, since
-the twist preserves every weight step.  The residue pairing on xy = t is
-evaluated in closed form.
+Evaluates the Hodge metric on the top Hodge piece and on the augmented Hodge
+bundle, both as log-determinants of the pairings i^(2p-n) Q(u, conj v) on the
+transported flag frames; fits logarithmic growth orders along boundary rays;
+and compares finite-difference curvature against the graded boundary value:
+the graded frames of F^n along the exact weight filtration, solved once on the
+untwisted limit flag, since the twist preserves every weight step.  The
+residue pairing on xy = t is evaluated in closed form.
 Everything runs in double precision; each tolerance is a module constant,
 noted with what it governs.  Only the matrix exponential comes from scipy,
 imported where it is called, so residue mode never loads scipy.
@@ -22,7 +23,7 @@ from .errors import NotPolarized, NumericDomainError, PoorFit
 from .filtrations import NilpotentCone, index_set, weight_filtration
 from .linalg import RationalMatrix
 
-ALGEBRAIC_TOL = 1e-8  # Hodge pieces positive, direct and Hermitian; N_j F^p <= F^{p-1}
+ALGEBRAIC_TOL = 1e-8  # horizontality: N_j F^p <= F^{p-1}, relative to max(1, |N_j F^p|)
 FIT_TOL = 1e-2  # expansion-fit residual; fits are limited by log-log convergence
 SVD_TOL = 1e-10  # rank and span membership, relative to max(1, the scale tested)
 COMMUTE_TOL = 1e-10  # absolute sup norm of [twist generator, N_i]
@@ -84,59 +85,6 @@ class FlagPoint:
             return np.eye(dim, dtype=complex)
         raise ValueError(f"flag level {p} not provided")
 
-    def transform(self, g: np.ndarray) -> "FlagPoint":
-        return FlagPoint(self.weight, {p: g @ m for p, m in self.levels.items()})
-
-
-def _intersect_spans(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning span(a) cap span(b): the images a x of the
-    kernel vectors (x, y) of [a | -b]."""
-    m = np.hstack([a, -b])
-    null = _coefficient_kernel(m, _independent_columns(m)[0])
-    return _independent_columns(a @ null[: a.shape[1]])[1]
-
-
-def hodge_decomposition(flag: FlagPoint, form: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Hodge decomposition H^{p,q} = F^p cap conj(F^{n-p}) with positivity.
-
-    Raises NotPolarized when the pieces fail to fill the space or the Hermitian
-    form i^{p-q} Q(u, conj v) is not positive definite on some piece.
-    """
-    n = flag.weight
-    dim = form.shape[0]
-    pieces = {
-        (p, n - p): _intersect_spans(flag.level(p), flag.level(n - p).conj())
-        for p in range(n, -1, -1)
-    }
-    combined = np.hstack(list(pieces.values()))
-    if combined.shape[1] != dim:
-        raise NotPolarized(f"Hodge pieces span dimension {combined.shape[1]} of {dim}")
-    smin = np.linalg.svd(combined, compute_uv=False)[-1]
-    if smin < ALGEBRAIC_TOL:
-        raise NotPolarized(
-            f"Hodge pieces are not in direct sum: smallest singular value "
-            f"{smin:.3g} < tolerance {ALGEBRAIC_TOL:.3g}"
-        )
-    for (p, q), basis in pieces.items():
-        if basis.shape[1] == 0:
-            continue
-        gram = (1j) ** (p - q) * (basis.T @ form @ basis.conj())
-        herm = 0.5 * (gram + gram.conj().T)
-        deviation = np.linalg.norm(gram - herm)
-        tol = ALGEBRAIC_TOL * max(1.0, np.linalg.norm(gram))
-        if deviation > tol:
-            raise NotPolarized(
-                f"H^{p},{q} pairing is not Hermitian: deviation {deviation:.3g} "
-                f"> tolerance {tol:.3g}"
-            )
-        smallest = np.linalg.eigvalsh(herm).min()
-        if smallest <= ALGEBRAIC_TOL:
-            raise NotPolarized(
-                f"H^{p},{q} pairing is not positive definite: smallest eigenvalue "
-                f"{smallest:.3g} <= tolerance {ALGEBRAIC_TOL:.3g}"
-            )
-    return pieces
-
 
 class OrbitSpec:
     """Twisted nilpotent orbit exp(sum l(t_i) N_i) . zeta(w) . F0.
@@ -172,9 +120,6 @@ class OrbitSpec:
         z = sum((log_coord(ti) * n for ti, n in zip(t, self.gens, strict=True)), 0 * self.form)
         return _expm(z) @ self.zeta(w)
 
-    def flag_at(self, t, w) -> FlagPoint:
-        return self.f0.transform(self.group_element(t, w))
-
     def check_horizontal(self) -> None:
         """Verify N_j . F0^p <= F0^{p-1} on every pair of provided flag levels."""
         for p in sorted(self.f0.levels, reverse=True):
@@ -185,24 +130,46 @@ class OrbitSpec:
                     raise ValueError(f"generator {j + 1} moves F^{p} outside F^{p - 1}")
 
 
-def _hermitian_log_det(gram: np.ndarray, what: str) -> float:
-    """log det of the Hermitian part of gram, which must be positive definite;
-    0 on an empty frame."""
+def _hermitian_log_det(gram: np.ndarray, what: str, negatives: int = 0) -> float:
+    """log|det| of the Hermitian part of gram, which must have exactly
+    `negatives` negative eigenvalues and none 0 (by default, be positive
+    definite); 0 on an empty frame."""
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    if eigs.size and eigs.min() <= 0:
+    if not negatives and eigs.size and eigs.min() <= 0:
         raise NotPolarized(
             f"{what} is not positive definite: smallest eigenvalue {eigs.min():.3g} <= 0"
         )
-    return float(np.sum(np.log(eigs)))
+    found = int(np.sum(eigs < 0))
+    if found != negatives:
+        raise NotPolarized(f"{what} has {found} negative eigenvalues, not {negatives}")
+    if not eigs.all():
+        raise NotPolarized(f"{what} has an eigenvalue 0")
+    return float(np.sum(np.log(np.abs(eigs))))
+
+
+def _pairing_log_det(orbit: OrbitSpec, g: np.ndarray, t, p: int, what: str) -> float:
+    """log|det B_p| on the transported frame g F0^p, B_p = i^(2p - n) Q(u, conj v).
+
+    The pieces H^{r,n-r} of F^p are B_p-orthogonal, and B_p is (-1)^(r-p)
+    times the Hodge metric on each (Hodge-Riemann), so B_p has
+    sum_{r > p, r - p odd} dim F^r/F^{r+1} negative eigenvalues, counted from
+    the frame columns, and |det B_p| is the Hodge-metric determinant of F^p.
+    """
+    n = orbit.weight
+
+    def dim(r: int) -> int:
+        return orbit.f0.level(r).shape[1] if r <= n else 0
+
+    negatives = sum(dim(r) - dim(r + 1) for r in range(p + 1, n + 1, 2))
+    frame = g @ orbit.f0.level(p)
+    gram = (1j) ** (2 * p - n) * (frame.T @ orbit.form @ frame.conj())
+    return _hermitian_log_det(_finite(gram, f"{what} at t = {t}"), what, negatives)
 
 
 def log_det_lambda(orbit: OrbitSpec, t, w) -> float:
     """log det of the Hodge-metric Gram matrix of the transported F^n frame."""
-    frame = orbit.group_element(t, w) @ orbit.f0.level(orbit.weight)
-    gram = (1j) ** orbit.weight * (frame.T @ orbit.form @ frame.conj())
-    return _hermitian_log_det(
-        _finite(gram, f"top Hodge pairing at t = {t}"), "top Hodge pairing"
-    )
+    g = orbit.group_element(t, w)
+    return _pairing_log_det(orbit, g, t, orbit.weight, "top Hodge pairing")
 
 
 def augmented_weights(n: int) -> list[tuple[int, int]]:
@@ -211,36 +178,20 @@ def augmented_weights(n: int) -> list[tuple[int, int]]:
 
 
 def augmented_log_det(orbit: OrbitSpec, t, w) -> float:
-    """Weighted sum of graded log-determinants; equals log_det_lambda for n <= 2.
+    """log det of the augmented Hodge bundle: sum_p n_p (L(n-p) - L(n-p+1)),
+    with (p, n_p) from augmented_weights, L(q) the log|det B_q| of
+    _pairing_log_det and L(q) = 0 for q > n.
 
-    The graded piece F^p/F^{p+1} carries the quotient Hodge metric, whose
-    determinant on the transported frames is the ratio of consecutive full
-    Hodge-metric Gram determinants (the Hodge decomposition is orthogonal for
-    the Weil-operator metric, so nested frames split off a Schur complement).
+    The graded piece F^q/F^{q+1} carries the quotient Hodge metric, whose
+    determinant is exp(L(q) - L(q+1)), as the Hodge pieces are orthogonal.
+    Only the levels F^n .. F^{n - floor((n-1)/2)} are read, so for n <= 2
+    this is log_det_lambda, on F^n alone.
     """
-    g = orbit.group_element(t, w)
-    flag = orbit.f0.transform(g)
-    pieces = hodge_decomposition(flag, orbit.form)
     n = orbit.weight
-    basis = np.hstack(list(pieces.values()))
-    weights = np.concatenate([np.full(b.shape[1], (1j) ** (p - q)) for (p, q), b in pieces.items()])
-    weil = basis @ np.diag(weights) @ np.linalg.inv(basis)
-
-    def gram_log_det(frame: np.ndarray) -> float:
-        gram = (weil @ frame).T @ orbit.form @ frame.conj()
-        return _hermitian_log_det(gram, "Hodge-metric Gram matrix")
-
-    def level_frame(p: int) -> np.ndarray:
-        if p > n:
-            return np.zeros((orbit.form.shape[0], 0), dtype=complex)
-        return flag.level(p)
-
-    total = 0.0
-    for p, n_p in augmented_weights(n):
-        total += n_p * (
-            gram_log_det(level_frame(n - p)) - gram_log_det(level_frame(n - p + 1))
-        )
-    return total
+    g = orbit.group_element(t, w)
+    weights = augmented_weights(n)
+    logs = {n - p: _pairing_log_det(orbit, g, t, n - p, f"F^{n - p} pairing") for p, _ in weights}
+    return sum(n_p * (logs[n - p] - logs.get(n - p + 1, 0.0)) for p, n_p in weights)
 
 
 class ExpansionFit(Record):

@@ -355,7 +355,8 @@ def triple_from_json(data) -> "CurvatureTriple":
         raise SchemaError("entries must be a dim_t x dim_w x dim_u array")
     entries = [[_array_from_json(row, "entries", _rational_from_json) for row in sl] for sl in slices]
     metric = data.get("metric")
+    metric = matrix_from_json(metric, "metric") if metric is not None else None
     try:
-        return CurvatureTriple(*dims, entries, matrix_from_json(metric, "metric") if metric else None)
+        return CurvatureTriple(*dims, entries, metric)
     except ValueError as exc:
         raise SchemaError(f"bad curvature triple: {exc}") from exc

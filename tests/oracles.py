@@ -29,9 +29,13 @@ QR frozen at a base point, graded columns chosen by a greedy singular-value
 loop and one solve per free column at every w, are the reference for its one
 column-pivoting helper and its kernel solved once on the untwisted frame; the
 polarization form by a double loop over the primitive
-representatives is the reference for its one matrix product.  The span
-intersection by an SVD kernel with its own rank cut, orthonormalized by QR,
-is the reference for the Hodge pieces from the one column-pivoting cut.  The
+representatives is the reference for its one matrix product.  The
+library's earlier Hodge decomposition, from span intersections by the one
+column-pivoting cut, and its augmented determinant through the Weil operator
+and an inverse of the pieces' basis, are the reference for the augmented
+determinant from the flag's own pairings; the span intersection by an SVD
+kernel with its own rank cut, orthonormalized by QR, is the reference for
+those span intersections.  The
 library's earlier residue integral, a Gauss-Legendre by trapezoid quadrature,
 is the low-degree reference for its closed form.  The Siegel
 escape probe in numpy (np.log on the grid, np.exp, the Cholesky factor as an
@@ -81,7 +85,17 @@ from hodgecharts.linalg import (
     rank,
     vec,
 )
-from hodgecharts.metrics import SVD_TOL, OrbitSpec, _np_matrix
+from hodgecharts.metrics import (
+    ALGEBRAIC_TOL,
+    SVD_TOL,
+    FlagPoint,
+    OrbitSpec,
+    _coefficient_kernel,
+    _hermitian_log_det,
+    _independent_columns,
+    _np_matrix,
+    augmented_weights,
+)
 from hodgecharts.ncd import WeightComplexes, _require_complex
 from hodgecharts.positivity import CurvatureIdentity, CurvatureTriple, SigmaReport
 from hodgecharts.serialize import matrix_to_json
@@ -1010,6 +1024,96 @@ class QRNestedFrame:
                 raise NotPolarized(f"degenerate graded pairing at level {level}")
             total += float(np.log(abs(det)))
         return total
+
+
+# ---------------------------------------------------------------------------
+# The Hodge decomposition by span intersections, and the augmented
+# determinant through its Weil operator.
+
+
+def flag_at(orbit: OrbitSpec, t, w) -> FlagPoint:
+    """The flag g(t, w) F0 of the orbit at (t, w)."""
+    g = orbit.group_element(t, w)
+    return FlagPoint(orbit.weight, {p: g @ m for p, m in orbit.f0.levels.items()})
+
+
+def _intersect_spans(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning span(a) cap span(b): the images a x of the
+    kernel vectors (x, y) of [a | -b], both by the one column-pivoting cut."""
+    m = np.hstack([a, -b])
+    null = _coefficient_kernel(m, _independent_columns(m)[0])
+    return _independent_columns(a @ null[: a.shape[1]])[1]
+
+
+def hodge_decomposition(flag: FlagPoint, form: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """Hodge decomposition H^{p,q} = F^p cap conj(F^{n-p}) with positivity.
+
+    Raises NotPolarized when the pieces fail to fill the space or the Hermitian
+    form i^{p-q} Q(u, conj v) is not positive definite on some piece.
+    """
+    n = flag.weight
+    dim = form.shape[0]
+    pieces = {
+        (p, n - p): _intersect_spans(flag.level(p), flag.level(n - p).conj())
+        for p in range(n, -1, -1)
+    }
+    combined = np.hstack(list(pieces.values()))
+    if combined.shape[1] != dim:
+        raise NotPolarized(f"Hodge pieces span dimension {combined.shape[1]} of {dim}")
+    smin = np.linalg.svd(combined, compute_uv=False)[-1]
+    if smin < ALGEBRAIC_TOL:
+        raise NotPolarized(
+            f"Hodge pieces are not in direct sum: smallest singular value "
+            f"{smin:.3g} < tolerance {ALGEBRAIC_TOL:.3g}"
+        )
+    for (p, q), basis in pieces.items():
+        if basis.shape[1] == 0:
+            continue
+        gram = (1j) ** (p - q) * (basis.T @ form @ basis.conj())
+        herm = 0.5 * (gram + gram.conj().T)
+        deviation = np.linalg.norm(gram - herm)
+        tol = ALGEBRAIC_TOL * max(1.0, np.linalg.norm(gram))
+        if deviation > tol:
+            raise NotPolarized(
+                f"H^{p},{q} pairing is not Hermitian: deviation {deviation:.3g} "
+                f"> tolerance {tol:.3g}"
+            )
+        smallest = np.linalg.eigvalsh(herm).min()
+        if smallest <= ALGEBRAIC_TOL:
+            raise NotPolarized(
+                f"H^{p},{q} pairing is not positive definite: smallest eigenvalue "
+                f"{smallest:.3g} <= tolerance {ALGEBRAIC_TOL:.3g}"
+            )
+    return pieces
+
+
+def weil_augmented_log_det(orbit: OrbitSpec, t, w) -> float:
+    """The augmented determinant with the Hodge metric Q(C u, conj v) of the
+    Weil operator C = i^{p-q} on H^{p,q}, built from the Hodge decomposition
+    at the point and an inverse of its basis: the weighted sum of
+    differences of consecutive full Gram log-determinants on every level."""
+    flag = flag_at(orbit, t, w)
+    pieces = hodge_decomposition(flag, orbit.form)
+    n = orbit.weight
+    basis = np.hstack(list(pieces.values()))
+    weights = np.concatenate([np.full(b.shape[1], (1j) ** (p - q)) for (p, q), b in pieces.items()])
+    weil = basis @ np.diag(weights) @ np.linalg.inv(basis)
+
+    def gram_log_det(frame: np.ndarray) -> float:
+        gram = (weil @ frame).T @ orbit.form @ frame.conj()
+        return _hermitian_log_det(gram, "Hodge-metric Gram matrix")
+
+    def level_frame(p: int) -> np.ndarray:
+        if p > n:
+            return np.zeros((orbit.form.shape[0], 0), dtype=complex)
+        return flag.level(p)
+
+    total = 0.0
+    for p, n_p in augmented_weights(n):
+        total += n_p * (
+            gram_log_det(level_frame(n - p)) - gram_log_det(level_frame(n - p + 1))
+        )
+    return total
 
 
 def svd_intersect_spans(a: np.ndarray, b: np.ndarray) -> np.ndarray:

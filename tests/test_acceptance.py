@@ -17,6 +17,7 @@ import pytest
 
 from hodgecharts.charts import binomial_relations, build_atlas
 from hodgecharts.cones import farkas_alternative, farkas_split, k_index_map, relation_space
+from hodgecharts.errors import NotPolarized
 from hodgecharts.filtrations import (
     adjoint_filtration,
     polarization_form,
@@ -65,7 +66,7 @@ from .oracles import (
     subspace_sum,
 )
 from .test_cones import _gallery_cones, _oracle_cones, _polarized_type_cones
-from .test_metrics import weight3_orbit
+from .test_metrics import conifold_orbit, weight3_orbit
 
 
 @contextmanager
@@ -461,3 +462,30 @@ def test_criterion_14_augmented_bundle_sees_the_degeneration():
                 augmented = augmented_log_det(orbit, t, 0.0)
                 assert abs(augmented - math.log(8) - math.log(1 + y * y)) < 1e-12
                 assert abs(log_det_lambda(orbit, t, 0.0) - math.log(2)) < 1e-12
+
+
+def test_criterion_15_augmented_bundle_on_a_horizontal_orbit():
+    """The augmented Hodge bundle in closed form on a period map: the
+    conifold orbit of test_metrics.conifold_orbit is horizontal, and with
+    y = log(1/|t|)/2 pi, log_det_lambda = log 2 while
+    augmented_log_det = log 8 + log y.  The top Hodge bundle sees no
+    degeneration, as the h^{3,0} line sits in Gr_3^W; the augmented bundle
+    sees it through the line e0 of F^2.  16 points: |t| from 0.5 down to
+    1e-100, four arguments each.  With -N the flag is still horizontal, but
+    its F^2 pairing has the wrong signature, and the augmented determinant
+    is refused naming F^2."""
+    with criterion(15, "augmented Hodge bundle on a horizontal conifold orbit", 1.0):
+        orbit = conifold_orbit()
+        orbit.check_horizontal()
+        for r in (0.5, 1e-3, 1e-12, 1e-100):
+            y = math.log(1 / r) / (2 * math.pi)
+            for arg in range(4):
+                t = (r * cmath.exp(1j * (0.3 + arg * math.pi / 2)),)
+                assert abs(log_det_lambda(orbit, t, 0.0) - math.log(2)) < 1e-12
+                augmented = augmented_log_det(orbit, t, 0.0)
+                assert abs(augmented - math.log(y) - math.log(8)) < 1e-12
+        flipped = conifold_orbit(-1)
+        flipped.check_horizontal()
+        for r in (0.5, 1e-3, 1e-12):
+            with pytest.raises(NotPolarized, match=r"^F\^2 pairing"):
+                augmented_log_det(flipped, (r,), 0.0)

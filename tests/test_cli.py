@@ -336,6 +336,13 @@ def _identity_input(**fields):
     return {"mode": "identity", "triple": triple, **fields}
 
 
+def _identity_input_with_metric(metric):
+    """The identity input with e = xi = (1, 0) and the triple's metric set."""
+    data = _identity_input(e=[1, 0], xi=[1, 0])
+    data["triple"]["metric"] = metric
+    return data
+
+
 _EXPANSION_WITHOUT_GENERATORS = _fixture_with("orbit_weight2_caseC_expansion.json")
 _EXPANSION_WITHOUT_GENERATORS["orbit"]["cone"]["generators"] = []
 
@@ -403,6 +410,10 @@ def _weight1_orbit_with_flag_level(level):
         ("positivity", _identity_input(e="x", xi=[1, 1])),
         ("positivity", _identity_input(e=[1, 1], xi=[1, 1, 1])),
         ("positivity", _identity_input()),
+        ("positivity", _identity_input_with_metric(0)),
+        ("positivity", _identity_input_with_metric(False)),
+        ("positivity", _identity_input_with_metric("")),
+        ("positivity", _identity_input_with_metric([])),
         ("curvature", _fixture_with("residue_constant.json", coefficients={"\u0660,0": [1, 0]})),
         ("siegel", _fixture_with("siegel_cl2.json", family="y=(\u0662*T,1)")),
         ("positivity", _fixture_with("positivity_ndim.json", samples="2_0")),
@@ -471,6 +482,10 @@ def _weight1_orbit_with_flag_level(level):
         "identity-e-not-an-array",
         "identity-xi-length",
         "identity-e-xi-missing",
+        "identity-metric-zero",
+        "identity-metric-false",
+        "identity-metric-empty-string",
+        "identity-metric-empty-array",
         "residue-key-arabic-indic-digit",
         "siegel-family-arabic-indic-digit",
         "ndim-samples-underscore",
@@ -892,6 +907,7 @@ CI_INPUTS = {
     "negative_exponent.json": ("curvature", 2),
     "opposite_cone.json": ("charts", 2),
     "not_horizontal.json": ("curvature", 2),
+    "falsy_metric.json": ("positivity", 2),
     "misspelt_key.json": ("curvature", 2),
     "repeated_key.json": ("curvature", 2),
 }

@@ -1,13 +1,14 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hodgecharts import gallery, metrics
+from hodgecharts import gallery
 from hodgecharts.errors import NotPolarized, NumericDomainError, PoorFit
 from hodgecharts.filtrations import weight_filtration
 from hodgecharts.gallery import (
@@ -33,14 +34,21 @@ from hodgecharts.metrics import (
     augmented_weights,
     curvature_limit_check,
     expansion_fit,
-    hodge_decomposition,
     log_det_lambda,
     mixed_second_derivative,
     residue_integral,
 )
 from hodgecharts.serialize import orbit_from_json
 
-from .oracles import QRNestedFrame, quadrature_residue_integral, svd_intersect_spans
+from . import oracles
+from .oracles import (
+    QRNestedFrame,
+    flag_at,
+    hodge_decomposition,
+    quadrature_residue_integral,
+    svd_intersect_spans,
+    weil_augmented_log_det,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -48,7 +56,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def test_hodge_pieces_genus2_point():
     orbit = genus2_orbit()
     t = (1e-3, 1e-3, 1e-3)
-    pieces = hodge_decomposition(orbit.flag_at(t, 0.0), orbit.form)
+    pieces = hodge_decomposition(flag_at(orbit, t, 0.0), orbit.form)
     assert {k: v.shape[1] for k, v in pieces.items()} == {(1, 0): 2, (0, 1): 2}
 
 
@@ -97,17 +105,20 @@ def test_log_det_not_positive_names_its_smallest_eigenvalue():
 def test_hodge_pieces_degenerate_rejected():
     orbit = genus2_orbit()
     with pytest.raises(NotPolarized):
-        hodge_decomposition(orbit.flag_at((1.0, 1.0, 1.0), 0.0), orbit.form)
+        hodge_decomposition(flag_at(orbit, (1.0, 1.0, 1.0), 0.0), orbit.form)
 
 
 def test_missing_flag_level_is_named():
     """The inert orbit's flag gives F^2 only, so its Hodge pieces need the
-    missing F^1: a ValueError that names the level, as for a malformed flag."""
+    missing F^1: a ValueError that names the level, as for a malformed flag.
+    At weight 2 the augmented determinant reads F^2 alone: it is
+    log_det_lambda, log 2 at every point."""
     orbit = weight2_inert_orbit()
     with pytest.raises(ValueError, match="flag level 1"):
         hodge_decomposition(orbit.f0, orbit.form)
-    with pytest.raises(ValueError, match="flag level 1"):
-        augmented_log_det(orbit, (0.5,), 0.0)
+    for t in ((0.5,), (1e-3j,), (1e-12,)):
+        assert augmented_log_det(orbit, t, 0.0) == log_det_lambda(orbit, t, 0.0)
+        assert abs(log_det_lambda(orbit, t, 0.0) - math.log(2)) < 1e-12
 
 
 def test_log_det_against_period_matrix():
@@ -200,7 +211,7 @@ def test_augmented_weight3_synthetic():
     f3 = g @ u30
     f2 = g @ np.hstack([u30, u21])
     # full Hodge-metric Grams via the decomposition at the moved point
-    pieces = hodge_decomposition(orbit.flag_at(t, 0.0), q)
+    pieces = hodge_decomposition(flag_at(orbit, t, 0.0), q)
     assert {k: v.shape[1] for k, v in pieces.items()} == {
         (3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1
     }
@@ -213,6 +224,163 @@ def test_augmented_weight3_synthetic():
         return float(np.linalg.slogdet(0.5 * (m + m.conj().T))[1])
     expected = 2 * gram_ld(f3) + 1 * (gram_ld(f2) - gram_ld(f3))
     assert abs(total - expected) < 1e-9
+
+
+def conifold_orbit(sign: int = 1) -> OrbitSpec:
+    """The horizontal weight-3 orbit of conifold type: C^4 with
+    weight3_orbit's antidiagonal Q, N = sign E_30 (e0 -> sign e3, so N^2 = 0),
+    F^3 = <e1 + i e2>, F^2 = F^3 + <e0> and F^1 = F^2 + <e3>.  The h^{3,0}
+    line lies in Gr_3^W, so log_det_lambda is log 2 at every point, while
+    the line e0 of F^2 pairs with N e0 = sign e3: for sign = -1 that pairing
+    has the wrong sign."""
+    from hodgecharts.filtrations import NilpotentCone
+    from hodgecharts.linalg import RationalMatrix
+
+    e = np.eye(4, dtype=complex)
+    f3 = (e[:, 1] + 1j * e[:, 2]).reshape(4, 1)
+    f2 = np.hstack([f3, e[:, :1]])
+    n = RationalMatrix.from_rows([[0, 0, 0, 0]] * 3 + [[sign, 0, 0, 0]])
+    qm = RationalMatrix.from_rows(
+        [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
+    )
+    flag = FlagPoint(3, {3: f3, 2: f2, 1: np.hstack([f2, e[:, 3:]])})
+    return OrbitSpec(NilpotentCone(4, 3, qm, [n]), flag)
+
+
+def sym_power_orbit(n: int, sign: int) -> OrbitSpec:
+    """Sym^n of the weight-1 line: C^2 with Q(x, y) = 1 and F^1 = <v>,
+    v = y - i x, moved by N = sign x d/dy.  On the monomials x^a y^(n-a),
+    Q_n(x^a y^(n-a), x^(n-a) y^a) = (-1)^(n-a) / C(n, a), so that
+    Q_n(u^n, w^n) = Q(u, w)^n, and N x^a y^(n-a) = sign (n-a) x^(a+1) y^(n-a-1);
+    F^p is spanned by the v^a conj(v)^(n-a) with a >= p.  Along the orbit
+    F^1 = <y - (i + sign z) x>: polarized for every t when sign = -1, and for
+    sign = +1 only while Im z < 1, that is |t| > exp(-2 pi)."""
+    from hodgecharts.filtrations import NilpotentCone
+    from hodgecharts.linalg import RationalMatrix
+
+    form = [[0] * (n + 1) for _ in range(n + 1)]
+    gen = [[0] * (n + 1) for _ in range(n + 1)]
+    for a in range(n + 1):
+        form[a][n - a] = Fraction((-1) ** (n - a), math.comb(n, a))
+        if a < n:
+            gen[a + 1][a] = sign * (n - a)
+    v = np.array([1, -1j])  # coefficients of x^0 y and x^1 in y - i x
+    cols = []
+    for a in range(n, -1, -1):
+        col = np.ones(1, dtype=complex)
+        for factor in [v] * a + [v.conj()] * (n - a):
+            col = np.convolve(col, factor)
+        cols.append(col)
+    flag = FlagPoint(n, {p: np.column_stack(cols[: n - p + 1]) for p in range(1, n + 1)})
+    cone = NilpotentCone(
+        n + 1, n, RationalMatrix.from_rows(form), [RationalMatrix.from_rows(gen)]
+    )
+    return OrbitSpec(cone, flag)
+
+
+def _seeded_points(rng, count, lowest):
+    """count one-variable points t with |t| log-uniform in [lowest, 0.5]."""
+    radii = 10.0 ** rng.uniform(math.log10(lowest), math.log10(0.5), size=count)
+    return [(r * np.exp(2j * np.pi * rng.uniform()),) for r in radii]
+
+
+def test_augmented_matches_weil_oracle_on_weight3_and_conifold():
+    """The flag's own pairings against the Weil operator of the Hodge
+    decomposition, to 1e-12 relative, at seeded t down to 1e-8 and at the
+    criteria's points."""
+    rng = np.random.default_rng(29)
+    for orbit in (weight3_orbit(), conifold_orbit()):
+        points = _seeded_points(rng, 20, 1e-8) + [(0.9,), (1e-12,), (1e-100j,)]
+        for t in points:
+            want = weil_augmented_log_det(orbit, t, 0.0)
+            got = augmented_log_det(orbit, t, 0.0)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (t, got, want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_augmented_matches_weil_oracle_on_symmetric_powers(n):
+    """Sym^n of the weight-1 line with N = -x d/dy, at seeded t down to
+    1e-20.  From weight 5 on a level has a piece at r - p = 2: B_3 on F^3
+    has signs (+, -, +), so it has one negative eigenvalue."""
+    orbit = sym_power_orbit(n, -1)
+    orbit.check_horizontal()
+    rng = np.random.default_rng(n)
+    for t in _seeded_points(rng, 20, 1e-20):
+        want = weil_augmented_log_det(orbit, t, 0.0)
+        got = augmented_log_det(orbit, t, 0.0)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (t, got, want)
+    if n == 5:
+        frame = orbit.group_element((1e-3,), 0.0) @ orbit.f0.level(3)
+        gram = (1j) ** (2 * 3 - n) * (frame.T @ orbit.form @ frame.conj())
+        eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+        assert int(np.sum(eigs < 0)) == 1 and int(np.sum(eigs > 0)) == 2
+
+
+def _negated_form_genus2_orbit() -> OrbitSpec:
+    from hodgecharts.filtrations import NilpotentCone
+
+    cone = gallery.genus2_cone()
+    negated = NilpotentCone(cone.dim, cone.weight, cone.form.scale(-1), cone.generators)
+    return OrbitSpec(negated, genus2_orbit().f0)
+
+
+@pytest.mark.parametrize(
+    "make, t, message, oracle_message",
+    [
+        (
+            _negated_form_genus2_orbit,
+            (1e-3, 1e-3, 1e-3),
+            r"F\^1 pairing is not positive",
+            r"H\^1,0",
+        ),
+        (genus2_orbit, (1.0, 1.0, 1.0), r"F\^1 pairing is not positive", "not in direct sum"),
+        (
+            partial(conifold_orbit, -1),
+            (1e-3,),
+            r"^F\^2 pairing has 2 negative eigenvalues, not 1$",
+            r"H\^2,1 pairing is not positive",
+        ),
+        (partial(sym_power_orbit, 5, 1), (1e-6,), r"^F\^5 pairing is not positive", r"H\^5,0"),
+    ],
+    ids=["negated-form", "genus2-at-1", "conifold-minus-N", "sym5-plus-x-dy"],
+)
+def test_augmented_refusals_name_their_level(make, t, message, oracle_message):
+    """Each refusal is NotPolarized, from the flag's pairings and from the
+    Weil-operator oracle alike; the flag's pairings name the level."""
+    orbit = make()
+    orbit.check_horizontal()
+    with pytest.raises(NotPolarized, match=message):
+        augmented_log_det(orbit, t, 0.0)
+    with pytest.raises(NotPolarized, match=oracle_message):
+        weil_augmented_log_det(orbit, t, 0.0)
+
+
+def test_augmented_accepts_a_point_near_the_boundary():
+    """F^1 = <(1, 1e-9 i)> is polarized, with i Q(v, conj v) = 2e-9, though
+    its Hodge pieces meet at an angle below ALGEBRAIC_TOL: log_det_lambda
+    and the augmented determinant both read log 2e-9."""
+    from hodgecharts.filtrations import NilpotentCone
+    from hodgecharts.linalg import RationalMatrix
+
+    form = RationalMatrix.from_rows([[0, 1], [-1, 0]])
+    cone = NilpotentCone(2, 1, form, [RationalMatrix.from_rows([[0, 1], [0, 0]])])
+    flag = FlagPoint(1, {1: np.array([[1], [1e-9j]])})
+    orbit = OrbitSpec(cone, flag)
+    with pytest.raises(NotPolarized, match="not in direct sum"):
+        hodge_decomposition(flag, orbit.form)
+    got = augmented_log_det(orbit, (1.0,), 0.0)
+    assert got == log_det_lambda(orbit, (1.0,), 0.0)
+    assert abs(got - math.log(2e-9)) < 1e-12
+
+
+def test_log_det_counts_negative_eigenvalues():
+    """With negatives > 0 the log-determinant is of |det|, and the count of
+    negative eigenvalues must be that number, with none 0."""
+    assert _hermitian_log_det(np.diag([1.0, -2.0]), "B", 1) == math.log(2)
+    with pytest.raises(NotPolarized, match=r"^B has 0 negative eigenvalues, not 1$"):
+        _hermitian_log_det(np.diag([1.0, 2.0]), "B", 1)
+    with pytest.raises(NotPolarized, match=r"^B has an eigenvalue 0$"):
+        _hermitian_log_det(np.diag([0.0, -2.0]), "B", 1)
 
 
 def _projector(basis: np.ndarray) -> np.ndarray:
@@ -231,14 +399,15 @@ def _svd_oracle_pair(monkeypatch, compute):
 
     got = run()
     with monkeypatch.context() as patch:
-        patch.setattr(metrics, "_intersect_spans", svd_intersect_spans)
+        patch.setattr(oracles, "_intersect_spans", svd_intersect_spans)
         want = run()
     return got, want
 
 
 def test_hodge_pieces_match_svd_oracle_on_gallery_orbits(monkeypatch):
-    """The pieces from the one column-pivoting cut have the projectors, and
-    augmented_log_det the value, of the SVD kernel with QR, at seeded (t, w)."""
+    """The pieces from the one column-pivoting cut have the projectors of the
+    SVD kernel with QR, and augmented_log_det the value of the Weil-operator
+    oracle on them, at seeded (t, w)."""
     rng = np.random.default_rng(20261019)
     compared = 0
     for make in (
@@ -253,21 +422,24 @@ def test_hodge_pieces_match_svd_oracle_on_gallery_orbits(monkeypatch):
             radii = 10.0 ** rng.uniform(-4, -1, size=orbit.cone.k)
             t = tuple(radii * np.exp(2j * np.pi * rng.uniform(size=orbit.cone.k)))
             w = complex(*rng.normal(scale=0.1, size=2))
-            flag = orbit.flag_at(t, w)
+            flag = flag_at(orbit, t, w)
             got, want = _svd_oracle_pair(
                 monkeypatch, lambda: hodge_decomposition(flag, orbit.form)
             )
+            got_value = augmented_log_det(orbit, t, w)
             if isinstance(want, type):
                 assert got is want
+                # the inert orbit gives no F^1; at weight 2 only F^2 is read
+                assert got_value == log_det_lambda(orbit, t, w)
                 continue
             assert got.keys() == want.keys()
             for pq, basis in got.items():
                 assert basis.shape == want[pq].shape
                 assert np.abs(_projector(basis) - _projector(want[pq])).max() <= 1e-9
-            got, want = _svd_oracle_pair(monkeypatch, lambda: augmented_log_det(orbit, t, w))
-            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            want_value = weil_augmented_log_det(orbit, t, w)
+            assert abs(got_value - want_value) <= 1e-12 * max(1.0, abs(want_value))
             compared += 1
-    assert compared == 20  # the inert orbit gives no F^1, so both refuse it
+    assert compared == 20  # the inert orbit gives no F^1, so the decomposition refuses it
 
 
 def _random_flag_cones():
@@ -302,7 +474,7 @@ def test_span_intersections_match_svd_oracle_on_random_flags():
         for other in others:
             if any(np.linalg.matrix_rank(m) < m.shape[1] for m in (frame, other)):
                 continue
-            got = metrics._intersect_spans(frame, other)
+            got = oracles._intersect_spans(frame, other)
             want = svd_intersect_spans(frame, other)
             assert got.shape == want.shape
             assert np.abs(_projector(got) - _projector(want)).max() <= 1e-9
