@@ -196,12 +196,12 @@ def run_lmhs(data, args) -> tuple[dict, list, list]:
 
 
 def run_curvature(data, args) -> tuple[dict, list, list]:
-    from .metrics import EXPANSION_TAUS, curvature_limit_check, expansion_fit, residue_integral
-
     mode = data.get("mode", "limit") if isinstance(data, dict) else "limit"
     if args.csv and mode == "expansion":
         raise SchemaError("--csv: expansion mode writes no table")
     if mode == "residue":
+        from .residue import residue_integral  # not metrics: residue mode loads no numpy
+
         _object_from_json(data, "curvature input", (), ("mode", "coefficients", "t_values"))
         coeffs = residue_coefficients_from_json(data.get("coefficients", {}))
         t_values = _array_from_json(
@@ -233,6 +233,8 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
         _object_from_json(data, "curvature input", ("orbit", "t_sequence"), ("mode", "index", "w0"))
     else:
         raise SchemaError(f"unknown curvature mode {mode!r}")
+    from .metrics import EXPANSION_TAUS, curvature_limit_check, expansion_fit
+
     orbit = orbit_from_json(data["orbit"])
     k = orbit.cone.k
     if mode == "expansion":

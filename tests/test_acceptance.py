@@ -38,7 +38,6 @@ from hodgecharts.metrics import (
     curvature_limit_check,
     expansion_fit,
     log_det_lambda,
-    residue_integral,
 )
 from hodgecharts.ncd import (
     DoubleCurve,
@@ -56,6 +55,7 @@ from hodgecharts.positivity import (
     sigma_weight1,
     sigma_weight2,
 )
+from hodgecharts.residue import residue_integral
 from hodgecharts.siegel import ConeSpec, boundedness_probe
 
 from .oracles import (

@@ -367,6 +367,16 @@ _FLAG_LEVEL_KEY_REPEATED = _fixture_with("orbit_twisted_weight1.json")
 _FLAG_LEVEL_KEY_REPEATED["orbit"]["flag"][" 1"] = _FLAG_LEVEL_KEY_REPEATED["orbit"]["flag"]["1"]
 
 
+# The identity commutes with N = E_02 but is not nilpotent.
+_TWIST_NOT_NILPOTENT = _orbit_fixture_with(
+    "orbit_twisted_weight1.json",
+    twist={
+        "kind": "exp_linear",
+        "generator": [[[float(i == j), 0.0] for j in range(4)] for i in range(4)],
+    },
+)
+
+
 def _weight1_orbit_with_flag_level(level):
     """The weight-1 orbit with one more flag level, spanned by the second
     column i e2 + e4 of its F^1, which N kills: F^2 would be horizontal, and
@@ -449,6 +459,7 @@ def _weight1_orbit_with_flag_level(level):
         ("curvature", _weight1_orbit_with_flag_level("0")),
         ("curvature", _fixture_with("residue_constant.json", coefficients={"0,0": 1, "0, 0": 5})),
         ("curvature", _FLAG_LEVEL_KEY_REPEATED),
+        ("curvature", _TWIST_NOT_NILPOTENT),
     ],
     ids=[
         "residue-t-outside-disc",
@@ -512,6 +523,7 @@ def _weight1_orbit_with_flag_level(level):
         "flag-level-zero",
         "residue-key-repeats-an-exponent-pair",
         "flag-level-key-repeats-a-level",
+        "limit-twist-not-nilpotent",
     ],
 )
 def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
@@ -728,6 +740,41 @@ def test_exit_code_numeric(tmp_path):
     assert main(["curvature", "--input", str(bad)]) == 4
 
 
+def _top_level_with_repeated_column(name, level):
+    """The orbit fixture with the first column of its flag level repeated as
+    a last column."""
+    data = _fixture_with(name)
+    flag = data["orbit"]["flag"]
+    flag[level] = [row + [row[0]] for row in flag[level]]
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            _top_level_with_repeated_column("orbit_twisted_weight1.json", "1"),
+            "F^1 has dependent columns: rank 2 of 3, column(s) 3 in the span of the others",
+        ),
+        (
+            _top_level_with_repeated_column("orbit_weight2_caseC_expansion.json", "2"),
+            "F^2 has dependent columns: rank 1 of 2, column(s) 2 in the span of the others",
+        ),
+    ],
+    ids=["limit", "expansion"],
+)
+def test_dependent_top_flag_columns_are_named(tmp_path, capsys, data, message):
+    """A repeated column of F^n is named as the cause, on one error line with
+    exit 4, in limit mode (not "meets a weight level below the center") and
+    in expansion mode (not "not positive definite")."""
+    bad = tmp_path / "dependent.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    assert main(["curvature", "--input", str(bad), "--output", str(out)]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "subcommand, data",
     [
@@ -781,6 +828,28 @@ def test_residue_overflow_exits_4_on_one_line(tmp_path):
     assert proc.returncode == 4 and not out.exists()
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "t = 0.01" in lines[0]
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_twist_overflow_exits_4_on_one_line(tmp_path):
+    """A nilpotent twist entry of 1e300, which commutes with N, at w0 = 1e10:
+    w xi leaves the float range, which is one error line naming w, exit 4,
+    and no numpy warning on stderr."""
+    data = _fixture_with("orbit_twisted_weight1.json", w0=[1e10, 0.0])
+    data["orbit"]["twist"]["generator"][1][3] = [1e300, 0.0]
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgecharts.cli", "curvature", "--input", str(bad)]
+        + ["--output", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 4 and not out.exists()
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: twist exp(w xi) at w = ")
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 

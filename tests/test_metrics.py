@@ -25,6 +25,7 @@ from hodgecharts.metrics import (
     FlagPoint,
     OrbitSpec,
     _coefficient_kernel,
+    _exp_nilpotent,
     _graded_frames,
     _graded_log_det,
     _hermitian_log_det,
@@ -34,10 +35,11 @@ from hodgecharts.metrics import (
     augmented_weights,
     curvature_limit_check,
     expansion_fit,
+    log_coord,
     log_det_lambda,
     mixed_second_derivative,
-    residue_integral,
 )
+from hodgecharts.residue import residue_integral
 from hodgecharts.serialize import orbit_from_json
 
 from . import oracles
@@ -668,7 +670,12 @@ def test_graded_frames_match_pivoted_qr_on_fixtures_and_gallery(orbit, w0):
 def _random_twisted_orbit(rng, cone, index):
     """F^n spanned by random vectors of random steps W_l(N_I), l >= the weight,
     mixed by a random matrix, so that products C_l F^n can lose rank; the
-    twist exp(w xi) has xi a random element of the generators' centralizer."""
+    twist exp(w xi) has xi a random element of the generators' centralizer
+    with xi W_l <= W_{l-1} for the weight filtration W of the whole cone: a
+    linear space of nilpotent matrices that holds every N_i.  Lowering
+    W(N_I) instead would make xi act trivially on its graded pieces, where
+    the boundary pairings Q(N^q u, conj v) live, and every boundary
+    curvature 0 (Q(W_a, W_b) = 0 for a + b < 2n)."""
     filtration = weight_filtration(cone.n_of(index), cone.weight)
     steps = [
         _np_matrix(filtration.step(level).basis)
@@ -682,13 +689,22 @@ def _random_twisted_orbit(rng, cone, index):
         cols.append((rng.normal(size=step.shape[0]) + 1j * rng.normal(size=step.shape[0])) @ step)
     mix = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     eye = np.eye(cone.dim)
-    # xi N - N xi on row-major vec(xi), stacked over the generators
-    commutators = np.vstack(
+    lowering = weight_filtration(cone.n_of(range(1, cone.k + 1)), cone.weight)
+    # On row-major vec(xi): xi N - N xi for each generator, and c xi v for v
+    # in W_l and c vanishing on W_{l-1}.
+    conditions = np.vstack(
         [np.kron(eye, n.T) - np.kron(n, eye) for n in map(_np_matrix, cone.generators)]
+        + [
+            np.kron(
+                _np_matrix(lowering.step(level - 1).orthogonal_complement().basis),
+                _np_matrix(lowering.step(level).basis),
+            )
+            for level in lowering.levels()
+        ]
     )
-    _, svals, vh = np.linalg.svd(commutators)
-    centralizer = vh[int(np.sum(svals > 1e-10)) :]
-    xi = (rng.normal(size=centralizer.shape[0]) @ centralizer).reshape(cone.dim, cone.dim)
+    _, svals, vh = np.linalg.svd(conditions)
+    nilpotent = vh[int(np.sum(svals > 1e-10)) :]
+    xi = (rng.normal(size=nilpotent.shape[0]) @ nilpotent).reshape(cone.dim, cone.dim)
     f0 = FlagPoint(cone.weight, {cone.weight: np.column_stack(cols) @ mix})
     return OrbitSpec(cone, f0, xi)
 
@@ -769,6 +785,30 @@ def test_graded_coefficients_do_not_depend_on_the_twist():
     assert compared > 200, compared
 
 
+def test_graded_frames_never_evaluate_the_twist(monkeypatch):
+    """K_l is solved once, on the untwisted frame F0^n: building the graded
+    frames of the twisted fixture and of seeded random twisted orbits
+    evaluates no zeta(w)."""
+    orbits = [(twisted_weight1_orbit(), (1,))]
+    rng = np.random.default_rng(20261031)
+    for cone in _random_flag_cones():
+        index = tuple(range(1, cone.k + 1))
+        orbits.append((_random_twisted_orbit(rng, cone, index), index))
+
+    def no_twist(self, w):
+        raise AssertionError(f"zeta evaluated at w = {w}")
+
+    monkeypatch.setattr(OrbitSpec, "zeta", no_twist)
+    built = 0
+    for orbit, index in orbits:
+        try:
+            _graded_frames(orbit, index)
+        except NotPolarized:
+            continue
+        built += 1
+    assert built >= 3, built
+
+
 def test_curvature_limit_trivial_twist():
     orbit = genus2_orbit()
     rep = curvature_limit_check(
@@ -804,6 +844,66 @@ def test_twist_is_its_generator():
     assert np.array_equal(genus2_orbit().zeta(0.3 + 0.1j), np.eye(4))
     orbit = twisted_weight1_orbit(eps=0.2)  # xi^2 = 0, so exp(w xi) = 1 + w xi
     assert np.allclose(orbit.zeta(2.0), np.eye(4) + 2.0 * orbit.xi)
+
+
+def _random_nilpotent(rng, d):
+    """A random complex conjugate of a strictly upper triangular d x d matrix."""
+    upper = np.triu(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), 1)
+    s = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return s @ upper @ np.linalg.inv(s)
+
+
+def test_exp_nilpotent_matches_scipy_expm():
+    """The finite series against scipy's Pade expm on seeded nilpotent
+    matrices of dim 2 to 6, to 1e-12 relative to the largest entry."""
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(20261030)
+    for _ in range(60):
+        z = _random_nilpotent(rng, int(rng.integers(2, 7)))
+        want = expm(z)
+        assert np.abs(_exp_nilpotent(z) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("t", [0.5, 1e-3, 1e-12, 1e-100])
+def test_group_element_on_a_jordan_block_is_exact(t):
+    """On the expansion fixture's 3 x 3 Jordan block, exp(l(t) N) with
+    l(t) = iy has the exact entries 1, iy and -y^2/2."""
+    data = json.loads((FIXTURES / "orbit_weight2_caseC_expansion.json").read_text())
+    orbit = orbit_from_json(data["orbit"])
+    y = log_coord(t).imag
+    want = np.array([[1, 1j * y, -y * y / 2], [0, 1, 1j * y], [0, 0, 1]])
+    assert np.array_equal(orbit.group_element((t,), 0.0), want)
+
+
+@pytest.mark.parametrize(
+    "xi",
+    [np.eye(4), np.diag([0.0, 1.0, 0.0, 1.0])],
+    ids=["identity", "diag-0101"],
+)
+def test_twist_must_be_nilpotent(xi):
+    """Both commute with N = E_02 but are not nilpotent, so exp(w xi) is no
+    finite series: OrbitSpec refuses them naming the twist."""
+    orbit = twisted_weight1_orbit()
+    with pytest.raises(ValueError, match="twist generator is not nilpotent"):
+        OrbitSpec(orbit.cone, orbit.f0, xi)
+
+
+def test_nilpotent_twist_check_scales_with_the_twist():
+    """xi^dim is compared with max(1, |xi|)^dim: on a cone without generators,
+    seeded dense nilpotent twists of norm up to 1e6, whose computed xi^dim is
+    far from 0 in absolute terms, are accepted, and a nilpotent plus 1e-3
+    times the identity is refused at every scale."""
+    from hodgecharts.filtrations import NilpotentCone
+
+    orbit = twisted_weight1_orbit()
+    cone = NilpotentCone(4, 1, orbit.cone.form, [])
+    rng = np.random.default_rng(20261101)
+    for scale in (1.0, 1e3, 1e6):
+        xi = scale * _random_nilpotent(rng, 4)
+        OrbitSpec(cone, orbit.f0, xi)
+        with pytest.raises(ValueError, match="not nilpotent"):
+            OrbitSpec(cone, orbit.f0, xi + 1e-3 * np.abs(xi).max() * np.eye(4))
 
 
 def test_twist_at_zero_matches_untwisted():
