@@ -831,14 +831,37 @@ def test_residue_overflow_exits_4_on_one_line(tmp_path):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_twist_overflow_exits_4_on_one_line(tmp_path):
+def _twist_overflow():
     """A nilpotent twist entry of 1e300, which commutes with N, at w0 = 1e10:
-    w xi leaves the float range, which is one error line naming w, exit 4,
-    and no numpy warning on stderr."""
+    w xi leaves the float range."""
     data = _fixture_with("orbit_twisted_weight1.json", w0=[1e10, 0.0])
     data["orbit"]["twist"]["generator"][1][3] = [1e300, 0.0]
-    bad = tmp_path / "overflow.json"
-    bad.write_text(json.dumps(data))
+    return data
+
+
+def _twist_hidden_semisimple_part():
+    """1000 E_02 + diag(0, 3, 0, 3) passes the nilpotency test (its xi^4 is
+    8.1e-11 times 1000^4) but has the eigenvalue 3, so exp(w xi) is no finite
+    series."""
+    data = _fixture_with("orbit_twisted_weight1.json")
+    xi = [[0.0] * 4 for _ in range(4)]
+    xi[0][2], xi[1][1], xi[3][3] = 1000.0, 3.0, 3.0
+    data["orbit"]["twist"]["generator"] = [[[x, 0.0] for x in row] for row in xi]
+    return data
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_twist_overflow, "leaves the float range"),
+        (_twist_hidden_semisimple_part, "is not its finite series"),
+    ],
+    ids=["overflow", "hidden-semisimple-part"],
+)
+def test_twist_exits_4_on_one_line(tmp_path, make, message):
+    """One error line naming w, exit 4, and no numpy warning on stderr."""
+    bad = tmp_path / "twist.json"
+    bad.write_text(json.dumps(make()))
     out = tmp_path / "out.json"
     proc = subprocess.run(
         [sys.executable, "-m", "hodgecharts.cli", "curvature", "--input", str(bad)]
@@ -850,6 +873,7 @@ def test_twist_overflow_exits_4_on_one_line(tmp_path):
     assert proc.returncode == 4 and not out.exists()
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: twist exp(w xi) at w = ")
+    assert message in lines[0]
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 

@@ -667,14 +667,43 @@ def test_graded_frames_match_pivoted_qr_on_fixtures_and_gallery(orbit, w0):
                     assert _log_det_or_error(log_det, w) == _log_det_or_error(oracle.log_det, w)
 
 
+def _complement_rows(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Rows spanning the covectors that vanish on the span of rows."""
+    if not rows.shape[0]:
+        return np.eye(dim)
+    _, svals, vh = np.linalg.svd(rows)
+    return vh[int(np.sum(svals > 1e-10)) :]
+
+
+def _nilpotent_twists(cone):
+    """Row-major vec(xi) of the generators' centralizer elements that lower a
+    complete flag V refining the weight filtration W of the whole cone: V runs
+    up each W_l by the vectors of its echelon basis outside the span so far.
+    Such xi are strictly triangular in a basis adapted to V, so this is a
+    linear space of nilpotent matrices.  It holds every N_i and every xi with
+    xi W_l <= W_{l-1}, and where a graded piece of W repeats a block (as on
+    the two-block cone) also xi that act on it as a nonzero nilpotent."""
+    eye = np.eye(cone.dim)
+    lowering = weight_filtration(cone.n_of(range(1, cone.k + 1)), cone.weight)
+    # On row-major vec(xi): xi N - N xi for each generator, and c xi v for
+    # each new flag vector v and c vanishing on the flag below it.
+    conditions = [np.kron(eye, n.T) - np.kron(n, eye) for n in map(_np_matrix, cone.generators)]
+    flag = np.zeros((0, cone.dim))
+    for level in lowering.levels():
+        for v in _np_matrix(lowering.step(level).basis):
+            if np.linalg.matrix_rank(np.vstack([flag, v]), tol=1e-10) > flag.shape[0]:
+                conditions.append(np.kron(_complement_rows(flag, cone.dim), v))
+                flag = np.vstack([flag, v])
+    _, svals, vh = np.linalg.svd(np.vstack(conditions))
+    return vh[int(np.sum(svals > 1e-10)) :]
+
+
 def _random_twisted_orbit(rng, cone, index):
     """F^n spanned by random vectors of random steps W_l(N_I), l >= the weight,
     mixed by a random matrix, so that products C_l F^n can lose rank; the
-    twist exp(w xi) has xi a random element of the generators' centralizer
-    with xi W_l <= W_{l-1} for the weight filtration W of the whole cone: a
-    linear space of nilpotent matrices that holds every N_i.  Lowering
-    W(N_I) instead would make xi act trivially on its graded pieces, where
-    the boundary pairings Q(N^q u, conj v) live, and every boundary
+    twist exp(w xi) has xi a random element of _nilpotent_twists(cone).  Twists
+    that lower W(N_I) instead would act trivially on its graded pieces, where
+    the boundary pairings Q(N^q u, conj v) live, and make every boundary
     curvature 0 (Q(W_a, W_b) = 0 for a + b < 2n)."""
     filtration = weight_filtration(cone.n_of(index), cone.weight)
     steps = [
@@ -688,23 +717,8 @@ def _random_twisted_orbit(rng, cone, index):
         step = steps[rng.integers(len(steps))]
         cols.append((rng.normal(size=step.shape[0]) + 1j * rng.normal(size=step.shape[0])) @ step)
     mix = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    eye = np.eye(cone.dim)
-    lowering = weight_filtration(cone.n_of(range(1, cone.k + 1)), cone.weight)
-    # On row-major vec(xi): xi N - N xi for each generator, and c xi v for v
-    # in W_l and c vanishing on W_{l-1}.
-    conditions = np.vstack(
-        [np.kron(eye, n.T) - np.kron(n, eye) for n in map(_np_matrix, cone.generators)]
-        + [
-            np.kron(
-                _np_matrix(lowering.step(level - 1).orthogonal_complement().basis),
-                _np_matrix(lowering.step(level).basis),
-            )
-            for level in lowering.levels()
-        ]
-    )
-    _, svals, vh = np.linalg.svd(conditions)
-    nilpotent = vh[int(np.sum(svals > 1e-10)) :]
-    xi = (rng.normal(size=nilpotent.shape[0]) @ nilpotent).reshape(cone.dim, cone.dim)
+    twists = _nilpotent_twists(cone)
+    xi = (rng.normal(size=twists.shape[0]) @ twists).reshape(cone.dim, cone.dim)
     f0 = FlagPoint(cone.weight, {cone.weight: np.column_stack(cols) @ mix})
     return OrbitSpec(cone, f0, xi)
 
@@ -759,10 +773,12 @@ def test_graded_coefficients_do_not_depend_on_the_twist():
     """zeta(w) commutes with N_I, so it preserves every W_l(N_I): at seeded w
     on random twisted orbits, the kernel of C_l zeta(w) F0^n solved with the
     pivots of the untwisted frame is the untwisted kernel to 1e-12, and each
-    K_l is made of columns of that kernel."""
+    K_l is made of columns of that kernel.  The comparison has content only
+    where the twist moves C_l F0^n: on the two-block cone, whose twists act
+    on Gr^W as nonzero nilpotents, it does by more than 1e-8."""
     rng = np.random.default_rng(20261021)
     cones = _random_flag_cones()
-    compared = 0
+    compared = moved = 0
     for trial in range(60):
         cone = cones[trial % len(cones)]
         size = int(rng.integers(1, cone.k + 1))
@@ -781,8 +797,11 @@ def test_graded_coefficients_do_not_depend_on_the_twist():
             for c, pivots, basis in kernels.values():
                 drift = np.abs(_coefficient_kernel(c @ frame, pivots) - basis)
                 assert drift.max(initial=0.0) <= 1e-12
-                compared += basis.size > 0 and c.shape[0] > 0
-    assert compared > 200, compared
+                if basis.size > 0 and c.shape[0] > 0:
+                    compared += 1
+                    move = np.abs(c @ (frame - orbit.f0.level(orbit.weight)))
+                    moved += move.max() > 1e-8
+    assert compared > 200 and moved > 10, (compared, moved)
 
 
 def test_graded_frames_never_evaluate_the_twist(monkeypatch):
@@ -889,21 +908,45 @@ def test_twist_must_be_nilpotent(xi):
         OrbitSpec(orbit.cone, orbit.f0, xi)
 
 
+def test_twist_series_refuses_a_hidden_semisimple_part():
+    """xi = 1000 E_02 + diag(0, 3, 0, 3) commutes with N = E_02, and its two
+    parts annihilate each other, so xi^4 = diag(0, 81, 0, 81): 8.1e-11 times
+    max(1, |xi|)^4 = 1000^4, inside the nilpotency test.  The eigenvalues 3
+    make exp(w xi) no finite series; at w = 0 the series is still exact, but
+    from the first stencil point w = 0.1 of the curvature check on, the
+    omitted term is named."""
+    orbit = twisted_weight1_orbit()
+    xi = np.diag([0.0, 3.0, 0.0, 3.0])
+    xi[0, 2] = 1000.0
+    twisted = OrbitSpec(orbit.cone, orbit.f0, xi)
+    assert np.array_equal(twisted.zeta(0.0), np.eye(4))
+    with pytest.raises(
+        NumericDomainError,
+        match=r"^twist exp\(w xi\) at w = \(0\.1\+0j\) is not its finite series: the omitted"
+        r" term \(w xi\)\^4/4! is 3\.34e-06 times the sum$",
+    ):
+        curvature_limit_check(twisted, (1,), 0.0, [(1e-3,)])
+
+
 def test_nilpotent_twist_check_scales_with_the_twist():
     """xi^dim is compared with max(1, |xi|)^dim: on a cone without generators,
     seeded dense nilpotent twists of norm up to 1e6, whose computed xi^dim is
-    far from 0 in absolute terms, are accepted, and a nilpotent plus 1e-3
-    times the identity is refused at every scale."""
+    far from 0 in absolute terms, are accepted, and so is their series at w
+    up to 3 + i, whose omitted term is rounding; a nilpotent plus 1e-3 times
+    the identity is refused at every scale."""
     from hodgecharts.filtrations import NilpotentCone
 
     orbit = twisted_weight1_orbit()
     cone = NilpotentCone(4, 1, orbit.cone.form, [])
     rng = np.random.default_rng(20261101)
     for scale in (1.0, 1e3, 1e6):
-        xi = scale * _random_nilpotent(rng, 4)
-        OrbitSpec(cone, orbit.f0, xi)
-        with pytest.raises(ValueError, match="not nilpotent"):
-            OrbitSpec(cone, orbit.f0, xi + 1e-3 * np.abs(xi).max() * np.eye(4))
+        for _ in range(10):
+            xi = scale * _random_nilpotent(rng, 4)
+            twisted = OrbitSpec(cone, orbit.f0, xi)
+            for w in (0.1, 1.0, 3 + 1j):
+                twisted.zeta(w)
+            with pytest.raises(ValueError, match="not nilpotent"):
+                OrbitSpec(cone, orbit.f0, xi + 1e-3 * np.abs(xi).max() * np.eye(4))
 
 
 def test_twist_at_zero_matches_untwisted():
