@@ -3,16 +3,20 @@
 Conventions: every filtration is computed on the underlying space V and
 centered at the weight n.  A nilpotent N acts by N . W_l <= W_{l-2}, and N^l
 induces isomorphisms between the graded pieces at center+l and center-l;
-these two properties determine the filtration uniquely.  The filtration of
-ad N on the isometry algebra (centered at 0) is never built: it is induced
-from W(N) (Cattani-Kaplan-Schmid), so membership in it is read on V.
+these two properties determine the filtration uniquely.  W(N) is built in
+the closed form W_{c+l} = sum over j >= max(0, -l) of N^j ker N^{l+2j+1},
+read off the kernels of the powers of N by matrix products, with no
+intersection; both sides are additive over N-stable direct sums, so the
+form reduces to one Jordan block.  The filtration of ad N on the isometry
+algebra (centered at 0) is never built: it is induced from W(N)
+(Cattani-Kaplan-Schmid), so membership in it is read on V.
 """
 
 from __future__ import annotations
 
 from ._record import Record
 from .errors import NotFiltrationCompatible, NotNilpotent
-from .linalg import Rational, RationalMatrix, Subspace, _row_space, dot, kernel
+from .linalg import Rational, RationalMatrix, Subspace, _row_space, kernel
 
 IndexSet = tuple[int, ...]
 
@@ -90,11 +94,6 @@ class WeightFiltration:
         return f"WeightFiltration(center={self.center}, dims={dims})"
 
 
-def nilpotency_index(n: RationalMatrix) -> int:
-    """Smallest d with N^d = 0; raises NotNilpotent if there is none."""
-    return len(_powers(n)) - 1
-
-
 def _powers(n: RationalMatrix) -> list[RationalMatrix]:
     """[I, N, ..., N^d] with N^d the first zero power; raises NotNilpotent if
     N^dim is not zero."""
@@ -111,41 +110,25 @@ def _powers(n: RationalMatrix) -> list[RationalMatrix]:
 def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
     """The unique filtration with N.W_l <= W_{l-2} and N^l : Gr_{c+l} ~ Gr_{c-l}.
 
-    Built from the classical closed form: the step at c+l is the span of all
-    ker(N^{i+1}) cap im(N^{i-l}), i >= 0, with nonpositive powers read as the
-    identity.  For l >= 0 the pieces with i < l lie in ker N^{l+1}, so the
-    span starts at i = max(0, l), and each piece serves exactly one level.
-    One elimination of each N^j, 0 < j < d, gives the canonical basis of
-    ker N^j, and the columns that lead none of its rows are P_j, the
-    lexicographically last column basis of N^j, whose columns span im N^j.
-    The step at c+d-2 needs no elimination: its pieces are ker N^{d-1} and
-    im N, which ker N^{d-1} contains since N^d = 0.
+    Built from the classical closed form: the step at c+l is the sum of the
+    N^j ker N^{l+2j+1}, j >= max(0, -l), with ker N^r = V for r >= d, the
+    nilpotency index.  Both sides are additive over N-stable direct sums, so
+    one Jordan block e_1 <- ... <- e_m of weights c+2k-m-1 suffices: there
+    N^j ker N^r is spanned by e_1 .. e_{min(r, m)-j}, and the largest of
+    these stops at the last e_k with 2k-m-1 <= l.  One elimination of each
+    N^j, 0 < j < d, gives the canonical basis of ker N^j <= ker N^r (j < r),
+    and N^j maps the rows of ker N^r at the pivots ker N^j lacks onto a
+    basis of N^j ker N^r.  For r >= d these rows are unit vectors, whose
+    images are columns of N^j spanning im N^j, which holds every later
+    summand.  So each step is one elimination and no intersection; the step
+    at c+d-2 is ker N^{d-1}, which holds im N since N^d = 0.
     """
     powers = _powers(n)
     d = len(powers) - 1
     dim = n.rows
     if d <= 1:  # N = 0, or the zero-dimensional space
         return WeightFiltration(center, dim, {center: Subspace.full(dim)})
-    kernels, images = {}, {}
-    for j in range(1, d):
-        kernels[j] = kernel(powers[j])
-        pivots = sorted(set(range(dim)).difference(kernels[j].pivots))
-        images[j] = pivots, [powers[j].col(p) for p in pivots]
-
-    def piece(i: int, j: int):
-        """Rows spanning ker N^{i+1} cap im N^j, not in echelon form."""
-        if j == 0:
-            return kernels[i + 1].basis.entries
-        pivots, cols = images[j]
-        if i + 1 + j >= d:  # im N^j <= ker N^{i+1}
-            return cols
-        # sum c_t N^j e_{p_t} lies in ker N^{i+1} iff sum c_t N^{i+1+j} e_{p_t} = 0,
-        # and the N^j e_{p_t} are independent.
-        power = powers[i + 1 + j].entries
-        at_pivots = tuple(tuple(r[p] for p in pivots) for r in power)
-        coeffs = kernel(RationalMatrix(dim, len(pivots), at_pivots)).basis.entries
-        return [tuple(dot(c, x) for x in zip(*cols)) for c in coeffs]
-
+    kernels = {j: kernel(powers[j]) for j in range(1, d)}
     # W_{c+d-1} holds ker N^d, and W_{c+d-2} is ker N^{d-1}, which holds im N.
     steps: dict[int, Subspace] = {
         center + d - 1: Subspace.full(dim),
@@ -153,9 +136,21 @@ def weight_filtration(n: RationalMatrix, center: int) -> WeightFiltration:
     }
     for l in range(-(d - 1), d - 2):
         rows = []
-        for i in range(max(0, l), d):
-            if i - l < d:  # im N^{i-l} = 0 otherwise
-                rows.extend(piece(i, i - l))
+        for j in range(max(0, -l), d):
+            r = l + 2 * j + 1
+            if j == 0:
+                rows.extend(kernels[r].basis.entries)
+                continue
+            known = set(kernels[j].pivots)
+            if r >= d:  # im N^j, which holds N^i ker N^{l+2i+1} for i > j
+                rows.extend(powers[j].col(p) for p in range(dim) if p not in known)
+                break
+            ker = kernels[r]
+            rows.extend(
+                powers[j].mul_vec(row)
+                for row, p in zip(ker.basis.entries, ker.pivots)
+                if p not in known
+            )
         steps[center + l] = _row_space(RationalMatrix(len(rows), dim, tuple(rows)))
     return WeightFiltration(center, dim, steps)
 
@@ -176,7 +171,7 @@ class NilpotentCone:
                 raise ValueError(f"generator {i + 1} has wrong shape")
             if n.is_zero():
                 raise ValueError(f"generator {i + 1} is zero")
-            nilpotency_index(n)
+            _powers(n)  # raises NotNilpotent
             qn = form @ n  # N^T Q + Q N = 0 reads (QN)^T = -sign QN, as Q^T = sign Q
             if qn.transpose() != qn.scale(-sign):
                 raise ValueError(f"generator {i + 1} does not preserve the form")

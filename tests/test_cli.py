@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from hodgecharts.cli import main, parse_family
+from hodgecharts.linalg import RationalMatrix
+from hodgecharts.positivity import CurvatureTriple, curvature_identity_check
 
 from .test_filtrations import REFUSED_CONES
 from .test_siegel import _fraction_slope
@@ -223,6 +225,33 @@ def test_positivity_modes(tmp_path):
     assert report2["report"]["numerical_dimension"] == 3
 
 
+@pytest.mark.parametrize("metric", [None, [[2, 1], [1, "2/3"]]], ids=["no-metric", "metric"])
+def test_positivity_identity_mode_reports_the_library_check(tmp_path, metric):
+    e, xi = ["1/2", 3], [2, "-5/3"]
+    data = _identity_input(e=e, xi=xi)
+    if metric is not None:
+        data["triple"]["metric"] = metric
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(data))
+    code, report = run_cli(["positivity", "--input", str(path)], tmp_path)
+    assert code == 0
+    triple = data["triple"]
+    chk = curvature_identity_check(
+        CurvatureTriple(
+            triple["dim_t"],
+            triple["dim_w"],
+            triple["dim_u"],
+            triple["entries"],
+            None if metric is None else RationalMatrix.from_rows(metric),
+        ),
+        e,
+        xi,
+    )
+    assert report["report"] == {
+        "mode": "identity", "lhs": str(chk.lhs), "rhs": str(chk.rhs), "match": chk.match
+    }
+
+
 def _sigma2_input(entries, quadric):
     return {
         "mode": "sigma2",
@@ -377,6 +406,26 @@ _TWIST_NOT_NILPOTENT = _orbit_fixture_with(
 )
 
 
+# The weight-2 orbit without its top flag level F^2.
+_FLAG_WITHOUT_TOP_LEVEL = _fixture_with("orbit_weight2_caseC_expansion.json")
+del _FLAG_WITHOUT_TOP_LEVEL["orbit"]["flag"]["2"]
+
+# The weight-1 orbit's F^1 with three of its four rows.
+_FLAG_LEVEL_SHORT = _fixture_with("orbit_twisted_weight1.json")
+_FLAG_LEVEL_SHORT["orbit"]["flag"]["1"] = _FLAG_LEVEL_SHORT["orbit"]["flag"]["1"][:3]
+
+# F^1 = span(e3, e2), and F^2 = span(e1) leaves it.
+_FLAG_TOP_LEVEL_OUTSIDE = _fixture_with("orbit_weight2_caseC_expansion.json")
+_FLAG_TOP_LEVEL_OUTSIDE["orbit"]["flag"]["2"] = [[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]]
+
+
+def _triple_input(**fields):
+    """The ndim fixture with fields set in its triple."""
+    data = _fixture_with("positivity_ndim.json")
+    data["triple"].update(fields)
+    return data
+
+
 def _weight1_orbit_with_flag_level(level):
     """The weight-1 orbit with one more flag level, spanned by the second
     column i e2 + e4 of its F^1, which N kills: F^2 would be horizontal, and
@@ -460,6 +509,23 @@ def _weight1_orbit_with_flag_level(level):
         ("curvature", _fixture_with("residue_constant.json", coefficients={"0,0": 1, "0, 0": 5})),
         ("curvature", _FLAG_LEVEL_KEY_REPEATED),
         ("curvature", _TWIST_NOT_NILPOTENT),
+        ("curvature", _fixture_with("orbit_twisted_weight1.json", mode="limits")),
+        ("positivity", _fixture_with("positivity_ndim.json", mode="rank")),
+        ("siegel", _fixture_with("siegel_cl2.json", parabolic="middle")),
+        ("curvature", _FLAG_WITHOUT_TOP_LEVEL),
+        ("curvature", _FLAG_LEVEL_SHORT),
+        (
+            "curvature",
+            _orbit_fixture_with(
+                "orbit_twisted_weight1.json",
+                twist={"kind": "exp_linear", "generator": [[[0.0, 0.0]] * 3] * 3},
+            ),
+        ),
+        ("curvature", _fixture_with("orbit_weight2_caseC_expansion.json", ray=[{"power": 0.0}])),
+        ("curvature", _fixture_with("orbit_weight2_caseC_expansion.json", ray=[{"power": -1.0}])),
+        ("positivity", _triple_input(entries=[1, 0])),
+        ("positivity", _triple_input(dim_u=3)),
+        ("curvature", _FLAG_TOP_LEVEL_OUTSIDE),
     ],
     ids=[
         "residue-t-outside-disc",
@@ -524,6 +590,17 @@ def _weight1_orbit_with_flag_level(level):
         "residue-key-repeats-an-exponent-pair",
         "flag-level-key-repeats-a-level",
         "limit-twist-not-nilpotent",
+        "curvature-mode-unknown",
+        "positivity-mode-unknown",
+        "siegel-parabolic-unknown",
+        "flag-without-top-level",
+        "flag-level-row-count",
+        "limit-twist-generator-shape",
+        "expansion-ray-power-zero",
+        "expansion-ray-power-negative",
+        "triple-entries-not-three-level",
+        "triple-shape-inconsistent",
+        "flag-top-level-outside-next",
     ],
 )
 def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
@@ -531,7 +608,7 @@ def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
     bad.write_text(json.dumps(data))
     assert main([subcommand, "--input", str(bad)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
     # Each input is refused for its value, not for a key its object lacks.
     assert "unknown field" not in err
 
