@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from ._record import Record
-from .errors import ConeTooLarge, InvalidSplit
+from .errors import ConeTooLarge, InvalidInput, InvalidSplit
 from .filtrations import (
     IndexSet,
     NilpotentCone,
@@ -160,7 +160,7 @@ def farkas_alternative(a: RationalMatrix, b) -> FarkasAlternative:
     Ax = b give the certificate."""
     b = vec(b)
     if len(b) != a.rows:
-        raise ValueError("right-hand side has wrong length")
+        raise InvalidInput("right-hand side has wrong length")
     rows = [(*r, bi) if bi >= 0 else tuple(-x for x in (*r, bi)) for r, bi in zip(a.entries, b)]
     value, x, y = _bland(*_integer_tableau(rows, a.cols, a.rows), a.cols)
     if value == 0:

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules.
 
 Each class carries the CLI exit code of its failures as ``exit_code``, which
-``cli.main`` returns: 2 for SchemaError and exact input-validation failures
-(the base-class default), 3 for ConeTooLarge, 4 for NumericDomainError.
+``cli.main`` returns, the one place that maps failures to codes: 2 for
+SchemaError and exact input-validation failures such as InvalidInput (the
+base-class default), 3 for ConeTooLarge, 4 for NumericDomainError.
 """
 
 
@@ -13,6 +14,10 @@ class HodgeChartsError(Exception):
 
 class SchemaError(HodgeChartsError):
     """Malformed or inconsistent input data (JSON schema level)."""
+
+
+class InvalidInput(HodgeChartsError, ValueError):
+    """An argument outside a library function's domain; also a ValueError."""
 
 
 class ConeTooLarge(HodgeChartsError):

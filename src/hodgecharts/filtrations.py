@@ -15,7 +15,7 @@ algebra (centered at 0) is never built: it is induced from W(N)
 from __future__ import annotations
 
 from ._record import Record
-from .errors import NotFiltrationCompatible, NotNilpotent
+from .errors import InvalidInput, NotFiltrationCompatible, NotNilpotent
 from .linalg import Rational, RationalMatrix, Subspace, _row_space, kernel
 
 IndexSet = tuple[int, ...]
@@ -25,7 +25,7 @@ def index_set(values) -> IndexSet:
     values = tuple(values)
     for v in values:
         if type(v) is not int:  # a bool, float or str is never truncated
-            raise ValueError(f"index set entries must be ints, not {v!r}")
+            raise InvalidInput(f"index set entries must be ints, not {v!r}")
     return tuple(sorted(set(values)))
 
 
@@ -98,7 +98,7 @@ def _powers(n: RationalMatrix) -> list[RationalMatrix]:
     """[I, N, ..., N^d] with N^d the first zero power; raises NotNilpotent if
     N^dim is not zero."""
     if n.rows != n.cols:
-        raise ValueError("nilpotency of a non-square matrix")
+        raise InvalidInput("nilpotency of a non-square matrix")
     powers = [RationalMatrix.identity(n.rows), n] if n.rows else [n]  # on Q^0, N = I
     while not powers[-1].is_zero():
         if len(powers) > n.rows:
@@ -161,25 +161,25 @@ class NilpotentCone:
     def __init__(self, dim: int, weight: int, form: RationalMatrix, generators):
         generators = tuple(generators)
         if form.rows != dim or form.cols != dim:
-            raise ValueError("form must be dim x dim")
+            raise InvalidInput("form must be dim x dim")
         sign = 1 if weight % 2 == 0 else -1
         if form.transpose() != form.scale(sign):
             kind = "symmetric" if weight % 2 == 0 else "alternating"
-            raise ValueError(f"form must be {kind} for weight {weight}")
+            raise InvalidInput(f"form must be {kind} for weight {weight}")
         for i, n in enumerate(generators):
             if n.rows != dim or n.cols != dim:
-                raise ValueError(f"generator {i + 1} has wrong shape")
+                raise InvalidInput(f"generator {i + 1} has wrong shape")
             if n.is_zero():
-                raise ValueError(f"generator {i + 1} is zero")
+                raise InvalidInput(f"generator {i + 1} is zero")
             _powers(n)  # raises NotNilpotent
             qn = form @ n  # N^T Q + Q N = 0 reads (QN)^T = -sign QN, as Q^T = sign Q
             if qn.transpose() != qn.scale(-sign):
-                raise ValueError(f"generator {i + 1} does not preserve the form")
+                raise InvalidInput(f"generator {i + 1} does not preserve the form")
         for i in range(len(generators)):
             for j in range(i + 1, len(generators)):
                 a, b = generators[i], generators[j]
                 if a @ b != b @ a:
-                    raise ValueError(f"generators {i + 1} and {j + 1} do not commute")
+                    raise InvalidInput(f"generators {i + 1} and {j + 1} do not commute")
         self.dim = dim
         self.weight = weight
         self.form = form
@@ -191,7 +191,7 @@ class NilpotentCone:
         out = RationalMatrix.zeros(self.dim, self.dim)
         for i in index:
             if not 1 <= i <= self.k:
-                raise ValueError(f"index {i} out of range 1..{self.k}")
+                raise InvalidInput(f"index {i} out of range 1..{self.k}")
             out = out + self.generators[i - 1]
         return out
 
@@ -210,7 +210,7 @@ class AdjointFiltration(Record):
     def contains(self, x: RationalMatrix, level: int) -> bool:
         q, w = self.form, self.filtration
         if (x.rows, x.cols) != (q.rows, q.cols) or not (x.transpose() @ q + q @ x).is_zero():
-            raise ValueError("matrix is not in the isometry algebra")
+            raise InvalidInput("matrix is not in the isometry algebra")
         return _maps_into(x, w, level)
 
 
@@ -219,7 +219,7 @@ def adjoint_filtration(cone: NilpotentCone, index) -> AdjointFiltration:
     read through W(N_I) on V."""
     index = index_set(index)
     if not index:
-        raise ValueError("adjoint filtration needs a nonempty index set")
+        raise InvalidInput("adjoint filtration needs a nonempty index set")
     return AdjointFiltration(
         index, weight_filtration(cone.n_of(index), cone.weight), cone.form
     )
@@ -268,7 +268,7 @@ class PrimitivePiece(Record):
 
 def primitive_subspace(cone: NilpotentCone, index, a: int) -> PrimitivePiece:
     if not 0 <= a <= cone.weight:
-        raise ValueError("primitive level a must satisfy 0 <= a <= weight")
+        raise InvalidInput("primitive level a must satisfy 0 <= a <= weight")
     index = index_set(index)
     n_i = cone.n_of(index)
     filtration = weight_filtration(n_i, cone.weight)
@@ -306,7 +306,7 @@ def rwfp_consequence_check(cone: NilpotentCone, index, index_larger) -> RwfpRepo
     index = index_set(index)
     index_larger = index_set(index_larger)
     if not set(index) <= set(index_larger):
-        raise ValueError("first index set must be contained in the second")
+        raise InvalidInput("first index set must be contained in the second")
     w_small = adjoint_filtration(cone, index)
     w_large = (
         w_small if index == index_larger else adjoint_filtration(cone, index_larger)

@@ -22,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import InvalidInput
+
 Rational = int | Fraction
 
 
@@ -68,12 +70,12 @@ class RationalMatrix:
         if data:
             ncols = len(data[0])
             if any(len(r) != ncols for r in data):
-                raise ValueError("ragged rows")
+                raise InvalidInput("ragged rows")
             if cols is not None and cols != ncols:
-                raise ValueError(f"rows have {ncols} entries, not the stated {cols}")
+                raise InvalidInput(f"rows have {ncols} entries, not the stated {cols}")
         else:
             if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
+                raise InvalidInput("empty matrix needs an explicit column count")
             ncols = cols
         return cls(len(data), ncols, data)
 
@@ -114,7 +116,7 @@ class RationalMatrix:
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+            raise InvalidInput("shape mismatch")
         return RationalMatrix(
             self.rows,
             self.cols,
@@ -126,7 +128,7 @@ class RationalMatrix:
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+            raise InvalidInput("shape mismatch")
         return RationalMatrix(
             self.rows,
             self.cols,
@@ -147,7 +149,7 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         """Row i of AB is the sum of a_ij B_j over the nonzero a_ij."""
         if self.cols != other.rows:
-            raise ValueError("shape mismatch")
+            raise InvalidInput("shape mismatch")
         zero = (0,) * other.cols
         out = []
         for r in self.entries:
@@ -162,15 +164,15 @@ class RationalMatrix:
         """M v with v a column vector, returned as a flat tuple."""
         v = vec(v)
         if len(v) != self.cols:
-            raise ValueError("shape mismatch")
+            raise InvalidInput("shape mismatch")
         nonzero = [(j, x) for j, x in enumerate(v) if x]
         return tuple(_exact(sum(r[j] * x for j, x in nonzero if r[j])) for r in self.entries)
 
     def power(self, k: int) -> "RationalMatrix":
         if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
+            raise InvalidInput("power of a non-square matrix")
         if k < 0:
-            raise ValueError("negative power")
+            raise InvalidInput("negative power")
         out = RationalMatrix.identity(self.rows)
         for _ in range(k):
             out = out @ self
@@ -184,7 +186,7 @@ class RationalMatrix:
 
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         if other.rows and self.cols != other.cols:
-            raise ValueError("shape mismatch")
+            raise InvalidInput("shape mismatch")
         return RationalMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
@@ -269,7 +271,7 @@ class Subspace:
     def contains_vector(self, v) -> bool:
         v = vec(v)
         if len(v) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
+            raise InvalidInput("dimension mismatch")
         return not any(self.residues([v])[0])
 
     def residues(self, vectors) -> list[tuple[Rational, ...]]:

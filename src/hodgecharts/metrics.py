@@ -5,7 +5,7 @@ bundle, both as log-determinants of the pairings i^(2p-n) Q(u, conj v) on the
 transported flag frames; fits logarithmic growth orders along boundary rays;
 and compares finite-difference curvature against the graded boundary value:
 the graded frames of F^n along the exact weight filtration, solved once on the
-untwisted limit flag, since the twist preserves every weight step.
+untwisted limit flag, since each factor of the boundary frame keeps the steps.
 Everything runs in double precision; each tolerance is a module constant,
 noted with what it governs.  Both exponentials of an orbit are of nilpotent
 matrices, so each is its finite series, and limit mode never loads scipy;
@@ -20,7 +20,7 @@ from math import factorial, floor, log, pi
 import numpy as np
 
 from ._record import Record
-from .errors import NotPolarized, NumericDomainError, PoorFit
+from .errors import InvalidInput, NotPolarized, NumericDomainError, PoorFit
 from .filtrations import NilpotentCone, index_set, weight_filtration
 from .linalg import RationalMatrix
 from .residue import residue_integral as _residue_integral
@@ -82,10 +82,12 @@ class FlagPoint:
         ps = sorted(self.levels, reverse=True)
         for p in ps:
             if not 1 <= p <= weight:
-                raise ValueError(f"flag level {p} lies outside 1..{weight}")
+                raise InvalidInput(f"flag level {p} lies outside 1..{weight}")
+            with np.errstate(over="ignore"):  # _finite names an overflow
+                _finite(np.linalg.norm(self.levels[p]) ** 2, f"the squared norm of F^{p}")
         for a, b in zip(ps, ps[1:]):
             if _outside_span(self.levels[b], self.levels[a], SVD_TOL):
-                raise ValueError(f"F^{a} is not contained in F^{b}")
+                raise InvalidInput(f"F^{a} is not contained in F^{b}")
 
     def level(self, p: int) -> np.ndarray:
         if p in self.levels:
@@ -93,7 +95,7 @@ class FlagPoint:
         dim = next(iter(self.levels.values())).shape[0]
         if p <= 0:
             return np.eye(dim, dtype=complex)
-        raise ValueError(f"flag level {p} not provided")
+        raise InvalidInput(f"flag level {p} not provided")
 
 
 class OrbitSpec:
@@ -114,13 +116,13 @@ class OrbitSpec:
             for i, n in enumerate(self.gens):
                 comm = xi @ n - n @ xi
                 if np.linalg.norm(comm, ord=np.inf) > COMMUTE_TOL:
-                    raise ValueError(f"twist does not commute with generator {i + 1}")
+                    raise InvalidInput(f"twist does not commute with generator {i + 1}")
             # |xi^d| against max(1, |xi|)^d, as |(xi / max(1, |xi|))^d|: no overflow
             d = xi.shape[0]
             scale = max(1.0, np.linalg.norm(xi, ord=np.inf))
             power = np.linalg.norm(np.linalg.matrix_power(xi / scale, d), ord=np.inf)
             if not power <= COMMUTE_TOL:
-                raise ValueError(
+                raise InvalidInput(
                     f"twist generator is not nilpotent: |xi^{d}| / max(1, |xi|)^{d} = {power:.3g}"
                 )
             # What of that exceeds its rounding, at most 4 d^2 eps times
@@ -169,7 +171,7 @@ class OrbitSpec:
                 continue  # the target level was not supplied; nothing to check
             for j, n in enumerate(self.gens):
                 if _outside_span(self.f0.level(p - 1), n @ self.f0.level(p), ALGEBRAIC_TOL):
-                    raise ValueError(f"generator {j + 1} moves F^{p} outside F^{p - 1}")
+                    raise InvalidInput(f"generator {j + 1} moves F^{p} outside F^{p - 1}")
 
 
 def _hermitian_log_det(gram: np.ndarray, what: str, negatives: int = 0) -> float:
@@ -256,7 +258,7 @@ def expansion_fit(orbit: OrbitSpec, ray, w, taus=EXPANSION_TAUS) -> ExpansionFit
     ts = [ray(tau) for tau in taus]
     ls = [-log(abs(t[0])) for t in ts]
     if len(set(ls)) < 3:
-        raise ValueError("an expansion fit needs taus with at least 3 distinct rates")
+        raise InvalidInput("an expansion fit needs taus with at least 3 distinct rates")
     _top_frame(orbit)
     # scipy's expm, not group_element's exact series: the benchmark digests
     # the fit's residual bit for bit, and the series moves that rounding noise
@@ -369,10 +371,10 @@ def _graded_frames(orbit: OrbitSpec, index) -> list[tuple[int, np.ndarray, np.nd
 
     The coefficients of F^n cap W_l solve C_l x = 0, with C_l the exact
     complement of W_l; each level keeps the columns of that kernel basis that
-    extend the kernel of the level below.  The twist zeta(w) = exp(w xi)
-    commutes with every N_i, so it preserves each W_l, and the x with
-    zeta(w) F0^n x in W_l do not depend on w: K_l is solved once, on the
-    untwisted frame, and the frames zeta(w) F0^n K_l vary holomorphically.
+    extend the kernel of the level below.  The boundary factor g =
+    exp(sum_{j not in I} l(t_j) N_j) zeta(w) commutes with every N_i, so it
+    preserves each W_l, and the x with g F0^n x in W_l do not depend on g:
+    K_l is solved once, on the untwisted frame, and g F0^n K_l is holomorphic in w.
     Their basis-change factors are then pluriharmonic and drop out of mixed
     second derivatives of the block log-determinants.
     """
@@ -396,10 +398,10 @@ def _graded_frames(orbit: OrbitSpec, index) -> list[tuple[int, np.ndarray, np.nd
     return frames
 
 
-def _graded_log_det(orbit: OrbitSpec, frames, w: complex) -> float:
-    """Sum over the graded frames R_l = (zeta(w) F0^n) K_l of
-    log|det Q(N^q R_l, conj R_l)|."""
-    frame = orbit.zeta(w) @ orbit.f0.level(orbit.weight)
+def _graded_log_det(orbit: OrbitSpec, frames, t_rest, w: complex) -> float:
+    """Sum over the graded frames R_l = (g F0^n) K_l of
+    log|det Q(N^q R_l, conj R_l)|, with g = group_element(t_rest, w)."""
+    frame = orbit.group_element(t_rest, w) @ orbit.f0.level(orbit.weight)
     total = 0.0
     for level, coefficients, power in frames:
         reps = frame @ coefficients
@@ -423,14 +425,18 @@ class CurvatureReport(Record):
 
 
 def curvature_limit_check(orbit: OrbitSpec, index, w0: complex, t_sequence) -> CurvatureReport:
-    """Compare d_w d_wbar log h along t -> 0 with the boundary graded value.
+    """Compare d_w d_wbar log h along t_I -> 0 with the boundary graded value.
 
-    t_sequence is read once and must hold at least one point."""
+    t_sequence is read once and must hold a point, and no t_j = 0.  The
+    boundary is taken at the last point's t_j outside I, with t_i = 1 (l = 0)
+    for i in I; a sequence that moves those t_j approaches no one boundary."""
     t_sequence = tuple(t_sequence)
-    if not t_sequence:
-        raise ValueError("a curvature limit check needs at least one point t")
+    if not t_sequence or not all(all(t) for t in t_sequence):
+        raise InvalidInput("a curvature limit check needs at least one point t, and no t_j = 0")
     frames = _graded_frames(orbit, index)
-    boundary = mixed_second_derivative(lambda w: _graded_log_det(orbit, frames, w), w0)
+    members = index_set(index)
+    t_rest = tuple(1 if j in members else tj for j, tj in enumerate(t_sequence[-1], 1))
+    boundary = mixed_second_derivative(lambda w: _graded_log_det(orbit, frames, t_rest, w), w0)
     interior = [
         mixed_second_derivative(lambda w: log_det_lambda(orbit, t, w), w0) for t in t_sequence
     ]

@@ -13,8 +13,10 @@ entries are ints, Fractions or "p/q" strings, as for linalg.vec.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from ._record import Record
+from .errors import InvalidInput
 from .linalg import Rational, RationalMatrix, dot, rank, vec
 
 
@@ -28,11 +30,12 @@ class CurvatureTriple:
         if len(entries) != dim_t or any(
             len(sl) != dim_w or any(len(r) != dim_u for r in sl) for sl in entries
         ):
-            raise ValueError("entry array has inconsistent shape")
+            raise InvalidInput("entry array has inconsistent shape")
         if metric is None:
             metric = RationalMatrix.identity(dim_u)
         if metric.rows != dim_u or metric.cols != dim_u:
-            raise ValueError("metric must be dim_u x dim_u")
+            raise InvalidInput("metric must be dim_u x dim_u")
+        _check_positive_definite(metric)
         self.dim_t = dim_t
         self.dim_w = dim_w
         self.dim_u = dim_u
@@ -60,8 +63,23 @@ class CurvatureTriple:
         return dot(u, self.metric.mul_vec(u))
 
 
+def _check_positive_definite(metric: RationalMatrix) -> None:
+    """Refuse a metric unless it is symmetric and elimination with no row
+    exchange meets only positive pivots (Sylvester: positive definite)."""
+    if metric.transpose() != metric:
+        raise InvalidInput("metric must be symmetric")
+    rows = [list(r) for r in metric.entries]
+    for i, top in enumerate(rows):
+        if top[i] <= 0:
+            raise InvalidInput(f"metric must be positive definite: pivot {i + 1} is {top[i]}")
+        for row in rows[i + 1:]:
+            if row[i]:
+                f = Fraction(row[i], top[i])
+                row[i:] = [x - f * y for x, y in zip(row[i:], top[i:])]
+
+
 def _row(v, n: int) -> RationalMatrix:
-    """v as a 1 x n matrix; ValueError when v does not have n entries."""
+    """v as a 1 x n matrix; InvalidInput when v does not have n entries."""
     return RationalMatrix.from_rows([v], cols=n)
 
 
@@ -77,7 +95,9 @@ def curvature_identity_check(triple: CurvatureTriple, e, xi) -> CurvatureIdentit
     The left side contracts the curvature 4-tensor sum_j A[s,a,j] g[j,j'] A[t,b,j']
     against e in both bundle slots and xi in both tangent slots: with
     S = slice_matrix(e) it is x (S g S^t) x^t.  The right side applies A
-    first, |x S|^2_g.  Exact equality is the curvature-shape identity.
+    first, |x S|^2_g.  Both are products of the same exact matrices, so
+    lhs = rhs by associativity for every input: match checks the
+    contraction's bookkeeping, not a property of A or g.
     """
     s, x = triple.slice_matrix(e), _row(xi, triple.dim_t)
     lhs = (x @ (s @ triple.metric @ s.transpose()) @ x.transpose()).entries[0][0]
@@ -122,7 +142,7 @@ def sigma_weight1(q_form: RationalMatrix) -> SigmaReport:
     the quadric q is nonsingular.
     """
     if q_form.transpose() != q_form:
-        raise ValueError("quadric must be symmetric")
+        raise InvalidInput("quadric must be symmetric")
     m = q_form.rows
     units = [
         [[int(r == i and c == j) + int(r == j and c == i) for c in range(m)] for r in range(m)]
@@ -139,7 +159,7 @@ def sigma_weight2(triple: CurvatureTriple, q_form: RationalMatrix) -> SigmaRepor
     for every nonsingular q.
     """
     if q_form.rows != triple.dim_w or q_form.transpose() != q_form:
-        raise ValueError("quadric must be symmetric on W")
+        raise InvalidInput("quadric must be symmetric on W")
     if not _contraction(triple, RationalMatrix.identity(triple.dim_w)).injective:
-        raise ValueError("A must be injective as a map T -> Hom(W, U)")
+        raise InvalidInput("A must be injective as a map T -> Hom(W, U)")
     return _contraction(triple, q_form)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import isfinite, log, pi
 
-from .errors import NumericDomainError
+from .errors import InvalidInput, NumericDomainError
 
 
 def residue_integral(coefficients: dict[tuple[int, int], complex], t: complex) -> float:
@@ -22,14 +22,14 @@ def residue_integral(coefficients: dict[tuple[int, int], complex], t: complex) -
     c t^min(i,j) over the terms of that m, J_0 = log(1/|t|) and
     J_n = (1 - |t|^{2n})/(2n); the g = 1 value is exactly 2 pi log(1/|t|).
     Every factor but the coefficients is at most 1, so only they can leave
-    the float range, which raises NumericDomainError naming t.  g must be a
-    polynomial: a negative exponent raises ValueError.
+    the float range, which raises NumericDomainError naming t.  InvalidInput
+    refuses a g that is no polynomial, and a t off 0 < |t| < 1 or with 1/t inf.
     """
     t_in, t = t, complex(t)
-    if not 0 < abs(t) < 1:
-        raise ValueError("t must satisfy 0 < |t| < 1")
+    if not 0 < abs(t) < 1 or not isfinite(1 / abs(t)):
+        raise InvalidInput(f"t must satisfy 0 < |t| < 1 with 1/t finite, not {t_in!r}")
     if any(min(ij) < 0 for ij in coefficients):
-        raise ValueError("exponents of g must be nonnegative")
+        raise InvalidInput("exponents of g must be nonnegative")
     b: dict[int, complex] = {}
     for (i, j), c in coefficients.items():
         b[i - j] = b.get(i - j, 0) + c * t ** min(i, j)

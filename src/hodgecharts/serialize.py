@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import inf, isfinite
 from sys import float_info
 
-from .errors import ConeTooLarge, HodgeChartsError, NotInDomain, SchemaError
+from .errors import ConeTooLarge, NotInDomain, SchemaError
 from .linalg import Rational, RationalMatrix, _exact
 
 
@@ -142,10 +142,7 @@ def cone_from_json(data) -> "NilpotentCone":
         raise SchemaError(
             f"symmetry flag {symmetry!r} contradicts weight {weight} (expected {expected!r})"
         )
-    try:
-        return NilpotentCone(dim, weight, form, gens)
-    except (ValueError, HodgeChartsError) as exc:
-        raise SchemaError(str(exc)) from exc
+    return NilpotentCone(dim, weight, form, gens)
 
 
 def surface_from_json(data) -> "NCDSurface":
@@ -248,11 +245,8 @@ def orbit_from_json(data) -> "OrbitSpec":
             raise SchemaError(f"twist generator must be {cone.dim} x {cone.dim}")
     else:
         raise SchemaError(f"unknown twist kind {kind!r}")
-    try:
-        orbit = OrbitSpec(cone, FlagPoint(cone.weight, levels), xi)
-        orbit.check_horizontal()
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    orbit = OrbitSpec(cone, FlagPoint(cone.weight, levels), xi)
+    orbit.check_horizontal()
     return orbit
 
 
@@ -311,10 +305,7 @@ def siegel_cone_from_json(data) -> "ConeSpec":
 
     _object_from_json(data, "cone", ("p", "q", "r"))
     p, q, r = (_array_from_json(data[key], key, _float_from_json) for key in "pqr")
-    try:
-        return ConeSpec(p, q, r)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return ConeSpec(p, q, r)
 
 
 _NUMBER = r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+"
@@ -356,7 +347,4 @@ def triple_from_json(data) -> "CurvatureTriple":
     entries = [[_array_from_json(row, "entries", _rational_from_json) for row in sl] for sl in slices]
     metric = data.get("metric")
     metric = matrix_from_json(metric, "metric") if metric is not None else None
-    try:
-        return CurvatureTriple(*dims, entries, metric)
-    except ValueError as exc:
-        raise SchemaError(f"bad curvature triple: {exc}") from exc
+    return CurvatureTriple(*dims, entries, metric)

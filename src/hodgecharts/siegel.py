@@ -17,7 +17,7 @@ from math import exp, inf, log, sqrt
 
 from . import _slope
 from ._record import Record
-from .errors import NotInDomain, PZero
+from .errors import InvalidInput, NotInDomain, PZero
 
 SLOPE_THRESHOLD = 0.5
 DEFAULT_GRID = tuple(10.0**k for k in range(1, 7))
@@ -36,19 +36,19 @@ class ConeSpec:
     def __init__(self, p, q, r):
         p, q, r = tuple(map(float, p)), tuple(map(float, q)), tuple(map(float, r))
         if not len(p) == len(q) == len(r):
-            raise ValueError("p, q, r must have equal lengths")
+            raise InvalidInput("p, q, r must have equal lengths")
         for j, (pj, qj, rj) in enumerate(zip(p, q, r)):
             if pj < 0 or qj < 0:
-                raise ValueError(f"p_{j + 1}, q_{j + 1} must be nonnegative")
+                raise InvalidInput(f"p_{j + 1}, q_{j + 1} must be nonnegative")
             if rj * rj > pj * qj + CONE_TOL:
-                raise ValueError(f"r_{j + 1}^2 <= p_{j + 1} q_{j + 1} fails")
+                raise InvalidInput(f"r_{j + 1}^2 <= p_{j + 1} q_{j + 1} fails")
         self.p, self.q, self.r = p, q, r
         self.size = len(p)
 
     def sums(self, y) -> tuple[float, float, float]:
         y = tuple(map(float, y))
         if len(y) != self.size:
-            raise ValueError("parameter vector has wrong length")
+            raise InvalidInput("parameter vector has wrong length")
         return (
             sum(rj * yj for rj, yj in zip(self.r, y)),
             sum(pj * yj for pj, yj in zip(self.p, y)),
@@ -135,13 +135,13 @@ def boundedness_probe(
     at least 2 distinct logarithms.
     """
     if parabolic not in ("minimal", "maximal"):
-        raise ValueError("parabolic must be 'minimal' or 'maximal'")
+        raise InvalidInput(f"parabolic must be 'minimal' or 'maximal', not {parabolic!r}")
     grid = tuple(grid)
     if not all(t > 0 for t in grid):
-        raise ValueError("grid values must be positive")
+        raise InvalidInput("grid values must be positive")
     xs = [log(t) for t in grid]
     if len(set(xs)) < 2:
-        raise ValueError("a slope fit needs grid values with at least 2 distinct logarithms")
+        raise InvalidInput("a slope fit needs grid values with at least 2 distinct logarithms")
     monitored: dict[str, list[float]] = {}
     for t_val in grid:
         y = family(t_val)

@@ -613,6 +613,139 @@ def test_exit_code_schema_bad_float_input(tmp_path, capsys, subcommand, data):
     assert "unknown field" not in err
 
 
+def _limit_with_second_generator(t_sequence):
+    """The limit fixture with a second generator (the block matrix of S = E_22
+    beside the fixture's S = E_11), index [1] and the given points."""
+    data = _fixture_with("orbit_twisted_weight1.json", t_sequence=t_sequence)
+    e22 = [["0"] * 4 for _ in range(4)]
+    e22[1][3] = "1"
+    data["orbit"]["cone"]["generators"].append(e22)
+    return data
+
+
+# r_1 = (1, -3) under the indefinite metric [[2, 1], [1, 1/3]]: |r_1|^2 = -1.
+_INDEFINITE_METRIC = {
+    "mode": "identity",
+    "triple": {
+        "dim_t": 1, "dim_w": 1, "dim_u": 2, "entries": [[[1, -3]]],
+        "metric": [["2", "1"], ["1", "1/3"]],
+    },
+    "e": [1],
+    "xi": [1],
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, data, error",
+    [
+        (
+            "curvature",
+            _fixture_with("orbit_twisted_weight1.json", index=[5], t_sequence=[[0.01]]),
+            "index 5 out of range 1..1",
+        ),
+        (
+            "curvature",
+            _fixture_with("orbit_twisted_weight1.json", index=[0], t_sequence=[[0.01]]),
+            "index 0 out of range 1..1",
+        ),
+        (
+            "siegel",
+            _fixture_with("siegel_cl2.json", parabolic="middle"),
+            "parabolic must be 'minimal' or 'maximal', not 'middle'",
+        ),
+        (
+            "siegel",
+            _fixture_with("siegel_cl2.json", parabolic=["minimal"]),
+            "parabolic must be 'minimal' or 'maximal', not ['minimal']",
+        ),
+        (
+            "curvature",
+            _fixture_with("residue_constant.json", t_values=[0.5, 2.0]),
+            "t must satisfy 0 < |t| < 1 with 1/t finite, not 2.0",
+        ),
+        (
+            "curvature",
+            _fixture_with("residue_constant.json", t_values=[0.5, 5e-324]),
+            "t must satisfy 0 < |t| < 1 with 1/t finite, not 5e-324",
+        ),
+        (
+            "positivity",
+            _INDEFINITE_METRIC,
+            "metric must be positive definite: pivot 2 is -1/6",
+        ),
+        (
+            "curvature",
+            _limit_with_second_generator([[0.01, 0.5], [0.001, 0.25]]),
+            "t_sequence moves t_2, a coordinate outside index [1]",
+        ),
+    ],
+    ids=[
+        "limit-index-above-range",
+        "limit-index-zero",
+        "siegel-parabolic-unknown",
+        "siegel-parabolic-not-a-string",
+        "residue-t-outside-disc",
+        "residue-t-reciprocal-overflows",
+        "identity-metric-indefinite",
+        "limit-outer-coordinate-moves",
+    ],
+)
+def test_refusals_name_the_refused_value(tmp_path, capsys, subcommand, data, error):
+    """Each refusal is one error line, exit 2, naming the value it refuses;
+    all but the last are made by the library, and the CLI only maps them.
+    The last is the CLI's, and it reads coordinates outside index before the
+    library reads index: the index rows hold one point, which moves nothing."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    assert main([subcommand, "--input", str(bad), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+def test_limit_with_fixed_outer_coordinate_reads_its_boundary(tmp_path):
+    """index [1] with t_2 = 0.5 at every point: the boundary is the elliptic
+    modulus i + l(0.5) of Gr W(N_1), whose curvature is -1/(4 (Im tau)^2)."""
+    data = _limit_with_second_generator([[10.0**-k, 0.5] for k in range(2, 7)])
+    (tmp_path / "in.json").write_text(json.dumps(data))
+    code, report = run_cli(["curvature", "--input", str(tmp_path / "in.json")], tmp_path)
+    assert code == 0
+    im_tau = 1 + math.log(2) / (2 * math.pi)
+    assert abs(report["report"]["boundary_value"] + 1 / (4 * im_tau**2)) < 1e-8
+    assert report["report"]["decreasing"]
+
+
+def _flag_scaled(name, factor):
+    """The fixture with every flag entry multiplied by factor."""
+    data = _fixture_with(name)
+    flag = data["orbit"]["flag"]
+    for level, rows in flag.items():
+        flag[level] = [[[factor * x for x in entry] for entry in row] for row in rows]
+    return data
+
+
+@pytest.mark.parametrize(
+    "name, factor, level",
+    [("orbit_twisted_weight1.json", 1e200, 1), ("orbit_weight2_caseC_expansion.json", 1e300, 2)],
+    ids=["limit", "expansion"],
+)
+def test_flag_beyond_the_float_range_exits_4_on_one_line(tmp_path, name, factor, level):
+    """A flag level whose squared norm overflows is named, exit 4, with no
+    numpy warning; before, the overflowed rank cutoff read it as dependent."""
+    bad = tmp_path / "flag.json"
+    bad.write_text(json.dumps(_flag_scaled(name, factor)))
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgecharts.cli", "curvature", "--input", str(bad)]
+        + ["--output", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 4 and not out.exists()
+    assert proc.stderr == f"error: the squared norm of F^{level} leaves the float range\n"
+
+
 def _fixture_with_key(name, path, key, value=1):
     """The fixture as JSON text, with key set to value in the object at path."""
     data = _fixture_with(name)
@@ -1080,6 +1213,7 @@ CI_INPUTS = {
     "falsy_metric.json": ("positivity", 2),
     "misspelt_key.json": ("curvature", 2),
     "repeated_key.json": ("curvature", 2),
+    "indefinite_metric.json": ("positivity", 2),
 }
 # The CI inputs whose refusal is their key, and the error naming it.
 CI_KEY_ERRORS = {

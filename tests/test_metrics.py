@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hodgecharts import gallery
-from hodgecharts.errors import NotPolarized, NumericDomainError, PoorFit
+from hodgecharts.errors import InvalidInput, NotPolarized, NumericDomainError, PoorFit
 from hodgecharts.filtrations import weight_filtration
 from hodgecharts.gallery import (
     genus2_orbit,
@@ -573,6 +573,67 @@ def test_curvature_limit_refuses_an_empty_sequence(as_generator):
         curvature_limit_check(twisted_weight1_orbit(), (1,), 0.0, ts)
 
 
+def test_curvature_limit_refuses_a_zero_coordinate():
+    """l(0) is -inf: the check refuses the point before any evaluation."""
+    with pytest.raises(InvalidInput, match="no t_j = 0"):
+        curvature_limit_check(twisted_weight1_orbit(), (1,), 0.0, [(1e-2,), (0.0,)])
+
+
+def _fixture_with_second_generator():
+    """The limit fixture's orbit with a second generator, the block matrix of
+    S = E_22 beside the fixture's S = E_11.  On Gr of W(N_1) the boundary
+    structure is the elliptic modulus tau = i + l(t_2) + w, so the boundary
+    curvature at w = 0 is -1/(4 (Im tau)^2)."""
+    data = json.loads((FIXTURES / "orbit_twisted_weight1.json").read_text())
+    e22 = [["0"] * 4 for _ in range(4)]
+    e22[1][3] = "1"
+    data["orbit"]["cone"]["generators"].append(e22)
+    return orbit_from_json(data["orbit"])
+
+
+@pytest.mark.parametrize("t2", [0.5, 1e-3])
+def test_curvature_limit_boundary_at_the_outer_coordinates(t2):
+    """With index [1] and t_2 held fixed, the boundary value is read at the
+    outer point t_2, not at t_2 = 1 (where it was -1/4 whatever t_2 was),
+    and the interior values approach it."""
+    orbit = _fixture_with_second_generator()
+    im_tau = (1j + log_coord(t2)).imag
+    ts = [(10.0**-k, t2) for k in (2, 10, 100, 300)]
+    rep = curvature_limit_check(orbit, (1,), 0.0, ts)
+    assert abs(rep.boundary + 1 / (4 * im_tau**2)) < 1e-8
+    assert rep.decreasing and rep.final_error < 2e-3 < rep.errors[0]
+
+
+def test_curvature_limit_boundary_with_seeded_twists_at_proper_index_sets():
+    """Seeded twists of _nilpotent_twists(genus2_cone) on the genus-2 flag, at
+    every proper index set I with the coordinates outside I fixed at seeded
+    values: the interior errors decrease as t_I -> 0, to below a tenth of the
+    first.  Read at the outer coordinates 1 instead, the boundary value is
+    off by more than ten times the first error wherever |I| = 1."""
+    cone = gallery.genus2_cone()
+    f0 = genus2_orbit().f0
+    twists = _nilpotent_twists(cone)
+    rng = np.random.default_rng(20261022)
+    for _ in range(3):
+        orbit = OrbitSpec(cone, f0, (rng.normal(size=twists.shape[0]) @ twists).reshape(4, 4))
+        w0 = complex(*rng.normal(scale=0.1, size=2))
+        for r in range(1, cone.k):
+            for index in itertools.combinations(range(1, cone.k + 1), r):
+                outer = {j: rng.uniform(0.05, 0.5) for j in range(1, cone.k + 1) if j not in index}
+                ts = [
+                    tuple(outer.get(j, 10.0**-e) for j in range(1, cone.k + 1))
+                    for e in (4, 16, 64, 256)
+                ]
+                rep = curvature_limit_check(orbit, index, w0, ts)
+                assert rep.decreasing, index
+                assert rep.final_error < rep.errors[0] / 10, index
+                if r == 1:
+                    frames = _graded_frames(orbit, index)
+                    at_one = partial(_graded_log_det, orbit, frames, (1,) * cone.k)
+                    off = abs(mixed_second_derivative(at_one, w0) - rep.boundary)
+                    assert off > 10 * rep.errors[0], index
+
+
 def _limit_frame(orbit, w):
     """zeta(w) F0^n: the frame whose graded pieces are taken at w."""
     return orbit.zeta(w) @ orbit.f0.level(orbit.weight)
@@ -662,7 +723,7 @@ def test_graded_frames_match_pivoted_qr_on_fixtures_and_gallery(orbit, w0):
                 assert frames is not None
                 new, old = _graded_columns(orbit, index, frames, oracle)
                 assert new == old
-                log_det = partial(_graded_log_det, orbit, frames)
+                log_det = partial(_graded_log_det, orbit, frames, (1,) * orbit.cone.k)
                 for w in (w_base, w_base + 0.05, w_base - 0.1j):
                     assert _log_det_or_error(log_det, w) == _log_det_or_error(oracle.log_det, w)
 
@@ -755,7 +816,7 @@ def test_graded_frames_match_pivoted_qr_on_random_flags():
         _, untwisted = _frame_pair(orbit, index, 0.0)
         new, old = _graded_columns(orbit, index, frames, untwisted)
         assert {lv: len(c) for lv, c in new.items()} == {lv: len(c) for lv, c in old.items()}
-        log_det = partial(_graded_log_det, orbit, frames)
+        log_det = partial(_graded_log_det, orbit, frames, (1,) * orbit.cone.k)
         if new == old:
             seen["same columns"] += 1
             assert log_det(0.0) == untwisted.log_det(0.0)

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+from hodgecharts.errors import InvalidInput
 from hodgecharts.linalg import RationalMatrix
 from hodgecharts.positivity import (
     CurvatureTriple,
@@ -163,7 +165,28 @@ def _random_metric(rng, n, kind):
     rows = [[_random_scalar(rng) for _ in range(n)] for _ in range(n)]
     if kind == "symmetric":
         rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    elif kind == "positive definite":  # B B^t + I
+        rows = [
+            [sum(map(mul, r, s)) + (i == j) for j, s in enumerate(rows)] for i, r in enumerate(rows)
+        ]
     return RationalMatrix.from_rows(rows, cols=n)
+
+
+def _det(rows):
+    """Laplace expansion along the first row (the matrices here are at most 3 x 3)."""
+    if not rows:
+        return 1
+    minors = (_det([r[:j] + r[j + 1:] for r in rows[1:]]) for j in range(len(rows)))
+    return sum((-1) ** j * x * m for j, (x, m) in enumerate(zip(rows[0], minors)))
+
+
+def _symmetric_positive_definite(m):
+    """Sylvester's criterion by determinants: symmetric, with every leading
+    principal minor positive."""
+    rows = [list(r) for r in m.entries]
+    return m.transpose() == m and all(
+        _det([r[:k] for r in rows[:k]]) > 0 for k in range(1, m.rows + 1)
+    )
 
 
 def _same_sigma(new, old):
@@ -182,10 +205,11 @@ def _same_sigma(new, old):
 def test_slice_products_match_loop_oracles():
     """apply, slice_matrix, the curvature identity and both sigma maps agree
     exactly with the index-loop versions, on int and Fraction triples of
-    dims 0-3 (dim_t = 0 and dim_u = 0 included) under identity, symmetric and
-    non-symmetric metrics."""
+    dims 0-3 (dim_t = 0 and dim_u = 0 included) under identity, positive
+    definite and random metrics.  A metric is refused exactly when it is not
+    symmetric positive definite; the loop then goes on with the identity."""
     rng = random.Random(SEED + 3)
-    seen, sigma2_outcomes = set(), []
+    seen, sigma2_outcomes, metric_outcomes = set(), [], set()
     for n in range(240):
         dt, dw, du = (rng.randint(0, 3) for _ in range(3))
         if n % 8 == 0:
@@ -198,8 +222,16 @@ def test_slice_products_match_loop_oracles():
              for _ in range(dw)]
             for _ in range(dt)
         ]
-        kind = ("identity", "symmetric", "general")[n % 3]
-        triple = CurvatureTriple(dt, dw, du, entries, _random_metric(rng, du, kind))
+        kind = ("identity", "positive definite", "general")[n % 3]
+        metric = _random_metric(rng, du, kind)
+        if not _symmetric_positive_definite(metric):
+            with pytest.raises(InvalidInput, match="^metric must be (symmetric|positive definite)"):
+                CurvatureTriple(dt, dw, du, entries, metric)
+            metric_outcomes.add("refused")
+            kind, metric = "identity", RationalMatrix.identity(du)
+        elif kind == "general":
+            metric_outcomes.add("accepted")
+        triple = CurvatureTriple(dt, dw, du, entries, metric)
         seen.add((dt == 0, du == 0, kind, integral))
         e = [_random_scalar(rng) for _ in range(dw)]
         xi = [_random_scalar(rng) for _ in range(dt)]
@@ -223,7 +255,8 @@ def test_slice_products_match_loop_oracles():
     assert {(t0, u0) for t0, u0, _, _ in seen} == {
         (True, False), (True, True), (False, True), (False, False)
     }
-    assert {kind for _, _, kind, _ in seen} == {"identity", "symmetric", "general"}
+    assert {kind for _, _, kind, _ in seen} == {"identity", "positive definite", "general"}
+    assert metric_outcomes == {"refused", "accepted"}
     assert {"refused", True, False} <= set(sigma2_outcomes)
 
 
@@ -256,3 +289,23 @@ def test_wrong_length_vectors_raise(short_or_long):
 def test_entry_shape_faults_raise_one_error(dims, entries):
     with pytest.raises(ValueError, match="entry array has inconsistent shape"):
         CurvatureTriple(*dims, entries)
+
+
+@pytest.mark.parametrize(
+    "metric, message",
+    [
+        ([[2, 1], [1, "1/3"]], "positive definite: pivot 2 is -1/6"),
+        ([[0, 0], [0, 1]], "positive definite: pivot 1 is 0"),
+        ([[1, 0], [0, -1]], "positive definite: pivot 2 is -1"),
+        ([[1, 1], [0, 1]], "symmetric"),
+    ],
+    ids=["indefinite", "semidefinite", "negative-pivot", "not-symmetric"],
+)
+def test_metric_must_be_symmetric_positive_definite(metric, message):
+    """|A(xi) e|^2 is a norm only for a positive definite metric; the first
+    input gave lhs = rhs = -1 and match true before it was refused."""
+    metric = RationalMatrix.from_rows(metric)
+    with pytest.raises(InvalidInput, match=f"^metric must be {message}$"):
+        CurvatureTriple(1, 1, 2, [[[1, -3]]], metric)
+    good = CurvatureTriple(1, 1, 2, [[[1, -3]]], RationalMatrix.from_rows([[2, 1], [1, "2/3"]]))
+    assert curvature_identity_check(good, [1], [1]).lhs == 2  # 2 - 6 + 6

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hodgecharts.errors import SchemaError
+from hodgecharts.errors import InvalidInput, NotNilpotent, SchemaError
 from hodgecharts.gallery import genus2_cone, twisted_weight1_orbit, weight2_jordan3_orbit
 from hodgecharts.serialize import (
     _int_from_json,
@@ -60,8 +60,8 @@ def test_cone_schema_errors():
     with pytest.raises(SchemaError):
         cone_from_json(missing)
     bad_gen = dict(good)
-    bad_gen["generators"] = [good["form"]]  # not nilpotent
-    with pytest.raises(SchemaError):
+    bad_gen["generators"] = [good["form"]]  # not nilpotent: the library's own refusal
+    with pytest.raises(NotNilpotent):
         cone_from_json(bad_gen)
     with pytest.raises(SchemaError):
         cone_from_json([1, 2, 3])
@@ -113,10 +113,10 @@ def test_orbit_schema_errors():
         orbit_from_json({**base, "flag": {"x": [[[0, 0]]]}})
     with pytest.raises(SchemaError):
         orbit_from_json({**base, "twist": {"kind": "mystery"}})
-    # a twist that does not commute with the generators is rejected
+    # a twist that does not commute with the generators is refused by OrbitSpec
     bad = np.zeros((4, 4))
     bad[2, 0] = 1.0
-    with pytest.raises(SchemaError):
+    with pytest.raises(InvalidInput, match="^twist does not commute with generator 1$"):
         orbit_from_json(
             {**base, "twist": {"kind": "exp_linear", "generator": cmat(bad)}}
         )
@@ -136,7 +136,7 @@ def test_orbit_flag_must_be_horizontal():
     }
     assert orbit_from_json(data).xi is None
     data["flag"]["1"] = cmat(np.eye(3)[:, [0, 2]])
-    with pytest.raises(SchemaError, match=r"^generator 1 moves F\^2 outside F\^1$"):
+    with pytest.raises(InvalidInput, match=r"^generator 1 moves F\^2 outside F\^1$"):
         orbit_from_json(data)
 
 
@@ -153,7 +153,7 @@ def test_siegel_cone_schema():
     assert cone.size == 2
     with pytest.raises(SchemaError):
         siegel_cone_from_json({"p": [1], "q": [1]})
-    with pytest.raises(SchemaError):
+    with pytest.raises(InvalidInput, match=r"^r_1\^2 <= p_1 q_1 fails$"):
         siegel_cone_from_json({"p": [1], "q": [1], "r": [5]})
     with pytest.raises(SchemaError):
         siegel_cone_from_json("nope")
