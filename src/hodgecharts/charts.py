@@ -12,7 +12,7 @@ choice among many.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import SeparationFailure
+from .errors import InvalidInput, SeparationFailure
 from .cones import KIndexMap, k_index_map, positive_basis
 from .filtrations import IndexSet, NilpotentCone
 from .linalg import Rational, RationalMatrix, Subspace, _primitive_integer, integer_kernel
@@ -102,9 +102,16 @@ def binomial_relations(rows) -> BinomialRelationSet:
     """All multiplicative relations among the monomials t^{c_1}..t^{c_m}.
 
     A relation is an integer vector u with sum u_j c_j = 0; the set returned
-    is the HNF basis of that kernel lattice.
+    is the HNF basis of that kernel lattice.  The c_j must be integer
+    vectors of one length: truncating a fraction would change the lattice.
     """
-    rows = [list(map(int, r)) for r in rows]
+    given = [list(r) for r in rows]
+    try:
+        rows = [list(map(int, r)) for r in given]
+    except (TypeError, ValueError, OverflowError):  # not a number, a NaN, an infinity
+        rows = None
+    if rows != given or any(len(r) != len(given[0]) for r in given):
+        raise InvalidInput("binomial relations need integer exponent rows of one length")
     if not rows:
         return BinomialRelationSet(())
     ncols = len(rows)

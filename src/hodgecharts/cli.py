@@ -235,15 +235,9 @@ def run_curvature(data, args) -> tuple[dict, list, list]:
     orbit = orbit_from_json(data["orbit"])
     k = orbit.cone.k
     if mode == "expansion":
-        if k == 0:
-            raise SchemaError("expansion mode reads the rate from t_1: the cone needs a generator")
-        ray = ray_from_json(data.get("ray", [{}] * k), k)
+        ray = ray_from_json(data.get("ray", [{}] * k))
         w = _complex_from_json(data.get("w", 0.0), "w")
         taus = _array_from_json(data.get("taus", EXPANSION_TAUS), "taus", _float_from_json)
-        if not all(0 < tau < 1 for tau in taus):
-            raise SchemaError(f"taus must lie in (0, 1), not {taus!r}")
-        if not all(0 < abs(t) < 1 for tau in taus for t in ray(tau)):
-            raise SchemaError("every ray point t(tau) must satisfy 0 < |t_j| < 1")
         fit = expansion_fit(orbit, ray, w, taus)
         return (
             {
@@ -283,19 +277,13 @@ def run_siegel(data, args) -> tuple[dict, list, list]:
 
     _object_from_json(data, "siegel input", ("cone", "family", "parabolic"), ("grid",))
     cone = siegel_cone_from_json(data["cone"])
-    family_text = data["family"]
-    family = parse_family(family_text)
-    components = len(family(1.0))
-    if components != cone.size:
-        raise SchemaError(
-            f"family {family_text!r} has {components} components, the cone {cone.size}"
-        )
+    family = parse_family(data["family"])
     grid = _array_from_json(data.get("grid", DEFAULT_GRID), "grid", _float_from_json)
     rep = boundedness_probe(cone, family, data["parabolic"], grid)
     report = {
         "verdict": rep.verdict,
         "parabolic": rep.parabolic,
-        "family": family_text,
+        "family": data["family"],
         "slopes": dict(sorted(rep.slopes.items())),
         "monitored": {k: list(v) for k, v in sorted(rep.monitored.items())},
         "grid": list(rep.grid),
@@ -327,8 +315,6 @@ def run_positivity(data, args) -> tuple[dict, list, list]:
         _object_from_json(data, "positivity input", ("mode", "triple"), ("samples",))
         triple = triple_from_json(data["triple"])
         samples = _int_from_json(data.get("samples", 20), "samples")
-        if samples < 1:
-            raise SchemaError(f"samples must be at least 1, not {samples}")
         if samples > MAX_NDIM_SAMPLES:
             raise ConeTooLarge(f"samples is {samples}, above the cap {MAX_NDIM_SAMPLES}")
         rho, n = numerical_dimension(triple, samples=samples, seed=args.seed)

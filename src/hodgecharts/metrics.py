@@ -79,6 +79,8 @@ class FlagPoint:
     def __init__(self, weight: int, levels: dict[int, np.ndarray]):
         self.weight = weight
         self.levels = {p: np.asarray(m, dtype=complex) for p, m in levels.items()}
+        if len({m.shape[0] for m in self.levels.values()}) > 1:
+            raise InvalidInput("flag levels must have equal row counts")
         ps = sorted(self.levels, reverse=True)
         for p in ps:
             if not 1 <= p <= weight:
@@ -101,18 +103,23 @@ class FlagPoint:
 class OrbitSpec:
     """Twisted nilpotent orbit exp(sum l(t_i) N_i) . zeta(w) . F0.
 
-    The boundary twist zeta(w) = exp(w xi) has a nilpotent xi that commutes
-    with every generator; no xi means no twist.
+    The flag holds its top level.  The boundary twist zeta(w) = exp(w xi) has
+    a dim x dim nilpotent xi commuting with every generator; no xi, no twist.
     """
 
     def __init__(self, cone: NilpotentCone, f0: FlagPoint, xi: np.ndarray | None = None):
+        if cone.weight not in f0.levels:
+            raise InvalidInput(f"flag needs its top level {cone.weight}")
+        if f0.levels[cone.weight].shape[0] != cone.dim:
+            raise InvalidInput(f"flag levels must have {cone.dim} rows")
         self.cone = cone
         self.f0 = f0
-        self.xi = xi
+        self.xi = xi = None if xi is None else np.asarray(xi, dtype=complex)
         self.form = _np_matrix(cone.form)
         self.gens = [_np_matrix(n) for n in cone.generators]
         if xi is not None:
-            xi = np.asarray(xi, dtype=complex)
+            if xi.shape != (cone.dim, cone.dim):
+                raise InvalidInput(f"twist generator must be {cone.dim} x {cone.dim}")
             for i, n in enumerate(self.gens):
                 comm = xi @ n - n @ xi
                 if np.linalg.norm(comm, ord=np.inf) > COMMUTE_TOL:
@@ -158,11 +165,17 @@ class OrbitSpec:
     def weight(self) -> int:
         return self.cone.weight
 
+    def exponent(self, t) -> np.ndarray:
+        """z = sum l(t_i) N_i, nilpotent because the N_i commute and each is.
+        The point t needs one coordinate per generator, or InvalidInput names k."""
+        t = tuple(t)
+        if len(t) != len(self.gens):
+            raise InvalidInput(f"a point t needs k = {len(self.gens)} coordinates, not {len(t)}")
+        return sum((log_coord(ti) * n for ti, n in zip(t, self.gens)), 0 * self.form)
+
     def group_element(self, t, w) -> np.ndarray:
-        """exp(z) zeta(w) with z = sum l(t_i) N_i, nilpotent because the N_i
-        commute and each is."""
-        z = sum((log_coord(ti) * n for ti, n in zip(t, self.gens, strict=True)), 0 * self.form)
-        return _exp_nilpotent(z) @ self.zeta(w)
+        """exp(z) zeta(w) with z = exponent(t)."""
+        return _exp_nilpotent(self.exponent(t)) @ self.zeta(w)
 
     def check_horizontal(self) -> None:
         """Verify N_j . F0^p <= F0^{p-1} on every pair of provided flag levels."""
@@ -249,13 +262,21 @@ class ExpansionFit(Record):
 def expansion_fit(orbit: OrbitSpec, ray, w, taus=EXPANSION_TAUS) -> ExpansionFit:
     """Select the integer growth order of log h against log log|t|^{-1}.
 
-    ray maps tau in (0,1) to the t-tuple; the boundary-approach rate is read
-    from the first coordinate.  Each candidate power m in 0..2n is fitted with
-    an A + B/L correction and the smallest max-deviation wins.  Two
-    parameters per order fit any two points exactly, so the rates of at least
-    3 taus must be distinct.
+    ray maps each tau in (0, 1) to a point t of k >= 1 coordinates, all in
+    0 < |t_j| < 1; the boundary-approach rate is read from t_1.  Each power m
+    in 0..2n is fitted with an A + B/L correction and the smallest
+    max-deviation wins.  Two parameters per order fit any two points exactly,
+    so the rates of at least 3 taus must be distinct.
     """
+    if not orbit.cone.k:
+        raise InvalidInput("an expansion fit reads the rate from t_1: the cone needs a generator")
+    taus = tuple(taus)
+    if not all(0 < tau < 1 for tau in taus):
+        raise InvalidInput(f"taus must lie in (0, 1), not {taus!r}")
     ts = [ray(tau) for tau in taus]
+    if not all(0 < abs(tj) < 1 for t in ts for tj in t):
+        raise InvalidInput("every ray point t(tau) must satisfy 0 < |t_j| < 1")
+    zs = [orbit.exponent(t) for t in ts]
     ls = [-log(abs(t[0])) for t in ts]
     if len(set(ls)) < 3:
         raise InvalidInput("an expansion fit needs taus with at least 3 distinct rates")
@@ -267,12 +288,10 @@ def expansion_fit(orbit: OrbitSpec, ray, w, taus=EXPANSION_TAUS) -> ExpansionFit
     from scipy.linalg import expm
 
     zeta = orbit.zeta(w)
-
-    def top_log_det(t) -> float:
-        z = sum((log_coord(ti) * n for ti, n in zip(t, orbit.gens, strict=True)), 0 * orbit.form)
-        return _pairing_log_det(orbit, expm(z) @ zeta, t, orbit.weight, "top Hodge pairing")
-
-    ys = np.array([top_log_det(t) for t in ts])
+    ys = np.array([
+        _pairing_log_det(orbit, expm(z) @ zeta, t, orbit.weight, "top Hodge pairing")
+        for t, z in zip(ts, zs)
+    ])
     ls = np.array(ls)
     design = np.column_stack([np.ones_like(ls), 1.0 / ls])
     best: tuple[float, int, float] | None = None

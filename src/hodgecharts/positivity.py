@@ -108,8 +108,10 @@ def curvature_identity_check(triple: CurvatureTriple, e, xi) -> CurvatureIdentit
 def numerical_dimension(triple: CurvatureTriple, samples: int = 20, seed: int = 0):
     """(rho, n): rho is the generic rank of xi -> A(xi) e, n = rank(E) - 1 + rho.
 
-    "Generic" is the maximum over seeded random integer samples of e.
+    "Generic" is the maximum over samples >= 1 seeded random integer e.
     """
+    if samples < 1:
+        raise InvalidInput(f"samples must be at least 1, not {samples}")
     rng = random.Random(seed)
     rho = 0
     for _ in range(samples):

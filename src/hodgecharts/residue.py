@@ -28,8 +28,9 @@ def residue_integral(coefficients: dict[tuple[int, int], complex], t: complex) -
     t_in, t = t, complex(t)
     if not 0 < abs(t) < 1 or not isfinite(1 / abs(t)):
         raise InvalidInput(f"t must satisfy 0 < |t| < 1 with 1/t finite, not {t_in!r}")
-    if any(min(ij) < 0 for ij in coefficients):
-        raise InvalidInput("exponents of g must be nonnegative")
+    for i, j in coefficients:
+        if min(i, j) < 0:
+            raise InvalidInput(f"exponents of g must be nonnegative, not those of x^{i} y^{j}")
     b: dict[int, complex] = {}
     for (i, j), c in coefficients.items():
         b[i - j] = b.get(i - j, 0) + c * t ** min(i, j)

@@ -48,7 +48,7 @@ class ConeSpec:
     def sums(self, y) -> tuple[float, float, float]:
         y = tuple(map(float, y))
         if len(y) != self.size:
-            raise InvalidInput("parameter vector has wrong length")
+            raise InvalidInput(f"parameter vector y has {len(y)} components, the cone {self.size}")
         return (
             sum(rj * yj for rj, yj in zip(self.r, y)),
             sum(pj * yj for pj, yj in zip(self.p, y)),

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from hodgecharts.charts import (
     separation_check,
 )
 from hodgecharts.cli import run_charts
-from hodgecharts.errors import InvalidSplit, SeparationFailure
+from hodgecharts.errors import InvalidInput, InvalidSplit, SeparationFailure
 from hodgecharts.gallery import equal_pair_cone, genus2_cone, single_cone
 from hodgecharts.linalg import RationalMatrix, hnf_rows
 from hodgecharts.serialize import cone_from_json
@@ -89,6 +91,33 @@ def test_binomial_relations_examples():
         for u in binomial_relations(rows).vectors:
             combo = [sum(ui * rows[i][j] for i, ui in enumerate(u)) for j in range(k)]
             assert all(x == 0 for x in combo)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[Fraction(1, 2), 0], [1, 0]],
+        [[1.5, 0], [1, 0]],
+        [["1", 0], [1, 0]],
+        [[math.nan, 0], [1, 0]],
+        [[math.inf, 0], [1, 0]],
+        [[1, 0], [1]],
+        [[1], [1, 0]],
+    ],
+    ids=["half", "float", "string", "nan", "inf", "short-row", "long-row"],
+)
+def test_binomial_relations_refuses_rows_that_are_no_integer_vectors(rows):
+    """t1^(1/2) and t1 satisfy (t1^(1/2))^2 = t1, the relation (2, -1):
+    truncating 1/2 to 0 would read (1, 0), and 1.5 to 1 another wrong lattice.
+    Ragged rows have no common coordinates."""
+    with pytest.raises(InvalidInput, match="integer exponent rows of one length"):
+        binomial_relations(rows)
+
+
+def test_binomial_relations_takes_integral_values_of_any_type():
+    want = binomial_relations([[2, 0], [1, 0]])
+    assert want.vectors == ((1, -2),)
+    assert binomial_relations([[Fraction(2), 0], [1.0, 0]]) == want
 
 
 def test_relation_lattice_invariant_under_basis_change():

@@ -1214,6 +1214,7 @@ CI_INPUTS = {
     "misspelt_key.json": ("curvature", 2),
     "repeated_key.json": ("curvature", 2),
     "indefinite_metric.json": ("positivity", 2),
+    "no_generator.json": ("curvature", 2),
 }
 # The CI inputs whose refusal is their key, and the error naming it.
 CI_KEY_ERRORS = {

@@ -544,6 +544,71 @@ def test_expansion_fit_poor_fit():
         expansion_fit(genus2_orbit(), lambda tau: (tau, 0.5, 0.5), 0.0, (0.9, 0.7, 0.5))
 
 
+def _generator_free_orbit():
+    """weight2_jordan3_orbit's flag on its form with no generator."""
+    from hodgecharts.filtrations import NilpotentCone
+
+    orbit = weight2_jordan3_orbit()
+    return OrbitSpec(NilpotentCone(3, 2, orbit.cone.form, []), orbit.f0)
+
+
+@pytest.mark.parametrize(
+    "make, ray, taus, message",
+    [
+        (_generator_free_orbit, lambda tau: (), EXPANSION_TAUS, "the cone needs a generator"),
+        (weight2_jordan3_orbit, lambda tau: (tau,), (0.5, 2.0, 3.0), r"taus must lie in \(0, 1"),
+        (weight2_jordan3_orbit, lambda tau: (tau,), (1e-4, 0.0, 1e-6), r"taus must lie in \(0, 1"),
+        (weight2_jordan3_orbit, lambda tau: (1e5 * tau,), EXPANSION_TAUS, r"0 < \|t_j\| < 1"),
+        (weight2_jordan3_orbit, lambda tau: (-tau / tau,), EXPANSION_TAUS, r"0 < \|t_j\| < 1"),
+        (weight2_jordan3_orbit, lambda tau: (tau, tau), EXPANSION_TAUS, "k = 1 coordinates, not 2"),
+        (weight2_jordan3_orbit, lambda tau: (), EXPANSION_TAUS, "k = 1 coordinates, not 0"),
+    ],
+    ids=[
+        "no-generator", "taus-above-1", "tau-zero", "ray-off-the-disc", "ray-on-the-circle",
+        "ray-too-long", "ray-empty",
+    ],
+)
+@pytest.mark.parametrize("as_generator", [False, True], ids=["tuple", "generator"])
+def test_expansion_fit_refuses_inputs_off_its_domain(make, ray, taus, message, as_generator):
+    """Where the CLI exits 2, a library call got an IndexError (no generator,
+    an empty point), a bare ValueError (a long point) or a fit through the
+    logarithms of points off the punctured disc; now each is InvalidInput."""
+    if as_generator:
+        taus = (tau for tau in taus)
+    with pytest.raises(InvalidInput, match=message):
+        expansion_fit(make(), ray, 0.0, taus)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda orbit, t: orbit.group_element(t, 0.0),
+        lambda orbit, t: log_det_lambda(orbit, t, 0.0),
+        lambda orbit, t: augmented_log_det(orbit, t, 0.0),
+        lambda orbit, t: curvature_limit_check(orbit, (1,), 0.0, [t]),
+    ],
+    ids=["group_element", "log_det_lambda", "augmented_log_det", "curvature_limit_check"],
+)
+@pytest.mark.parametrize("t", [(1e-3, 1e-3), (1e-3,) * 4], ids=["short", "long"])
+def test_a_point_needs_one_coordinate_per_generator(evaluate, t):
+    with pytest.raises(InvalidInput, match=f"k = 3 coordinates, not {len(t)}"):
+        evaluate(genus2_orbit(), t)
+
+
+def test_flag_and_orbit_refuse_mismatched_shapes():
+    """Each mismatch raised a bare numpy ValueError, or none, where the CLI exits 2."""
+    orbit = weight2_jordan3_orbit()  # dim 3, weight 2, flag levels 2 and 1
+    f2, f1 = orbit.f0.level(2), orbit.f0.level(1)
+    with pytest.raises(InvalidInput, match="equal row counts"):
+        FlagPoint(2, {2: f2, 1: f1[:2]})
+    with pytest.raises(InvalidInput, match="top level 2"):
+        OrbitSpec(orbit.cone, FlagPoint(2, {1: f1}))
+    with pytest.raises(InvalidInput, match="3 rows"):
+        OrbitSpec(orbit.cone, FlagPoint(2, {2: f2[:2], 1: f1[:2]}))
+    with pytest.raises(InvalidInput, match="3 x 3"):
+        OrbitSpec(orbit.cone, orbit.f0, np.zeros((2, 2)))
+
+
 def test_curvature_limit_twisted_fixture():
     orbit = twisted_weight1_orbit(eps=0.1)
     ts = [(10.0 ** -k,) for k in range(2, 7)]

@@ -70,6 +70,15 @@ def test_identity_random_triples():
         assert curvature_identity_check(triple, e, xi).match
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_numerical_dimension_needs_a_sample(samples):
+    """With no sample the generic rank would read 0, and n = dim_w - 1."""
+    triple = CurvatureTriple(1, 2, 1, [[[1], [0]]])
+    with pytest.raises(InvalidInput, match=f"samples must be at least 1, not {samples}"):
+        numerical_dimension(triple, samples=samples)
+    assert numerical_dimension(triple, samples=1) == (1, 2)
+
+
 def test_numerical_dimension_cases():
     z = CurvatureTriple(2, 3, 2, [[[0, 0]] * 3] * 2)
     assert numerical_dimension(z) == (0, 2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hodgecharts import _slope
-from hodgecharts.errors import NotInDomain, PZero
+from hodgecharts.errors import InvalidInput, NotInDomain, PZero
 from hodgecharts.siegel import (
     ConeSpec,
     boundedness_probe,
@@ -29,6 +29,13 @@ def test_cone_spec_validation():
     with pytest.raises(ValueError):
         ConeSpec([1, 0], [1], [0])  # unequal lengths
     assert ConeSpec([0.5, 0.5], [0.5, 0.5], [0.5, -0.5]).size == 2
+
+
+@pytest.mark.parametrize("parabolic", ["minimal", "maximal"])
+def test_probe_names_both_lengths_of_a_family_of_the_wrong_length(parabolic):
+    cone = ConeSpec([1, 0], [0, 1], [0, 0])
+    with pytest.raises(InvalidInput, match="y has 1 components, the cone 2"):
+        boundedness_probe(cone, lambda big_t: (big_t,), parabolic)
 
 
 def test_orbit_point_examples():
